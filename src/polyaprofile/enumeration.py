@@ -50,7 +50,8 @@ def count_trees(n_max, cache_dir=None):
     """Exact tree counts up to n_max, optionally cached on disk.
 
     The disk cache stores decimal digits; it exists because the O(n^2)
-    big-integer convolution takes ~40 s at n_max = 6400.
+    big-integer convolution takes about 300 s at n_max = 6400 with Python
+    integers (302 s measured on a 2-CPU host, Python 3.11, no gmpy2).
     """
     if n_max < 1:
         raise UsageError("count_trees requires n_max >= 1")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from click.testing import CliRunner
@@ -53,6 +54,26 @@ def test_sample_deterministic_and_headered():
     assert "# params_sha256=" in a.output
     assert "# version=" in a.output
     assert "generated=" not in a.output
+
+
+def _digest(res):
+    assert res.exit_code == 0
+    return hashlib.sha256(res.output.encode()).hexdigest()
+
+
+def test_sample_golden_digest():
+    # digest of the output of the pure big-integer selection walk; any
+    # faster walk must keep every seeded tree
+    res = run("sample", "--n", "400", "--samples", "5", "--seed", "9", "--no-timestamp")
+    assert _digest(res) == "c5888da3db04ef85afbabf277fd77b7eaf22f9813cb52eaf5d0e1ac44d43edc5"
+
+
+def test_montecarlo_golden_digest():
+    # no --t-grid: cos and sin may differ in the last digit between libm builds
+    res = run("montecarlo", "--n", "300", "--samples", "40", "--seed", "3",
+              "--degrees", "1,2", "--kappas", "0.5,1.0", "--tightness",
+              "--threads", "1", "--no-timestamp")
+    assert _digest(res) == "5c6b569dc88eb2669f871d25354765fc59a1b143aae59bc887420e87da7ff47e"
 
 
 def test_profile_exact_two_level_moment():

@@ -1,18 +1,19 @@
 import math
+from bisect import bisect_right
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaprofile.enumeration import count_trees, degree_series, tree_series
+from polyaprofile import sampling
+from polyaprofile.enumeration import canonical_shape, count_trees, degree_series, tree_series
 from polyaprofile.errors import UsageError
 from polyaprofile.profile import level_grid_for
 from polyaprofile.sampling import (
     MonteCarloSpec,
     PolyaTree,
     TreeSampler,
-    canonical_key,
     chi_square_uniform,
     derive_rng,
     extract_profile,
@@ -108,7 +109,80 @@ def test_chi_square_detects_bias():
 def test_canonical_key_identifies_isomorphic_presentations():
     a = (((),), ())           # root with children: path-2 and leaf
     b = ((), ((),))           # same multiset, different order
-    assert canonical_key(a) == canonical_key(b)
+    assert canonical_shape(a) == canonical_shape(b)
+
+
+# ---------------------------------------------------------------------------
+# selection walk above the precomputed tables (n > 64)
+# ---------------------------------------------------------------------------
+
+def _exact_cumulative(y, n):
+    """Cumulative weights d y_d y_{n-jd} and their pairs, j ascending, d descending."""
+    cums, pairs, acc = [], [], 0
+    for j in range(1, n):
+        for d in range((n - 1) // j, 0, -1):
+            acc += d * y[d] * y[n - j * d]
+            cums.append(acc)
+            pairs.append((j, d))
+    return cums, pairs
+
+
+class _FixedDraw:
+    """Stands in for random.Random: randrange returns a given value."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def randrange(self, stop):
+        assert 0 <= self.value < stop
+        return self.value
+
+
+@pytest.mark.parametrize("n", [65, 200, 1600])
+def test_float_guided_choose_matches_exact_walk(n, cache_dir):
+    table = count_trees(n, cache_dir=cache_dir)
+    s = TreeSampler(table)
+    cums, pairs = _exact_cumulative(table.y, n)
+    for seed in range(400):
+        a, b = derive_rng(seed, n), derive_rng(seed, n)
+        for _ in range(3):
+            R = b.randrange(cums[-1])
+            assert s._choose(n, a) == pairs[bisect_right(cums, R)]
+        assert a.getstate() == b.getstate()
+
+
+@pytest.mark.parametrize("n", [65, 200])
+def test_float_guided_choose_at_interval_boundaries(n, table_400):
+    # R at and just below every interval boundary: the float guide must defer
+    # to the exact walk wherever it cannot separate neighbouring intervals
+    s = TreeSampler(table_400)
+    cums, pairs = _exact_cumulative(table_400.y, n)
+    draws = [R for A in cums[:-1] for R in (A - 1, A)] + [0, cums[-1] - 1]
+    got = [s._choose(n, _FixedDraw(R)) for R in draws]
+    assert got == [pairs[bisect_right(cums, R)] for R in draws]
+
+
+def test_forced_exact_fallback_keeps_shapes(monkeypatch, table_400):
+    s = TreeSampler(table_400)
+    expected = [s.sample_shape(300, derive_rng(seed, 0)) for seed in range(5)]
+    big_walks, fallbacks = [], []
+    choose, walk_exact = TreeSampler._choose, TreeSampler._walk_exact
+
+    def counting_choose(self, n, rng):
+        if n > sampling._MEMO_CUTOFF:
+            big_walks.append(n)
+        return choose(self, n, rng)
+
+    def counting_walk_exact(self, n, R):
+        fallbacks.append(n)
+        return walk_exact(self, n, R)
+
+    monkeypatch.setattr(sampling, "_BAND", 0.5)  # no interval can clear the band
+    monkeypatch.setattr(TreeSampler, "_choose", counting_choose)
+    monkeypatch.setattr(TreeSampler, "_walk_exact", counting_walk_exact)
+    forced = [s.sample_shape(300, derive_rng(seed, 0)) for seed in range(5)]
+    assert forced == expected
+    assert big_walks and fallbacks == big_walks
 
 
 # ---------------------------------------------------------------------------
