@@ -72,21 +72,26 @@ def count_trees(n_max, cache_dir=None):
     return table
 
 
+def _divisor_sum(y, n):
+    """s_n = sum_{d|n} d y_d."""
+    acc = mpz(0)
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            acc += d * y[d]
+            e = n // d
+            if e != d:
+                acc += e * y[e]
+        d += 1
+    return acc
+
+
 def _count_trees_raw(n_max):
     y = [mpz(0)] * (n_max + 1)
     s = [mpz(0)] * (n_max + 1)
     y[1] = mpz(1)
     for n in range(1, n_max + 1):
-        acc = mpz(0)
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                acc += d * y[d]
-                e = n // d
-                if e != d:
-                    acc += e * y[e]
-            d += 1
-        s[n] = acc
+        s[n] = _divisor_sum(y, n)
         if n < n_max:
             m = n + 1
             tot = mpz(0)
@@ -97,18 +102,7 @@ def _count_trees_raw(n_max):
 
 
 def _table_from_y(n_max, y):
-    s = [mpz(0)] * (n_max + 1)
-    for n in range(1, n_max + 1):
-        acc = mpz(0)
-        d = 1
-        while d * d <= n:
-            if n % d == 0:
-                acc += d * y[d]
-                e = n // d
-                if e != d:
-                    acc += e * y[e]
-            d += 1
-        s[n] = acc
+    s = [mpz(0)] + [_divisor_sum(y, n) for n in range(1, n_max + 1)]
     return CountTable(n_max, tuple(y), tuple(s))
 
 

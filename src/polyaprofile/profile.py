@@ -20,21 +20,28 @@ the test suite holds them to exact rational equality:
    and in two variables and setting the marks to 1 gives univariate
    integer-coefficient recurrences for the expectation numerators:
 
-       gamma_{k+1}   = y (gamma_k + G_k),                G_k = sum_{i>=2} gamma_k(x^i)
-       gamma2_{k+1}  = y ((gamma_k+G_k)^2 + gamma2_k
+       S_k           = gamma_k + sum_{i>=2} gamma_k(x^i)
+       gamma_{k+1}   = y S_k
+       gamma2_{k+1}  = y (S_k^2 + gamma2_k
                           + sum_{i>=2} i gamma2_k(x^i)
                           + sum_{i>=2} (i-1) gamma_k(x^i))
-       mixed_{k+1}   = y ((gamma_k^{d1}+G_k^{d1})(gamma_k^{d2}+G_k^{d2})
+       mixed_{k+1}   = y (S_k^{(d1)} S_k^{(d2)}
                           + mixed_k + sum_{i>=2} i mixed_k(x^i))
 
    with gamma_0 = x Z_{d-1}(y(x),...), gamma2_0 = mixed_0 = 0.  These give
    E[X], E[X(X-1)] and E[X^{(d1)} X^{(d2)}] exactly, hence covariance,
-   variance and correlation.  They run in the exact ring, or in the rescaled
-   double ring for large n where exact arithmetic is needlessly slow.
+   variance and correlation.  One pass steps all of them together: per
+   level it forms S_k once per degree, then steps only the series asked
+   for, so the covariance table of two degrees costs 8 series products a
+   level and the plain mean 1.  Each series' substitution sums come from
+   one in-place sweep over i (``TruncatedSeries.power_sums``).  The pass
+   runs in the exact ring, or in the rescaled double ring for large n
+   where exact arithmetic is needlessly slow.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, sqrt
@@ -60,9 +67,22 @@ TOTAL = None  # degree argument meaning "count every node on the level"
 def _as_marked(series, spec):
     return MarkedSeries.from_scalar_series(series, spec)
 
-def _level_step(s):
-    """One level of the recurrence: x exp(sum_i s(x^i, u^i)/i)."""
-    return s.polya_exponent().exp().shift(1)
+
+def _last(progression):
+    """The final item of a non-empty iterable."""
+    for item in progression:
+        pass
+    return item
+
+
+def _marked_levels(base, k_max):
+    """Yield (k, y_k) for k = 0..k_max, where y_0 = base and each level is
+    x exp(sum_i y_k(x^i, u^i)/i)."""
+    cur = base
+    yield 0, cur
+    for k in range(1, k_max + 1):
+        cur = cur.polya_exponent().exp().shift(1)
+        yield k, cur
 
 
 def _base_level_series(d, N, spec, mark, inner=None, z_base=None):
@@ -85,11 +105,7 @@ def _base_level_series(d, N, spec, mark, inner=None, z_base=None):
 
 def level_series_progression(d, k_max, N, spec, mark, inner=None):
     """Yield (k, y_k) for k = 0..k_max, reusing each level for the next."""
-    cur = _base_level_series(d, N, spec, mark, inner)
-    yield 0, cur
-    for k in range(1, k_max + 1):
-        cur = _level_step(cur)
-        yield k, cur
+    return _marked_levels(_base_level_series(d, N, spec, mark, inner), k_max)
 
 
 def level_degree_series(d, k, N, mode="full", order=2, u_cap=None):
@@ -108,10 +124,7 @@ def level_degree_series(d, k, N, mode="full", order=2, u_cap=None):
     else:
         raise UsageError(f"unknown mode {mode!r}")
     mark = MarkPoly.var(spec, 0, 1)
-    for kk, s in level_series_progression(d, k, N, spec, mark):
-        if kk == k:
-            return s
-    raise AssertionError
+    return _last(level_series_progression(d, k, N, spec, mark))[1]
 
 
 def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
@@ -124,7 +137,14 @@ def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
     u and level k+h by 1/u, so the x^n coefficient is
     E-numerators of binomials C(L(k) - L(k+h), j), j <= 4.
     """
-    if k < 0 or h < 0:
+    if k < 0:
+        raise UsageError("two_level_series requires k, h >= 0")
+    return _last(two_level_series_progression(d, k, h, N, mode, order, u_cap))[1]
+
+
+def two_level_series_progression(d, k_max, h, N, mode="full", order=2, u_cap=None):
+    """Yield (k, y_{k,h}) for k = 0..k_max, reusing each level for the next."""
+    if h < 0:
         raise UsageError("two_level_series requires k, h >= 0")
     if mode == "full":
         cap = min(N, u_cap) if u_cap else N
@@ -145,27 +165,11 @@ def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
         # both marks sit on the same level: one marking variable u1 u2
         base = _base_level_series(d, N, spec, mark1 * mark2)
     else:
-        inner = None
-        prev = None
-        for kk, s in level_series_progression(d, h, N, spec, mark2):
-            if kk == h - 1:
-                prev = s
-            inner = s
+        prev = inner = None
+        for _, s in level_series_progression(d, h, N, spec, mark2):
+            prev, inner = inner, s
         base = _base_level_series(d, N, spec, mark1, inner=inner, z_base=prev)
-    cur = base
-    for _ in range(k):
-        cur = _level_step(cur)
-    return cur
-
-
-def two_level_series_progression(d, k_max, h, N, mode="full", order=2, u_cap=None):
-    """Yield (k, y_{k,h}) for k = 0..k_max, reusing each level for the next."""
-    first = two_level_series(d, 0, h, N, mode=mode, order=order, u_cap=u_cap)
-    yield 0, first
-    cur = first
-    for k in range(1, k_max + 1):
-        cur = _level_step(cur)
-        yield k, cur
+    return _marked_levels(base, k_max)
 
 
 def mixed_degree_series(d1, d2, k, N, mode="full", order=1, u_cap=None):
@@ -191,10 +195,8 @@ def mixed_degree_series(d1, d2, k, N, mode="full", order=1, u_cap=None):
     y = _as_marked(tree_series(N), spec)
     z1 = multiset_cap_series(d1, N, base=y)
     z2 = multiset_cap_series(d2, N, base=y)
-    cur = y + z1 * (mark1 - one) + z2 * (mark2 - one)
-    for _ in range(k):
-        cur = _level_step(cur)
-    return cur
+    base = y + z1 * (mark1 - one) + z2 * (mark2 - one)
+    return _last(_marked_levels(base, k))[1]
 
 
 def mixed_degree_moment_from_marked(n, d1, d2, k, N=None):
@@ -261,86 +263,84 @@ def joint_distribution(n, d, k, h, series=None, N=None):
 # derivative-recurrence route
 # ---------------------------------------------------------------------------
 
-def _gamma0(d, N, ring=EXACT, scale=1.0):
+def _tree_series_rings(N, ring, scale):
+    """y(x) exactly and in the working ring, from one tree_series call."""
+    if ring not in (EXACT, DOUBLE):
+        raise UsageError(f"unknown ring {ring!r}")
+    y = tree_series(N)
+    return y, (y if ring == EXACT else y.to_double(scale))
+
+
+def _gamma0(d, y_exact, y):
     """gamma_0^{(d)} = x Z_{d-1}(y(x), ..., y(x^{d-1})), integer coefficients.
 
     For the total profile gamma_0 = y (every tree has one root at level 0).
+    ``y`` is ``y_exact`` in the working ring.
     """
     if d is TOTAL:
-        return tree_series(N, ring, scale)
-    g = multiset_cap_series(d, N)
+        return y
     ints = []
-    for c in g.coeffs:
+    for c in multiset_cap_series(d, y_exact.order, base=y_exact).coeffs:
         f = Fraction(c)
         assert f.denominator == 1, "root-degree series must be integral"
         ints.append(int(f))
-    out = TruncatedSeries(ints, N, EXACT)
-    if ring == DOUBLE:
-        out = out.to_double(scale)
-    return out
+    out = TruncatedSeries(ints, y.order, EXACT)
+    return out.to_double(y.scale) if y.ring == DOUBLE else out
 
 
-def _sub_sum(g, weight=None):
-    """sum_{i>=2} w(i) g(x^i); weight=None means w(i)=1."""
-    N = g.order
-    acc = None
-    for i in range(2, N + 1):
-        s = g.substitute_power(i)
-        nonzero = s.coeffs.any() if g.ring == DOUBLE else any(s.coeffs)
-        if not nonzero:
-            if i > 2:
-                break
-            s = s  # keep scanning: valuation can skip i=2 when g starts deep
-        term = s if weight is None else s * weight(i)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else TruncatedSeries.zero(N, g.ring, g.scale)
+_Level = namedtuple("_Level", "k g f mixed")
+
+
+def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
+    """Yield _Level(k, g, f, mixed) for k = 0..k_max in one recurrence pass.
+
+    g[j] is gamma_k for degrees[j]; f[j] its gamma2_k when ``second``; mixed
+    is mixed_k of degrees[0] and degrees[1] when ``mixed``.  Series not asked
+    for are None and cost nothing.
+    """
+    N = y.order
+    g = [_gamma0(d, y_exact, y) for d in degrees]
+    f = [TruncatedSeries.zero(N, y.ring, y.scale)] * len(g) if second else None
+    m = TruncatedSeries.zero(N, y.ring, y.scale) if mixed else None
+    yield _Level(0, g, f, m)
+    weights = (None, lambda i: i - 1) if second else (None,)
+    for k in range(1, k_max + 1):
+        sums = [gj.power_sums(weights) for gj in g]
+        S = [gj + G[0] for gj, G in zip(g, sums)]
+        if second:
+            f = [
+                y * (Sj * Sj + fj + fj.power_sums((lambda i: i,))[0] + G[1])
+                for G, Sj, fj in zip(sums, S, f)
+            ]
+        if mixed:
+            m = y * (S[0] * S[1] + m + m.power_sums((lambda i: i,))[0])
+        g = [y * Sj for Sj in S]
+        yield _Level(k, g, f, m)
+
+
+def gamma_series_progression(d, k_max, N, ring=EXACT, scale=1.0):
+    """Yield (k, gamma_k^{(d)}) for k = 0..k_max."""
+    for level in _derivative_levels((d,), k_max, *_tree_series_rings(N, ring, scale)):
+        yield level.k, level.g[0]
 
 
 def gamma_series(d, k, N, ring=EXACT, scale=1.0):
     """First-derivative series: E L_n^{(d)}(k) = [x^n] gamma / y_n."""
-    y = tree_series(N, ring, scale)
-    g = _gamma0(d, N, ring, scale)
-    for _ in range(k):
-        g = y * (g + _sub_sum(g))
-    return g
-
-
-def gamma_series_progression(d, k_max, N, ring=EXACT, scale=1.0):
-    y = tree_series(N, ring, scale)
-    g = _gamma0(d, N, ring, scale)
-    yield 0, g
-    for k in range(1, k_max + 1):
-        g = y * (g + _sub_sum(g))
-        yield k, g
+    return _last(gamma_series_progression(d, k, N, ring, scale))[1]
 
 
 def second_factorial_series(d, k, N, ring=EXACT, scale=1.0):
     """Series of E[X(X-1)] numerators for X = L_n^{(d)}(k)."""
-    y = tree_series(N, ring, scale)
-    g = _gamma0(d, N, ring, scale)
-    g2 = TruncatedSeries.zero(N, ring, scale)
-    for _ in range(k):
-        S = g + _sub_sum(g)
-        g2 = y * (S * S + g2 + _sub_sum(g2, lambda i: i) + _sub_sum(g, lambda i: i - 1))
-        g = y * S
-    return g2
+    rings = _tree_series_rings(N, ring, scale)
+    return _last(_derivative_levels((d,), k, *rings, second=True)).f[0]
 
 
 def mixed_gamma_series(d1, d2, k, N, ring=EXACT, scale=1.0):
     """Series of E[X^{(d1)} X^{(d2)}] numerators (same level k), d1 != d2."""
     if d1 == d2:
         raise UsageError("mixed series needs distinct degrees; use the variance path")
-    y = tree_series(N, ring, scale)
-    g1 = _gamma0(d1, N, ring, scale)
-    g2 = _gamma0(d2, N, ring, scale)
-    gt = TruncatedSeries.zero(N, ring, scale)
-    for _ in range(k):
-        S1 = g1 + _sub_sum(g1)
-        S2 = g2 + _sub_sum(g2)
-        gt = y * (S1 * S2 + gt + _sub_sum(gt, lambda i: i))
-        g1 = y * S1
-        g2 = y * S2
-    return gt
+    rings = _tree_series_rings(N, ring, scale)
+    return _last(_derivative_levels((d1, d2), k, *rings, mixed=True)).mixed
 
 
 # ---------------------------------------------------------------------------
@@ -364,34 +364,32 @@ class MomentTable:
     correlation: object  # float, or None when a variance vanishes
 
 
+def _ratio(series, y, n):
+    """[x^n] series / y_n, a Fraction in the exact ring."""
+    return series[n] / y[n] if y.ring == DOUBLE else Fraction(series[n], y[n])
+
+
 def level_mean(d, n, k, ring=EXACT, scale=1.0):
-    g = gamma_series(d, k, n, ring, scale)
-    y = tree_series(n, ring, scale)
-    if ring == DOUBLE:
-        return g[n] / y[n]
-    return Fraction(g[n], y[n])
+    y_exact, y = _tree_series_rings(n, ring, scale)
+    return _ratio(_last(_derivative_levels((d,), k, y_exact, y)).g[0], y, n)
 
 
 def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
     """Exact (or double-ring) covariance table for X^{(d1)}(k), X^{(d2)}(k)."""
-    y = tree_series(n, ring, scale)
-    yn = y[n]
-
-    def ratio(series):
-        v = series[n]
-        return v / yn if ring == DOUBLE else Fraction(v, yn)
-
-    m1 = ratio(gamma_series(d1, k, n, ring, scale))
-    f1 = ratio(second_factorial_series(d1, k, n, ring, scale))
+    y_exact, y = _tree_series_rings(n, ring, scale)
+    same = d1 == d2
+    level = _last(_derivative_levels(
+        (d1,) if same else (d1, d2), k, y_exact, y, second=True, mixed=not same,
+    ))
+    m1, f1 = _ratio(level.g[0], y, n), _ratio(level.f[0], y, n)
     var1 = f1 + m1 - m1 * m1
-    if d1 == d2:
+    if same:
         m2, f2, var2, mixed = m1, f1, var1, f1 + m1  # E[X^2]
         cov = var1
     else:
-        m2 = ratio(gamma_series(d2, k, n, ring, scale))
-        f2 = ratio(second_factorial_series(d2, k, n, ring, scale))
+        m2, f2 = _ratio(level.g[1], y, n), _ratio(level.f[1], y, n)
         var2 = f2 + m2 - m2 * m2
-        mixed = ratio(mixed_gamma_series(d1, d2, k, n, ring, scale))
+        mixed = _ratio(level.mixed, y, n)
         cov = mixed - m1 * m2
     if var1 > 0 and var2 > 0:
         corr = float(cov) / sqrt(float(var1) * float(var2))

@@ -223,22 +223,45 @@ class TruncatedSeries:
             out[m * i] = self.coeffs[m]
         return self.copy_with(out)
 
+    def power_sums(self, weights):
+        """[sum_{i>=2} w(i) a(x**i) for w in weights]; w = None means w(i) = 1.
+
+        One sweep over i fills every sum in place.  i ascends and stops at
+        N / val(a), past which a(x**i) vanishes, or in the double ring at the
+        first i whose rescaled terms all underflow.  Each term is the one
+        ``substitute_power`` forms, so a sum is bit-identical to adding the
+        substituted series one by one.
+        """
+        N, c = self.order, self.coeffs
+        double = self.ring == DOUBLE
+        sums = [np.zeros(N + 1) if double else [0] * (N + 1) for _ in weights]
+        val = next((m for m, cm in enumerate(c) if cm), N + 1)  # valuation
+        for i in range(2, N // max(val, 1) + 1):
+            M = N // i
+            if double:
+                t = c[: M + 1] * self.scale ** (np.arange(M + 1) * (i - 1))
+                if not t.any():
+                    break
+                for acc, w in zip(sums, weights):
+                    acc[::i] += t if w is None else t * float(w(i))
+            else:
+                for acc, w in zip(sums, weights):
+                    wi = 1 if w is None else w(i)
+                    for m in range(val, M + 1):
+                        if c[m]:
+                            acc[m * i] += wi * c[m]
+        return [self.copy_with(acc) for acc in sums]
+
     def polya_exponent(self):
         """sum_{i>=1} a(x**i)/i, defined when the constant term vanishes."""
         if not self._is_zero_const():
             raise DomainError("polya_exponent requires zero constant term")
-        N = self.order
         acc = self
-        for i in range(2, N + 1):
+        for i in range(2, self.order + 1):
             sub = self.substitute_power(i)
-            if self.ring == DOUBLE:
-                if not sub.coeffs.any():
-                    break
-                acc = acc + sub.scalar_div(i)
-            else:
-                if not any(sub.coeffs):
-                    break
-                acc = acc + sub.scalar_div(i)
+            if not any(sub.coeffs):
+                break
+            acc = acc + sub.scalar_div(i)
         return acc
 
     def _is_zero_const(self):
@@ -358,32 +381,6 @@ def _signed_exp(f, extra_log):
     if mag < -745.0:
         return 0.0
     return math.exp(mag) if f.numerator > 0 else -math.exp(mag)
-
-
-# functional aliases matching the operation names used elsewhere
-
-def series_add(a, b):
-    return a + b
-
-
-def series_mul(a, b):
-    return a * b
-
-
-def series_exp(a):
-    return a.exp()
-
-
-def substitute_power(a, i):
-    return a.substitute_power(i)
-
-
-def polya_exponent(a):
-    return a.polya_exponent()
-
-
-def evaluate(a, x0, tail_bound=None):
-    return a.evaluate(x0, tail_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -562,9 +559,9 @@ class MarkPoly:
         """Image of the polynomial under every mark u -> u**i."""
         spec = self.spec
         if spec.nvars == 1:
-            return self._power_map_1d(self.c, 0, i)
+            return MarkPoly(spec, tuple(MarkPoly._power_map_1d(spec, self.c, 0, i)))
         # map rows (var 0), then columns (var 1)
-        rows = [MarkPoly._static_power_map(spec, r, 1, i) for r in self.c]
+        rows = [MarkPoly._power_map_1d(spec, r, 1, i) for r in self.c]
         # rows[k] is the var-1 image of row k; now distribute row index k through var 0
         out = MarkPoly.zero(spec)
         for k, row in enumerate(rows):
@@ -579,17 +576,9 @@ class MarkPoly:
             out = out + MarkPoly(spec, tuple(tuple(r) for r in add))
         return out
 
-    def _power_map_1d(self, c, v, i):
-        spec = self.spec
-        out = [0] * (spec.caps[v] + 1)
-        for k, val in enumerate(c):
-            if val:
-                for pos, w in MarkPoly._index_image(spec, v, k, i).items():
-                    out[pos] += w * val
-        return MarkPoly(spec, tuple(out))
-
     @staticmethod
-    def _static_power_map(spec, c, v, i):
+    def _power_map_1d(spec, c, v, i):
+        """Image of the coefficient list c of variable v under u -> u**i."""
         out = [0] * (spec.caps[v] + 1)
         for k, val in enumerate(c):
             if val:

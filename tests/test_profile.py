@@ -1,4 +1,6 @@
+from dataclasses import astuple
 from fractions import Fraction
+from math import sqrt
 
 import pytest
 
@@ -11,6 +13,7 @@ from polyaprofile.enumeration import (
 from polyaprofile.errors import UsageError
 from polyaprofile.profile import (
     TOTAL,
+    MomentTable,
     exact_distribution,
     factorial_moments_from_marked,
     finite_covariance,
@@ -26,6 +29,9 @@ from polyaprofile.profile import (
     two_level_series,
 )
 from polyaprofile.sampling import PolyaTree, extract_profile
+from polyaprofile.series import TruncatedSeries
+
+RHO = 0.3383218568992077
 
 
 def brute_profiles(n):
@@ -339,8 +345,106 @@ def test_total_profile_distribution():
 def test_double_ring_moments_match_exact():
     n, k = 60, 5
     exact = finite_covariance(1, 2, n, k, ring="exact")
-    dbl = finite_covariance(1, 2, n, k, ring="double", scale=0.3383218568992077)
+    dbl = finite_covariance(1, 2, n, k, ring="double", scale=RHO)
     for attr in ("mean1", "mean2", "mixed", "var1", "var2", "covariance"):
         e = float(getattr(exact, attr))
         g = getattr(dbl, attr)
         assert abs(g - e) <= 1e-10 * max(1.0, abs(e))
+
+
+# ---------------------------------------------------------------------------
+# one derivative-recurrence pass
+# ---------------------------------------------------------------------------
+
+def _series_products(monkeypatch, fn):
+    """Number of series-by-series products while fn() runs."""
+    count = 0
+    mul = TruncatedSeries.__mul__
+
+    def counting_mul(self, other):
+        nonlocal count
+        count += isinstance(other, TruncatedSeries)
+        return mul(self, other)
+
+    with monkeypatch.context() as m:
+        m.setattr(TruncatedSeries, "__mul__", counting_mul)
+        fn()
+    return count
+
+
+def test_unknown_ring_is_a_usage_error():
+    with pytest.raises(UsageError):
+        gamma_series(1, 2, 10, ring="float")
+    with pytest.raises(UsageError):
+        finite_covariance(1, 2, 10, 2, ring="float")
+
+
+def test_covariance_pass_costs_eight_products_per_level(monkeypatch):
+    # per level: gamma 1 + gamma2 2 per degree, mixed 2; set-up (k = 0) excluded
+    n, k = 60, 5
+    setup = _series_products(monkeypatch, lambda: finite_covariance(1, 2, n, 0))
+    total = _series_products(monkeypatch, lambda: finite_covariance(1, 2, n, k))
+    assert total - setup <= 8 * k
+    # the mean alone steps only gamma: one product per level
+    assert _series_products(monkeypatch, lambda: gamma_series(1, k, n)) == k
+
+
+def _bits(v):
+    return v.hex() if isinstance(v, float) else v
+
+
+@pytest.mark.parametrize("ring,scale", [("exact", 1.0), ("double", RHO)])
+@pytest.mark.parametrize("d1,d2", [(1, 2), (3, 2), (2, 2)])
+def test_covariance_table_matches_separate_series(ring, scale, d1, d2):
+    n, k = 60, 5
+    y = tree_series(n, ring, scale)
+
+    def ratio(series):
+        return series[n] / y[n] if ring == "double" else Fraction(series[n], y[n])
+
+    m1, m2 = (ratio(gamma_series(d, k, n, ring, scale)) for d in (d1, d2))
+    f1, f2 = (ratio(second_factorial_series(d, k, n, ring, scale)) for d in (d1, d2))
+    if d1 == d2:
+        mixed = f1 + m1
+    else:
+        mixed = ratio(mixed_gamma_series(d1, d2, k, n, ring, scale))
+    var1, var2 = f1 + m1 - m1 * m1, f2 + m2 - m2 * m2
+    cov = var1 if d1 == d2 else mixed - m1 * m2
+    want = MomentTable(
+        n=n, d1=d1, d2=d2, k=k, mean1=m1, mean2=m2,
+        second_factorial1=f1, second_factorial2=f2, mixed=mixed,
+        var1=var1, var2=var2, covariance=cov,
+        correlation=float(cov) / sqrt(float(var1) * float(var2)),
+    )
+    got = finite_covariance(d1, d2, n, k, ring=ring, scale=scale)
+    assert [_bits(v) for v in astuple(got)] == [_bits(v) for v in astuple(want)]
+
+
+def test_double_ring_pass_matches_term_by_term_recurrence():
+    # the recurrences written out with substitute_power and series adds over
+    # every i <= N; at N = 800 the rescaled terms of g(x^i) underflow to 0
+    # for large i, where the pass stops, and it must agree bit for bit
+    N, k = 800, 4
+    y = tree_series(N, "double", RHO)
+
+    def sub_sum(g, w):
+        acc = TruncatedSeries.zero(N, "double", RHO)
+        for i in range(2, N + 1):
+            acc = acc + g.substitute_power(i) * w(i)
+        return acc
+
+    g1, g2 = (gamma_series(d, 0, N, "double", RHO) for d in (1, 2))
+    f1 = mixed = TruncatedSeries.zero(N, "double", RHO)
+    for _ in range(k):
+        S1, S2 = (g + sub_sum(g, lambda i: 1) for g in (g1, g2))
+        f1 = y * (S1 * S1 + f1 + sub_sum(f1, lambda i: i) + sub_sum(g1, lambda i: i - 1))
+        mixed = y * (S1 * S2 + mixed + sub_sum(mixed, lambda i: i))
+        g1, g2 = y * S1, y * S2
+    got = (
+        gamma_series(1, k, N, "double", RHO),
+        gamma_series(2, k, N, "double", RHO),
+        second_factorial_series(1, k, N, "double", RHO),
+        mixed_gamma_series(1, 2, k, N, "double", RHO),
+    )
+    for series, want in zip(got, (g1, g2, f1, mixed)):
+        assert series.coeffs.tobytes() == want.coeffs.tobytes()

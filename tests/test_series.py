@@ -115,6 +115,19 @@ def test_substitute_power_composes(cs, i, j):
     assert a.substitute_power(i).substitute_power(j) == a.substitute_power(i * j)
 
 
+@pytest.mark.parametrize(
+    "cs", [[0, 0, 3, -1, 0, 5, 2], [4, 1], [0] * 13, [0] * 7 + [1]]
+)
+def test_power_sums_match_adding_substituted_series(cs):
+    a = S(cs, 12)
+    weights = (None, lambda i: i, lambda i: i - 1)
+    want = [
+        sum((a.substitute_power(i) * (w(i) if w else 1) for i in range(2, 13)), S([0], 12))
+        for w in weights
+    ]
+    assert a.power_sums(weights) == want
+
+
 def test_polya_exponent_of_x():
     p = TruncatedSeries.x(3).polya_exponent()
     assert p.coeffs == [0, 1, Fraction(1, 2), Fraction(1, 3)]
