@@ -30,7 +30,6 @@ from .enumeration import (
     enumerate_trees_exhaustive,
     tree_series,
 )
-from .series import MarkPoly, MarkSpec
 
 DEFAULT_SEED = 20240801
 
@@ -158,10 +157,8 @@ def criterion_3(ctx):
     ys = {n: len(profiles[n]) for n in profiles}
     checked = 0
     # one-level distributions
-    spec = MarkSpec((n_max,), ("u",))
-    mark = MarkPoly.var(spec, 0, 1)
     for d in range(1, d_max + 1):
-        for k, series in profile_mod.level_series_progression(d, k_max, n_max, spec, mark):
+        for k, series in profile_mod.level_series_progression(d, k_max, n_max):
             for n in range(1, n_max + 1):
                 dist = profile_mod.exact_distribution(n, d, k, series=series, N=n_max)
                 brute = {}
@@ -234,10 +231,8 @@ def criterion_4(ctx):
     y = tree_series(N)
     checked = 0
     for d in range(1, d_max + 1):
-        spec = MarkSpec((N,), ("u",))
-        mark = MarkPoly.var(spec, 0, 1)
         means_from_dist = {}
-        dist_prog = profile_mod.level_series_progression(d, N - 1, N, spec, mark)
+        dist_prog = profile_mod.level_series_progression(d, N - 1, N)
         gamma_prog = profile_mod.gamma_series_progression(d, N - 1, N)
         D = degree_series(d, N).D
         for (k, series), (_, gamma) in zip(dist_prog, gamma_prog):

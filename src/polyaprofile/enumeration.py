@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
 
 from .errors import UsageError
-from .series import EXACT, MarkedSeries, MarkPoly, TruncatedSeries
+from .series import EXACT, TruncatedSeries
 
 try:
     from gmpy2 import mpz
@@ -113,6 +113,8 @@ def _counts_cached(n_max):
 
 def tree_series(N, ring=EXACT, scale=1.0):
     """The tree generating function y(x) as a truncated series."""
+    if N < 1:
+        raise UsageError("tree_series requires N >= 1")
     table = _counts_cached(N)
     if ring == EXACT:
         return TruncatedSeries([int(c) for c in table.y], N, EXACT)
@@ -122,14 +124,6 @@ def tree_series(N, ring=EXACT, scale=1.0):
 # ---------------------------------------------------------------------------
 # cycle index of the symmetric group
 # ---------------------------------------------------------------------------
-
-def _one_like(s):
-    if isinstance(s, MarkedSeries):
-        out = MarkedSeries.zero(s.order, s.spec)
-        out.coeffs[0] = MarkPoly.const(s.spec, 1)
-        return out
-    return TruncatedSeries.one(s.order, s.ring, s.scale)
-
 
 def cycle_index_apply(d, args, like=None):
     """Z_d(s_1, ..., s_d) via the recurrence Z_d = (1/d) sum_r s_r Z_{d-r}.
@@ -146,8 +140,8 @@ def cycle_index_apply(d, args, like=None):
         probe = args[0] if args else like
         if probe is None:
             raise UsageError("cycle_index_apply with d=0 needs a probe series")
-        return _one_like(probe)
-    Z = [_one_like(args[0])]
+        return probe.one_like()
+    Z = [args[0].one_like()]
     for m in range(1, d + 1):
         acc = args[0] * Z[m - 1]
         for r in range(2, m + 1):

@@ -15,6 +15,9 @@ the test suite holds them to exact rational equality:
    moments mode u = 1 + eps with eps nilpotent, which carries all
    u-derivatives at u = 1 up to a fixed order through the same recurrence.
    The two-level series marks levels k and k+h with separate variables.
+   Every mode is one ``MarkedSeries`` (an exact series in x per mark
+   exponent) whose caps and basis come from one helper; its exp steps in the
+   mark direction, so the level series keep integer coefficients.
 
 2. Derivative recurrences.  Differentiating the exp recurrence once, twice,
    and in two variables and setting the marks to 1 gives univariate
@@ -44,18 +47,11 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, sqrt
+from math import factorial, isqrt, sqrt
 
 from .enumeration import multiset_cap_series, tree_series
 from .errors import UsageError
-from .series import (
-    DOUBLE,
-    EXACT,
-    MarkedSeries,
-    MarkPoly,
-    MarkSpec,
-    TruncatedSeries,
-)
+from .series import DOUBLE, EXACT, MarkedSeries, TruncatedSeries
 
 TOTAL = None  # degree argument meaning "count every node on the level"
 
@@ -64,15 +60,29 @@ TOTAL = None  # degree argument meaning "count every node on the level"
 # marked-series route
 # ---------------------------------------------------------------------------
 
-def _as_marked(series, spec):
-    return MarkedSeries.from_scalar_series(series, spec)
-
-
 def _last(progression):
     """The final item of a non-empty iterable."""
     for item in progression:
         pass
     return item
+
+
+def _marked_tree_series(N, mode, order, u_cap, marks, degrees, *levels):
+    """y(x) lifted to a marked series with ``marks`` marks, arguments checked.
+
+    mode 'full' caps each mark at min(N, u_cap) in the u basis, for whole
+    laws; mode 'moments' caps it at ``order`` in the eps basis, for
+    factorial moments.
+    """
+    if min(levels) < 0 or any(d is not TOTAL and d < 1 for d in degrees):
+        raise UsageError("marked series need levels k, h >= 0 and degrees d >= 1")
+    if mode == "full":
+        cap, basis = (min(N, u_cap) if u_cap else N), "u"
+    elif mode == "moments":
+        cap, basis = order, "eps"
+    else:
+        raise UsageError(f"unknown mode {mode!r}")
+    return MarkedSeries.lift(tree_series(N), (cap, cap if marks == 2 else 0), basis)
 
 
 def _marked_levels(base, k_max):
@@ -85,27 +95,27 @@ def _marked_levels(base, k_max):
         yield k, cur
 
 
-def _base_level_series(d, N, spec, mark, inner=None, z_base=None):
-    """y_0 with the given mark value attached at level 0.
+def _base_level(d, y, mark, z_base=None):
+    """y_0 = y + (mark - 1) x Z_{d-1}(z(x), ..., z(x^{d-1})), z = z_base or y.
 
-    ``inner`` replaces the plain tree series when deeper levels already carry
-    marks (the two-level recurrence).  ``z_base`` feeds the cycle-index
-    arguments of the root decomposition; the root's children see the tree's
-    level h as their level h-1, so for a two-level base marking levels 0 and
-    h the z_base must be the (h-1)-level marked series, not the h-level one
-    (exhaustive enumeration pins this down; see the two-level tests).
+    For the total profile y_0 = mark * y.  ``y`` is the plain tree series or,
+    in the two-level recurrence, a series whose deeper levels already carry
+    marks.  ``z_base`` feeds the cycle-index arguments of the root
+    decomposition; the root's children see the tree's level h as their level
+    h-1, so for a two-level base marking levels 0 and h the z_base must be
+    the (h-1)-level marked series, not the h-level one (exhaustive
+    enumeration pins this down; see the two-level tests).
     """
-    y = inner if inner is not None else _as_marked(tree_series(N), spec)
     if d is TOTAL:
-        return y * mark
-    one = MarkPoly.const(spec, 1)
-    zsub = multiset_cap_series(d, N, base=z_base if z_base is not None else y)
-    return y + zsub * (mark - one)
+        return mark * y
+    zsub = multiset_cap_series(d, y.order, base=y if z_base is None else z_base)
+    return y + (mark - y.one_like()) * zsub
 
 
-def level_series_progression(d, k_max, N, spec, mark, inner=None):
+def level_series_progression(d, k_max, N, mode="full", order=2, u_cap=None):
     """Yield (k, y_k) for k = 0..k_max, reusing each level for the next."""
-    return _marked_levels(_base_level_series(d, N, spec, mark, inner), k_max)
+    y = _marked_tree_series(N, mode, order, u_cap, 1, (d,), k_max)
+    return _marked_levels(_base_level(d, y, y.mark()), k_max)
 
 
 def level_degree_series(d, k, N, mode="full", order=2, u_cap=None):
@@ -115,16 +125,7 @@ def level_degree_series(d, k, N, mode="full", order=2, u_cap=None):
     complete distribution.  mode 'moments': u = 1+eps nilpotent of the given
     order, carrying factorial moments E[X (X-1) ... (X-j+1)] for j <= order.
     """
-    if k < 0 or (d is not TOTAL and d < 1):
-        raise UsageError("level_degree_series requires k >= 0 and d >= 1")
-    if mode == "full":
-        spec = MarkSpec((min(N, u_cap) if u_cap else N,), ("u",))
-    elif mode == "moments":
-        spec = MarkSpec((order,), ("eps",))
-    else:
-        raise UsageError(f"unknown mode {mode!r}")
-    mark = MarkPoly.var(spec, 0, 1)
-    return _last(level_series_progression(d, k, N, spec, mark))[1]
+    return _last(level_series_progression(d, k, N, mode, order, u_cap))[1]
 
 
 def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
@@ -137,38 +138,23 @@ def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
     u and level k+h by 1/u, so the x^n coefficient is
     E-numerators of binomials C(L(k) - L(k+h), j), j <= 4.
     """
-    if k < 0:
-        raise UsageError("two_level_series requires k, h >= 0")
     return _last(two_level_series_progression(d, k, h, N, mode, order, u_cap))[1]
 
 
 def two_level_series_progression(d, k_max, h, N, mode="full", order=2, u_cap=None):
     """Yield (k, y_{k,h}) for k = 0..k_max, reusing each level for the next."""
-    if h < 0:
-        raise UsageError("two_level_series requires k, h >= 0")
-    if mode == "full":
-        cap = min(N, u_cap) if u_cap else N
-        spec = MarkSpec((cap, cap), ("u", "u"))
-        mark1 = MarkPoly.var(spec, 0, 1)
-        mark2 = MarkPoly.var(spec, 1, 1)
-    elif mode == "moments":
-        spec = MarkSpec((order, order), ("eps", "eps"))
-        mark1 = MarkPoly.var(spec, 0, 1)
-        mark2 = MarkPoly.var(spec, 1, 1)
-    elif mode == "tightness":
-        spec = MarkSpec((4,), ("eps",))
-        mark1 = MarkPoly.var(spec, 0, 1)
-        mark2 = MarkPoly.var(spec, 0, -1)
-    else:
-        raise UsageError(f"unknown mode {mode!r}")
+    tight = mode == "tightness"
+    y = _marked_tree_series(N, "moments" if tight else mode, 4 if tight else order,
+                            u_cap, 1 if tight else 2, (d,), k_max, h)
+    mark1, mark2 = y.mark(), (y.mark(-1) if tight else y.mark(v=1))
     if h == 0:
         # both marks sit on the same level: one marking variable u1 u2
-        base = _base_level_series(d, N, spec, mark1 * mark2)
+        base = _base_level(d, y, mark1 * mark2)
     else:
         prev = inner = None
-        for _, s in level_series_progression(d, h, N, spec, mark2):
+        for _, s in _marked_levels(_base_level(d, y, mark2), h):
             prev, inner = inner, s
-        base = _base_level_series(d, N, spec, mark1, inner=inner, z_base=prev)
+        base = _base_level(d, inner, mark1, z_base=prev)
     return _marked_levels(base, k_max)
 
 
@@ -180,31 +166,28 @@ def mixed_degree_series(d1, d2, k, N, mode="full", order=1, u_cap=None):
     cross-check of mixed_gamma_series: E[X^{(d1)} X^{(d2)}] is the (1,1)
     eps-coefficient over y_n.
     """
-    if d1 == d2:
-        raise UsageError("mixed-degree series needs distinct degrees")
-    if mode == "full":
-        cap = min(N, u_cap) if u_cap else N
-        spec = MarkSpec((cap, cap), ("u", "u"))
-    elif mode == "moments":
-        spec = MarkSpec((order, order), ("eps", "eps"))
-    else:
-        raise UsageError(f"unknown mode {mode!r}")
-    mark1 = MarkPoly.var(spec, 0, 1)
-    mark2 = MarkPoly.var(spec, 1, 1)
-    one = MarkPoly.const(spec, 1)
-    y = _as_marked(tree_series(N), spec)
-    z1 = multiset_cap_series(d1, N, base=y)
-    z2 = multiset_cap_series(d2, N, base=y)
-    base = y + z1 * (mark1 - one) + z2 * (mark2 - one)
+    if d1 == d2 or TOTAL in (d1, d2):
+        raise UsageError("mixed-degree series needs two distinct degrees")
+    y = _marked_tree_series(N, mode, order, u_cap, 2, (d1, d2), k)
+    one = y.one_like()
+    base = (y + (y.mark() - one) * multiset_cap_series(d1, N, base=y)
+            + (y.mark(v=1) - one) * multiset_cap_series(d2, N, base=y))
     return _last(_marked_levels(base, k))[1]
+
+
+def _marked_law(series, n):
+    """{mark exponent: [x^n u^e] series / y_n} over the nonzero coefficients."""
+    if not 1 <= n <= series.order:
+        raise UsageError("n must lie in 1..N, the series truncation order")
+    yn = tree_series(series.order)[n]
+    return {e: Fraction(v, yn) for e, v in series[n].items()}
 
 
 def mixed_degree_moment_from_marked(n, d1, d2, k, N=None):
     """E[X^{(d1)}(k) X^{(d2)}(k)] via the nilpotent two-variable marking."""
     N = N if N is not None else n
     s = mixed_degree_series(d1, d2, k, N, mode="moments", order=1)
-    yn = tree_series(N)[n]
-    return Fraction(s[n].coefficient(1, 1), yn)
+    return _marked_law(s, n).get((1, 1), Fraction(0))
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +215,8 @@ def exact_distribution(n, d, k, series=None, N=None):
         raise UsageError("n exceeds the series truncation order")
     if series is None:
         series = level_degree_series(d, k, N, mode="full")
-    yn = tree_series(N)[n]
-    poly = series[n]
-    probs = {}
-    for (l,), v in poly.monomials():
-        probs[l] = Fraction(v, yn)
-    total = sum(probs.values())
-    if total != 1:
+    probs = {l: p for (l, _), p in _marked_law(series, n).items()}
+    if sum(probs.values()) != 1:
         raise AssertionError("distribution does not sum to 1")
     return ProfileDistribution(n, d, k, probs)
 
@@ -250,10 +228,7 @@ def joint_distribution(n, d, k, h, series=None, N=None):
         raise UsageError("n exceeds the series truncation order")
     if series is None:
         series = two_level_series(d, k, h, N, mode="full")
-    yn = tree_series(N)[n]
-    probs = {}
-    for (l1, l2), v in series[n].monomials():
-        probs[(l1, l2)] = Fraction(v, yn)
+    probs = _marked_law(series, n)
     if sum(probs.values()) != 1:
         raise AssertionError("joint distribution does not sum to 1")
     return probs
@@ -298,6 +273,8 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
     is mixed_k of degrees[0] and degrees[1] when ``mixed``.  Series not asked
     for are None and cost nothing.
     """
+    if k_max < 0 or any(d is not TOTAL and d < 1 for d in degrees):
+        raise UsageError("the derivative pass needs k >= 0 and degrees d >= 1")
     N = y.order
     g = [_gamma0(d, y_exact, y) for d in degrees]
     f = [TruncatedSeries.zero(N, y.ring, y.scale)] * len(g) if second else None
@@ -407,24 +384,15 @@ def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
 def factorial_moments_from_marked(n, d, k, order=2, N=None):
     """Factorial moments E[X^(j)] via the nilpotent marking route, j = 0..order."""
     N = N if N is not None else n
-    s = level_degree_series(d, k, N, mode="moments", order=order)
-    yn = tree_series(N)[n]
-    poly = s[n]
-    out = []
-    fact = 1
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        out.append(Fraction(poly.coefficient(j) * fact, yn))
-    return out
+    law = _marked_law(level_degree_series(d, k, N, mode="moments", order=order), n)
+    return [law.get((j, 0), Fraction(0)) * factorial(j) for j in range(order + 1)]
 
 
 def mixed_moment_from_marked(n, d, k, h, N=None):
     """E[L(k) L(k+h)] via the two-variable nilpotent marking route."""
     N = N if N is not None else n
     s = two_level_series(d, k, h, N, mode="moments", order=1)
-    yn = tree_series(N)[n]
-    return Fraction(s[n].coefficient(1, 1), yn)
+    return _marked_law(s, n).get((1, 1), Fraction(0))
 
 
 _STIRLING_WEIGHTS = {1: (1,), 2: (1, 2), 3: (1, 6, 6), 4: (1, 14, 36, 24)}
@@ -440,10 +408,8 @@ def level_difference_moment(n, r, h, N=None, power=4, d=TOTAL):
     if power not in _STIRLING_WEIGHTS:
         raise UsageError("power must be in 1..4")
     N = N if N is not None else n
-    s = two_level_series(d, r, h, N, mode="tightness")
-    yn = tree_series(N)[n]
-    poly = s[n]
-    cs = [Fraction(poly.coefficient(j), yn) for j in range(5)]
+    law = _marked_law(two_level_series(d, r, h, N, mode="tightness"), n)
+    cs = [law.get((j, 0), Fraction(0)) for j in range(5)]
     weights = _STIRLING_WEIGHTS[power]
     return sum(w * cs[j + 1] for j, w in enumerate(weights))
 

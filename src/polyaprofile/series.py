@@ -5,19 +5,22 @@ the two classes here:
 
 ``TruncatedSeries``
     a(x) = sum_{n<=N} a_n x^n with scalar coefficients.  The exact ring keeps
-    Python ints / Fractions (Fractions are auto-normalised, so coefficient-wise
+    Python ints / Fractions (whole quotients stay ints, so coefficient-wise
     equality is canonical); the double ring keeps a numpy float64 vector and
     supports an internal geometric rescaling ``scale`` (stored[n] equals the
     true coefficient times scale**n) so that series whose coefficients grow
     like rho**-n stay inside float range at large truncation orders.
 
 ``MarkedSeries``
-    the same structure with coefficients that are dense polynomials in one or
-    two marking variables (``MarkPoly``).  Marked series are exact-only.  A
-    marking variable either lives in the monomial basis ('u' mode, exponent
-    records a count of marked nodes) or in the nilpotent basis ('eps' mode,
-    the stored polynomial is f(1+eps) truncated at a fixed eps-degree, which
-    computes all u-derivatives at u=1 of bounded order in one pass).
+    an exact series in x and one or two marking variables, stored as a map
+    from the mark exponent (a, b) to the TruncatedSeries in x that multiplies
+    it (b = 0 with one mark), so sums, products and shifts are scalar-series
+    arithmetic.  The marks live in the monomial basis ('u': an exponent
+    counts marked nodes) or in the nilpotent basis ('eps': the series is
+    f(1+eps) truncated at a fixed eps-degree, which carries all
+    u-derivatives at u = 1 up to that order in one pass).  ``exp`` steps in
+    the mark direction with the Euler operator, the same in both bases, and
+    keeps whole coefficients as ints.
 
 Multiplication is plain O(N^2) convolution; the orders used here (N <= ~1600)
 do not justify anything fancier.  All values are immutable after construction
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,6 +48,20 @@ def _comb_signed(i: int, r: int):
     for t in range(r):
         num *= i - t
     return num // math.factorial(r)
+
+
+def _whole(c):
+    """c as an int when it is a whole Fraction."""
+    return c.numerator if isinstance(c, Fraction) and c.denominator == 1 else c
+
+
+def _quotient(c, q):
+    """c / q exactly, an int when q divides c."""
+    if isinstance(c, int):
+        quo, rem = divmod(c, q)
+        if not rem:
+            return quo
+    return _whole(Fraction(c, q))
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +101,9 @@ class TruncatedSeries:
     @classmethod
     def one(cls, order, ring=EXACT, scale=1.0):
         return cls([1], order, ring, scale)
+
+    def one_like(self):
+        return TruncatedSeries.one(self.order, self.ring, self.scale)
 
     @classmethod
     def x(cls, order, ring=EXACT, scale=1.0):
@@ -170,7 +191,7 @@ class TruncatedSeries:
     def scalar_div(self, q):
         if self.ring == DOUBLE:
             return self.copy_with(self.coeffs / float(q))
-        return self.copy_with([Fraction(c, q) if c else 0 for c in self.coeffs])
+        return self.copy_with([_quotient(c, q) for c in self.coeffs])
 
     def shift(self, k=1):
         """Multiply by x**k (true coefficients; scale handled for double)."""
@@ -194,15 +215,15 @@ class TruncatedSeries:
             for n in range(1, N + 1):
                 e[n] = np.dot(na[1 : n + 1], e[n - 1 :: -1][: n]) / n
             return self.copy_with(e)
-        e = [0] * (N + 1)
-        e[0] = Fraction(1) if any(isinstance(c, Fraction) for c in a) else 1
+        # n e_n = sum_m m a_m e_{n-m}; whole m a_m and e_n stay ints
+        na = [_whole(m * am) for m, am in enumerate(a)]
+        e = [1] + [0] * N
         for n in range(1, N + 1):
             tot = 0
             for m in range(1, n + 1):
-                am = a[m]
-                if am:
-                    tot += m * am * e[n - m]
-            e[n] = Fraction(tot, n) if tot else 0
+                if na[m]:
+                    tot += na[m] * e[n - m]
+            e[n] = _quotient(tot, n)
         return self.copy_with(e)
 
     def substitute_power(self, i):
@@ -384,362 +405,145 @@ def _signed_exp(f, extra_log):
 
 
 # ---------------------------------------------------------------------------
-# marking polynomials
+# marked series
 # ---------------------------------------------------------------------------
 
-class MarkSpec:
-    """Shape shared by all coefficients of one MarkedSeries.
+_UNMARKED = (0, 0)
 
-    caps[v] bounds the stored degree in variable v; modes[v] is 'u' for the
-    monomial basis or 'eps' for the nilpotent basis around u=1.
+
+@lru_cache(maxsize=4096)
+def _eps_power_image(i, a, cap):
+    """eps**a under u -> u**i, i.e. ((1+eps)**i - 1)**a, to eps**cap."""
+    base = [0] + [_comb_signed(i, r) for r in range(1, cap + 1)]
+    out = [1] + [0] * cap
+    for _ in range(a):
+        out = [sum(out[s] * base[r - s] for s in range(r + 1)) for r in range(cap + 1)]
+    return tuple(out)
+
+
+class MarkedSeries:
+    """Exact series in x and one or two marks, stored by mark exponent.
+
+    ``terms`` maps a mark exponent (a, b) to the TruncatedSeries in x that
+    multiplies it; b stays 0 with one mark, and zero terms are dropped.
+    ``caps`` bounds a and b.  In the 'u' basis an exponent counts marked
+    nodes; in the 'eps' basis it is a power of eps = u - 1.
     """
 
-    __slots__ = ("caps", "modes")
+    __slots__ = ("terms", "order", "caps", "basis")
 
-    def __init__(self, caps, modes):
-        caps = tuple(caps)
-        modes = tuple(modes)
-        if len(caps) != len(modes) or len(caps) not in (1, 2):
-            raise UsageError("MarkSpec supports 1 or 2 marking variables")
-        for m in modes:
-            if m not in ("u", "eps"):
-                raise UsageError(f"unknown mark mode {m!r}")
-        self.caps = caps
-        self.modes = modes
-
-    @property
-    def nvars(self):
-        return len(self.caps)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MarkSpec)
-            and self.caps == other.caps
-            and self.modes == other.modes
-        )
-
-    def __repr__(self):
-        return f"MarkSpec(caps={self.caps}, modes={self.modes})"
-
-
-class MarkPoly:
-    """Dense polynomial in one or two marking variables, exact coefficients."""
-
-    __slots__ = ("spec", "c")
-
-    def __init__(self, spec, c):
-        self.spec = spec
-        self.c = c  # tuple (1 var) or tuple of tuples (2 vars), len caps+1
+    def __init__(self, terms, order, caps, basis):
+        if basis not in ("u", "eps") or len(caps) != 2 or min(caps) < 0:
+            raise UsageError(f"bad mark shape: caps {caps!r}, basis {basis!r}")
+        if any(s.ring != EXACT or s.order != order for s in terms.values()):
+            raise UsageError("marked series are exact-only, of one order")
+        self.terms = {e: s for e, s in terms.items() if any(s.coeffs)}
+        self.order = order
+        self.caps = tuple(caps)
+        self.basis = basis
 
     @classmethod
-    def zero(cls, spec):
-        if spec.nvars == 1:
-            return cls(spec, (0,) * (spec.caps[0] + 1))
-        row = (0,) * (spec.caps[1] + 1)
-        return cls(spec, tuple(row for _ in range(spec.caps[0] + 1)))
+    def lift(cls, s, caps, basis):
+        """The scalar series s with every mark absent."""
+        return cls({_UNMARKED: s}, s.order, caps, basis)
 
-    @classmethod
-    def const(cls, spec, value):
-        z = cls.zero(spec)
-        return z._set00(value)
+    def copy_with(self, terms):
+        out = object.__new__(MarkedSeries)
+        out.terms = {e: s for e, s in terms.items() if any(s.coeffs)}
+        out.order, out.caps, out.basis = self.order, self.caps, self.basis
+        return out
 
-    @classmethod
-    def var(cls, spec, v=0, power=1):
-        """The monomial u_v**power expressed in variable v's configured basis."""
-        out = cls.zero(spec)
-        if spec.modes[v] == "u":
-            mono = {power: 1}
-        else:
-            # u^power at u = 1+eps: sum_r C(power, r) eps^r
-            mono = {r: _comb_signed(power, r) for r in range(spec.caps[v] + 1)}
-        return out._from_monomials(v, mono)
+    def one_like(self):
+        return self.copy_with({_UNMARKED: TruncatedSeries.one(self.order)})
 
-    def _set00(self, value):
-        if self.spec.nvars == 1:
-            c = list(self.c)
-            c[0] = c[0] + value
-            return MarkPoly(self.spec, tuple(c))
-        rows = [list(r) for r in self.c]
-        rows[0][0] = rows[0][0] + value
-        return MarkPoly(self.spec, tuple(tuple(r) for r in rows))
+    def mark(self, power=1, v=0):
+        """The monomial u_v**power (v = 0 or 1) in this basis, constant in x."""
+        if self.basis == "u":
+            if power < 0:
+                raise UsageError("the u basis holds no negative powers")
+            weights = {power: 1}
+        else:  # u**p = (1+eps)**p
+            weights = {r: _comb_signed(power, r) for r in range(self.caps[v] + 1)}
+        one = TruncatedSeries.one(self.order)
+        return self.copy_with({
+            (r, 0) if v == 0 else (0, r): one * w
+            for r, w in weights.items() if r <= self.caps[v]
+        })
 
-    def _from_monomials(self, v, mono):
-        if self.spec.nvars == 1:
-            c = [0] * (self.spec.caps[0] + 1)
-            for j, val in mono.items():
-                if 0 <= j <= self.spec.caps[0]:
-                    c[j] = val
-            return MarkPoly(self.spec, tuple(c))
-        c = [[0] * (self.spec.caps[1] + 1) for _ in range(self.spec.caps[0] + 1)]
-        for j, val in mono.items():
-            if v == 0:
-                if 0 <= j <= self.spec.caps[0]:
-                    c[j][0] = val
-            else:
-                if 0 <= j <= self.spec.caps[1]:
-                    c[0][j] = val
-        return MarkPoly(self.spec, tuple(tuple(r) for r in c))
+    def _check(self, other):
+        if (self.order, self.caps, self.basis) != (other.order, other.caps, other.basis):
+            raise UsageError("marked series order/caps/basis mismatch")
 
-    def is_zero(self):
-        if self.spec.nvars == 1:
-            return not any(self.c)
-        return not any(any(r) for r in self.c)
+    def _fits(self, e):
+        return e[0] <= self.caps[0] and e[1] <= self.caps[1]
 
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        if isinstance(other, MarkPoly):
-            return self.spec == other.spec and all(
-                a == b for a, b in zip(_flat(self.c), _flat(other.c))
-            )
-        return NotImplemented
+    def _image(self, e, i):
+        """(exponent, weight) pairs of the mark monomial e under every u -> u**i."""
+        if self.basis == "u":
+            e2 = (e[0] * i, e[1] * i)
+            return [(e2, 1)] if self._fits(e2) else []
+        wa, wb = (_eps_power_image(i, a, cap) for a, cap in zip(e, self.caps))
+        return [((p, q), x * y) for p, x in enumerate(wa) if x for q, y in enumerate(wb) if y]
 
     def __add__(self, other):
-        if self.spec.nvars == 1:
-            return MarkPoly(self.spec, tuple(a + b for a, b in zip(self.c, other.c)))
-        return MarkPoly(
-            self.spec,
-            tuple(
-                tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.c, other.c)
-            ),
-        )
+        self._check(other)
+        terms = dict(self.terms)
+        for e, s in other.terms.items():
+            terms[e] = terms[e] + s if e in terms else s
+        return self.copy_with(terms)
 
     def __sub__(self, other):
-        if self.spec.nvars == 1:
-            return MarkPoly(self.spec, tuple(a - b for a, b in zip(self.c, other.c)))
-        return MarkPoly(
-            self.spec,
-            tuple(
-                tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.c, other.c)
-            ),
-        )
+        return self + other * -1
 
     def __mul__(self, other):
-        if not isinstance(other, MarkPoly):
-            if self.spec.nvars == 1:
-                return MarkPoly(self.spec, tuple(a * other for a in self.c))
-            return MarkPoly(
-                self.spec, tuple(tuple(a * other for a in r) for r in self.c)
-            )
-        # iterate nonzero monomials only; these polynomials are usually sparse
-        U = self.spec.caps[0]
-        if self.spec.nvars == 1:
-            out = [0] * (U + 1)
-            a_mon = [(i, v) for i, v in enumerate(self.c) if v]
-            b_mon = [(j, v) for j, v in enumerate(other.c) if v]
-            for i, av in a_mon:
-                for j, bv in b_mon:
-                    if i + j <= U:
-                        out[i + j] += av * bv
-            return MarkPoly(self.spec, tuple(out))
-        V = self.spec.caps[1]
-        out = [[0] * (V + 1) for _ in range(U + 1)]
-        a_mon = [(i, j, v) for i, row in enumerate(self.c) for j, v in enumerate(row) if v]
-        b_mon = [(i, j, v) for i, row in enumerate(other.c) for j, v in enumerate(row) if v]
-        for i1, j1, av in a_mon:
-            for i2, j2, bv in b_mon:
-                if i1 + i2 <= U and j1 + j2 <= V:
-                    out[i1 + i2][j1 + j2] += av * bv
-        return MarkPoly(self.spec, tuple(tuple(r) for r in out))
+        if not isinstance(other, MarkedSeries):
+            return self.copy_with({e: s * other for e, s in self.terms.items()})
+        self._check(other)
+        terms = {}
+        for (a1, b1), s1 in self.terms.items():
+            for (a2, b2), s2 in other.terms.items():
+                e = (a1 + a2, b1 + b2)
+                if self._fits(e):
+                    p = s1 * s2
+                    terms[e] = terms[e] + p if e in terms else p
+        return self.copy_with(terms)
 
     __rmul__ = __mul__
 
     def scalar_div(self, q):
-        if self.spec.nvars == 1:
-            return MarkPoly(
-                self.spec, tuple(Fraction(a, q) if a else 0 for a in self.c)
-            )
-        return MarkPoly(
-            self.spec,
-            tuple(tuple(Fraction(a, q) if a else 0 for a in r) for r in self.c),
-        )
-
-    def power_map(self, i):
-        """Image of the polynomial under every mark u -> u**i."""
-        spec = self.spec
-        if spec.nvars == 1:
-            return MarkPoly(spec, tuple(MarkPoly._power_map_1d(spec, self.c, 0, i)))
-        # map rows (var 0), then columns (var 1)
-        rows = [MarkPoly._power_map_1d(spec, r, 1, i) for r in self.c]
-        # rows[k] is the var-1 image of row k; now distribute row index k through var 0
-        out = MarkPoly.zero(spec)
-        for k, row in enumerate(rows):
-            if not any(row):
-                continue
-            shape0 = MarkPoly._index_image(spec, 0, k, i)
-            add = [[0] * (spec.caps[1] + 1) for _ in range(spec.caps[0] + 1)]
-            for pos0, w0 in shape0.items():
-                for j, val in enumerate(row):
-                    if val:
-                        add[pos0][j] += w0 * val
-            out = out + MarkPoly(spec, tuple(tuple(r) for r in add))
-        return out
-
-    @staticmethod
-    def _power_map_1d(spec, c, v, i):
-        """Image of the coefficient list c of variable v under u -> u**i."""
-        out = [0] * (spec.caps[v] + 1)
-        for k, val in enumerate(c):
-            if val:
-                for pos, w in MarkPoly._index_image(spec, v, k, i).items():
-                    out[pos] += w * val
-        return out
-
-    @staticmethod
-    def _index_image(spec, v, k, i):
-        """Where basis element #k of variable v goes under u -> u**i."""
-        cap = spec.caps[v]
-        if spec.modes[v] == "u":
-            return {k * i: 1} if k * i <= cap else {}
-        # eps basis: element is eps^k = (u-1)^k; u -> u^i sends
-        # eps -> (1+eps)^i - 1, so eps^k -> ((1+eps)^i - 1)^k truncated.
-        base = [0] * (cap + 1)
-        for r in range(1, cap + 1):
-            base[r] = _comb_signed(i, r)
-        # ((1+eps)^i - 1)^k by repeated truncated multiplication
-        acc = [0] * (cap + 1)
-        acc[0] = 1
-        for _ in range(k):
-            nxt = [0] * (cap + 1)
-            for a, va in enumerate(acc):
-                if va:
-                    for b in range(cap - a + 1):
-                        if base[b]:
-                            nxt[a + b] += va * base[b]
-            acc = nxt
-        return {pos: w for pos, w in enumerate(acc) if w}
-
-    # -- extraction ----------------------------------------------------------
-    def at_one(self):
-        """Value with every mark set to 1 (eps = 0)."""
-        if self.spec.nvars == 1:
-            if self.spec.modes[0] == "u":
-                return sum(self.c)
-            return self.c[0]
-        tot = 0
-        for i, row in enumerate(self.c):
-            if self.spec.modes[0] == "eps" and i > 0:
-                continue
-            for j, val in enumerate(row):
-                if self.spec.modes[1] == "eps" and j > 0:
-                    continue
-                tot += val
-        return tot
-
-    def coefficient(self, *idx):
-        if self.spec.nvars == 1:
-            return self.c[idx[0]]
-        return self.c[idx[0]][idx[1]]
-
-    def monomials(self):
-        """Iterate (exponents, value) over nonzero entries."""
-        if self.spec.nvars == 1:
-            for j, v in enumerate(self.c):
-                if v:
-                    yield (j,), v
-        else:
-            for i, row in enumerate(self.c):
-                for j, v in enumerate(row):
-                    if v:
-                        yield (i, j), v
-
-
-def _flat(c):
-    if c and isinstance(c[0], tuple):
-        for r in c:
-            yield from r
-    else:
-        yield from c
-
-
-# ---------------------------------------------------------------------------
-# marked series
-# ---------------------------------------------------------------------------
-
-class MarkedSeries:
-    """Series in x with MarkPoly coefficients (exact ring only)."""
-
-    __slots__ = ("coeffs", "order", "spec")
-
-    def __init__(self, coeffs, order, spec):
-        cs = list(coeffs[: order + 1])
-        zero = MarkPoly.zero(spec)
-        cs += [zero] * (order + 1 - len(cs))
-        self.coeffs = cs
-        self.order = order
-        self.spec = spec
-
-    @classmethod
-    def zero(cls, order, spec):
-        return cls([], order, spec)
-
-    @classmethod
-    def from_scalar_series(cls, s, spec):
-        if s.ring != EXACT:
-            raise UsageError("marked series are exact-only")
-        return cls(
-            [MarkPoly.const(spec, c) if c else MarkPoly.zero(spec) for c in s.coeffs],
-            s.order,
-            spec,
-        )
-
-    def copy_with(self, coeffs):
-        out = object.__new__(MarkedSeries)
-        out.coeffs = list(coeffs)
-        out.order = self.order
-        out.spec = self.spec
-        return out
-
-    def _check(self, other):
-        if self.order != other.order or self.spec != other.spec:
-            raise UsageError("marked series order/spec mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return self.copy_with([a + b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __sub__(self, other):
-        self._check(other)
-        return self.copy_with([a - b for a, b in zip(self.coeffs, other.coeffs)])
-
-    def __mul__(self, other):
-        if isinstance(other, MarkedSeries):
-            self._check(other)
-            N = self.order
-            zero = MarkPoly.zero(self.spec)
-            out = [zero] * (N + 1)
-            for i, ai in enumerate(self.coeffs):
-                if ai:
-                    for j in range(N + 1 - i):
-                        bj = other.coeffs[j]
-                        if bj:
-                            out[i + j] = out[i + j] + ai * bj
-            return self.copy_with(out)
-        return self.copy_with([c * other for c in self.coeffs])
-
-    __rmul__ = __mul__
+        return self.copy_with({e: s.scalar_div(q) for e, s in self.terms.items()})
 
     def shift(self, k=1):
-        zero = MarkPoly.zero(self.spec)
-        return self.copy_with([zero] * k + self.coeffs[: self.order + 1 - k])
+        return self.copy_with({e: s.shift(k) for e, s in self.terms.items()})
 
     def exp(self):
-        if self.coeffs[0]:
+        """exp(p) through the Euler operator theta = sum_m m d/dm over the marks.
+
+        theta E = (theta p) E gives, with |alpha| = a + b,
+
+            |alpha| E_alpha = sum_{0 < beta <= alpha} |beta| p_beta E_{alpha-beta},
+
+        from E_0 = exp(p_0) in x.  It is the same in both bases, and whole
+        coefficients stay ints.
+        """
+        if any(s[0] for s in self.terms.values()):
             raise DomainError("exp requires zero constant term")
-        N = self.order
-        zero = MarkPoly.zero(self.spec)
-        e = [zero] * (N + 1)
-        e[0] = MarkPoly.const(self.spec, 1)
-        for n in range(1, N + 1):
-            tot = zero
-            for m in range(1, n + 1):
-                am = self.coeffs[m]
-                if am:
-                    t = am * e[n - m]
-                    tot = tot + (t * m)
-            e[n] = tot.scalar_div(n) if tot else zero
-        return self.copy_with(e)
+        E = {_UNMARKED: self.terms.get(_UNMARKED, TruncatedSeries.zero(self.order)).exp()}
+        dp = [
+            (beta, s.copy_with([_whole(c * sum(beta)) for c in s.coeffs]))
+            for beta, s in self.terms.items() if beta != _UNMARKED
+        ]
+        A, B = self.caps
+        for alpha in sorted(((a, b) for a in range(A + 1) for b in range(B + 1)), key=sum)[1:]:
+            tot = None
+            for (a, b), s in dp:
+                rest = E.get((alpha[0] - a, alpha[1] - b))
+                if rest is not None:
+                    t = s * rest
+                    tot = t if tot is None else tot + t
+            if tot is not None and any(tot.coeffs):
+                E[alpha] = tot.scalar_div(sum(alpha))
+        return self.copy_with(E)
 
     def substitute_power(self, i):
         """x -> x**i together with every mark u -> u**i."""
@@ -747,32 +551,37 @@ class MarkedSeries:
             raise UsageError("substitute_power requires i >= 1")
         if i == 1:
             return self
-        N = self.order
-        zero = MarkPoly.zero(self.spec)
-        out = [zero] * (N + 1)
-        for m in range(N // i + 1):
-            c = self.coeffs[m]
-            if c:
-                out[m * i] = c.power_map(i)
-        return self.copy_with(out)
+        terms = {}
+        for e, s in self.terms.items():
+            sub = s.substitute_power(i)
+            for e2, w in self._image(e, i):
+                t = sub * w
+                terms[e2] = terms[e2] + t if e2 in terms else t
+        return self.copy_with(terms)
 
     def polya_exponent(self):
-        if self.coeffs[0]:
+        """sum_{i>=1} a(x**i, u**i) / i, accumulated in place over ascending i."""
+        if any(s[0] for s in self.terms.values()):
             raise DomainError("polya_exponent requires zero constant term")
-        acc = self
-        for i in range(2, self.order + 1):
-            sub = self.substitute_power(i)
-            if not any(sub.coeffs):
-                break
-            acc = acc + sub.scalar_div(i)
-        return acc
-
-    def scalar_div(self, q):
-        return self.copy_with([c.scalar_div(q) if c else c for c in self.coeffs])
+        N = self.order
+        acc = {}
+        for i in range(1, N + 1):
+            for e, s in self.terms.items():
+                c = s.coeffs
+                for e2, w in self._image(e, i):
+                    out = acc.setdefault(e2, [0] * (N + 1))
+                    for m in range(1, N // i + 1):
+                        if c[m]:
+                            out[m * i] += _quotient(w * c[m], i)
+        return self.copy_with({e: TruncatedSeries(c, N) for e, c in acc.items()})
 
     def at_one(self):
-        """Collapse every mark to 1, giving a scalar TruncatedSeries."""
-        return TruncatedSeries([c.at_one() for c in self.coeffs], self.order, EXACT)
+        """Collapse every mark to 1 (eps = 0), giving a scalar TruncatedSeries."""
+        zero = TruncatedSeries.zero(self.order)
+        if self.basis == "u":
+            return sum(self.terms.values(), zero)
+        return self.terms.get(_UNMARKED, zero)
 
     def __getitem__(self, n):
-        return self.coeffs[n]
+        """The x**n coefficient as {mark exponent: nonzero value}."""
+        return {e: s[n] for e, s in self.terms.items() if s[n]}

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
+import pytest
 from click.testing import CliRunner
 
+import polyaprofile
 from polyaprofile.cli import main
 
 
@@ -120,6 +125,32 @@ def test_usage_error_exit_code():
         main, ["profile-exact", "--n", "12", "--d", "0", "--k", "1"]
     )
     assert res.exit_code == 2
+
+
+def run_process(*args):
+    """The CLI in a fresh interpreter: (exit code, stdout and stderr)."""
+    src = os.path.dirname(os.path.dirname(polyaprofile.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "polyaprofile.cli", *args],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    return proc.returncode, proc.stdout + proc.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ("--n", "0", "--d", "1", "--k", "1"),
+    ("--n", "-3", "--d", "1", "--k", "1", "--mode", "moments"),
+    ("--n", "5", "--d", "1", "--k", "-2", "--mode", "cov"),
+    ("--n", "5", "--d", "0", "--k", "1", "--h", "1"),
+], ids=["n0", "n-3-moments", "k-2-cov", "d0-joint"])
+def test_bad_profile_arguments_exit_2_without_traceback(args):
+    code, out = run_process("profile-exact", *args)
+    assert code == 2
+    assert "Traceback" not in out
+    assert out.startswith("usage error: ")
+    assert "cycle_index_apply" not in out
 
 
 def test_accuracy_error_exit_code():

@@ -29,6 +29,12 @@ def test_count_requires_positive():
         count_trees(0)
 
 
+@pytest.mark.parametrize("N", [0, -3])
+def test_tree_series_requires_positive(N):
+    with pytest.raises(UsageError):
+        tree_series(N)
+
+
 def test_euler_transform_recurrence_holds():
     t = count_trees(40)
     for n in range(2, 41):

@@ -23,6 +23,7 @@ from polyaprofile.profile import (
     level_degree_series,
     level_difference_moment,
     level_mean,
+    mixed_degree_series,
     mixed_gamma_series,
     mixed_moment_from_marked,
     second_factorial_series,
@@ -323,7 +324,7 @@ def test_mixed_degree_joint_law_matches_enumeration():
         for p in profiles:
             key = (p.degree_count(1, 1), p.degree_count(2, 1))
             brute[key] = brute.get(key, 0) + 1
-        got = {key: v for key, v in s[n].monomials()}
+        got = s[n]
         assert got == brute
 
 
@@ -337,9 +338,44 @@ def test_total_profile_distribution():
         for p in profiles:
             c = p.total(1)
             brute[c] = brute.get(c, 0) + 1
-        poly = s[n]
-        got = {l: v for (l,), v in poly.monomials()}
+        got = {l: v for (l, _), v in s[n].items()}
         assert got == brute
+
+
+def test_marked_series_coefficients_are_ints():
+    # the level step keeps whole coefficients as ints, never as Fractions
+    for s in (
+        level_degree_series(1, 3, 20, mode="full"),
+        level_degree_series(TOTAL, 2, 20, mode="full"),
+        level_degree_series(2, 3, 20, mode="moments", order=3),
+        two_level_series(TOTAL, 2, 1, 20, mode="tightness"),
+        two_level_series(1, 1, 2, 20, mode="tightness"),
+    ):
+        for n in range(s.order + 1):
+            assert all(type(v) is int for v in s[n].values())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: level_degree_series(0, 1, 6),
+    lambda: level_degree_series(1, -1, 6, mode="moments"),
+    lambda: two_level_series(0, 1, 1, 6),
+    lambda: two_level_series(1, 1, -1, 6, mode="tightness"),
+    lambda: mixed_degree_series(1, 2, -1, 6, mode="moments"),
+], ids=["d0", "k-1", "two-d0", "two-h-1", "mixed-k-1"])
+def test_marked_route_rejects_bad_level_or_degree(call):
+    with pytest.raises(UsageError, match="degrees d >= 1"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: finite_covariance(1, 2, 10, -1),
+    lambda: gamma_series(1, -1, 10),
+    lambda: level_mean(1, 10, -1),
+    lambda: gamma_series(0, 2, 10),
+], ids=["finite_covariance", "gamma_series", "level_mean", "degree-0"])
+def test_derivative_route_rejects_bad_level_or_degree(call):
+    with pytest.raises(UsageError, match="degrees d >= 1"):
+        call()
 
 
 def test_double_ring_moments_match_exact():

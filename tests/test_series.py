@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from polyaprofile.enumeration import tree_series
 from polyaprofile.errors import AccuracyError, DomainError, UsageError
-from polyaprofile.series import (
-    DOUBLE,
-    EXACT,
-    MarkedSeries,
-    MarkPoly,
-    MarkSpec,
-    TruncatedSeries,
-)
+from polyaprofile.series import DOUBLE, EXACT, MarkedSeries, TruncatedSeries
 
 
 def S(coeffs, order=None, **kw):
@@ -255,12 +248,10 @@ def test_json_golden_tree_series(tmp_path):
 
 def test_marked_polya_exponent_example():
     # a = u x at order 2: polya gives u x + u^2 x^2 / 2
-    spec = MarkSpec((2,), ("u",))
-    a = MarkedSeries.zero(2, spec)
-    a.coeffs[1] = MarkPoly.var(spec, 0, 1)
+    a = MarkedSeries({(1, 0): TruncatedSeries.x(2)}, 2, (2, 0), "u")
     p = a.polya_exponent()
-    assert p[1].c == (0, 1, 0)
-    assert p[2].c == (0, 0, Fraction(1, 2))
+    assert p[1] == {(1, 0): 1}
+    assert p[2] == {(2, 0): Fraction(1, 2)}
 
 
 def test_marked_collapse_at_one_matches_tree_series():
@@ -275,15 +266,15 @@ def test_marked_u_degree_bounded_by_n():
     from polyaprofile.profile import level_degree_series
 
     s = level_degree_series(1, 1, 8, mode="full")
-    for n, poly in enumerate(s.coeffs):
-        for (j,), _ in poly.monomials():
+    for n in range(s.order + 1):
+        for j, _ in s[n]:
             assert j <= n
 
 
 def test_eps_mode_tracks_negative_powers():
-    spec = MarkSpec((3,), ("eps",))
-    inv = MarkPoly.var(spec, 0, -1)
+    one = MarkedSeries.lift(TruncatedSeries.one(0), (3, 0), "eps")
+    inv = one.mark(-1)
     # (1+eps)^{-1} = 1 - eps + eps^2 - eps^3
-    assert inv.c == (1, -1, 1, -1)
-    # power_map(2) sends it to (1+eps)^{-2} = 1 - 2eps + 3eps^2 - 4eps^3
-    assert inv.power_map(2).c == (1, -2, 3, -4)
+    assert inv[0] == {(0, 0): 1, (1, 0): -1, (2, 0): 1, (3, 0): -1}
+    # u -> u^2 sends it to (1+eps)^{-2} = 1 - 2eps + 3eps^2 - 4eps^3
+    assert inv.substitute_power(2)[0] == {(0, 0): 1, (1, 0): -2, (2, 0): 3, (3, 0): -4}

@@ -1,0 +1,37 @@
+"""The benchmark tracer wraps program functions and methods by name.
+
+Loading perfbench/tracer.py and installing it resolves every name in its
+LAYERS table, so a rename or a method moved out of its class body fails
+here rather than only in a traced benchmark run.
+"""
+
+import importlib.util
+import os
+
+import polyaprofile.limits  # noqa: F401  (the tracer wraps names in every module)
+from polyaprofile import profile
+
+TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_every_layer_and_uninstalls():
+    tracer = _load_tracer().Tracer("t")
+    try:
+        tracer.install()
+        profile.level_degree_series(1, 2, 8, mode="moments")
+    finally:
+        assert tracer.uninstall()
+    names = {span[1] for span in tracer.spans}
+    assert {
+        "profile.level_degree_series",
+        "series.marked_mul",
+        "series.marked_exp",
+        "series.marked_polya_exponent",
+    } <= names
