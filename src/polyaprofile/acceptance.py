@@ -30,6 +30,7 @@ from .enumeration import (
     enumerate_trees_exhaustive,
     tree_series,
 )
+from .errors import UsageError
 
 DEFAULT_SEED = 20240801
 
@@ -52,7 +53,7 @@ class CriterionResult:
 
 
 class AcceptanceContext:
-    """Shared heavy artifacts (count tables, constants, Monte Carlo runs)."""
+    """Shared heavy artifacts (constants, Monte Carlo runs); tables come from count_trees."""
 
     def __init__(self, quick=False, seed=DEFAULT_SEED, cache_dir=None, threads=1):
         self.quick = quick
@@ -61,7 +62,6 @@ class AcceptanceContext:
         self.threads = threads
         self.N = 300 if quick else 400
         self._constants = None
-        self._tables = {}
         self._mc = {}
 
     @property
@@ -71,10 +71,7 @@ class AcceptanceContext:
         return self._constants
 
     def table(self, n):
-        key = n
-        if key not in self._tables:
-            self._tables[key] = count_trees(n, cache_dir=self.cache_dir)
-        return self._tables[key]
+        return count_trees(n, cache_dir=self.cache_dir)
 
     def mc(self, tag, spec):
         if tag not in self._mc:
@@ -531,6 +528,9 @@ CRITERIA = [
 
 def run_acceptance(quick=False, seed=DEFAULT_SEED, cache_dir=None, threads=1,
                    numbers=None):
+    known = set(range(1, len(CRITERIA) + 1))
+    if numbers is not None and not (numbers and set(numbers) <= known):
+        raise UsageError(f"criteria are numbered 1..{len(CRITERIA)}, got {sorted(numbers)}")
     ctx = AcceptanceContext(quick=quick, seed=seed, cache_dir=cache_dir, threads=threads)
     results = []
     for fn in CRITERIA:

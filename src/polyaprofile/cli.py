@@ -108,7 +108,7 @@ def count(n_max, out):
     """Exact tree counts: CSV with columns n,y_n."""
 
     def go():
-        table = count_trees(n_max)
+        table = count_trees(n_max, cache_dir=_default_cache_dir())
         rows = [{"n": n, "y_n": table.y[n]} for n in range(1, n_max + 1)]
         _emit(_csv_text(rows, ["n", "y_n"]), out)
 
@@ -123,7 +123,7 @@ def constants_cmd(order_, degrees, out):
     """Singularity constants rho, b, C, C_d, mu_d with error estimates (JSON)."""
 
     def go():
-        ds = _parse_degrees(degrees)
+        ds = _parse_list(degrees, "--degrees")
         cs = const_mod.compute_constants(order_, degrees=ds)
         payload = {
             "order": order_,
@@ -139,11 +139,15 @@ def constants_cmd(order_, degrees, out):
     _run(go)
 
 
-def _parse_degrees(text):
-    if ".." in text:
-        lo, hi = text.split("..")
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p)
+def _parse_list(text, option, convert=int):
+    """Comma-separated ``convert`` values; ``lo..hi`` is an integer range."""
+    try:
+        if convert is int and ".." in text:
+            lo, hi = text.split("..")
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(convert(p) for p in text.split(",") if p)
+    except ValueError:
+        raise UsageError(f"{option} expects a comma-separated list, got {text!r}") from None
 
 
 @main.command("profile-exact")
@@ -233,6 +237,8 @@ def sample(n, samples, seed, no_timestamp, out):
     """Uniform random trees; CSV of parent arrays, one row per sample."""
 
     def go():
+        if samples < 1:
+            raise UsageError("--samples must be >= 1")
         table = count_trees(n, cache_dir=_default_cache_dir())
         sampler = sampling_mod.TreeSampler(table)
         rows = []
@@ -268,9 +274,9 @@ def montecarlo(n, samples, seed, degrees, kappas, t_grid, tightness, threads, no
             threads = os.cpu_count() or 1
         spec = sampling_mod.MonteCarloSpec(
             n=n,
-            degrees=_parse_degrees(degrees),
-            kappas=tuple(float(x) for x in kappas.split(",") if x),
-            t_values=tuple(float(x) for x in t_grid.split(",") if x),
+            degrees=_parse_list(degrees, "--degrees"),
+            kappas=_parse_list(kappas, "--kappas", float),
+            t_values=_parse_list(t_grid, "--t-grid", float),
             samples=samples,
             seed=seed,
             tightness_grid=profile_mod.level_grid_for(n) if tightness else (),
@@ -304,11 +310,13 @@ def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
     """Limit-law evaluations (CSV)."""
 
     def go():
+        ts = _parse_list(t_grid, "--t-grid", float)
+        ns = _parse_list(n_list, "--n-list")
         degrees = sorted({d, d1, d2})
         cs = const_mod.compute_constants(order_, degrees=degrees)
         rows = []
         if what == "psi":
-            for t in (float(x) for x in t_grid.split(",") if x):
+            for t in ts:
                 ev = limits_mod.eval_psi(t, d, kappa, cs)
                 rows.append(
                     {"quantity": "psi", "t": t, "re": ev.value.real, "im": ev.value.imag,
@@ -331,7 +339,6 @@ def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
             )
             fields = ["quantity", "kappa", "value", "extrapolation_error"]
         else:
-            ns = tuple(int(x) for x in n_list.split(",") if x)
             for n, one_minus, scaled in limits_mod.correlation_convergence_report(
                 d1, d2, kappa, ns, constants=cs
             ):
@@ -363,9 +370,7 @@ def verify(quick, seed, threads, no_timestamp, criteria, out):
 
         if threads is None:
             threads = os.cpu_count() or 1
-        numbers = None
-        if criteria:
-            numbers = {int(x) for x in criteria.split(",") if x}
+        numbers = set(_parse_list(criteria, "--criteria")) if criteria else None
         use_seed = seed if seed is not None else DEFAULT_SEED
         results = run_acceptance(
             quick=quick,

@@ -9,6 +9,10 @@ y(x) = x exp(sum_i y(x^i)/i).  Everything downstream (sampler weights,
 profile recurrences, constants) is built on these exact integers; gmpy2 is
 used for the big-integer arithmetic when available.
 
+The counts live in one process-wide table that only grows; ``count_trees``
+and ``tree_series`` both read it.  Its disk cache is checked row by row
+against the recurrence modulo a prime when it is loaded.
+
 Degree convention: planted.  Every vertex, the root included, has degree
 1 + (number of children), the root's extra edge going to a phantom node that
 is never counted.  A vertex of degree d therefore has d-1 children.
@@ -17,10 +21,14 @@ is never counted.  A vertex of degree d therefore has d-1 children.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
+from operator import mul
+
+import numpy as np
 
 from .errors import UsageError
 from .series import EXACT, TruncatedSeries
@@ -32,93 +40,110 @@ except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
 
 EXHAUSTIVE_MAX = 10
 
+# A loaded table is checked modulo this prime (2^20 - 3): residues stay below
+# 2^20, so every product in the int64 convolution is below 2^40 and the sums
+# stay exact for tables far beyond any size used here.
+CHECK_PRIME = 1048573
+_CACHE_NAME = re.compile(r"counts_(\d+)\.txt")
+
+# The process-wide count table: _rows[n] = y_n.  It only grows.
+_rows = [mpz(0), mpz(1)]
+
 
 @dataclass(frozen=True)
 class CountTable:
-    """y[n] = number of rooted unlabelled trees with n nodes; s = divisor sums."""
+    """y[n] = number of rooted unlabelled trees with n nodes, for n <= n_max."""
 
     n_max: int
     y: tuple
-    s: tuple
-
-    def __post_init__(self):
-        if self.y[0] != 0 or (self.n_max >= 1 and self.y[1] != 1):
-            raise UsageError("malformed count table")
 
 
 def count_trees(n_max, cache_dir=None):
-    """Exact tree counts up to n_max, optionally cached on disk.
+    """Exact tree counts y_0..y_{n_max}, read from the process-wide table.
 
-    The disk cache stores decimal digits; it exists because the O(n^2)
-    big-integer convolution takes about 300 s at n_max = 6400 with Python
-    integers (302 s measured on a 2-CPU host, Python 3.11, no gmpy2).
+    On a miss the table takes every row of the smallest ``counts_<m>.txt`` in
+    ``cache_dir`` with m >= n_max that passes the check; otherwise it extends
+    itself and writes ``counts_<n_max>.txt``.  The disk cache exists because
+    the O(n^2) big-integer convolution takes about 300 s at n_max = 6400 with
+    Python integers (302 s measured on a 2-CPU host, Python 3.11, no gmpy2).
     """
     if n_max < 1:
-        raise UsageError("count_trees requires n_max >= 1")
-    if cache_dir is not None:
-        path = os.path.join(cache_dir, f"counts_{n_max}.txt")
-        if os.path.exists(path):
-            with open(path) as fh:
-                y = tuple(mpz(line.strip()) for line in fh if line.strip())
-            if len(y) == n_max + 1:
-                return _table_from_y(n_max, y)
-    table = _count_trees_raw(n_max)
-    if cache_dir is not None:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write("\n".join(str(v) for v in table.y))
-        os.replace(tmp, path)
-    return table
+        raise UsageError(f"tree counts need a size n >= 1, got {n_max}")
+    if len(_rows) <= n_max:
+        found = None if cache_dir is None else _cached_file(cache_dir, n_max)
+        rows = found and _load(*found)
+        if rows:
+            _rows.extend(rows[len(_rows):])
+        else:
+            _extend(n_max)
+            if cache_dir is not None:
+                _save(cache_dir, n_max)
+    return CountTable(n_max, tuple(_rows[: n_max + 1]))
 
 
-def _divisor_sum(y, n):
-    """s_n = sum_{d|n} d y_d."""
-    acc = mpz(0)
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            acc += d * y[d]
-            e = n // d
-            if e != d:
-                acc += e * y[e]
-        d += 1
-    return acc
+def _cached_file(cache_dir, n_max):
+    """(m, path) of the smallest counts_<m>.txt in cache_dir with m >= n_max, or None."""
+    names = os.listdir(cache_dir) if os.path.isdir(cache_dir) else ()
+    sizes = [(int(match[1]), name) for name in names
+             if (match := _CACHE_NAME.fullmatch(name)) and int(match[1]) >= n_max]
+    if not sizes:
+        return None
+    m, name = min(sizes)
+    return m, os.path.join(cache_dir, name)
 
 
-def _count_trees_raw(n_max):
-    y = [mpz(0)] * (n_max + 1)
-    s = [mpz(0)] * (n_max + 1)
-    y[1] = mpz(1)
-    for n in range(1, n_max + 1):
-        s[n] = _divisor_sum(y, n)
-        if n < n_max:
-            m = n + 1
-            tot = mpz(0)
-            for k in range(1, m):
-                tot += s[k] * y[m - k]
-            y[m] = tot // (m - 1)
-    return CountTable(n_max, tuple(y), tuple(s))
+def _load(m, path):
+    """Rows 0..m of a cache file, or None after removing a file that fails the check."""
+    with open(path) as fh:
+        try:
+            rows = [mpz(line.strip()) for line in fh]
+        except ValueError:  # a line that is not a decimal
+            rows = []
+    if len(rows) == m + 1 and _recurrence_holds(rows):
+        return rows
+    os.remove(path)
+    return None
 
 
-def _table_from_y(n_max, y):
-    s = [mpz(0)] + [_divisor_sum(y, n) for n in range(1, n_max + 1)]
-    return CountTable(n_max, tuple(y), tuple(s))
+def _recurrence_holds(y):
+    """y_0 = 0, y_1 = 1, and the Euler recurrence modulo CHECK_PRIME at every row."""
+    if y[:2] != [0, 1]:
+        return False
+    p = CHECK_PRIME
+    n = np.arange(len(y), dtype=np.int64)
+    r = np.array([int(v % p) for v in y], dtype=np.int64)
+    dy = n * r % p
+    s = np.zeros_like(r)
+    for d in range(1, len(y)):
+        s[d::d] += dy[d]
+    conv = np.convolve(s % p, r)[: len(y)]
+    return bool(np.array_equal((n - 1) * r % p, conv % p))
 
 
-@lru_cache(maxsize=8)
-def _counts_cached(n_max):
-    return _count_trees_raw(n_max)
+def _extend(n_max):
+    """Grow the table to rows 0..n_max by the Euler recurrence."""
+    y = _rows
+    s = [0] * n_max  # s[k] sums d * y_d over the divisors d <= m of k
+    for m in range(1, n_max + 1):
+        if m == len(y):
+            y.append(sum(map(mul, s[1:m], y[m - 1:0:-1])) // (m - 1))
+        for k in range(m, n_max, m):
+            s[k] += m * y[m]
+
+
+def _save(cache_dir, n_max):
+    """Write rows 0..n_max as counts_<n_max>.txt."""
+    os.makedirs(cache_dir, exist_ok=True)
+    path = os.path.join(cache_dir, f"counts_{n_max}.txt")
+    with open(path + ".tmp", "w") as fh:
+        fh.write("\n".join(map(str, _rows[: n_max + 1])))
+    os.replace(path + ".tmp", path)
 
 
 def tree_series(N, ring=EXACT, scale=1.0):
-    """The tree generating function y(x) as a truncated series."""
-    if N < 1:
-        raise UsageError("tree_series requires N >= 1")
-    table = _counts_cached(N)
-    if ring == EXACT:
-        return TruncatedSeries([int(c) for c in table.y], N, EXACT)
-    return TruncatedSeries([int(c) for c in table.y], N, EXACT).to_double(scale)
+    """The tree generating function y(x) as a truncated series, from the count table."""
+    y = TruncatedSeries([int(c) for c in count_trees(N).y], N, EXACT)
+    return y if ring == EXACT else y.to_double(scale)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,3 @@ class AccuracyError(RuntimeError):
     Typically raised when a series truncation order is too small for the
     evaluation point; the fix is to recompute with a larger order.
     """
-
-
-class VerificationError(RuntimeError):
-    """The acceptance suite found a failing criterion."""

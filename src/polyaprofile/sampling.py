@@ -461,6 +461,10 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
     """
     if spec.samples < 1:
         raise UsageError("samples must be >= 1")
+    if any(d < 1 for d in spec.degrees):
+        raise UsageError(f"degrees must be >= 1, got {spec.degrees}")
+    if not all(math.isfinite(k) and k >= 0 for k in spec.kappas):
+        raise UsageError(f"kappas must be finite and >= 0, got {spec.kappas}")
     if table is None:
         table = count_trees(spec.n, cache_dir=cache_dir)
     sampler = TreeSampler(table)

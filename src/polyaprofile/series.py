@@ -29,7 +29,6 @@ and all operations are pure, so instances are safe to share across workers.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -273,18 +272,6 @@ class TruncatedSeries:
                             acc[m * i] += wi * c[m]
         return [self.copy_with(acc) for acc in sums]
 
-    def polya_exponent(self):
-        """sum_{i>=1} a(x**i)/i, defined when the constant term vanishes."""
-        if not self._is_zero_const():
-            raise DomainError("polya_exponent requires zero constant term")
-        acc = self
-        for i in range(2, self.order + 1):
-            sub = self.substitute_power(i)
-            if not any(sub.coeffs):
-                break
-            acc = acc + sub.scalar_div(i)
-        return acc
-
     def _is_zero_const(self):
         c0 = self.coeffs[0]
         return c0 == 0
@@ -355,25 +342,6 @@ class TruncatedSeries:
             sign = -sign
         mag = _log_abs(c) + n * math.log(abs(x0))
         return sign * math.exp(mag) if mag > -745.0 else 0.0
-
-    # -- serialization -------------------------------------------------------
-    def to_json(self):
-        if self.ring != EXACT:
-            raise UsageError("only exact series serialize to JSON")
-        pairs = []
-        for c in self.coeffs:
-            f = Fraction(c)
-            pairs.append([str(f.numerator), str(f.denominator)])
-        return json.dumps({"order": self.order, "ring": self.ring, "coeffs": pairs})
-
-    @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        coeffs = []
-        for num, den in obj["coeffs"]:
-            f = Fraction(int(num), int(den))
-            coeffs.append(int(f) if f.denominator == 1 else f)
-        return cls(coeffs, obj["order"], obj["ring"])
 
     def to_double(self, scale=1.0):
         """Exact -> double conversion dividing out the given geometric scale."""

@@ -7,6 +7,9 @@ from polyaprofile.constants import compute_constants
 from polyaprofile.enumeration import count_trees
 
 CACHE_DIR = os.path.join(os.path.dirname(__file__), ".cache")
+# The CLI's count cache, for CliRunner calls and CLI subprocesses alike: a
+# stale file in the user's cache must not change what the tests see.
+os.environ["POLYAPROFILE_CACHE"] = CACHE_DIR
 
 
 @pytest.fixture(scope="session")

@@ -127,14 +127,14 @@ def test_usage_error_exit_code():
     assert res.exit_code == 2
 
 
-def run_process(*args):
+def run_process(*args, **env):
     """The CLI in a fresh interpreter: (exit code, stdout and stderr)."""
     src = os.path.dirname(os.path.dirname(polyaprofile.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "polyaprofile.cli", *args],
         capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
     )
     return proc.returncode, proc.stdout + proc.stderr
 
@@ -151,6 +151,42 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     assert "Traceback" not in out
     assert out.startswith("usage error: ")
     assert "cycle_index_apply" not in out
+
+
+@pytest.mark.parametrize("args", [
+    ("montecarlo", "--n", "10", "--samples", "5", "--degrees", "abc"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--kappas", "x"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--t-grid", "a"),
+    ("limits", "--what", "psi", "--t-grid", "a"),
+    ("limits", "--what", "corr", "--n-list", "x"),
+    ("constants", "--degrees", "abc"),
+    ("verify", "--quick", "--criteria", "abc"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--degrees", "0"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--kappas", "-1"),
+    ("sample", "--n", "5", "--samples", "0"),
+    ("sample", "--n", "5", "--samples", "-1"),
+    ("verify", "--quick", "--criteria", "99"),
+], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
+        "constants-degrees-abc", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
+        "sample-0", "sample-neg", "verify-criteria-99"])
+def test_bad_lists_and_values_exit_2_without_traceback(args):
+    code, out = run_process(*args)
+    assert code == 2
+    assert "Traceback" not in out
+    assert out.startswith("usage error: ")
+
+
+def test_sample_with_corrupt_cache_file(tmp_path):
+    # y_4 = 5 in the cache file: the loader's check rejects it and rebuilds
+    clean, bad = tmp_path / "clean", tmp_path / "bad"
+    bad.mkdir()
+    (bad / "counts_4.txt").write_text("\n".join(["0", "1", "1", "2", "5"]))
+    args = ("sample", "--n", "4", "--samples", "3", "--seed", "1", "--no-timestamp")
+    code, out = run_process(*args, POLYAPROFILE_CACHE=str(bad))
+    assert code == 0
+    assert "Traceback" not in out
+    assert run_process(*args, POLYAPROFILE_CACHE=str(clean)) == (0, out)
+    assert (bad / "counts_4.txt").read_text() == (clean / "counts_4.txt").read_text()
 
 
 def test_accuracy_error_exit_code():

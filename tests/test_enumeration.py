@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from polyaprofile import enumeration
 from polyaprofile.enumeration import (
     canonical_shape,
     count_trees,
@@ -37,8 +38,9 @@ def test_tree_series_requires_positive(N):
 
 def test_euler_transform_recurrence_holds():
     t = count_trees(40)
+    s = [sum(d * t.y[d] for d in range(1, k + 1) if k % d == 0) for k in range(41)]
     for n in range(2, 41):
-        assert (n - 1) * t.y[n] == sum(t.s[k] * t.y[n - k] for k in range(1, n))
+        assert (n - 1) * t.y[n] == sum(s[k] * t.y[n - k] for k in range(1, n))
 
 
 def test_counts_match_exhaustive():
@@ -60,13 +62,103 @@ def test_exhaustive_size_cap():
         enumerate_trees_exhaustive(11)
 
 
-def test_count_table_disk_cache_roundtrip(tmp_path):
+# ---------------------------------------------------------------------------
+# the process-wide table and its disk cache
+# ---------------------------------------------------------------------------
+
+def _forbidden(*args):
+    raise AssertionError("the count table should not have done this")
+
+
+@pytest.fixture
+def empty_table(monkeypatch):
+    """Empty the process-wide table, so that the next request misses memory."""
+
+    def reset():
+        monkeypatch.setattr(enumeration, "_rows", [0, 1])
+
+    reset()
+    return reset
+
+
+def test_count_table_disk_cache_roundtrip(tmp_path, empty_table, monkeypatch):
     fresh = count_trees(80)
+    empty_table()
     cached_write = count_trees(80, cache_dir=str(tmp_path))
-    cached_read = count_trees(80, cache_dir=str(tmp_path))
     assert (tmp_path / "counts_80.txt").exists()
+    empty_table()
+    monkeypatch.setattr(enumeration, "_extend", _forbidden)
+    cached_read = count_trees(80, cache_dir=str(tmp_path))
     assert list(cached_write.y) == list(fresh.y) == list(cached_read.y)
-    assert list(cached_read.s) == list(fresh.s)
+
+
+def test_request_within_the_table_runs_no_step_and_reads_no_file(tmp_path, monkeypatch):
+    count_trees(50)
+    (tmp_path / "counts_50.txt").write_text("not a count table")
+    for name in ("_extend", "_cached_file", "_load", "_save"):
+        monkeypatch.setattr(enumeration, name, _forbidden)
+    for n in (1, 13, 50):
+        t = count_trees(n, cache_dir=str(tmp_path))
+        assert t.n_max == n and len(t.y) == n + 1
+    assert list(count_trees(13).y) == A000081
+    assert tree_series(13).coeffs == A000081
+    assert [p.name for p in tmp_path.iterdir()] == ["counts_50.txt"]
+
+
+def test_each_request_returns_exactly_its_rows(empty_table):
+    for n in (1, 2, 3, 5, 4, 13):
+        assert list(count_trees(n).y) == A000081[: n + 1]
+
+
+def test_larger_cache_file_is_reused(tmp_path, empty_table, monkeypatch):
+    count_trees(80, cache_dir=str(tmp_path))
+    want = list(count_trees(40).y)
+    empty_table()
+    monkeypatch.setattr(enumeration, "_extend", _forbidden)
+    assert list(count_trees(40, cache_dir=str(tmp_path)).y) == want
+    assert [p.name for p in tmp_path.iterdir()] == ["counts_80.txt"]
+    # the whole file entered the table: the next request needs no disk
+    monkeypatch.setattr(enumeration, "_load", _forbidden)
+    assert len(count_trees(80, cache_dir=str(tmp_path)).y) == 81
+
+
+def test_smallest_sufficient_cache_file_is_read(tmp_path, empty_table, monkeypatch):
+    count_trees(80, cache_dir=str(tmp_path))
+    (tmp_path / "counts_20.txt").write_text("\n".join(map(str, count_trees(20).y)))
+    empty_table()
+    monkeypatch.setattr(enumeration, "_extend", _forbidden)
+    assert list(count_trees(13, cache_dir=str(tmp_path)).y) == A000081
+    assert len(enumeration._rows) == 21
+    assert len(count_trees(40, cache_dir=str(tmp_path)).y) == 41
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts_20.txt", "counts_80.txt"]
+
+
+def _corrupt(rows, kind):
+    lines = [str(v) for v in rows]
+    if kind == "wrong-digit":
+        lines[4] = "5"
+    elif kind == "wrong-last-row":
+        lines[-1] = str(rows[-1] + 1)
+    elif kind == "non-digit":
+        lines[7] = "48x"
+    elif kind == "truncated":
+        lines = lines[:9]
+    elif kind == "y1-is-2":  # every row satisfies the recurrence, from y_1 = 2
+        lines = [str(v) for v in (0, 2, 4, 14, 52, 214, 916, 4116, 18996, 89894, 433196,
+                                  2119904, 10503612, 52594476)]
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kind", ["wrong-digit", "wrong-last-row", "non-digit", "truncated",
+                                  "y1-is-2"])
+@pytest.mark.parametrize("n", [13, 10])
+def test_corrupt_cache_file_is_rebuilt(tmp_path, empty_table, kind, n):
+    (tmp_path / "counts_13.txt").write_text(_corrupt(A000081, kind))
+    assert list(count_trees(n, cache_dir=str(tmp_path)).y) == A000081[: n + 1]
+    # the failed file is replaced by a correct counts_<n>.txt
+    assert [p.name for p in tmp_path.iterdir()] == [f"counts_{n}.txt"]
+    rows = (tmp_path / f"counts_{n}.txt").read_text().split("\n")
+    assert rows == [str(v) for v in A000081[: n + 1]]
 
 
 # ---------------------------------------------------------------------------
