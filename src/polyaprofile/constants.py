@@ -349,6 +349,8 @@ def _half_b2rho(rho, N):
 
 def compute_constants(N=400, degrees=range(1, 11)):
     """All constants in one pass; reproducible bit-identically for fixed N."""
+    if any(d < 1 for d in degrees):
+        raise UsageError(f"degrees must be >= 1, got {sorted(degrees)}")
     t0 = time.monotonic()
     rho, rho_err = compute_rho(N)
     b, b_err = compute_b(rho, N)

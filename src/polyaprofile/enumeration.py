@@ -6,12 +6,17 @@ Counts come from the Euler-transform recurrence
 
 which is the coefficient form of the functional equation
 y(x) = x exp(sum_i y(x^i)/i).  Everything downstream (sampler weights,
-profile recurrences, constants) is built on these exact integers; gmpy2 is
-used for the big-integer arithmetic when available.
+profile recurrences, constants) is built on these exact integers; the rows
+are gmpy2 integers when gmpy2 is available.
 
 The counts live in one process-wide table that only grows; ``count_trees``
-and ``tree_series`` both read it.  Its disk cache is checked row by row
-against the recurrence modulo a prime when it is loaded.
+and ``tree_series`` both read it.  It is built multi-modularly (von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5): the recurrence runs in
+numpy modulo primes just below 2^20, and the CRT rebuilds each y_n.  A cold
+build takes about 0.25 s at n = 1600 and 13 s at n = 6400 on a 2-CPU host,
+against 1.0 s and 302 s for the Python-integer recurrence it replaced.  Its
+disk cache is checked row by row against the recurrence modulo a prime when
+it is loaded.
 
 Degree convention: planted.  Every vertex, the root included, has degree
 1 + (number of children), the root's extra edge going to a phantom node that
@@ -22,10 +27,12 @@ from __future__ import annotations
 
 import os
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
+from math import isqrt, prod
 from operator import mul
 
 import numpy as np
@@ -44,6 +51,9 @@ EXHAUSTIVE_MAX = 10
 # 2^20, so every product in the int64 convolution is below 2^40 and the sums
 # stay exact for tables far beyond any size used here.
 CHECK_PRIME = 1048573
+# Batches of this many primes share one recurrence pass (see _extend).
+_PRIME_BATCH = 64
+_SIEVE_WINDOW = 4096
 _CACHE_NAME = re.compile(r"counts_(\d+)\.txt")
 
 # The process-wide count table: _rows[n] = y_n.  It only grows.
@@ -63,9 +73,9 @@ def count_trees(n_max, cache_dir=None):
 
     On a miss the table takes every row of the smallest ``counts_<m>.txt`` in
     ``cache_dir`` with m >= n_max that passes the check; otherwise it extends
-    itself and writes ``counts_<n_max>.txt``.  The disk cache exists because
-    the O(n^2) big-integer convolution takes about 300 s at n_max = 6400 with
-    Python integers (302 s measured on a 2-CPU host, Python 3.11, no gmpy2).
+    itself and writes ``counts_<n_max>.txt``.  A cold build of n_max = 6400
+    takes about 13 s (2-CPU host, Python 3.11, numpy 2.4, no gmpy2) and a load
+    of its file about 0.3 s, which is why the disk cache stays.
     """
     if n_max < 1:
         raise UsageError(f"tree counts need a size n >= 1, got {n_max}")
@@ -121,23 +131,100 @@ def _recurrence_holds(y):
 
 
 def _extend(n_max):
-    """Grow the table to rows 0..n_max by the Euler recurrence."""
-    y = _rows
-    s = [0] * n_max  # s[k] sums d * y_d over the divisors d <= m of k
-    for m in range(1, n_max + 1):
-        if m == len(y):
-            y.append(sum(map(mul, s[1:m], y[m - 1:0:-1])) // (m - 1))
-        for k in range(m, n_max, m):
-            s[k] += m * y[m]
+    """Rebuild rows 0..n_max multi-modularly and append the rows the table lacks.
+
+    Each batch of ``_build_primes`` runs the Euler recurrence for every row
+    (``_residues``) and is folded into each y_m by the CRT (the batch's own
+    basis (M/p)((M/p)^-1 mod p), then Garner's step onto the product of the
+    earlier batches).  Row m takes no more batches once their product exceeds
+    4^m > y_m.  The rows already in the table must equal the rebuilt prefix.
+    """
+    primes = _build_primes(n_max)
+    y = [0] * (n_max + 1)
+    modulus = 1  # product of the batches folded in so far
+    for start in range(0, len(primes), _PRIME_BATCH):
+        batch = primes[start:start + _PRIME_BATCH]
+        residues = _residues(batch, n_max)
+        step = prod(batch)
+        basis = [step // p * pow(step // p, -1, p) for p in batch]
+        lift = pow(modulus, -1, step)
+        # rows m with 4^m < modulus are already exact
+        for m in range(((modulus - 1).bit_length() + 1) // 2, n_max + 1):
+            z = sum(map(mul, residues[m].astype(np.int64).tolist(), basis))
+            y[m] += modulus * ((z - y[m]) % step * lift % step)
+        modulus *= step
+    for m, (old, new) in enumerate(zip(_rows, y)):
+        if old != new:
+            raise UsageError(f"the count table holds a wrong y_{m}, which passed the check "
+                             "of a loaded counts_<n>.txt; delete that file")
+    _rows.extend(map(mpz, y[len(_rows):]))
+
+
+def _build_primes(n_max):
+    """The primes of the multi-modular build of rows 0..n_max, largest first.
+
+    They make the build exact:
+    - each prime exceeds n_max, so every divisor m - 1 < n_max is invertible;
+    - (n_max - 1)(p - 1)^2 <= 2^53, so ``_residues``' dot sums of residue
+      products are exact in float64 (primes just below 2^20 up to n_max = 8193,
+      smaller ones past that);
+    - their product exceeds 4^n_max.  A rooted unlabelled tree has a distinct
+      plane embedding, so y_m <= Catalan(m - 1) < 4^m, and the CRT recovers y_m.
+    """
+    top = min(1 << 20, isqrt((1 << 53) // max(n_max - 1, 1)) + 2)
+    primes, product = [], 1
+    for hi in range(top, n_max + 1, -_SIEVE_WINDOW):  # sieve [lo, hi), top down
+        lo = max(hi - _SIEVE_WINDOW, n_max + 1)
+        is_prime = np.ones(hi - lo, dtype=bool)
+        for q in range(2, isqrt(hi - 1) + 1):
+            is_prime[max(q * q, -(-lo // q) * q) - lo::q] = False
+        for p in (np.flatnonzero(is_prime)[::-1] + lo).tolist():
+            primes.append(p)
+            product *= p
+            if product >> 2 * n_max:
+                return primes
+    raise UsageError(f"no set of primes builds a count table of n = {n_max} exactly")
+
+
+def _residues(primes, n_max):
+    """y_m mod p for each m <= n_max and p in primes, as a float64 array [m, prime].
+
+    The Euler recurrence runs for all the primes at once in float64, which is
+    exact: every stored value is a residue below p, so each dot sum is below
+    (n_max - 1) p^2 <= 2^53 (see ``_build_primes``).  y is kept reversed
+    (column n_max - k holds y_k), so y_{m-1}, ..., y_1 is one contiguous slice.
+    """
+    ints = np.array(primes, dtype=np.int64)
+    p = ints.astype(np.float64)
+    cols = np.arange(len(primes))
+    inv = np.ones((n_max, len(primes)))  # inv[i] = i^-1 mod p
+    for i in range(2, n_max):
+        q, r = np.divmod(ints, i)
+        inv[i] = -q * inv[r, cols] % p
+    y = np.zeros((len(primes), n_max + 1))
+    s = np.zeros_like(y)  # s[:, k] = sum of d y_d over the divisors d of k seen so far
+    y[:, n_max - 1] = 1
+    s[:, 1:] = 1
+    for m in range(2, n_max + 1):
+        dot = np.einsum("ij,ij->i", s[:, 1:m], y[:, n_max - m + 1:n_max])
+        ym = dot % p * inv[m - 1] % p
+        y[:, n_max - m] = ym
+        multiples = s[:, m::m]
+        multiples += m * ym[:, None]
+        np.remainder(multiples, p[:, None], out=multiples)
+    return y[:, ::-1].T
 
 
 def _save(cache_dir, n_max):
-    """Write rows 0..n_max as counts_<n_max>.txt."""
-    os.makedirs(cache_dir, exist_ok=True)
+    """Write rows 0..n_max as counts_<n_max>.txt; warn on stderr if that fails."""
     path = os.path.join(cache_dir, f"counts_{n_max}.txt")
-    with open(path + ".tmp", "w") as fh:
-        fh.write("\n".join(map(str, _rows[: n_max + 1])))
-    os.replace(path + ".tmp", path)
+    try:
+        os.makedirs(cache_dir, exist_ok=True)
+        with open(path + ".tmp", "w") as fh:
+            fh.write("\n".join(map(str, _rows[: n_max + 1])))
+        os.replace(path + ".tmp", path)
+    except OSError as exc:
+        print(f"warning: count table not cached: {exc}", file=sys.stderr)
 
 
 def tree_series(N, ring=EXACT, scale=1.0):

@@ -127,15 +127,20 @@ def test_usage_error_exit_code():
     assert res.exit_code == 2
 
 
-def run_process(*args, **env):
-    """The CLI in a fresh interpreter: (exit code, stdout and stderr)."""
+def cli_process(*args, **env):
+    """The CLI in a fresh interpreter, as a finished ``subprocess.CompletedProcess``."""
     src = os.path.dirname(os.path.dirname(polyaprofile.__file__))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "polyaprofile.cli", *args],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": path, **env},
     )
+
+
+def run_process(*args, **env):
+    """The CLI in a fresh interpreter: (exit code, stdout and stderr)."""
+    proc = cli_process(*args, **env)
     return proc.returncode, proc.stdout + proc.stderr
 
 
@@ -160,6 +165,7 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("limits", "--what", "psi", "--t-grid", "a"),
     ("limits", "--what", "corr", "--n-list", "x"),
     ("constants", "--degrees", "abc"),
+    ("constants", "--degrees", "0"),
     ("verify", "--quick", "--criteria", "abc"),
     ("montecarlo", "--n", "10", "--samples", "5", "--degrees", "0"),
     ("montecarlo", "--n", "10", "--samples", "5", "--kappas", "-1"),
@@ -167,7 +173,7 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("sample", "--n", "5", "--samples", "-1"),
     ("verify", "--quick", "--criteria", "99"),
 ], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
-        "constants-degrees-abc", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
+        "constants-degrees-abc", "constants-degrees-0", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
         "sample-0", "sample-neg", "verify-criteria-99"])
 def test_bad_lists_and_values_exit_2_without_traceback(args):
     code, out = run_process(*args)
@@ -187,6 +193,20 @@ def test_sample_with_corrupt_cache_file(tmp_path):
     assert "Traceback" not in out
     assert run_process(*args, POLYAPROFILE_CACHE=str(clean)) == (0, out)
     assert (bad / "counts_4.txt").read_text() == (clean / "counts_4.txt").read_text()
+
+
+def test_unwritable_cache_warns_once_and_keeps_stdout(tmp_path):
+    # the cache directory sits under a regular file, so it cannot be created
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    args = ("sample", "--n", "5", "--samples", "3", "--seed", "1", "--no-timestamp")
+    bad = cli_process(*args, POLYAPROFILE_CACHE=str(blocker / "sub"))
+    good = cli_process(*args, POLYAPROFILE_CACHE=str(tmp_path / "cache"))
+    assert bad.returncode == good.returncode == 0
+    assert bad.stdout == good.stdout
+    assert "Traceback" not in bad.stderr
+    assert bad.stderr.count("warning:") == 1
+    assert good.stderr == ""
 
 
 def test_accuracy_error_exit_code():

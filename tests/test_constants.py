@@ -45,6 +45,12 @@ def test_rho_requires_minimum_order():
         compute_rho(50)
 
 
+@pytest.mark.parametrize("degrees", [(0,), (1, -2)], ids=["0", "1,-2"])
+def test_constants_reject_degrees_below_one(degrees):
+    with pytest.raises(UsageError, match="degrees must be >= 1"):
+        compute_constants(400, degrees=degrees)
+
+
 def test_b_reproduction(constants_400):
     assert abs(constants_400.b - B_REF) <= 1e-2
 

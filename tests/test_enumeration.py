@@ -1,5 +1,7 @@
 from fractions import Fraction
 from itertools import permutations
+from math import isqrt, prod
+from operator import mul
 
 import pytest
 
@@ -131,6 +133,51 @@ def test_smallest_sufficient_cache_file_is_read(tmp_path, empty_table, monkeypat
     assert len(enumeration._rows) == 21
     assert len(count_trees(40, cache_dir=str(tmp_path)).y) == 41
     assert sorted(p.name for p in tmp_path.iterdir()) == ["counts_20.txt", "counts_80.txt"]
+
+
+# ---------------------------------------------------------------------------
+# the multi-modular build against the Python-integer recurrence
+# ---------------------------------------------------------------------------
+
+def _euler_counts(n_max):
+    """y_0..y_{n_max} by the Euler recurrence in Python integers: the oracle."""
+    y = [0, 1]
+    s = [0] * n_max  # s[k] sums d * y_d over the divisors d <= m of k
+    for m in range(1, n_max + 1):
+        if m == len(y):
+            y.append(sum(map(mul, s[1:m], y[m - 1:0:-1])) // (m - 1))
+        for k in range(m, n_max, m):
+            s[k] += m * y[m]
+    return y
+
+
+def test_build_in_one_jump_matches_the_oracle(empty_table):
+    assert list(count_trees(400).y) == _euler_counts(400)
+
+
+def test_build_in_small_steps_matches_the_oracle(empty_table):
+    oracle = _euler_counts(400)
+    for n in (5, 13, 65, 400):
+        assert list(count_trees(n).y) == oracle[: n + 1]
+
+
+@pytest.mark.parametrize("n", [1, 2, 400, 6400, 10**5])
+def test_build_primes_make_the_build_exact(n):
+    primes = enumeration._build_primes(n)
+    small = [q for q in range(2, 1025) if all(q % r for r in range(2, isqrt(q) + 1))]
+    assert all(p % q for p in primes for q in small if q * q <= p)
+    assert len(set(primes)) == len(primes)
+    assert prod(primes) > 4**n  # y_m < 4^m for every row m <= n
+    assert min(primes) > n  # every divisor m - 1 is invertible
+    assert (n - 1) * (max(primes) - 1) ** 2 <= 2**53  # float64 dot sums are exact
+
+
+def test_wrong_row_in_the_table_stops_the_build(monkeypatch):
+    bad = A000081[:6] + [A000081[6] + enumeration.CHECK_PRIME]  # passes the load check
+    monkeypatch.setattr(enumeration, "_rows", bad[:])
+    with pytest.raises(UsageError, match="y_6"):
+        count_trees(20)
+    assert enumeration._rows == bad
 
 
 def _corrupt(rows, kind):
