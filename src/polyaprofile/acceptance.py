@@ -348,7 +348,7 @@ def criterion_8(ctx):
         table = ctx.table(max(n, 7))
         rng = sampling_mod.derive_rng(ctx.seed, 800 + i)
         counts = sampling_mod.sample_class_counts(n, samples, rng, table=table)
-        classes = int(table.y[n])
+        classes = table.y[n]
         stat, dof, p = sampling_mod.chi_square_uniform(counts, classes, samples)
         notes.append(f"n={n}: chi2={stat:.1f} dof={dof} p={p:.4f}")
         ok = ok and p >= 1e-3

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -140,14 +141,20 @@ def constants_cmd(order_, degrees, out):
 
 
 def _parse_list(text, option, convert=int):
-    """Comma-separated ``convert`` values; ``lo..hi`` is an integer range."""
+    """Comma-separated ``convert`` values; ``lo..hi`` is an integer range.
+
+    Floats must be finite.
+    """
     try:
         if convert is int and ".." in text:
             lo, hi = text.split("..")
             return tuple(range(int(lo), int(hi) + 1))
-        return tuple(convert(p) for p in text.split(",") if p)
+        values = tuple(convert(p) for p in text.split(",") if p)
     except ValueError:
         raise UsageError(f"{option} expects a comma-separated list, got {text!r}") from None
+    if convert is float and not all(map(math.isfinite, values)):
+        raise UsageError(f"{option} expects finite numbers, got {text!r}")
+    return values
 
 
 @main.command("profile-exact")

@@ -45,6 +45,8 @@ from .series import TruncatedSeries
 APPROX_RADIUS = 0.3383218568992077
 
 _SQRT2 = math.sqrt(2.0)
+# C^{(d)}(rho) is solved on the value grid rho^1..rho^_POWERS; rho^200 < 1e-94.
+_POWERS = 200
 
 
 @dataclass
@@ -148,16 +150,16 @@ def compute_rho(N, tol=1e-14):
 # b
 # ---------------------------------------------------------------------------
 
-def _ladder_points(y, rho, j_lo=3, rel_tail=1e-3):
-    """Rungs x_j = rho (1 - 2^-j) whose series tail pollutes (1-y) by < rel_tail."""
+def _ladder_points(y, rho):
+    """Rungs x_j = rho (1 - 2^-j), j >= 3, whose series tail pollutes (1-y) by < 1e-3."""
     pts = []
-    for j in range(j_lo, 40):
+    for j in range(3, 40):
         x = rho * (1.0 - 2.0**-j)
         v, e = y.evaluate(x)
         one_minus = 1.0 - v
         if one_minus <= 0:
             break
-        if 2.0 * e / one_minus > rel_tail:
+        if 2.0 * e / one_minus > 1e-3:
             break
         pts.append((j, x, v, e))
     return pts
@@ -244,11 +246,11 @@ def compute_C(rho, N, return_partials=False):
 # C_d via the derivative recurrence solved at rho
 # ---------------------------------------------------------------------------
 
-def _y_values_on_powers(y, rho, M):
-    """y(rho^m) for m = 1..M with y(rho) = 1 imposed exactly."""
-    vals = [0.0] * (M + 1)
+def _y_values_on_powers(y, rho):
+    """y(rho^m) for m = 1.._POWERS with y(rho) = 1 imposed exactly."""
+    vals = [0.0] * (_POWERS + 1)
     vals[1] = 1.0
-    for m in range(2, M + 1):
+    for m in range(2, _POWERS + 1):
         x = rho**m
         if x < 1e-300:
             break
@@ -264,13 +266,15 @@ def _cycle_index_values(d, svals):
     return Z[d]
 
 
-def c_d_rho_solve(d, rho, yvals, M=200):
+def c_d_rho_solve(d, rho, yvals):
     """C^{(d)}(rho) = gamma_0(rho) + sum_{l>=0} Gamma_l(rho).
 
     gamma_0(x) = x Z_{d-1}(y(x), ..., y(x^{d-1})) and the recurrence
     gamma_{l+1}(x) = y(x)(gamma_l(x) + sum_{i>=2} gamma_l(x^i)) is iterated on
-    the value grid {rho^m}; contributions decay like y(rho^2)^l ~ 0.13^l.
+    the value grid {rho^m}, m <= M, where yvals[m] = y(rho^m);
+    contributions decay like y(rho^2)^l ~ 0.13^l.
     """
+    M = len(yvals) - 1
     g = [0.0] * (M + 1)
     for m in range(1, M + 1):
         if rho**m < 1e-280:
@@ -318,7 +322,7 @@ def c_d_rho_ladder(d, rho, N):
     return 2.0 * r1bc - r1ab
 
 
-def compute_Cd(d, rho, b, N, M=200):
+def compute_Cd(d, rho, b, N):
     """C_d (with C^{(d)}(rho) = C_d rho^d) and the density mu_d = 2 C_d rho^d/(b^2 rho).
 
     Returns (C_d, mu_d, err).  The density divides by b^2 rho; to keep
@@ -329,8 +333,8 @@ def compute_Cd(d, rho, b, N, M=200):
     if d < 1:
         raise UsageError("compute_Cd requires d >= 1")
     y = tree_series(N)
-    yvals = _y_values_on_powers(y, rho, M)
-    cdr = c_d_rho_solve(d, rho, yvals, M)
+    yvals = _y_values_on_powers(y, rho)
+    cdr = c_d_rho_solve(d, rho, yvals)
     Cd = cdr / rho**d
     mu = cdr / _half_b2rho(rho, N)
     err = max(1e-12 * abs(Cd), 1e-15)
@@ -361,13 +365,13 @@ def compute_constants(N=400, degrees=range(1, 11)):
         )
     C, C_err = compute_C(rho, N)
     y = tree_series(N)
-    yvals = _y_values_on_powers(y, rho, 200)
+    yvals = _y_values_on_powers(y, rho)
     half_b2rho = _half_b2rho(rho, N)
     Cd = {}
     mu = {}
     err = {"rho": rho_err, "b": b_err, "C": C_err, "b_consistency": abs(b - b_fun)}
     for d in degrees:
-        cdr = c_d_rho_solve(d, rho, yvals, 200)
+        cdr = c_d_rho_solve(d, rho, yvals)
         Cd[d] = cdr / rho**d
         mu[d] = cdr / half_b2rho
         err[f"C_{d}"] = max(1e-12 * abs(Cd[d]), 1e-15)

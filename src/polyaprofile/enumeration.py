@@ -6,8 +6,7 @@ Counts come from the Euler-transform recurrence
 
 which is the coefficient form of the functional equation
 y(x) = x exp(sum_i y(x^i)/i).  Everything downstream (sampler weights,
-profile recurrences, constants) is built on these exact integers; the rows
-are gmpy2 integers when gmpy2 is available.
+profile recurrences, constants) is built on these exact integers.
 
 The counts live in one process-wide table that only grows; ``count_trees``
 and ``tree_series`` both read it.  It is built multi-modularly (von zur
@@ -15,8 +14,8 @@ Gathen & Gerhard, Modern Computer Algebra, ch. 5): the recurrence runs in
 numpy modulo primes just below 2^20, and the CRT rebuilds each y_n.  A cold
 build takes about 0.25 s at n = 1600 and 13 s at n = 6400 on a 2-CPU host,
 against 1.0 s and 302 s for the Python-integer recurrence it replaced.  Its
-disk cache is checked row by row against the recurrence modulo a prime when
-it is loaded.
+disk cache is checked row by row against the recurrence modulo two primes
+when it is loaded.
 
 Degree convention: planted.  Every vertex, the root included, has degree
 1 + (number of children), the root's extra edge going to a phantom node that
@@ -40,24 +39,18 @@ import numpy as np
 from .errors import UsageError
 from .series import EXACT, TruncatedSeries
 
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - gmpy2 is an optional speedup
-    mpz = int
-
 EXHAUSTIVE_MAX = 10
 
-# A loaded table is checked modulo this prime (2^20 - 3): residues stay below
-# 2^20, so every product in the int64 convolution is below 2^40 and the sums
-# stay exact for tables far beyond any size used here.
-CHECK_PRIME = 1048573
+# A loaded table is checked modulo both of these primes (2^20 - 3, 2^20 - 5),
+# so a wrong row passes only if it is off by a multiple of their product.
+CHECK_PRIMES = (1048573, 1048571)
 # Batches of this many primes share one recurrence pass (see _extend).
 _PRIME_BATCH = 64
 _SIEVE_WINDOW = 4096
 _CACHE_NAME = re.compile(r"counts_(\d+)\.txt")
 
 # The process-wide count table: _rows[n] = y_n.  It only grows.
-_rows = [mpz(0), mpz(1)]
+_rows = [0, 1]
 
 
 @dataclass(frozen=True)
@@ -74,7 +67,7 @@ def count_trees(n_max, cache_dir=None):
     On a miss the table takes every row of the smallest ``counts_<m>.txt`` in
     ``cache_dir`` with m >= n_max that passes the check; otherwise it extends
     itself and writes ``counts_<n_max>.txt``.  A cold build of n_max = 6400
-    takes about 13 s (2-CPU host, Python 3.11, numpy 2.4, no gmpy2) and a load
+    takes about 13 s (2-CPU host, Python 3.11, numpy 2.4) and a load
     of its file about 0.3 s, which is why the disk cache stays.
     """
     if n_max < 1:
@@ -106,7 +99,7 @@ def _load(m, path):
     """Rows 0..m of a cache file, or None after removing a file that fails the check."""
     with open(path) as fh:
         try:
-            rows = [mpz(line.strip()) for line in fh]
+            rows = [int(line.strip()) for line in fh]
         except ValueError:  # a line that is not a decimal
             rows = []
     if len(rows) == m + 1 and _recurrence_holds(rows):
@@ -116,17 +109,27 @@ def _load(m, path):
 
 
 def _recurrence_holds(y):
-    """y_0 = 0, y_1 = 1, and the Euler recurrence modulo CHECK_PRIME at every row."""
+    """y_0 = 0, y_1 = 1, and the Euler recurrence modulo each of CHECK_PRIMES at every row.
+
+    Each row is reduced once, modulo the primes' product.  Residues are below
+    2^20, so each convolution sum is below len(y) 2^40: exact in float64 up to
+    len(y) = 8192 (``_residues``' bound), in int64 beyond.
+    """
     if y[:2] != [0, 1]:
         return False
-    p = CHECK_PRIME
-    n = np.arange(len(y), dtype=np.int64)
-    r = np.array([int(v % p) for v in y], dtype=np.int64)
+    top = max(CHECK_PRIMES) - 1
+    dtype = np.float64 if len(y) * top * top <= 1 << 53 else np.int64
+    q = prod(CHECK_PRIMES)
+    primes = np.array(CHECK_PRIMES, dtype=np.int64)[:, None]
+    r = (np.array([v % q for v in y], dtype=np.int64) % primes).astype(dtype)
+    p = primes.astype(dtype)
+    n = np.arange(len(y), dtype=dtype)
     dy = n * r % p
     s = np.zeros_like(r)
     for d in range(1, len(y)):
-        s[d::d] += dy[d]
-    conv = np.convolve(s % p, r)[: len(y)]
+        s[:, d::d] += dy[:, d:d + 1]
+    s %= p
+    conv = np.array([np.convolve(si, ri)[: len(y)] for si, ri in zip(s, r)])
     return bool(np.array_equal((n - 1) * r % p, conv % p))
 
 
@@ -157,7 +160,7 @@ def _extend(n_max):
         if old != new:
             raise UsageError(f"the count table holds a wrong y_{m}, which passed the check "
                              "of a loaded counts_<n>.txt; delete that file")
-    _rows.extend(map(mpz, y[len(_rows):]))
+    _rows.extend(y[len(_rows):])
 
 
 def _build_primes(n_max):
@@ -227,32 +230,27 @@ def _save(cache_dir, n_max):
         print(f"warning: count table not cached: {exc}", file=sys.stderr)
 
 
-def tree_series(N, ring=EXACT, scale=1.0):
-    """The tree generating function y(x) as a truncated series, from the count table."""
-    y = TruncatedSeries([int(c) for c in count_trees(N).y], N, EXACT)
-    return y if ring == EXACT else y.to_double(scale)
+def tree_series(N):
+    """The tree generating function y(x) as an exact truncated series, from the count table."""
+    return TruncatedSeries(count_trees(N).y, N, EXACT)
 
 
 # ---------------------------------------------------------------------------
 # cycle index of the symmetric group
 # ---------------------------------------------------------------------------
 
-def cycle_index_apply(d, args, like=None):
+def cycle_index_apply(d, args):
     """Z_d(s_1, ..., s_d) via the recurrence Z_d = (1/d) sum_r s_r Z_{d-r}.
 
     Z_0 = 1.  args may be TruncatedSeries or MarkedSeries; substituting
     s_i = y(x^i) turns Z_d into the generating function of multisets of d
-    trees.  ``like`` supplies the ring/shape when d = 0 and args is empty.
+    trees.  At least one series is needed, also for d = 0: it gives the
+    ring and shape of the result.
     """
     if d < 0:
         raise UsageError("cycle_index_apply requires d >= 0")
-    if d > 0 and len(args) < d:
-        raise UsageError(f"need s_1..s_{d}, got {len(args)} series")
-    if d == 0:
-        probe = args[0] if args else like
-        if probe is None:
-            raise UsageError("cycle_index_apply with d=0 needs a probe series")
-        return probe.one_like()
+    if len(args) < max(d, 1):
+        raise UsageError(f"need s_1..s_{max(d, 1)}, got {len(args)} series")
     Z = [args[0].one_like()]
     for m in range(1, d + 1):
         acc = args[0] * Z[m - 1]
@@ -299,7 +297,7 @@ def degree_series(d, N):
     """
     if d < 1 or N < 1:
         raise UsageError("degree_series requires d >= 1 and N >= 1")
-    y = [int(c) for c in tree_series(N).coeffs]
+    y = tree_series(N).coeffs
     zsub_series = multiset_cap_series(d, N)
     zsub = []
     for c in zsub_series.coeffs:

@@ -44,6 +44,11 @@ from . import profile
 from .errors import AccuracyError, UsageError
 
 _DEFAULT_NS = (400, 900, 1600)
+# The psi contour: two rays of length S = _RAY_LENGTH (the cut-off tail is
+# below e^{-S}, a term of the reported error) joined by an arc of radius
+# _ARC_RADIUS around 0, which eval_psi shrinks near a denominator zero.
+_RAY_LENGTH = 40.0
+_ARC_RADIUS = 1.0
 
 
 @dataclass(frozen=True)
@@ -54,14 +59,20 @@ class LimitEvaluation:
     quadrature_error: float = 0.0
 
 
+def _check_kappa(kappa):
+    """Reject a level scale kappa that is not finite or is negative."""
+    if not (math.isfinite(kappa) and kappa >= 0):
+        raise UsageError(f"kappa must be finite and >= 0, got {kappa}")
+
+
 # ---------------------------------------------------------------------------
 # characteristic function
 # ---------------------------------------------------------------------------
 
-def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, ray_length, arc_radius):
+def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, arc_radius):
     c = 0.5 * kappa * b * math.sqrt(rho)
     lam = amplitude / (b * math.sqrt(rho))
-    S, w = ray_length, arc_radius
+    S, w = _RAY_LENGTH, arc_radius
 
     def integrand(s):
         r = np.sqrt(-s)
@@ -93,20 +104,21 @@ def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, ray_length, arc_radius):
     return 1.0 + prefactor * total, min_den
 
 
-def eval_psi(t, d, kappa, constants, nodes=200, ray_length=40.0, arc_radius=1.0):
+def eval_psi(t, d, kappa, constants, nodes=200):
     """psi(t) for the limit of l_n^{(d)}(kappa); returns a LimitEvaluation.
 
     The reported quadrature error is the node-doubling difference plus the
     e^{-S} ray-truncation bound.  If the integrand's denominator comes close
     to zero on the contour the arc is shrunk and the quadrature retried.
     """
-    if kappa <= 0:
+    _check_kappa(kappa)
+    if kappa == 0:
         raise UsageError("eval_psi requires kappa > 0")
     amplitude = constants.c_d_rho_d(d)
-    radius = arc_radius
+    radius = _ARC_RADIUS
     for _ in range(6):
         val, min_den = _psi_quadrature(
-            t, amplitude, kappa, constants.b, constants.rho, nodes, ray_length, radius
+            t, amplitude, kappa, constants.b, constants.rho, nodes, radius
         )
         if min_den > 1e-6:
             break
@@ -114,9 +126,9 @@ def eval_psi(t, d, kappa, constants, nodes=200, ray_length=40.0, arc_radius=1.0)
     else:
         raise AccuracyError("could not keep the contour away from denominator zeros")
     val2, _ = _psi_quadrature(
-        t, amplitude, kappa, constants.b, constants.rho, 2 * nodes, ray_length, radius
+        t, amplitude, kappa, constants.b, constants.rho, 2 * nodes, radius
     )
-    err = abs(val2 - val) + math.exp(-ray_length)
+    err = abs(val2 - val) + math.exp(-_RAY_LENGTH)
     return LimitEvaluation(
         kind="char_fn",
         params={"t": t, "d": d, "kappa": kappa},
@@ -139,6 +151,7 @@ def cov_bracket(kappa, b, rho):
 
 def eval_cov_limit(d1, d2, kappa, constants):
     """Per-n covariance limit; the caller multiplies by n."""
+    _check_kappa(kappa)
     value = (
         constants.c_d_rho_d(d1)
         * constants.c_d_rho_d(d2)
@@ -162,6 +175,7 @@ def limit_mean(d, kappa, constants):
     as a consistency anchor, not as the primary estimate (see
     eval_limit_mean).
     """
+    _check_kappa(kappa)
     z = kappa * kappa * constants.b**2 * constants.rho
     return constants.c_d_rho_d(d) * kappa * math.exp(-z / 4.0)
 
@@ -174,6 +188,7 @@ def eval_limit_mean(d, kappa, constants, n_values=_DEFAULT_NS):
     the previous pair is the reported error, widened when the sequence is
     not monotone.
     """
+    _check_kappa(kappa)
     if len(n_values) < 2:
         raise UsageError("need at least two n values to extrapolate")
     ms = [profile.scaled_level_mean(d, n, kappa, constants.rho) for n in n_values]
@@ -205,23 +220,26 @@ def eval_limit_mean(d, kappa, constants, n_values=_DEFAULT_NS):
 # correlation convergence
 # ---------------------------------------------------------------------------
 
-def correlation_convergence_report(d1, d2, kappa, n_values, constants=None, ring="auto"):
+def correlation_convergence_report(d1, d2, kappa, n_values, constants, ring="auto"):
     """Rows (n, 1 - corr, sqrt(n) (1 - corr)) for k = floor(kappa sqrt(n)).
 
     The third column should stay roughly constant: the correlation of two
-    degree counts on one level approaches 1 at speed 1/sqrt(n).
+    degree counts on one level approaches 1 at speed 1/sqrt(n).  The double
+    ring rescales by ``constants.rho``.
     """
+    _check_kappa(kappa)
+    if any(n < 1 for n in n_values):
+        raise UsageError(f"sizes n must be >= 1, got {tuple(n_values)}")
     rows = []
     for n in n_values:
         k = int(kappa * math.sqrt(n))
         use = ring
         if ring == "auto":
             use = "exact" if n <= 200 else "double"
-        scale = (constants.rho if constants is not None else 0.3383218568992077)
         table = profile.finite_covariance(
             d1, d2, n, k,
             ring="double" if use == "double" else "exact",
-            scale=scale if use == "double" else 1.0,
+            scale=constants.rho if use == "double" else 1.0,
         )
         if table.correlation is None:
             raise AccuracyError(f"degenerate variance at n={n}, k={k}")

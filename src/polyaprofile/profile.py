@@ -67,17 +67,16 @@ def _last(progression):
     return item
 
 
-def _marked_tree_series(N, mode, order, u_cap, marks, degrees, *levels):
+def _marked_tree_series(N, mode, order, marks, degrees, *levels):
     """y(x) lifted to a marked series with ``marks`` marks, arguments checked.
 
-    mode 'full' caps each mark at min(N, u_cap) in the u basis, for whole
-    laws; mode 'moments' caps it at ``order`` in the eps basis, for
-    factorial moments.
+    mode 'full' caps each mark at N in the u basis, for whole laws; mode
+    'moments' caps it at ``order`` in the eps basis, for factorial moments.
     """
     if min(levels) < 0 or any(d is not TOTAL and d < 1 for d in degrees):
         raise UsageError("marked series need levels k, h >= 0 and degrees d >= 1")
     if mode == "full":
-        cap, basis = (min(N, u_cap) if u_cap else N), "u"
+        cap, basis = N, "u"
     elif mode == "moments":
         cap, basis = order, "eps"
     else:
@@ -112,23 +111,23 @@ def _base_level(d, y, mark, z_base=None):
     return y + (mark - y.one_like()) * zsub
 
 
-def level_series_progression(d, k_max, N, mode="full", order=2, u_cap=None):
+def level_series_progression(d, k_max, N, mode="full", order=2):
     """Yield (k, y_k) for k = 0..k_max, reusing each level for the next."""
-    y = _marked_tree_series(N, mode, order, u_cap, 1, (d,), k_max)
+    y = _marked_tree_series(N, mode, order, 1, (d,), k_max)
     return _marked_levels(_base_level(d, y, y.mark()), k_max)
 
 
-def level_degree_series(d, k, N, mode="full", order=2, u_cap=None):
+def level_degree_series(d, k, N, mode="full", order=2):
     """The one-level marked series y_k^{(d)}(x, u) truncated at x-order N.
 
-    mode 'full': coefficients are polynomials in u (cap min(N, u_cap)), the
+    mode 'full': coefficients are polynomials in u of degree at most N, the
     complete distribution.  mode 'moments': u = 1+eps nilpotent of the given
     order, carrying factorial moments E[X (X-1) ... (X-j+1)] for j <= order.
     """
-    return _last(level_series_progression(d, k, N, mode, order, u_cap))[1]
+    return _last(level_series_progression(d, k, N, mode, order))[1]
 
 
-def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
+def two_level_series(d, k, h, N, mode="full", order=2):
     """Joint marked series for levels k and k+h.
 
     mode 'full': two u-variables, exact joint distributions (small n only).
@@ -138,14 +137,14 @@ def two_level_series(d, k, h, N, mode="full", order=2, u_cap=None):
     u and level k+h by 1/u, so the x^n coefficient is
     E-numerators of binomials C(L(k) - L(k+h), j), j <= 4.
     """
-    return _last(two_level_series_progression(d, k, h, N, mode, order, u_cap))[1]
+    return _last(two_level_series_progression(d, k, h, N, mode, order))[1]
 
 
-def two_level_series_progression(d, k_max, h, N, mode="full", order=2, u_cap=None):
+def two_level_series_progression(d, k_max, h, N, mode="full", order=2):
     """Yield (k, y_{k,h}) for k = 0..k_max, reusing each level for the next."""
     tight = mode == "tightness"
     y = _marked_tree_series(N, "moments" if tight else mode, 4 if tight else order,
-                            u_cap, 1 if tight else 2, (d,), k_max, h)
+                            1 if tight else 2, (d,), k_max, h)
     mark1, mark2 = y.mark(), (y.mark(-1) if tight else y.mark(v=1))
     if h == 0:
         # both marks sit on the same level: one marking variable u1 u2
@@ -158,7 +157,7 @@ def two_level_series_progression(d, k_max, h, N, mode="full", order=2, u_cap=Non
     return _marked_levels(base, k_max)
 
 
-def mixed_degree_series(d1, d2, k, N, mode="full", order=1, u_cap=None):
+def mixed_degree_series(d1, d2, k, N, mode="full", order=1):
     """Joint marked series for degrees d1 and d2 on the same level k.
 
     Base case: y + (u-1) x Z_{d1-1}(y(x), ...) + (v-1) x Z_{d2-1}(y(x), ...),
@@ -168,7 +167,7 @@ def mixed_degree_series(d1, d2, k, N, mode="full", order=1, u_cap=None):
     """
     if d1 == d2 or TOTAL in (d1, d2):
         raise UsageError("mixed-degree series needs two distinct degrees")
-    y = _marked_tree_series(N, mode, order, u_cap, 2, (d1, d2), k)
+    y = _marked_tree_series(N, mode, order, 2, (d1, d2), k)
     one = y.one_like()
     base = (y + (y.mark() - one) * multiset_cap_series(d1, N, base=y)
             + (y.mark(v=1) - one) * multiset_cap_series(d2, N, base=y))
@@ -398,8 +397,10 @@ def mixed_moment_from_marked(n, d, k, h, N=None):
 _STIRLING_WEIGHTS = {1: (1,), 2: (1, 2), 3: (1, 6, 6), 4: (1, 14, 36, 24)}
 
 
-def level_difference_moment(n, r, h, N=None, power=4, d=TOTAL):
+def level_difference_moment(n, r, h, N=None, power=4):
     """E[(L(r) - L(r+h))^power] for power in {1,2,3,4}, exact rationals.
+
+    L counts every node on a level (the total profile).
 
     Works through the u / 1/u two-level marking: the eps-coefficients are
     E[C(Delta, j)] and Delta^p = sum_j S(p,j) j! C(Delta,j) (Stirling numbers
@@ -408,7 +409,7 @@ def level_difference_moment(n, r, h, N=None, power=4, d=TOTAL):
     if power not in _STIRLING_WEIGHTS:
         raise UsageError("power must be in 1..4")
     N = N if N is not None else n
-    law = _marked_law(two_level_series(d, r, h, N, mode="tightness"), n)
+    law = _marked_law(two_level_series(TOTAL, r, h, N, mode="tightness"), n)
     cs = [law.get((j, 0), Fraction(0)) for j in range(5)]
     weights = _STIRLING_WEIGHTS[power]
     return sum(w * cs[j + 1] for j, w in enumerate(weights))
@@ -426,5 +427,7 @@ def scaled_level_mean(d, n, kappa, scale):
 
 def level_grid_for(n):
     """The (r, h) tightness grid used in acceptance runs."""
+    if n < 1:
+        raise UsageError(f"the tightness grid needs a size n >= 1, got {n}")
     rt = isqrt(n)
     return [0, rt, 2 * rt], [1, max(rt // 2, 1), rt]

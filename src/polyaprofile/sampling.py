@@ -49,6 +49,10 @@ from .errors import UsageError
 _MEMO_CUTOFF = 64  # sizes with a precomputed cumulative selection table
 _RHO = 0.3383218568992077  # float weights are rescaled by rho^n: y_k rho^k = Theta(k^-1.5)
 _BAND = 1e-9  # guard band of the float guide, relative to the weight total
+# Monte Carlo runs split into this many seeded streams, merged in a fixed
+# order, so results do not depend on the thread count; another count would
+# change every seeded result.
+_CHUNKS = 16
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +144,7 @@ class TreeSampler:
         self.y = table.y
         # float guide, c = _RHO: fy[k] = y_k c^k, g[d] = d y_d c^d, cpow[m] = c^m
         log_c = math.log(_RHO)
-        fy = [0.0] + [math.exp(math.log(int(v)) + k * log_c)
+        fy = [0.0] + [math.exp(math.log(v) + k * log_c)
                       for k, v in enumerate(table.y[1:], 1)]
         self._fy = fy
         self._g = [d * f for d, f in enumerate(fy)]
@@ -161,7 +165,7 @@ class TreeSampler:
             pairs = []
             acc = 0
             for j, d, w in self._weights(n):
-                acc += int(w)
+                acc += w
                 cums.append(acc)
                 pairs.append((j, d))
             tab = (cums, pairs)
@@ -178,7 +182,7 @@ class TreeSampler:
         raise AssertionError("selection walk exhausted the weight total")
 
     def _choose(self, n, rng):
-        total = int((n - 1) * self.y[n])
+        total = (n - 1) * self.y[n]
         R = rng.randrange(total)
         if n <= _MEMO_CUTOFF:
             cums, pairs = self._selection_table(n)
@@ -252,8 +256,6 @@ class MonteCarloSpec:
     samples: int = 1000
     seed: int = 0
     tightness_grid: tuple = ()  # ((r...), (h...)) or () to skip
-    d_max_totals: int = 0       # accumulate total degree-d counts for d <= this
-    chunks: int = 16            # fixed chunk count keeps results thread-invariant
 
     def level_of(self, kappa):
         return int(kappa * math.sqrt(self.n))
@@ -281,9 +283,6 @@ class _Accumulator:
                 for h in hs:
                     g[("t4", r, h)] = 0.0
                     g[("t8", r, h)] = 0.0
-        for d in range(1, spec.d_max_totals + 1):
-            g[("tot", d)] = 0.0
-            g[("tot2", d)] = 0.0
         self.g = g
 
     def add_tree(self, profile):
@@ -313,10 +312,6 @@ class _Accumulator:
                     w = float(delta) ** 4
                     g[("t4", r, h)] += w
                     g[("t8", r, h)] += w * w
-        for d in range(1, spec.d_max_totals + 1):
-            tot = float(profile.degree_level_counts[d - 1].sum())
-            g[("tot", d)] += tot
-            g[("tot2", d)] += tot * tot
 
     def merge(self, other):
         self.count += other.count
@@ -377,50 +372,27 @@ class MonteCarloResult:
                     best = (est, se, r, h)
         return best
 
-    def degree_total(self, d):
-        """(estimate, stderr) of E X_n^{(d)} (total degree-d vertices)."""
-        return self._mean_se(("tot", d), ("tot2", d))
-
     def rows(self):
         """Flat rows for CSV output: one per estimated quantity."""
+
+        def row(kind, estimate, stderr, d="", kappa="", t="", r="", h=""):
+            return {"kind": kind, "n": self.spec.n, "d": d, "kappa": kappa, "t": t,
+                    "r": r, "h": h, "estimate": estimate, "stderr": stderr,
+                    "samples": self.count}
+
         out = []
         for d in self.spec.degrees:
             for kap in self.spec.kappas:
-                est, se = self.mean(d, kap)
-                out.append(
-                    {"kind": "mean", "n": self.spec.n, "d": d, "kappa": kap,
-                     "t": "", "r": "", "h": "", "estimate": est, "stderr": se,
-                     "samples": self.count}
-                )
+                out.append(row("mean", *self.mean(d, kap), d=d, kappa=kap))
                 for t in self.spec.t_values:
                     z, se = self.char_function(d, kap, t)
-                    out.append(
-                        {"kind": "ecf_re", "n": self.spec.n, "d": d, "kappa": kap,
-                         "t": t, "r": "", "h": "", "estimate": z.real,
-                         "stderr": se, "samples": self.count}
-                    )
-                    out.append(
-                        {"kind": "ecf_im", "n": self.spec.n, "d": d, "kappa": kap,
-                         "t": t, "r": "", "h": "", "estimate": z.imag,
-                         "stderr": se, "samples": self.count}
-                    )
+                    out.append(row("ecf_re", z.real, se, d=d, kappa=kap, t=t))
+                    out.append(row("ecf_im", z.imag, se, d=d, kappa=kap, t=t))
         if self.spec.tightness_grid:
             rs, hs = self.spec.tightness_grid
             for r in rs:
                 for h in hs:
-                    est, se = self.tightness_ratio(r, h)
-                    out.append(
-                        {"kind": "tightness", "n": self.spec.n, "d": "", "kappa": "",
-                         "t": "", "r": r, "h": h, "estimate": est, "stderr": se,
-                         "samples": self.count}
-                    )
-        for d in range(1, self.spec.d_max_totals + 1):
-            est, se = self.degree_total(d)
-            out.append(
-                {"kind": "degree_total", "n": self.spec.n, "d": d, "kappa": "",
-                 "t": "", "r": "", "h": "", "estimate": est, "stderr": se,
-                 "samples": self.count}
-            )
+                    out.append(row("tightness", *self.tightness_ratio(r, h), r=r, h=h))
         return out
 
 
@@ -433,12 +405,10 @@ def _chunk_sizes(total, chunks):
 def _run_chunk(sampler, spec, chunk_index, chunk_size):
     rng = derive_rng(spec.seed, chunk_index)
     acc = _Accumulator(spec)
-    d_max = max(
-        [*spec.degrees, spec.d_max_totals] if spec.degrees or spec.d_max_totals else [1]
-    )
+    d_max = max(spec.degrees, default=1)
     for _ in range(chunk_size):
         tree = sampler.sample_tree(spec.n, rng)
-        acc.add_tree(extract_profile(tree, max(d_max, 1)))
+        acc.add_tree(extract_profile(tree, d_max))
     return acc
 
 
@@ -447,15 +417,13 @@ _FORK_STATE = {}
 
 def _forked_chunk(args):
     chunk_index, chunk_size = args
-    sampler, spec = _FORK_STATE["sampler"], _FORK_STATE["spec"]
-    acc = _run_chunk(sampler, spec, chunk_index, chunk_size)
-    return acc.count, acc.g
+    return _run_chunk(_FORK_STATE["sampler"], _FORK_STATE["spec"], chunk_index, chunk_size)
 
 
 def monte_carlo(spec, table=None, threads=1, cache_dir=None):
     """Run the experiment; deterministic for a fixed seed and any thread count.
 
-    Work is split into ``spec.chunks`` independent streams derived from
+    Work is split into ``_CHUNKS`` independent streams derived from
     (seed, chunk index); results are merged in chunk order, so the estimates
     do not depend on how chunks are scheduled.
     """
@@ -465,11 +433,18 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
         raise UsageError(f"degrees must be >= 1, got {spec.degrees}")
     if not all(math.isfinite(k) and k >= 0 for k in spec.kappas):
         raise UsageError(f"kappas must be finite and >= 0, got {spec.kappas}")
+    if not all(math.isfinite(t) for t in spec.t_values):
+        raise UsageError(f"t values must be finite, got {spec.t_values}")
+    # a repeated value would share its sums with its twin and count every tree twice
+    for name, values in (("degrees", spec.degrees), ("kappas", spec.kappas),
+                         ("t values", spec.t_values)):
+        if len(set(values)) < len(values):
+            raise UsageError(f"{name} must be distinct, got {values}")
     if table is None:
         table = count_trees(spec.n, cache_dir=cache_dir)
     sampler = TreeSampler(table)
-    sizes = _chunk_sizes(spec.samples, spec.chunks)
-    total = _Accumulator(spec)
+    chunks = list(enumerate(_chunk_sizes(spec.samples, _CHUNKS)))
+    parts = None
     if threads > 1:
         import multiprocessing as mp
 
@@ -481,17 +456,15 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
             _FORK_STATE["sampler"] = sampler
             _FORK_STATE["spec"] = spec
             try:
-                with ctx.Pool(min(threads, len(sizes))) as pool:
-                    parts = pool.map(_forked_chunk, list(enumerate(sizes)))
+                with ctx.Pool(min(threads, len(chunks))) as pool:
+                    parts = pool.map(_forked_chunk, chunks)
             finally:
                 _FORK_STATE.clear()
-            for cnt, g in parts:
-                total.count += cnt
-                for key, v in g.items():
-                    total.g[key] += v
-            return MonteCarloResult(spec, total.count, total.g)
-    for idx, size in enumerate(sizes):
-        total.merge(_run_chunk(sampler, spec, idx, size))
+    if parts is None:
+        parts = [_run_chunk(sampler, spec, idx, size) for idx, size in chunks]
+    total = _Accumulator(spec)
+    for part in parts:
+        total.merge(part)
     return MonteCarloResult(spec, total.count, total.g)
 
 

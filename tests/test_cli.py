@@ -1,11 +1,14 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyaprofile
 from polyaprofile.cli import main
@@ -172,9 +175,20 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("sample", "--n", "5", "--samples", "0"),
     ("sample", "--n", "5", "--samples", "-1"),
     ("verify", "--quick", "--criteria", "99"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--t-grid", "inf"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--t-grid", "nan"),
+    ("limits", "--what", "psi", "--t-grid", "inf"),
+    ("limits", "--what", "mean", "--kappa", "nan"),
+    ("limits", "--what", "cov", "--kappa", "-1"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--degrees", "1,1"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--t-grid", "0,0"),
+    ("montecarlo", "--n", "-1", "--samples", "5", "--tightness"),
+    ("limits", "--what", "corr", "--n-list", "-1"),
 ], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
         "constants-degrees-abc", "constants-degrees-0", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
-        "sample-0", "sample-neg", "verify-criteria-99"])
+        "sample-0", "sample-neg", "verify-criteria-99", "mc-t-grid-inf", "mc-t-grid-nan",
+        "limits-psi-t-grid-inf", "limits-mean-kappa-nan", "limits-cov-kappa-neg",
+        "mc-degrees-repeated", "mc-t-grid-repeated", "mc-n-neg-tightness", "limits-corr-n-list-neg"])
 def test_bad_lists_and_values_exit_2_without_traceback(args):
     code, out = run_process(*args)
     assert code == 2
@@ -241,3 +255,74 @@ def test_verify_failure_exit_code():
     res = CliRunner().invoke(main, ["verify", "--criteria", "6", "--no-timestamp"])
     assert res.exit_code == 4
     assert "CRITERION  6 [FAIL]" in res.output
+
+
+# ---------------------------------------------------------------------------
+# random argument vectors: every subcommand but verify, at small sizes
+# ---------------------------------------------------------------------------
+
+def _opt(name, values):
+    """Either nothing or the pair ``name value``."""
+    return st.one_of(st.just([]), _req(name, values))
+
+
+def _req(name, values):
+    return values.map(lambda v: [name, str(v)])
+
+
+def _argv(command, *parts):
+    return st.tuples(*parts).map(lambda ps: [command] + [a for p in ps for a in p])
+
+
+def _mostly(good, bad):
+    """``good`` four times in five, else ``bad``: most vectors get past validation."""
+    return st.integers(0, 4).flatmap(lambda i: bad if i == 4 else good)
+
+
+def _joined(values):
+    return st.lists(values, min_size=1, max_size=3).map(lambda v: ",".join(map(repr, v)))
+
+
+_JUNK = st.sampled_from(["abc", "1..", ",,", "1e400"])
+_SPECIAL = st.sampled_from([math.nan, math.inf, -math.inf])
+_SIZES = _mostly(st.integers(1, 12), st.integers(-2, 0))
+_DEGREES = _mostly(st.integers(1, 6), st.integers(-1, 0))
+_DEGREE_LISTS = _mostly(
+    st.one_of(_joined(st.integers(1, 6)),
+              st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda r: f"{r[0]}..{r[1]}")),
+    st.one_of(_JUNK, _joined(st.integers(-1, 6))),
+)
+_KAPPA = _mostly(st.floats(0.0, 4.0), st.one_of(_SPECIAL, st.floats(-2.0, -0.1)))
+_KAPPA_LISTS = _mostly(_joined(st.floats(0.0, 4.0)), st.one_of(_JUNK, _joined(_KAPPA)))
+_T_LISTS = _mostly(_joined(st.floats(-4.0, 4.0)), st.one_of(_JUNK, _joined(_SPECIAL)))
+_SIZE_LISTS = _mostly(_joined(st.integers(1, 12)), st.one_of(_JUNK, _joined(_SIZES)))
+_ORDER = _req("--order", st.sampled_from([200, 100, 50]))
+_SAMPLES = _mostly(st.integers(1, 4), st.integers(-1, 0))
+_SEED = st.integers(0, 99)
+
+_COMMANDS = st.one_of(
+    _argv("count", _req("--n-max", _SIZES)),
+    _argv("constants", _ORDER, _opt("--degrees", _DEGREE_LISTS)),
+    _argv("profile-exact", _req("--n", _SIZES), _req("--d", _DEGREES), _req("--k", _SIZES),
+          _opt("--h", _SIZES), _opt("--d2", _DEGREES),
+          _opt("--mode", st.sampled_from(["dist", "moments", "cov"])),
+          _opt("--format", st.sampled_from(["csv", "json"]))),
+    _argv("sample", _req("--n", _SIZES), _opt("--samples", _SAMPLES), _opt("--seed", _SEED),
+          st.just(["--no-timestamp"])),
+    _argv("montecarlo", _req("--n", _SIZES), _req("--samples", _SAMPLES), _opt("--seed", _SEED),
+          _opt("--degrees", _DEGREE_LISTS), _opt("--kappas", _KAPPA_LISTS),
+          _opt("--t-grid", _T_LISTS), st.sampled_from([[], ["--tightness"]]),
+          st.just(["--threads", "1", "--no-timestamp"])),
+    _argv("limits", _req("--what", st.sampled_from(["psi", "cov", "var", "corr", "mean"])),
+          _opt("--d", _DEGREES), _opt("--d1", _DEGREES), _opt("--d2", _DEGREES),
+          _opt("--kappa", _KAPPA), _opt("--t-grid", _T_LISTS),
+          _opt("--n-list", _SIZE_LISTS), _ORDER),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COMMANDS)
+def test_random_argument_vectors_exit_with_a_mapped_code(argv):
+    res = CliRunner().invoke(main, argv)
+    assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exc_info)
+    assert res.exit_code in (0, 2, 3, 4), (argv, res.output)

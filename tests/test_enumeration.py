@@ -173,7 +173,8 @@ def test_build_primes_make_the_build_exact(n):
 
 
 def test_wrong_row_in_the_table_stops_the_build(monkeypatch):
-    bad = A000081[:6] + [A000081[6] + enumeration.CHECK_PRIME]  # passes the load check
+    # off by the product of both check primes, so the load check passes it
+    bad = A000081[:6] + [A000081[6] + prod(enumeration.CHECK_PRIMES)]
     monkeypatch.setattr(enumeration, "_rows", bad[:])
     with pytest.raises(UsageError, match="y_6"):
         count_trees(20)
@@ -190,6 +191,8 @@ def _corrupt(rows, kind):
         lines[7] = "48x"
     elif kind == "truncated":
         lines = lines[:9]
+    elif kind == "wrong-by-check-prime":  # right modulo the first check prime
+        lines[6] = str(rows[6] + enumeration.CHECK_PRIMES[0])
     elif kind == "y1-is-2":  # every row satisfies the recurrence, from y_1 = 2
         lines = [str(v) for v in (0, 2, 4, 14, 52, 214, 916, 4116, 18996, 89894, 433196,
                                   2119904, 10503612, 52594476)]
@@ -197,7 +200,7 @@ def _corrupt(rows, kind):
 
 
 @pytest.mark.parametrize("kind", ["wrong-digit", "wrong-last-row", "non-digit", "truncated",
-                                  "y1-is-2"])
+                                  "y1-is-2", "wrong-by-check-prime"])
 @pytest.mark.parametrize("n", [13, 10])
 def test_corrupt_cache_file_is_rebuilt(tmp_path, empty_table, kind, n):
     (tmp_path / "counts_13.txt").write_text(_corrupt(A000081, kind))
@@ -237,7 +240,9 @@ def _brute_cycle_index(d, args):
 
 def test_cycle_index_z0_is_one():
     probe = tree_series(5)
-    assert cycle_index_apply(0, [], like=probe) == TruncatedSeries.one(5)
+    assert cycle_index_apply(0, [probe]) == TruncatedSeries.one(5)
+    with pytest.raises(UsageError):
+        cycle_index_apply(0, [])
 
 
 def test_cycle_index_small_formulas():
@@ -267,7 +272,7 @@ def test_multiset_identity_reconstructs_tree_series():
     args = [y.substitute_power(i) for i in range(1, N + 1)]
     acc = TruncatedSeries.zero(N)
     for d in range(N + 1):
-        acc = acc + cycle_index_apply(d, args[:d] if d else [], like=y)
+        acc = acc + cycle_index_apply(d, args)
     assert acc.shift(1) == y
 
 

@@ -433,7 +433,7 @@ def _bits(v):
 @pytest.mark.parametrize("d1,d2", [(1, 2), (3, 2), (2, 2)])
 def test_covariance_table_matches_separate_series(ring, scale, d1, d2):
     n, k = 60, 5
-    y = tree_series(n, ring, scale)
+    y = tree_series(n) if ring == "exact" else tree_series(n).to_double(scale)
 
     def ratio(series):
         return series[n] / y[n] if ring == "double" else Fraction(series[n], y[n])
@@ -461,7 +461,7 @@ def test_double_ring_pass_matches_term_by_term_recurrence():
     # every i <= N; at N = 800 the rescaled terms of g(x^i) underflow to 0
     # for large i, where the pass stops, and it must agree bit for bit
     N, k = 800, 4
-    y = tree_series(N, "double", RHO)
+    y = tree_series(N).to_double(RHO)
 
     def sub_sum(g, w):
         acc = TruncatedSeries.zero(N, "double", RHO)

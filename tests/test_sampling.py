@@ -217,16 +217,25 @@ def test_char_function_at_zero_is_one():
     assert abs(z2) <= 1.0
 
 
-def test_degree_total_bookkeeping_matches_exact(table_400, cache_dir):
-    # E X_n^{(d)} at n = 200 within 3 standard errors of d_n^{(d)}/y_n
-    n = 200
-    spec = MonteCarloSpec(
-        n=n, degrees=(1,), kappas=(1.0,), samples=4000, seed=77, d_max_totals=3
-    )
-    r = monte_carlo(spec, table=table_400)
+def test_degree_total_bookkeeping_matches_exact(table_400):
+    # E X_n^{(d)} at n = 200 within 3 standard errors of d_n^{(d)}/y_n, over
+    # the 4000 trees monte_carlo draws for seed 77: 16 streams of 250 trees
+    n, samples = 200, 4000
+    sampler = TreeSampler(table_400)
+    tot = [0, 0, 0]
+    tot2 = [0, 0, 0]
+    for stream in range(16):
+        rng = derive_rng(77, stream)
+        for _ in range(samples // 16):
+            counts = extract_profile(sampler.sample_tree(n, rng), 3).degree_level_counts
+            for d in (1, 2, 3):
+                x = int(counts[d - 1].sum())
+                tot[d - 1] += x
+                tot2[d - 1] += x * x
     y_n = tree_series(n)[n]
     for d in (1, 2, 3):
-        est, se = r.degree_total(d)
+        est = tot[d - 1] / samples
+        se = math.sqrt(max(tot2[d - 1] / samples - est * est, 0.0) / samples)
         exact = float(Fraction(degree_series(d, n).D[n], y_n))
         assert abs(est - exact) <= 3.0 * se
 
