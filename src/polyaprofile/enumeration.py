@@ -37,7 +37,7 @@ from operator import mul
 import numpy as np
 
 from .errors import UsageError
-from .series import EXACT, TruncatedSeries
+from .series import EXACT, TruncatedSeries, crt_basis
 
 EXHAUSTIVE_MAX = 10
 
@@ -142,14 +142,13 @@ def _extend(n_max):
     earlier batches).  Row m takes no more batches once their product exceeds
     4^m > y_m.  The rows already in the table must equal the rebuilt prefix.
     """
-    primes = _build_primes(n_max)
+    primes = _build_primes(n_max, 4**n_max)
     y = [0] * (n_max + 1)
     modulus = 1  # product of the batches folded in so far
     for start in range(0, len(primes), _PRIME_BATCH):
         batch = primes[start:start + _PRIME_BATCH]
         residues = _residues(batch, n_max)
-        step = prod(batch)
-        basis = [step // p * pow(step // p, -1, p) for p in batch]
+        step, basis = crt_basis(batch)
         lift = pow(modulus, -1, step)
         # rows m with 4^m < modulus are already exact
         for m in range(((modulus - 1).bit_length() + 1) // 2, n_max + 1):
@@ -163,39 +162,45 @@ def _extend(n_max):
     _rows.extend(y[len(_rows):])
 
 
-def _build_primes(n_max):
-    """The primes of the multi-modular build of rows 0..n_max, largest first.
+def _build_primes(n, bound):
+    """Primes below 2^20, largest first, for exact residue arithmetic at length n.
 
-    They make the build exact:
-    - each prime exceeds n_max, so every divisor m - 1 < n_max is invertible;
-    - (n_max - 1)(p - 1)^2 <= 2^53, so ``_residues``' dot sums of residue
-      products are exact in float64 (primes just below 2^20 up to n_max = 8193,
-      smaller ones past that);
-    - their product exceeds 4^n_max.  A rooted unlabelled tree has a distinct
-      plane embedding, so y_m <= Catalan(m - 1) < 4^m, and the CRT recovers y_m.
+    - each prime exceeds n, so every m <= n is invertible modulo it;
+    - (n + 1)(p - 1)^2 <= 2^53, so a sum of n + 1 products of residues is
+      exact in float64 (primes just below 2^20 up to n = 8191, smaller ones
+      past that);
+    - their product exceeds ``bound``, so the CRT recovers any integer in
+      [0, bound].
+
+    The count table takes them for rows 0..n with bound 4^n: a rooted
+    unlabelled tree has a distinct plane embedding, so y_m <= Catalan(m - 1)
+    < 4^m.  The exact derivative pass of order n takes them as the primes of
+    its residue ring.
     """
-    top = min(1 << 20, isqrt((1 << 53) // max(n_max - 1, 1)) + 2)
+    top = min(1 << 20, isqrt((1 << 53) // (n + 1)) + 2)
     primes, product = [], 1
-    for hi in range(top, n_max + 1, -_SIEVE_WINDOW):  # sieve [lo, hi), top down
-        lo = max(hi - _SIEVE_WINDOW, n_max + 1)
+    for hi in range(top, n + 1, -_SIEVE_WINDOW):  # sieve [lo, hi), top down
+        lo = max(hi - _SIEVE_WINDOW, n + 1)
         is_prime = np.ones(hi - lo, dtype=bool)
         for q in range(2, isqrt(hi - 1) + 1):
             is_prime[max(q * q, -(-lo // q) * q) - lo::q] = False
         for p in (np.flatnonzero(is_prime)[::-1] + lo).tolist():
             primes.append(p)
             product *= p
-            if product >> 2 * n_max:
+            if product > bound:
                 return primes
-    raise UsageError(f"no set of primes builds a count table of n = {n_max} exactly")
+    raise UsageError(f"no set of primes below 2^20 exceeds a bound of {bound.bit_length()} bits"
+                     f" at n = {n}")
 
 
 def _residues(primes, n_max):
     """y_m mod p for each m <= n_max and p in primes, as a float64 array [m, prime].
 
     The Euler recurrence runs for all the primes at once in float64, which is
-    exact: every stored value is a residue below p, so each dot sum is below
-    (n_max - 1) p^2 <= 2^53 (see ``_build_primes``).  y is kept reversed
-    (column n_max - k holds y_k), so y_{m-1}, ..., y_1 is one contiguous slice.
+    exact: every stored value is a residue below p, so each dot sum of at
+    most n_max - 1 products stays below 2^53 (see ``_build_primes``).  y is
+    kept reversed (column n_max - k holds y_k), so y_{m-1}, ..., y_1 is one
+    contiguous slice.
     """
     ints = np.array(primes, dtype=np.int64)
     p = ints.astype(np.float64)

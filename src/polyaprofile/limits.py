@@ -35,6 +35,7 @@ amplitude C_d^2 rho^{2d}.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -116,19 +117,24 @@ def eval_psi(t, d, kappa, constants, nodes=200):
         raise UsageError("eval_psi requires kappa > 0")
     amplitude = constants.c_d_rho_d(d)
     radius = _ARC_RADIUS
-    for _ in range(6):
-        val, min_den = _psi_quadrature(
-            t, amplitude, kappa, constants.b, constants.rho, nodes, radius
+    # a large kappa overflows exp and sinh on the contour; that ends in the
+    # non-finite check below, not in numpy warnings
+    with np.errstate(all="ignore"):
+        for _ in range(6):
+            val, min_den = _psi_quadrature(
+                t, amplitude, kappa, constants.b, constants.rho, nodes, radius
+            )
+            if min_den > 1e-6:
+                break
+            radius *= 0.5  # contour adjustment: shrink the arc and retry
+        else:
+            raise AccuracyError("could not keep the contour away from denominator zeros")
+        val2, _ = _psi_quadrature(
+            t, amplitude, kappa, constants.b, constants.rho, 2 * nodes, radius
         )
-        if min_den > 1e-6:
-            break
-        radius *= 0.5  # contour adjustment: shrink the arc and retry
-    else:
-        raise AccuracyError("could not keep the contour away from denominator zeros")
-    val2, _ = _psi_quadrature(
-        t, amplitude, kappa, constants.b, constants.rho, 2 * nodes, radius
-    )
-    err = abs(val2 - val) + math.exp(-_RAY_LENGTH)
+        err = abs(val2 - val) + math.exp(-_RAY_LENGTH)
+    if not (cmath.isfinite(val2) and math.isfinite(err)):
+        raise AccuracyError(f"the psi quadrature overflowed at kappa={kappa}, t={t}")
     return LimitEvaluation(
         kind="char_fn",
         params={"t": t, "d": d, "kappa": kappa},

@@ -37,9 +37,18 @@ the test suite holds them to exact rational equality:
    level it forms S_k once per degree, then steps only the series asked
    for, so the covariance table of two degrees costs 8 series products a
    level and the plain mean 1.  Each series' substitution sums come from
-   one in-place sweep over i (``TruncatedSeries.power_sums``).  The pass
-   runs in the exact ring, or in the rescaled double ring for large n
-   where exact arithmetic is needlessly slow.
+   one in-place sweep over i (``TruncatedSeries.power_sums``).
+
+   The exact pass runs modulo word-size primes (a ``ResidueRing``): every
+   series it steps has nonnegative integer coefficients, [x^m] of them at
+   most m^2 y_m <= N^2 y_N, so the CRT recovers a coefficient from its
+   residues once the primes' product exceeds that bound.  Only what is
+   read is lifted: [x^n] of five series for a covariance table, one for a
+   mean, whole series for the gamma-series readers.  The covariance table
+   at (1, 2, 400, 20) takes 33 primes and about 0.5 s, against 3.6 s for
+   the big-integer pass it replaced (2-CPU host, numpy 2.4).  The pass also
+   runs in the rescaled double ring, for large n where exact answers are
+   not needed.
 """
 
 from __future__ import annotations
@@ -47,11 +56,12 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, isqrt, sqrt
 
-from .enumeration import multiset_cap_series, tree_series
+from .enumeration import _build_primes, multiset_cap_series, tree_series
 from .errors import UsageError
-from .series import DOUBLE, EXACT, MarkedSeries, TruncatedSeries
+from .series import DOUBLE, EXACT, MarkedSeries, ResidueRing, TruncatedSeries
 
 TOTAL = None  # degree argument meaning "count every node on the level"
 
@@ -237,12 +247,25 @@ def joint_distribution(n, d, k, h, series=None, N=None):
 # derivative-recurrence route
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _residue_ring(N):
+    """The residue ring of the exact pass at order N, kept for later calls.
+
+    Its bound is N^2 y_N (see the module docstring) and its primes' product
+    exceeds 2^20 times that, a spare prime's worth of margin.
+    """
+    bound = N * N * tree_series(N)[N]
+    return ResidueRing(_build_primes(N, bound << 20), bound)
+
+
 def _tree_series_rings(N, ring, scale):
-    """y(x) exactly and in the working ring, from one tree_series call."""
+    """y(x) exactly and in the working ring (residues when exact), from one tree_series call."""
     if ring not in (EXACT, DOUBLE):
         raise UsageError(f"unknown ring {ring!r}")
     y = tree_series(N)
-    return y, (y if ring == EXACT else y.to_double(scale))
+    if ring == DOUBLE:
+        return y, y.to_double(scale)
+    return y, TruncatedSeries(y.coeffs, N, _residue_ring(N))
 
 
 def _gamma0(d, y_exact, y):
@@ -258,11 +281,17 @@ def _gamma0(d, y_exact, y):
         f = Fraction(c)
         assert f.denominator == 1, "root-degree series must be integral"
         ints.append(int(f))
-    out = TruncatedSeries(ints, y.order, EXACT)
-    return out.to_double(y.scale) if y.ring == DOUBLE else out
+    if y.ring == DOUBLE:
+        return TruncatedSeries(ints, y.order, EXACT).to_double(y.scale)
+    return TruncatedSeries(ints, y.order, y.ring)
 
 
 _Level = namedtuple("_Level", "k g f mixed")
+
+
+def _check_pass_arguments(degrees, k_max):
+    if k_max < 0 or any(d is not TOTAL and d < 1 for d in degrees):
+        raise UsageError("the derivative pass needs k >= 0 and degrees d >= 1")
 
 
 def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
@@ -272,8 +301,7 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
     is mixed_k of degrees[0] and degrees[1] when ``mixed``.  Series not asked
     for are None and cost nothing.
     """
-    if k_max < 0 or any(d is not TOTAL and d < 1 for d in degrees):
-        raise UsageError("the derivative pass needs k >= 0 and degrees d >= 1")
+    _check_pass_arguments(degrees, k_max)
     N = y.order
     g = [_gamma0(d, y_exact, y) for d in degrees]
     f = [TruncatedSeries.zero(N, y.ring, y.scale)] * len(g) if second else None
@@ -297,7 +325,7 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
 def gamma_series_progression(d, k_max, N, ring=EXACT, scale=1.0):
     """Yield (k, gamma_k^{(d)}) for k = 0..k_max."""
     for level in _derivative_levels((d,), k_max, *_tree_series_rings(N, ring, scale)):
-        yield level.k, level.g[0]
+        yield level.k, level.g[0].lift()
 
 
 def gamma_series(d, k, N, ring=EXACT, scale=1.0):
@@ -308,7 +336,7 @@ def gamma_series(d, k, N, ring=EXACT, scale=1.0):
 def second_factorial_series(d, k, N, ring=EXACT, scale=1.0):
     """Series of E[X(X-1)] numerators for X = L_n^{(d)}(k)."""
     rings = _tree_series_rings(N, ring, scale)
-    return _last(_derivative_levels((d,), k, *rings, second=True)).f[0]
+    return _last(_derivative_levels((d,), k, *rings, second=True)).f[0].lift()
 
 
 def mixed_gamma_series(d1, d2, k, N, ring=EXACT, scale=1.0):
@@ -316,7 +344,7 @@ def mixed_gamma_series(d1, d2, k, N, ring=EXACT, scale=1.0):
     if d1 == d2:
         raise UsageError("mixed series needs distinct degrees; use the variance path")
     rings = _tree_series_rings(N, ring, scale)
-    return _last(_derivative_levels((d1, d2), k, *rings, mixed=True)).mixed
+    return _last(_derivative_levels((d1, d2), k, *rings, mixed=True)).mixed.lift()
 
 
 # ---------------------------------------------------------------------------
@@ -340,14 +368,20 @@ class MomentTable:
     correlation: object  # float, or None when a variance vanishes
 
 
-def _ratio(series, y, n):
-    """[x^n] series / y_n, a Fraction in the exact ring."""
-    return series[n] / y[n] if y.ring == DOUBLE else Fraction(series[n], y[n])
+def _ratio(series, y_exact, y, n):
+    """[x^n] series / y_n: a float in the double ring, else a Fraction of the
+    lifted [x^n] over the exact y_n."""
+    return series[n] / y[n] if y.ring == DOUBLE else Fraction(series[n], y_exact[n])
 
 
 def level_mean(d, n, k, ring=EXACT, scale=1.0):
+    """E L_n^{(d)}(k).  A tree of size n has height below n, so a level k >= n
+    is empty and its mean is 0, found without stepping the pass."""
     y_exact, y = _tree_series_rings(n, ring, scale)
-    return _ratio(_last(_derivative_levels((d,), k, y_exact, y)).g[0], y, n)
+    _check_pass_arguments((d,), k)
+    if k >= n:
+        return 0.0 if ring == DOUBLE else Fraction(0)
+    return _ratio(_last(_derivative_levels((d,), k, y_exact, y)).g[0], y_exact, y, n)
 
 
 def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
@@ -357,15 +391,15 @@ def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
     level = _last(_derivative_levels(
         (d1,) if same else (d1, d2), k, y_exact, y, second=True, mixed=not same,
     ))
-    m1, f1 = _ratio(level.g[0], y, n), _ratio(level.f[0], y, n)
+    m1, f1 = _ratio(level.g[0], y_exact, y, n), _ratio(level.f[0], y_exact, y, n)
     var1 = f1 + m1 - m1 * m1
     if same:
         m2, f2, var2, mixed = m1, f1, var1, f1 + m1  # E[X^2]
         cov = var1
     else:
-        m2, f2 = _ratio(level.g[1], y, n), _ratio(level.f[1], y, n)
+        m2, f2 = _ratio(level.g[1], y_exact, y, n), _ratio(level.f[1], y_exact, y, n)
         var2 = f2 + m2 - m2 * m2
-        mixed = _ratio(level.mixed, y, n)
+        mixed = _ratio(level.mixed, y_exact, y, n)
         cov = mixed - m1 * m2
     if var1 > 0 and var2 > 0:
         corr = float(cov) / sqrt(float(var1) * float(var2))

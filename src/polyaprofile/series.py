@@ -1,7 +1,7 @@
-"""Truncated formal power series over exact-rational and double-precision rings.
+"""Truncated formal power series over exact-rational, residue and double-precision rings.
 
 Everything in this package that manipulates generating functions goes through
-the two classes here:
+the classes here:
 
 ``TruncatedSeries``
     a(x) = sum_{n<=N} a_n x^n with scalar coefficients.  The exact ring keeps
@@ -9,7 +9,10 @@ the two classes here:
     equality is canonical); the double ring keeps a numpy float64 vector and
     supports an internal geometric rescaling ``scale`` (stored[n] equals the
     true coefficient times scale**n) so that series whose coefficients grow
-    like rho**-n stay inside float range at large truncation orders.
+    like rho**-n stay inside float range at large truncation orders.  A
+    ``ResidueRing`` as the ring keeps integer coefficients modulo each of its
+    word-size primes, as a float64 array [prime, n], and reading a
+    coefficient lifts it back by the CRT.
 
 ``MarkedSeries``
     an exact series in x and one or two marking variables, stored as a map
@@ -22,14 +25,19 @@ the two classes here:
     the mark direction with the Euler operator, the same in both bases, and
     keeps whole coefficients as ints.
 
-Multiplication is plain O(N^2) convolution; the orders used here (N <= ~1600)
-do not justify anything fancier.  All values are immutable after construction
-and all operations are pure, so instances are safe to share across workers.
+Multiplication is plain O(N^2) convolution at every order used here
+(N <= ~1600).  In the exact ring it is a pure-Python loop over big integers,
+so the exact derivative pass runs in a residue ring instead, where a product
+is one ``np.convolve`` per prime (the multi-modular method: von zur Gathen &
+Gerhard, Modern Computer Algebra, ch. 5).  All values are immutable after
+construction and all operations are pure, so instances are safe to share
+across workers.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
 
@@ -63,6 +71,65 @@ def _quotient(c, q):
     return _whole(Fraction(c, q))
 
 
+def crt_basis(primes):
+    """(M, basis) with M the product of the primes and basis[j] = (M/p_j)((M/p_j)^-1 mod p_j).
+
+    sum_j r_j basis[j] mod M is the integer in [0, M) that is r_j modulo each p_j.
+    """
+    modulus = math.prod(primes)
+    return modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes]
+
+
+class ResidueRing:
+    """Integers in [0, bound], held modulo each of a set of primes.
+
+    It is the ring of a TruncatedSeries whose coefficients are a read-only
+    float64 array [prime, n] of residues.  Float64 arithmetic on them is exact
+    while every sum of products stays below 2^53: a series of order N needs
+    (N + 1)(p - 1)^2 <= 2^53, which its constructor checks.  Reading a
+    coefficient lifts it by the CRT, which is right when the true value lies
+    in [0, bound] and the primes' product exceeds bound; a lifted value above
+    bound raises AccuracyError, since a residue or the bound is then wrong.
+    """
+
+    __slots__ = ("primes", "p", "modulus", "basis", "bound")
+
+    def __init__(self, primes, bound):
+        self.primes = tuple(primes)
+        self.modulus, self.basis = crt_basis(self.primes)
+        if self.modulus <= bound:
+            raise UsageError("the primes' product must exceed the bound of a residue ring")
+        self.bound = bound
+        self.p = np.array(self.primes, dtype=float)[:, None]
+        self.p.setflags(write=False)
+
+    def __repr__(self):
+        return f"ResidueRing({len(self.primes)} primes, bound of {self.bound.bit_length()} bits)"
+
+    def residues(self, ints):
+        """The ints modulo each prime, as a float64 array [prime, len(ints)]."""
+        ints = [operator.index(c) for c in ints]
+        return np.array([[c % q for c in ints] for q in self.primes], dtype=float)
+
+    def reduce(self, c):
+        """The int c modulo each prime, as a float64 column."""
+        if abs(c) < 1 << 53:  # exact as a float
+            return np.remainder(float(operator.index(c)), self.p)
+        return self.residues([c])
+
+    def lift(self, columns):
+        """The ints whose residues are the columns of a float64 array [prime, m]."""
+        out = []
+        for col in columns.astype(np.int64).T.tolist():
+            v = sum(map(operator.mul, col, self.basis)) % self.modulus
+            if v > self.bound:
+                raise AccuracyError(
+                    f"a residue lifts to a value above the bound {self.bound}: "
+                    "a residue or the bound is wrong")
+            out.append(v)
+        return out
+
+
 # ---------------------------------------------------------------------------
 # scalar series
 # ---------------------------------------------------------------------------
@@ -86,6 +153,15 @@ class TruncatedSeries:
             cs = list(coeffs[: order + 1])
             cs += [0] * (order + 1 - len(cs))
             self.coeffs = cs
+        elif isinstance(ring, ResidueRing):
+            if scale != 1.0:
+                raise UsageError("a residue ring does not support rescaling")
+            if (order + 1) * (max(ring.primes) - 1) ** 2 > 1 << 53:
+                raise UsageError(f"the primes of {ring!r} are too large for order {order}")
+            arr = np.zeros((len(ring.primes), order + 1))
+            arr[:, : min(len(coeffs), order + 1)] = ring.residues(coeffs[: order + 1])
+            arr.setflags(write=False)
+            self.coeffs = arr
         else:
             raise UsageError(f"unknown ring {ring!r}")
         self.order = order
@@ -111,7 +187,7 @@ class TruncatedSeries:
 
     def copy_with(self, coeffs):
         out = object.__new__(TruncatedSeries)
-        if self.ring == DOUBLE:
+        if self.ring != EXACT:
             arr = np.asarray(coeffs, dtype=float)
             arr.setflags(write=False)
             out.coeffs = arr
@@ -139,7 +215,7 @@ class TruncatedSeries:
             return NotImplemented
         if self.ring != other.ring or self.order != other.order:
             return False
-        if self.ring == DOUBLE:
+        if self.ring != EXACT:
             return self.scale == other.scale and bool(
                 np.array_equal(self.coeffs, other.coeffs)
             )
@@ -150,19 +226,40 @@ class TruncatedSeries:
         return f"TruncatedSeries([{head}, ...], order={self.order}, ring={self.ring})"
 
     def __getitem__(self, n):
+        if self._residues():
+            return self.ring.lift(self.coeffs[:, n:n + 1])[0]
         return self.coeffs[n]
+
+    def _residues(self):
+        return isinstance(self.ring, ResidueRing)
+
+    def _refuse_residues(self, what):
+        """Refuse an operation the residue ring does not provide."""
+        if self._residues():
+            raise UsageError(f"{what} is not defined in a residue ring")
+
+    def lift(self):
+        """The exact-ring series of a residue-ring one, each coefficient lifted
+        by the CRT; a series of another ring as it is."""
+        if not self._residues():
+            return self
+        return TruncatedSeries(self.ring.lift(self.coeffs), self.order, EXACT)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
         if self.ring == DOUBLE:
             return self.copy_with(self.coeffs + other.coeffs)
+        if self._residues():
+            return self.copy_with((self.coeffs + other.coeffs) % self.ring.p)
         return self.copy_with([a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other):
         self._check_compatible(other)
         if self.ring == DOUBLE:
             return self.copy_with(self.coeffs - other.coeffs)
+        if self._residues():
+            return self.copy_with((self.coeffs - other.coeffs) % self.ring.p)
         return self.copy_with([a - b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __mul__(self, other):
@@ -171,6 +268,9 @@ class TruncatedSeries:
             N = self.order
             if self.ring == DOUBLE:
                 return self.copy_with(np.convolve(self.coeffs, other.coeffs)[: N + 1])
+            if self._residues():  # one convolution per prime, each sum below 2^53
+                rows = [np.convolve(a, b)[: N + 1] for a, b in zip(self.coeffs, other.coeffs)]
+                return self.copy_with(np.array(rows) % self.ring.p)
             a, b = self.coeffs, other.coeffs
             out = [0] * (N + 1)
             for i, ai in enumerate(a):
@@ -183,17 +283,21 @@ class TruncatedSeries:
         # scalar
         if self.ring == DOUBLE:
             return self.copy_with(self.coeffs * float(other))
+        if self._residues():
+            return self.copy_with(self.coeffs * self.ring.reduce(other) % self.ring.p)
         return self.copy_with([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
     def scalar_div(self, q):
+        self._refuse_residues("scalar_div")
         if self.ring == DOUBLE:
             return self.copy_with(self.coeffs / float(q))
         return self.copy_with([_quotient(c, q) for c in self.coeffs])
 
     def shift(self, k=1):
         """Multiply by x**k (true coefficients; scale handled for double)."""
+        self._refuse_residues("shift")
         N = self.order
         if self.ring == DOUBLE:
             out = np.zeros(N + 1)
@@ -203,6 +307,7 @@ class TruncatedSeries:
 
     def exp(self):
         """exp(a) for a with zero constant term, via e' = a'e coefficient solve."""
+        self._refuse_residues("exp")
         if not self._is_zero_const():
             raise DomainError("exp requires zero constant term")
         N = self.order
@@ -227,6 +332,7 @@ class TruncatedSeries:
 
     def substitute_power(self, i):
         """a(x) -> a(x**i)."""
+        self._refuse_residues("substitute_power")
         if i < 1:
             raise UsageError("substitute_power requires i >= 1")
         if i == 1:
@@ -250,12 +356,19 @@ class TruncatedSeries:
         N / val(a), past which a(x**i) vanishes, or in the double ring at the
         first i whose rescaled terms all underflow.  Each term is the one
         ``substitute_power`` forms, so a sum is bit-identical to adding the
-        substituted series one by one.
+        substituted series one by one.  In a residue ring the weights are
+        ints, reduced modulo each prime, so a sum adds fewer than N products
+        of two residues: below 2^53 like a convolution sum, and reduced once
+        at the end.
         """
         N, c = self.order, self.coeffs
-        double = self.ring == DOUBLE
-        sums = [np.zeros(N + 1) if double else [0] * (N + 1) for _ in weights]
-        val = next((m for m, cm in enumerate(c) if cm), N + 1)  # valuation
+        double, residues = self.ring == DOUBLE, self._residues()
+        if residues:
+            sums = [np.zeros(c.shape) for _ in weights]
+            val = next(iter(np.flatnonzero(c.any(axis=0))), N + 1)  # valuation
+        else:
+            sums = [np.zeros(N + 1) if double else [0] * (N + 1) for _ in weights]
+            val = next((m for m, cm in enumerate(c) if cm), N + 1)
         for i in range(2, N // max(val, 1) + 1):
             M = N // i
             if double:
@@ -264,12 +377,18 @@ class TruncatedSeries:
                     break
                 for acc, w in zip(sums, weights):
                     acc[::i] += t if w is None else t * float(w(i))
+            elif residues:
+                t = c[:, : M + 1]
+                for acc, w in zip(sums, weights):
+                    acc[:, ::i] += t if w is None else t * self.ring.reduce(w(i))
             else:
                 for acc, w in zip(sums, weights):
                     wi = 1 if w is None else w(i)
                     for m in range(val, M + 1):
                         if c[m]:
                             acc[m * i] += wi * c[m]
+        if residues:
+            sums = [acc % self.ring.p for acc in sums]
         return [self.copy_with(acc) for acc in sums]
 
     def _is_zero_const(self):
@@ -286,6 +405,7 @@ class TruncatedSeries:
         float rounding.  When the last term has not decayed at all the series
         is useless at x0 and an AccuracyError is raised.
         """
+        self._refuse_residues("evaluate")
         if abs(x0) >= 1:
             raise DomainError("evaluate requires |x0| < 1")
         if x0 == 0:
@@ -345,6 +465,7 @@ class TruncatedSeries:
 
     def to_double(self, scale=1.0):
         """Exact -> double conversion dividing out the given geometric scale."""
+        self._refuse_residues("to_double")
         if self.ring == DOUBLE:
             return self
         out = np.zeros(self.order + 1)

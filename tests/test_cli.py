@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -242,6 +243,25 @@ def test_accuracy_exception_maps_to_exit_3():
     with pytest.raises(SystemExit) as exc:
         _run(boom)
     assert exc.value.code == 3
+
+
+def test_psi_overflow_at_large_kappa_exits_3_without_warnings():
+    proc = cli_process("limits", "--what", "psi", "--kappa", "1e6", "--t-grid", "1",
+                       "--order", "200")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("accuracy error: ")
+    assert "RuntimeWarning" not in proc.stderr
+    assert "nan" not in proc.stdout
+
+
+def test_limit_mean_at_large_kappa_finishes_quickly():
+    # every level past n - 1 is empty, so no level is stepped; stepping the
+    # 40000 levels of n = 1600 took minutes
+    start = time.monotonic()
+    proc = cli_process("limits", "--what", "mean", "--kappa", "1000", "--order", "200")
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "limit_mean,1000.0,0.0,0.0"
 
 
 def test_verify_single_cheap_criterion():

@@ -163,7 +163,7 @@ def test_build_in_small_steps_matches_the_oracle(empty_table):
 
 @pytest.mark.parametrize("n", [1, 2, 400, 6400, 10**5])
 def test_build_primes_make_the_build_exact(n):
-    primes = enumeration._build_primes(n)
+    primes = enumeration._build_primes(n, 4**n)
     small = [q for q in range(2, 1025) if all(q % r for r in range(2, isqrt(q) + 1))]
     assert all(p % q for p in primes for q in small if q * q <= p)
     assert len(set(primes)) == len(primes)

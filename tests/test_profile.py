@@ -1,6 +1,7 @@
+import hashlib
 from dataclasses import astuple
 from fractions import Fraction
-from math import sqrt
+from math import prod, sqrt
 
 import pytest
 
@@ -10,7 +11,8 @@ from polyaprofile.enumeration import (
     multiset_cap_series,
     tree_series,
 )
-from polyaprofile.errors import UsageError
+from polyaprofile import profile
+from polyaprofile.errors import AccuracyError, UsageError
 from polyaprofile.profile import (
     TOTAL,
     MomentTable,
@@ -484,3 +486,99 @@ def test_double_ring_pass_matches_term_by_term_recurrence():
     )
     for series, want in zip(got, (g1, g2, f1, mixed)):
         assert series.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the exact pass in residues, against the big-integer recurrences
+# ---------------------------------------------------------------------------
+
+def _exact_pass(degrees, k_max, N):
+    """Per level k = 0..k_max: (gamma_k, gamma2_k) per degree and mixed_k of
+    the first two degrees, by the recurrences in Python ints (the oracle)."""
+    y = list(tree_series(N).coeffs)
+
+    def mul(a, b):
+        out = [0] * (N + 1)
+        for i, ai in enumerate(a):
+            for j in range(N + 1 - i):
+                out[i + j] += ai * b[j]
+        return out
+
+    def sub_sum(a, w):  # sum_{i>=2} w(i) a(x^i)
+        out = [0] * (N + 1)
+        for i in range(2, N + 1):
+            for m in range(N // i + 1):
+                out[m * i] += w(i) * a[m]
+        return out
+
+    def add(*series):
+        return [sum(cs) for cs in zip(*series)]
+
+    g = [y if d is TOTAL else [int(c) for c in multiset_cap_series(d, N).coeffs]
+         for d in degrees]
+    f = [[0] * (N + 1) for _ in degrees]
+    mixed = [0] * (N + 1)
+    levels = [(g, f, mixed)]
+    for _ in range(k_max):
+        S = [add(gj, sub_sum(gj, lambda i: 1)) for gj in g]
+        f = [mul(y, add(mul(Sj, Sj), fj, sub_sum(fj, lambda i: i), sub_sum(gj, lambda i: i - 1)))
+             for Sj, fj, gj in zip(S, f, g)]
+        mixed = mul(y, add(mul(S[0], S[1]), mixed, sub_sum(mixed, lambda i: i)))
+        g = [mul(y, Sj) for Sj in S]
+        levels.append((g, f, mixed))
+    return levels
+
+
+@pytest.mark.parametrize("N", [1, 2, 13, 60, 120])
+@pytest.mark.parametrize("d1,d2", [(1, 2), (3, TOTAL)])
+def test_residue_pass_matches_the_big_integer_recurrences(N, d1, d2):
+    levels = _exact_pass((d1, d2), 6, N)
+    progression = [list(g.coeffs) for _, g in gamma_series_progression(d1, 6, N)]
+    assert progression == [g[0] for g, _, _ in levels]
+    for k, (g, f, mixed) in enumerate(levels):
+        for j, d in enumerate((d1, d2)):
+            assert list(gamma_series(d, k, N).coeffs) == g[j]
+            assert list(second_factorial_series(d, k, N).coeffs) == f[j]
+        lifted = mixed_gamma_series(d1, d2, k, N)
+        assert lifted.ring == "exact" and list(lifted.coeffs) == mixed
+
+
+def test_covariance_at_400_is_unchanged():
+    # sha256 of the table's rationals as computed by the big-integer pass
+    tab = finite_covariance(1, 2, 400, 20)
+    fields = (tab.mean1, tab.mean2, tab.second_factorial1, tab.second_factorial2,
+              tab.mixed, tab.var1, tab.var2, tab.covariance)
+    digest = hashlib.sha256("\n".join(map(str, fields)).encode()).hexdigest()
+    assert digest == "835e703badbd8f8496824e4f08666fbbc8fb1362adfbee53a9ef364b7cb991f3"
+    assert tab.correlation.hex() == "0x1.c21693113feb9p-2"
+
+
+@pytest.mark.parametrize("N", [1, 2, 400, 1600])
+def test_residue_primes_lift_every_pass_coefficient(N):
+    ring = profile._residue_ring(N)
+    assert ring is profile._residue_ring(N)  # chosen once per order
+    assert ring.bound == N * N * tree_series(N)[N]
+    assert prod(ring.primes) > ring.bound << 20  # one spare prime's worth of margin
+    assert len(set(ring.primes)) == len(ring.primes) and min(ring.primes) > N
+    assert (N + 1) * (max(ring.primes) - 1) ** 2 <= 2**53  # convolution sums exact in float64
+
+
+def test_residue_lifting_above_the_bound_raises():
+    N = 13
+    y = TruncatedSeries(tree_series(N).coeffs, N, profile._residue_ring(N))
+    assert [y[n] for n in range(N + 1)] == list(tree_series(N).coeffs)
+    forged = y.coeffs.copy()
+    forged[0, N] = (forged[0, N] + 1) % y.ring.primes[0]
+    with pytest.raises(AccuracyError, match="above the bound"):
+        y.copy_with(forged)[N]
+    with pytest.raises(AccuracyError, match="above the bound"):
+        TruncatedSeries([0, y.ring.bound + 1], N, y.ring).lift()
+
+
+def test_mean_of_an_empty_level_steps_no_series(monkeypatch):
+    assert _series_products(monkeypatch, lambda: level_mean(1, 50, 60)) == 0
+    assert level_mean(1, 50, 60) == 0 == level_mean(1, 50, 50)
+    assert level_mean(1, 50, 49) > 0
+    assert level_mean(2, 50, 60, ring="double", scale=RHO).hex() == "0x0.0p+0"
+    with pytest.raises(UsageError, match="degrees d >= 1"):
+        level_mean(0, 50, 60)

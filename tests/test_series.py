@@ -1,13 +1,15 @@
+import random
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaprofile.enumeration import tree_series
+from polyaprofile.enumeration import _build_primes, tree_series
 from polyaprofile.errors import AccuracyError, DomainError, UsageError
-from polyaprofile.series import DOUBLE, EXACT, MarkedSeries, TruncatedSeries
+from polyaprofile.series import DOUBLE, EXACT, MarkedSeries, ResidueRing, TruncatedSeries
 
 
 def S(coeffs, order=None, **kw):
@@ -264,3 +266,43 @@ def test_eps_mode_tracks_negative_powers():
     assert inv[0] == {(0, 0): 1, (1, 0): -1, (2, 0): 1, (3, 0): -1}
     # u -> u^2 sends it to (1+eps)^{-2} = 1 - 2eps + 3eps^2 - 4eps^3
     assert inv.substitute_power(2)[0] == {(0, 0): 1, (1, 0): -2, (2, 0): 3, (3, 0): -4}
+
+
+# ---------------------------------------------------------------------------
+# residue ring
+# ---------------------------------------------------------------------------
+
+def _canonical(series):
+    """Every stored residue is an integer in [0, p) for its row's prime p."""
+    c, p = series.coeffs, series.ring.p
+    return bool(((c >= 0) & (c < p) & (c == np.floor(c))).all())
+
+
+def test_residue_ring_arithmetic_matches_the_exact_ring():
+    N, bound = 400, 1 << 1500
+    ring = ResidueRing(_build_primes(N, bound), bound)
+    rng = random.Random(5)
+    a, b = ([rng.getrandbits(600) for _ in range(N + 1)] for _ in range(2))
+    ea, eb = S(a, N), S(b, N)
+    ra, rb = S(a, N, ring=ring), S(b, N, ring=ring)
+    weights = (None, lambda i: i - 1, lambda i: (1 << 45) + i)
+    pairs = [
+        (ra + rb, ea + eb), ((ra + rb) - rb, ea), (ra * rb, ea * eb), (ra * 12345, ea * 12345),
+        *zip(rb.power_sums(weights), eb.power_sums(weights)),
+    ]
+    for got, want in pairs:
+        assert _canonical(got)
+        assert got.lift() == want
+    assert [rb[n] for n in (0, 7, N)] == [b[0], b[7], b[N]]
+
+
+def test_residue_ring_refuses_what_it_cannot_do_exactly():
+    ring = ResidueRing(_build_primes(400, 1 << 100), 1 << 100)
+    with pytest.raises(UsageError, match="too large"):
+        S([1], 10**6, ring=ring)  # (N + 1)(p - 1)^2 > 2^53
+    with pytest.raises(UsageError, match="exceed the bound"):
+        ResidueRing(ring.primes[:2], 1 << 100)
+    with pytest.raises(UsageError, match="not defined in a residue ring"):
+        S([0, 1], 10, ring=ring).exp()
+    with pytest.raises(TypeError):
+        S([Fraction(1, 2)], 10, ring=ring)
