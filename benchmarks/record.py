@@ -4,8 +4,8 @@
         --workload montecarlo=3 --workload asymptotics=3 --seconds 30
 
 Run it from the repository root.  The "new" side is this checkout's working
-tree; the parent side is ``--parent`` checked out in a temporary
-``git worktree``, removed afterwards.  Each ``--workload NAME=PAIRS`` runs
+tree; the parent side is ``--parent`` exported with ``git archive`` into a
+temporary directory, removed afterwards.  Each ``--workload NAME=PAIRS`` runs
 PAIRS pairs of ``perfbench/run.py``, one run per side; pair i uses seed
 ``--first-seed`` + i, and the parent runs first in even pairs, the new side
 in odd ones.  The output keeps each run's environment line and last JSON
@@ -106,26 +106,24 @@ def main(argv=None):
         "seconds": args.seconds,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent_dir = Path(tmp) / "parent"
-        _git("worktree", "add", "--detach", str(parent_dir), parent_commit)
-        try:
-            checkouts = {"parent": parent_dir, "new": ROOT}
-            for name, count in args.workload:
-                pairs = []
-                for i in range(count):
-                    seed = args.first_seed + i
-                    order = ("parent", "new") if i % 2 == 0 else ("new", "parent")
-                    pair = {"seed": seed, "first": order[0]}
-                    for side in order:
-                        pair[side] = _run(checkouts[side], name, seed, args.seconds)
-                        value = pair[side]["result"]["metrics"].get("path_a_s", {}).get("value")
-                        print(f"{name} pair {i} seed {seed} {side}: path_a_s {value}",
-                              file=sys.stderr, flush=True)
-                    pairs.append(pair)
-                record["workloads"][name] = {"pairs": pairs, "summary": _summary(pairs, metrics)}
-        finally:
-            _git("worktree", "remove", "--force", str(parent_dir))
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
+        archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", parent_dir], input=archive, check=True)
+        checkouts = {"parent": Path(parent_dir), "new": ROOT}
+        for name, count in args.workload:
+            pairs = []
+            for i in range(count):
+                seed = args.first_seed + i
+                order = ("parent", "new") if i % 2 == 0 else ("new", "parent")
+                pair = {"seed": seed, "first": order[0]}
+                for side in order:
+                    pair[side] = _run(checkouts[side], name, seed, args.seconds)
+                    value = pair[side]["result"]["metrics"].get("path_a_s", {}).get("value")
+                    print(f"{name} pair {i} seed {seed} {side}: path_a_s {value}",
+                          file=sys.stderr, flush=True)
+                pairs.append(pair)
+            record["workloads"][name] = {"pairs": pairs, "summary": _summary(pairs, metrics)}
     out = args.out or _default_out()
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)

@@ -16,7 +16,9 @@ pinned by psi'(0) = i A kappa e^{-kappa^2 b^2 rho/4}, the mean of the limit;
 the quadrature reproduces that and the second moment to ~1e-9, and the value
 agrees with empirical characteristic functions from the sampler.  Only
 structural properties (psi(0)=1, conjugate symmetry, |psi|<=1) are asserted
-in acceptance runs.
+in acceptance runs.  Each of the three contour pieces is integrated with a
+Gauss-Legendre rule of ``nodes`` points and again with 2 ``nodes``; a rule is
+built once per node count and then shared by every call.
 
 ``eval_cov_limit`` / ``eval_var_limit`` evaluate the n-normalised covariance
 and variance limits
@@ -38,6 +40,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -70,6 +73,19 @@ def _check_kappa(kappa):
 # characteristic function
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=8)
+def _unit_rule(nodes):
+    """The nodes-point Gauss-Legendre rule mapped to [0, 1], as read-only
+    (x, w) arrays: built once per node count, since each build is a dense
+    eigenvalue problem that costs far more than the integrand."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x = 0.5 * (x + 1.0)
+    w = 0.5 * w
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, arc_radius):
     c = 0.5 * kappa * b * math.sqrt(rho)
     lam = amplitude / (b * math.sqrt(rho))
@@ -82,9 +98,7 @@ def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, arc_radius):
         den = r * np.exp(q) - 1j * t * lam * np.sinh(q)
         return num / den, np.abs(den)
 
-    x, wt = np.polynomial.legendre.leggauss(nodes)
-    x = 0.5 * (x + 1.0)
-    wt = 0.5 * wt
+    x, wt = _unit_rule(nodes)
     min_den = math.inf
     total = 0.0 + 0.0j
     # incoming ray below the axis: s = (S - S x) - i w, ds = -S dx
@@ -110,7 +124,9 @@ def eval_psi(t, d, kappa, constants, nodes=200):
 
     The reported quadrature error is the node-doubling difference plus the
     e^{-S} ray-truncation bound.  If the integrand's denominator comes close
-    to zero on the contour the arc is shrunk and the quadrature retried.
+    to zero on the contour the arc is shrunk and the quadrature retried.  The
+    Gauss-Legendre rules of ``nodes`` and 2 ``nodes`` points are built on the
+    first call that asks for them and reused after.
     """
     _check_kappa(kappa)
     if kappa == 0:

@@ -299,16 +299,19 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
 
     g[j] is gamma_k for degrees[j]; f[j] its gamma2_k when ``second``; mixed
     is mixed_k of degrees[0] and degrees[1] when ``mixed``.  Series not asked
-    for are None and cost nothing.
+    for are None and cost nothing.  A node on level k needs k + 1 nodes, so
+    every series has x-valuation above k: from k = N on the levels are zero
+    to order N and are yielded without a series product.
     """
     _check_pass_arguments(degrees, k_max)
     N = y.order
+    zero = TruncatedSeries.zero(N, y.ring, y.scale)
     g = [_gamma0(d, y_exact, y) for d in degrees]
-    f = [TruncatedSeries.zero(N, y.ring, y.scale)] * len(g) if second else None
-    m = TruncatedSeries.zero(N, y.ring, y.scale) if mixed else None
+    f = [zero] * len(g) if second else None
+    m = zero if mixed else None
     yield _Level(0, g, f, m)
     weights = (None, lambda i: i - 1) if second else (None,)
-    for k in range(1, k_max + 1):
+    for k in range(1, min(k_max, N - 1) + 1):
         sums = [gj.power_sums(weights) for gj in g]
         S = [gj + G[0] for gj, G in zip(g, sums)]
         if second:
@@ -320,6 +323,9 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
             m = y * (S[0] * S[1] + m + m.power_sums((lambda i: i,))[0])
         g = [y * Sj for Sj in S]
         yield _Level(k, g, f, m)
+    for k in range(N, k_max + 1):
+        yield _Level(k, [zero] * len(g), [zero] * len(g) if second else None,
+                     zero if mixed else None)
 
 
 def gamma_series_progression(d, k_max, N, ring=EXACT, scale=1.0):
@@ -330,7 +336,8 @@ def gamma_series_progression(d, k_max, N, ring=EXACT, scale=1.0):
 
 def gamma_series(d, k, N, ring=EXACT, scale=1.0):
     """First-derivative series: E L_n^{(d)}(k) = [x^n] gamma / y_n."""
-    return _last(gamma_series_progression(d, k, N, ring, scale))[1]
+    rings = _tree_series_rings(N, ring, scale)
+    return _last(_derivative_levels((d,), k, *rings)).g[0].lift()
 
 
 def second_factorial_series(d, k, N, ring=EXACT, scale=1.0):
@@ -385,8 +392,16 @@ def level_mean(d, n, k, ring=EXACT, scale=1.0):
 
 
 def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
-    """Exact (or double-ring) covariance table for X^{(d1)}(k), X^{(d2)}(k)."""
+    """Exact (or double-ring) covariance table for X^{(d1)}(k), X^{(d2)}(k).
+
+    A level k >= n is empty, as in ``level_mean``: every entry is 0 and the
+    correlation None, found without stepping the pass.
+    """
     y_exact, y = _tree_series_rings(n, ring, scale)
+    if k >= n:
+        _check_pass_arguments((d1, d2), k)
+        zero = 0.0 if ring == DOUBLE else Fraction(0)
+        return MomentTable(n, d1, d2, k, *[zero] * 8, correlation=None)
     same = d1 == d2
     level = _last(_derivative_levels(
         (d1,) if same else (d1, d2), k, y_exact, y, second=True, mixed=not same,

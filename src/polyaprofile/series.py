@@ -472,25 +472,29 @@ class TruncatedSeries:
         ls = math.log(scale)
         for n, c in enumerate(self.coeffs):
             if c:
-                f = Fraction(c)
-                out[n] = _signed_exp(f, n * ls)
+                out[n] = _signed_exp(c, n * ls)
         return TruncatedSeries(out, self.order, DOUBLE, scale)
 
 
 def _log_abs(c):
-    f = Fraction(c)
-    return math.log(abs(f.numerator)) - (
-        math.log(f.denominator) if f.denominator != 1 else 0.0
+    """log|c| of a nonzero int or Fraction, free of overflow for big ones.
+
+    An int has ``numerator`` and ``denominator`` too, so neither needs a
+    Fraction built; exact-ring coefficients are never floats.
+    """
+    return math.log(abs(c.numerator)) - (
+        math.log(c.denominator) if c.denominator != 1 else 0.0
     )
 
 
-def _signed_exp(f, extra_log):
-    if f == 0:
+def _signed_exp(c, extra_log):
+    """c e^extra_log for an int or Fraction c, through log|c|."""
+    if c == 0:
         return 0.0
-    mag = _log_abs(f) + extra_log
+    mag = _log_abs(c) + extra_log
     if mag < -745.0:
         return 0.0
-    return math.exp(mag) if f.numerator > 0 else -math.exp(mag)
+    return math.exp(mag) if c > 0 else -math.exp(mag)
 
 
 # ---------------------------------------------------------------------------

@@ -264,6 +264,30 @@ def test_limit_mean_at_large_kappa_finishes_quickly():
     assert proc.stdout.splitlines()[1] == "limit_mean,1000.0,0.0,0.0"
 
 
+def test_covariance_past_the_height_finishes_quickly():
+    # levels k >= n of a size-n tree are empty; stepping 100000 of them took
+    # longer than the limit below
+    start = time.monotonic()
+    far = cli_process("profile-exact", "--n", "30", "--d", "1", "--d2", "2",
+                      "--k", "100000", "--mode", "cov")
+    assert time.monotonic() - start < 30
+    assert far.returncode == 0, far.stderr
+    near = cli_process("profile-exact", "--n", "30", "--d", "1", "--d2", "2",
+                       "--k", "40", "--mode", "cov")
+    assert far.stdout == near.stdout
+    assert far.stdout.splitlines()[-1] == "correlation,undefined,"
+
+
+def test_correlation_past_the_height_exits_3():
+    start = time.monotonic()
+    proc = cli_process("limits", "--what", "corr", "--kappa", "1000", "--n-list", "100",
+                       "--order", "200")
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("accuracy error: degenerate variance at n=100, k=10000")
+    assert "Traceback" not in proc.stderr
+
+
 def test_verify_single_cheap_criterion():
     res = run("verify", "--quick", "--criteria", "2", "--no-timestamp")
     assert res.exit_code == 0

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -172,3 +173,13 @@ def test_constants_stable_under_doubling(constants_400):
     assert abs(cs2.rho - constants_400.rho) <= max(constants_400.err["rho"], 1e-12)
     assert abs(cs2.b - constants_400.b) <= max(constants_400.err["b"], 1e-3)
     assert abs(cs2.C - constants_400.C) <= max(constants_400.err["C"], 1e-9)
+
+
+def test_constants_bits_are_unchanged():
+    # sha256 over float.hex of every constant, recorded before the exact-ring
+    # evaluation stopped converting each coefficient to a Fraction
+    cs = compute_constants(400, degrees=range(1, 11))
+    fields = [cs.rho, cs.b, cs.C]
+    fields += [cs.Cd[d] for d in range(1, 11)] + [cs.mu_d[d] for d in range(1, 11)]
+    digest = hashlib.sha256(",".join(v.hex() for v in fields).encode()).hexdigest()
+    assert digest == "0a0f54a08d73ba3723ea9d11666c7a45df5e84e94f416f9f0e1b1e1683c13e37"

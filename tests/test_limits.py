@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from polyaprofile import limits
 from polyaprofile.errors import UsageError
 from polyaprofile.limits import (
     correlation_convergence_report,
@@ -57,6 +59,40 @@ def test_psi_derivatives_match_moment_formulas(constants_400):
     second = -((vp - 2.0 + vm).real) / h**2
     want = eval_var_limit(1, 1.0, cs).value + limit_mean(1, 1.0, cs) ** 2
     assert abs(second - want) < 1e-5
+
+
+def test_psi_bits_are_unchanged(constants_400):
+    # sha256 over float.hex of value and quadrature error, recorded while
+    # every call still rebuilt its Gauss-Legendre rules
+    parts = []
+    for d in (1, 2):
+        for kappa in (0.5, 1.0):
+            for t in (0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0, 3.5, -3.5, 5.0, -5.0):
+                ev = eval_psi(t, d, kappa, constants_400)
+                parts += [ev.value.real.hex(), ev.value.imag.hex(), ev.quadrature_error.hex()]
+    digest = hashlib.sha256(",".join(parts).encode()).hexdigest()
+    assert digest == "2de6fa22fcd373f904f71fc488335bcf13dbe044d63224439da00d7e85bcc1c1"
+
+
+def test_psi_rule_is_built_once_per_node_count(constants_400, monkeypatch):
+    # a node count no other test asks for; the cache is emptied anyway, so a
+    # repeated run of this test counts the same builds
+    limits._unit_rule.cache_clear()
+    built = []
+    leggauss = np.polynomial.legendre.leggauss
+
+    def counting(nodes):
+        built.append(nodes)
+        return leggauss(nodes)
+
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss", counting)
+    for t in np.linspace(-3.0, 3.0, 10):
+        eval_psi(float(t), 1, 1.0, constants_400, nodes=137)
+    assert sorted(built) == [137, 274]
+    for nodes in (137, 274):
+        for arr in limits._unit_rule(nodes):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0.5
 
 
 def test_psi_requires_positive_kappa(constants_400):

@@ -458,11 +458,10 @@ def test_covariance_table_matches_separate_series(ring, scale, d1, d2):
     assert [_bits(v) for v in astuple(got)] == [_bits(v) for v in astuple(want)]
 
 
-def test_double_ring_pass_matches_term_by_term_recurrence():
-    # the recurrences written out with substitute_power and series adds over
-    # every i <= N; at N = 800 the rescaled terms of g(x^i) underflow to 0
-    # for large i, where the pass stops, and it must agree bit for bit
-    N, k = 800, 4
+def _double_pass(degrees, k_max, N):
+    """Per level k = 0..k_max: (gamma_k, gamma2_k) per degree and mixed_k of
+    the first two degrees in the double ring at scale RHO, by the recurrences
+    written out with substitute_power and series adds over every i <= N."""
     y = tree_series(N).to_double(RHO)
 
     def sub_sum(g, w):
@@ -471,13 +470,25 @@ def test_double_ring_pass_matches_term_by_term_recurrence():
             acc = acc + g.substitute_power(i) * w(i)
         return acc
 
-    g1, g2 = (gamma_series(d, 0, N, "double", RHO) for d in (1, 2))
-    f1 = mixed = TruncatedSeries.zero(N, "double", RHO)
-    for _ in range(k):
-        S1, S2 = (g + sub_sum(g, lambda i: 1) for g in (g1, g2))
-        f1 = y * (S1 * S1 + f1 + sub_sum(f1, lambda i: i) + sub_sum(g1, lambda i: i - 1))
-        mixed = y * (S1 * S2 + mixed + sub_sum(mixed, lambda i: i))
-        g1, g2 = y * S1, y * S2
+    g = [gamma_series(d, 0, N, "double", RHO) for d in degrees]
+    f = [TruncatedSeries.zero(N, "double", RHO)] * len(degrees)
+    mixed = TruncatedSeries.zero(N, "double", RHO)
+    levels = [(g, f, mixed)]
+    for _ in range(k_max):
+        S = [gj + sub_sum(gj, lambda i: 1) for gj in g]
+        f = [y * (Sj * Sj + fj + sub_sum(fj, lambda i: i) + sub_sum(gj, lambda i: i - 1))
+             for Sj, fj, gj in zip(S, f, g)]
+        mixed = y * (S[0] * S[1] + mixed + sub_sum(mixed, lambda i: i))
+        g = [y * Sj for Sj in S]
+        levels.append((g, f, mixed))
+    return levels
+
+
+def test_double_ring_pass_matches_term_by_term_recurrence():
+    # at N = 800 the rescaled terms of g(x^i) underflow to 0 for large i,
+    # where the pass stops, and it must agree bit for bit
+    N, k = 800, 4
+    (g1, g2), (f1, _), mixed = _double_pass((1, 2), k, N)[k]
     got = (
         gamma_series(1, k, N, "double", RHO),
         gamma_series(2, k, N, "double", RHO),
@@ -582,3 +593,64 @@ def test_mean_of_an_empty_level_steps_no_series(monkeypatch):
     assert level_mean(2, 50, 60, ring="double", scale=RHO).hex() == "0x0.0p+0"
     with pytest.raises(UsageError, match="degrees d >= 1"):
         level_mean(0, 50, 60)
+
+
+# ---------------------------------------------------------------------------
+# levels past the tree height
+# ---------------------------------------------------------------------------
+
+def _series_bits(series):
+    return series.coeffs.tobytes() if series.ring == "double" else list(series.coeffs)
+
+
+@pytest.mark.parametrize("ring,scale", [("exact", 1.0), ("double", RHO)])
+@pytest.mark.parametrize("d1,d2", [(1, 2), (2, 2), (3, TOTAL)])
+@pytest.mark.parametrize("n", [5, 12])
+def test_levels_past_the_height_match_the_stepped_pass(monkeypatch, n, d1, d2, ring, scale):
+    # a size-n tree has no level k >= n: the pass yields those levels and
+    # finite_covariance returns their table without a series product, and
+    # both must equal stepping through every level; level n - 1 holds only
+    # the leaf that ends a path, which degree 1 and TOTAL count
+    if ring == "exact":
+        levels = [([TruncatedSeries(s, n) for s in g], [TruncatedSeries(s, n) for s in f],
+                   TruncatedSeries(mixed, n))
+                  for g, f, mixed in _exact_pass((d1, d2), n + 3, n)]
+        y = tree_series(n)
+    else:
+        levels = _double_pass((d1, d2), n + 3, n)
+        y = tree_series(n).to_double(scale)
+
+    def ratio(series):
+        return series[n] / y[n] if ring == "double" else Fraction(series[n], y[n])
+
+    for k in range(n - 1, n + 4):
+        g, f, mixed = levels[k]
+        for j, d in enumerate((d1, d2)):
+            assert _series_bits(gamma_series(d, k, n, ring, scale)) == _series_bits(g[j])
+            got = second_factorial_series(d, k, n, ring, scale)
+            assert _series_bits(got) == _series_bits(f[j])
+        m1, m2, f1, f2 = (ratio(s) for s in (*g, *f))
+        var1, var2 = f1 + m1 - m1 * m1, f2 + m2 - m2 * m2
+        if d1 == d2:
+            mix, cov = f1 + m1, var1
+        else:
+            got = mixed_gamma_series(d1, d2, k, n, ring, scale)
+            assert _series_bits(got) == _series_bits(mixed)
+            mix = ratio(mixed)
+            cov = mix - m1 * m2
+        corr = float(cov) / sqrt(float(var1) * float(var2)) if var1 > 0 and var2 > 0 else None
+        assert corr is None or k < n
+        want = MomentTable(
+            n=n, d1=d1, d2=d2, k=k, mean1=m1, mean2=m2,
+            second_factorial1=f1, second_factorial2=f2, mixed=mix,
+            var1=var1, var2=var2, covariance=cov, correlation=corr,
+        )
+        got = finite_covariance(d1, d2, n, k, ring=ring, scale=scale)
+        assert [(_bits(v), isinstance(v, Fraction)) for v in astuple(got)] == [
+            (_bits(v), isinstance(v, Fraction)) for v in astuple(want)]
+    table = lambda: finite_covariance(d1, d2, n, n + 3, ring=ring, scale=scale)
+    assert _series_products(monkeypatch, table) == 0
+    # the pass itself steps only the levels below the height
+    every_level = lambda: second_factorial_series(d1, n + 3, n, ring, scale)
+    assert _series_products(monkeypatch, every_level) == _series_products(
+        monkeypatch, lambda: second_factorial_series(d1, n - 1, n, ring, scale))

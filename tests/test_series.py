@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from math import factorial
@@ -9,7 +10,15 @@ from hypothesis import strategies as st
 
 from polyaprofile.enumeration import _build_primes, tree_series
 from polyaprofile.errors import AccuracyError, DomainError, UsageError
-from polyaprofile.series import DOUBLE, EXACT, MarkedSeries, ResidueRing, TruncatedSeries
+from polyaprofile.series import (
+    DOUBLE,
+    EXACT,
+    MarkedSeries,
+    ResidueRing,
+    TruncatedSeries,
+    _log_abs,
+    _signed_exp,
+)
 
 
 def S(coeffs, order=None, **kw):
@@ -175,6 +184,31 @@ def test_evaluate_outside_unit_disk_rejected():
 def test_evaluate_divergent_point_raises_accuracy():
     with pytest.raises(AccuracyError):
         tree_series(60).evaluate(0.9)
+
+
+def _log_abs_of_fraction(c):
+    # log|c| as computed through Fraction(c) for every coefficient
+    f = Fraction(c)
+    return math.log(abs(f.numerator)) - (math.log(f.denominator) if f.denominator != 1 else 0.0)
+
+
+def test_log_abs_matches_the_fraction_route():
+    rng = random.Random(10)
+    values = []
+    for bits in range(1, 5001):
+        c = rng.getrandbits(bits) | 1 << (bits - 1)
+        values += [c, -c]
+    for bits in (1, 40, 700, 1100, 3000):
+        num = rng.getrandbits(bits) | 1
+        den = rng.getrandbits(bits + 7) | 1 << (bits + 6)
+        values += [Fraction(num, den), Fraction(-num, den), Fraction(den, num)]
+    for c in values:
+        log_abs = _log_abs_of_fraction(c)
+        assert _log_abs(c).hex() == log_abs.hex()
+        # to_double's conversion, once with c as it is stored and once as the
+        # Fraction it used to build: in range, near underflow and below it
+        for extra in (2.5 - log_abs, -744.0 - log_abs, -800.0 - log_abs):
+            assert _signed_exp(c, extra).hex() == _signed_exp(Fraction(c), extra).hex()
 
 
 # ---------------------------------------------------------------------------
