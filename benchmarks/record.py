@@ -3,22 +3,25 @@
     python3 benchmarks/record.py --parent 5ab1920 --workload exact=10 \\
         --workload montecarlo=3 --workload asymptotics=3 --seconds 30
 
-Run it from the repository root.  The "new" side is this checkout's working
-tree; the parent side is ``--parent`` exported with ``git archive`` into a
-temporary directory, removed afterwards.  Each ``--workload NAME=PAIRS`` runs
-PAIRS pairs of ``perfbench/run.py``, one run per side; pair i uses seed
-``--first-seed`` + i, and the parent runs first in even pairs, the new side
-in odd ones.  The output keeps each run's environment line and last JSON
-line, and per workload and end-to-end metric (from BENCHMARK.json) the
-median and quartiles of each side and the number of pairs the new side won.
-It is written to ``--out``, by default the first free BENCH_<k>.json in the
-repository root.
+Run it from the repository root.  Each side runs in a temporary directory of
+its own, removed afterwards: the parent side holds ``--parent`` exported with
+``git archive``, the "new" side the working tree's copy of every file git
+tracks or would track (``git ls-files --cached --others --exclude-standard``),
+so both start from a like tree with an empty count cache.  Each
+``--workload NAME=PAIRS`` runs PAIRS pairs of ``perfbench/run.py``, one run
+per side; pair i uses seed ``--first-seed`` + i, and the parent runs first in
+even pairs, the new side in odd ones.  The output keeps each run's
+environment line and last JSON line, and per workload and end-to-end metric
+(from BENCHMARK.json) the median and quartiles of each side and the number of
+pairs the new side won.  It is written to ``--out``, by default the first
+free BENCH_<k>.json in the repository root.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import shutil
 import statistics
 import subprocess
 import sys
@@ -32,6 +35,16 @@ RUN_TIMEOUT_S = 1800  # a first run also fills its checkout's count cache
 def _git(*args, cwd=ROOT):
     return subprocess.run(["git", *args], cwd=cwd, check=True, capture_output=True,
                           text=True).stdout.strip()
+
+
+def _export_working_tree(dest):
+    """Copy the working tree's tracked and untracked, not ignored, files to ``dest``."""
+    listed = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in dict.fromkeys(listed.split("\0")):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file deleted in the working tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def _workload(text):
@@ -106,11 +119,13 @@ def main(argv=None):
         "seconds": args.seconds,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir:
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent_dir, \
+            tempfile.TemporaryDirectory(prefix="bench-new-") as new_dir:
         archive = subprocess.run(["git", "archive", parent_commit], cwd=ROOT, check=True,
                                  capture_output=True).stdout
         subprocess.run(["tar", "-x", "-C", parent_dir], input=archive, check=True)
-        checkouts = {"parent": Path(parent_dir), "new": ROOT}
+        _export_working_tree(Path(new_dir))
+        checkouts = {"parent": Path(parent_dir), "new": Path(new_dir)}
         for name, count in args.workload:
             pairs = []
             for i in range(count):

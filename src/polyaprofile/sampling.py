@@ -9,12 +9,23 @@ pick (j, d) with probability d y_d y_{n-jd} / ((n-1) y_n), sample a tree T'
 of size n - jd and one tree D of size d, and attach j identical copies of D
 to the root of T'.  Induction gives a uniform isomorphism class of size n.
 
+One walk emits the tree flat, as preorder lists ``parent``, ``child_count``
+and ``level`` in the order :meth:`PolyaTree.from_shape` gives.  Picking
+(j, d) appends j leaves at once when d = 1, else the root of D and a frame
+for it; a filled frame's subtree is the block from its root to the end of
+the lists, and its j - 1 copies are that block appended again with parent
+indices offset.  Draws thus follow the preorder of the recursion.
+
 Selection draws an exact integer R uniform in [0, (n-1) y_n) and returns the
 pair whose interval of cumulative big-integer weights holds R; the walk is
 ordered j = 1, d descending, which covers the probability mass in
-O(sqrt(n)) expected steps.  Sizes n <= 64 bisect a precomputed table of
-cumulative weights.  Larger sizes walk a float guide first (Denise &
-Zimmermann, TCS 218, 1999): the weights rescaled by c^n with c = rho,
+O(sqrt(n)) expected steps.  R is drawn inline: ``getrandbits(k)``, k the
+bit length of the total, until below the total.  That is the body of
+``Random._randbelow_with_getrandbits``, which ``rng.randrange(total)``
+runs on Python 3.10 to 3.13, so seeded streams are those of ``randrange``.
+Sizes n <= 64 bisect a precomputed table of cumulative weights.  Larger
+sizes walk a float guide first (Denise & Zimmermann, TCS 218, 1999): the
+weights rescaled by c^n with c = rho,
 
     d y_d y_{n-jd} c^n = g_d fy_{n-jd} c^{(j-1)d},   fy_k = y_k c^k,  g_d = d fy_d,
 
@@ -119,9 +130,13 @@ class ProfileSample:
 
 def extract_profile(tree, d_max):
     """BFS level decomposition with per-degree counts (degree = children + 1)."""
-    lev = tree.levels()
-    deg = tree.degrees()
-    height = int(lev.max()) if tree.n else 0
+    return _profile(tree.levels(), tree.child_count, d_max)
+
+
+def _profile(level, child_count, d_max):
+    lev = np.asarray(level, dtype=np.int64)
+    deg = np.asarray(child_count, dtype=np.int64) + 1
+    height = int(lev.max()) if len(lev) else 0
     level_counts = np.bincount(lev, minlength=height + 1)
     dl = np.zeros((d_max, height + 1), dtype=np.int64)
     mask = deg <= d_max
@@ -129,7 +144,7 @@ def extract_profile(tree, d_max):
         flat = (deg[mask] - 1) * (height + 1) + lev[mask]
         counts = np.bincount(flat, minlength=d_max * (height + 1))
         dl = counts.reshape(d_max, height + 1)
-    return ProfileSample(tree.n, level_counts, dl, d_max)
+    return ProfileSample(len(lev), level_counts, dl, d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +164,11 @@ class TreeSampler:
         self._fy = fy
         self._g = [d * f for d, f in enumerate(fy)]
         self._cpow = [_RHO ** m for m in range(table.n_max + 1)]
-        self._memo = {}
+        # per size, filled on first use: the total (n-1) y_n, its bit length,
+        # and for n <= _MEMO_CUTOFF the cumulative selection table
+        self._totals = [None] * (table.n_max + 1)
+        self._bits = [0] * (table.n_max + 1)
+        self._tables = [None] * (_MEMO_CUTOFF + 1)
 
     def _weights(self, n):
         """(j, d, d y_d y_{n-jd}) in walk order: j ascending, d descending."""
@@ -158,18 +177,19 @@ class TreeSampler:
             for d in range((n - 1) // j, 0, -1):
                 yield j, d, d * y[d] * y[n - j * d]
 
+    def _total(self, n):
+        total = self._totals[n] = (n - 1) * self.y[n]
+        self._bits[n] = total.bit_length()
+        return total
+
     def _selection_table(self, n):
-        tab = self._memo.get(n)
-        if tab is None:
-            cums = []
-            pairs = []
-            acc = 0
-            for j, d, w in self._weights(n):
-                acc += w
-                cums.append(acc)
-                pairs.append((j, d))
-            tab = (cums, pairs)
-            self._memo[n] = tab
+        """(cumulative weights, pairs) of size n <= _MEMO_CUTOFF."""
+        cums, pairs, acc = [], [], 0
+        for j, d, w in self._weights(n):
+            acc += w
+            cums.append(acc)
+            pairs.append((j, d))
+        tab = self._tables[n] = (cums, pairs)
         return tab
 
     def _walk_exact(self, n, R):
@@ -181,15 +201,11 @@ class TreeSampler:
                 return j, d
         raise AssertionError("selection walk exhausted the weight total")
 
-    def _choose(self, n, rng):
-        total = (n - 1) * self.y[n]
-        R = rng.randrange(total)
-        if n <= _MEMO_CUTOFF:
-            cums, pairs = self._selection_table(n)
-            return pairs[bisect_right(cums, R)]
+    def _choose(self, n, R):
+        """The pair for draw R at a size n > _MEMO_CUTOFF: float guide, exact fallback."""
         fy, g, cpow = self._fy, self._g, self._cpow
         scale = (n - 1) * fy[n]          # the total, rescaled by c^n
-        target = R / total * scale
+        target = R / (self._totals[n] or self._total(n)) * scale
         band = _BAND * scale
         acc = 0.0
         for d in range(n - 1, 0, -1):    # j = 1, where c^((j-1)d) = 1
@@ -209,32 +225,61 @@ class TreeSampler:
                     return self._walk_exact(n, R)
         return self._walk_exact(n, R)
 
-    def sample_shape(self, n, rng):
-        """Nested-tuple tree of exactly n nodes, uniform over classes."""
+    def sample_flat(self, n, rng):
+        """Preorder (parent, child_count, level) lists of a uniform tree of n nodes."""
         if n < 1 or n > self.table.n_max:
             raise UsageError(f"size {n} outside the count table (<= {self.table.n_max})")
-        # frame: [remaining, children, pending_copies]; the recursive chain
-        # T(n) = T(n - jd) + j copies of D(d) always attaches to the same
-        # root, so a frame collects subtree samples until remaining == 1.
-        stack = [[n, [], 0]]
-        done = None
+        getrandbits = rng.getrandbits
+        totals, bits, tables, choose = self._totals, self._bits, self._tables, self._choose
+        parent, count, level = [-1], [0], [0]
+        stack = [[0, n, 1]]  # frame: [root index, size left to fill, copies wanted]
         while stack:
-            frame = stack[-1]
-            if done is not None:
-                frame[1].extend([done] * frame[2])
-                done = None
-            if frame[0] == 1:
-                done = tuple(frame[1])
+            r, m, copies = frame = stack[-1]
+            if m == 1:  # subtree done: it is the block parent[r:], copied copies - 1 times
                 stack.pop()
+                if copies > 1:
+                    size, p, par = len(parent) - r, parent[r], parent[r + 1:]
+                    count += count[r:] * (copies - 1)
+                    level += level[r:] * (copies - 1)
+                    for off in range(size, size * copies, size):
+                        parent.append(p)
+                        parent += [q + off for q in par]
                 continue
-            j, d = self._choose(frame[0], rng)
-            frame[0] -= j * d
-            frame[2] = j
-            stack.append([d, [], 0])
-        return done
+            total = totals[m] or self._total(m)
+            k = bits[m]
+            R = getrandbits(k)  # rng.randrange(total), inline
+            while R >= total:
+                R = getrandbits(k)
+            if m <= _MEMO_CUTOFF:
+                cums, pairs = tables[m] or self._selection_table(m)
+                j, d = pairs[bisect_right(cums, R)]
+            else:
+                j, d = choose(m, R)
+            frame[1] = m - j * d
+            count[r] += j
+            lv = level[r] + 1
+            if d == 1:
+                parent += [r] * j
+                count += [0] * j
+                level += [lv] * j
+            else:
+                stack.append([len(parent), d, j])
+                parent.append(r)
+                count.append(0)
+                level.append(lv)
+        return parent, count, level
+
+    def sample_shape(self, n, rng):
+        """Nested-tuple tree of exactly n nodes, uniform over classes."""
+        parent, _, _ = self.sample_flat(n, rng)
+        kids = [[] for _ in parent]  # filled last child first, since children follow parents
+        for i in range(n - 1, 0, -1):
+            kids[parent[i]].append(tuple(reversed(kids[i])))
+        return tuple(reversed(kids[0]))
 
     def sample_tree(self, n, rng):
-        return PolyaTree.from_shape(self.sample_shape(n, rng))
+        parent, count, _ = self.sample_flat(n, rng)
+        return PolyaTree(tuple(parent), tuple(count))
 
 
 def derive_rng(seed, stream_index):
@@ -407,8 +452,8 @@ def _run_chunk(sampler, spec, chunk_index, chunk_size):
     acc = _Accumulator(spec)
     d_max = max(spec.degrees, default=1)
     for _ in range(chunk_size):
-        tree = sampler.sample_tree(spec.n, rng)
-        acc.add_tree(extract_profile(tree, d_max))
+        _, count, level = sampler.sample_flat(spec.n, rng)
+        acc.add_tree(_profile(level, count, d_max))
     return acc
 
 

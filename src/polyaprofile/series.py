@@ -494,7 +494,12 @@ def _signed_exp(c, extra_log):
     mag = _log_abs(c) + extra_log
     if mag < -745.0:
         return 0.0
-    return math.exp(mag) if c > 0 else -math.exp(mag)
+    try:
+        return math.exp(mag) if c > 0 else -math.exp(mag)
+    except OverflowError:
+        raise AccuracyError(
+            f"|coefficient| = e^{mag:.1f} passes the double range; "
+            "convert with a geometric scale such as rho") from None
 
 
 # ---------------------------------------------------------------------------

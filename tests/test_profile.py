@@ -204,6 +204,17 @@ def test_mixed_and_second_factorial_match_brute_force():
                 assert Fraction(g2[n], y_n) == want
 
 
+@pytest.mark.parametrize("call", [
+    lambda: level_mean(1, 1600, 5, ring="double"),
+    lambda: finite_covariance(1, 2, 1000, 5, ring="double"),
+], ids=["level_mean", "finite_covariance"])
+def test_unscaled_double_ring_past_the_float_range_raises_accuracy_error(call):
+    # y_n passes the largest double at n = 665: with the default scale 1.0,
+    # to_double cannot hold it and tells the caller to pass a scale
+    with pytest.raises(AccuracyError, match="double range"):
+        call()
+
+
 def test_variance_nonnegative():
     for n in (6, 10):
         for k in (1, 2, 3):

@@ -127,15 +127,13 @@ def _exact_cumulative(y, n):
     return cums, pairs
 
 
-class _FixedDraw:
-    """Stands in for random.Random: randrange returns a given value."""
-
-    def __init__(self, value):
-        self.value = value
-
-    def randrange(self, stop):
-        assert 0 <= self.value < stop
-        return self.value
+def _inline_draw(sampler, n, rng):
+    """R as the flat walk draws it, from the sampler's per-size total and bit length."""
+    total = sampler._totals[n] or sampler._total(n)
+    R = rng.getrandbits(sampler._bits[n])
+    while R >= total:
+        R = rng.getrandbits(sampler._bits[n])
+    return R
 
 
 @pytest.mark.parametrize("n", [65, 200, 1600])
@@ -147,7 +145,8 @@ def test_float_guided_choose_matches_exact_walk(n, cache_dir):
         a, b = derive_rng(seed, n), derive_rng(seed, n)
         for _ in range(3):
             R = b.randrange(cums[-1])
-            assert s._choose(n, a) == pairs[bisect_right(cums, R)]
+            assert _inline_draw(s, n, a) == R
+            assert s._choose(n, R) == pairs[bisect_right(cums, R)]
         assert a.getstate() == b.getstate()
 
 
@@ -158,7 +157,7 @@ def test_float_guided_choose_at_interval_boundaries(n, table_400):
     s = TreeSampler(table_400)
     cums, pairs = _exact_cumulative(table_400.y, n)
     draws = [R for A in cums[:-1] for R in (A - 1, A)] + [0, cums[-1] - 1]
-    got = [s._choose(n, _FixedDraw(R)) for R in draws]
+    got = [s._choose(n, R) for R in draws]
     assert got == [pairs[bisect_right(cums, R)] for R in draws]
 
 
@@ -168,10 +167,10 @@ def test_forced_exact_fallback_keeps_shapes(monkeypatch, table_400):
     big_walks, fallbacks = [], []
     choose, walk_exact = TreeSampler._choose, TreeSampler._walk_exact
 
-    def counting_choose(self, n, rng):
+    def counting_choose(self, n, R):
         if n > sampling._MEMO_CUTOFF:
             big_walks.append(n)
-        return choose(self, n, rng)
+        return choose(self, n, R)
 
     def counting_walk_exact(self, n, R):
         fallbacks.append(n)
@@ -183,6 +182,95 @@ def test_forced_exact_fallback_keeps_shapes(monkeypatch, table_400):
     forced = [s.sample_shape(300, derive_rng(seed, 0)) for seed in range(5)]
     assert forced == expected
     assert big_walks and fallbacks == big_walks
+
+
+# ---------------------------------------------------------------------------
+# the flat walk against the nested-frame sampler it replaced
+# ---------------------------------------------------------------------------
+
+class _NestedSampler:
+    """Oracle: nested tuples built frame by frame, rng.randrange draws, and
+    selection by the exact cumulative walk at every size."""
+
+    def __init__(self, y):
+        self.y = y
+
+    def _choose(self, n, rng):
+        y = self.y
+        R = rng.randrange((n - 1) * y[n])
+        acc = 0
+        for j in range(1, n):
+            for d in range((n - 1) // j, 0, -1):
+                acc += d * y[d] * y[n - j * d]
+                if R < acc:
+                    return j, d
+        raise AssertionError("selection walk exhausted the weight total")
+
+    def sample_shape(self, n, rng):
+        # frame: [remaining, children, pending_copies]; the recursive chain
+        # T(n) = T(n - jd) + j copies of D(d) always attaches to the same
+        # root, so a frame collects subtree samples until remaining == 1.
+        stack = [[n, [], 0]]
+        done = None
+        while stack:
+            frame = stack[-1]
+            if done is not None:
+                frame[1].extend([done] * frame[2])
+                done = None
+            if frame[0] == 1:
+                done = tuple(frame[1])
+                stack.pop()
+                continue
+            j, d = self._choose(frame[0], rng)
+            frame[0] -= j * d
+            frame[2] = j
+            stack.append([d, [], 0])
+        return done
+
+
+@pytest.mark.parametrize("band", [None, 0.5], ids=["guided", "forced_exact"])
+@pytest.mark.parametrize("n, seeds", [(65, 200), (400, 40), (1600, 8)])
+def test_flat_walk_matches_nested_oracle(n, seeds, band, monkeypatch, cache_dir):
+    table = count_trees(n, cache_dir=cache_dir)
+    s, oracle = TreeSampler(table), _NestedSampler(table.y)
+    fallbacks = []
+    if band is not None:  # every walk above the tables falls back to the exact walk
+        walk_exact = TreeSampler._walk_exact
+        monkeypatch.setattr(sampling, "_BAND", band)
+        monkeypatch.setattr(TreeSampler, "_walk_exact",
+                            lambda self, m, R: fallbacks.append(m) or walk_exact(self, m, R))
+    for seed in range(seeds):
+        a, b = derive_rng(seed, n), derive_rng(seed, n)
+        tree = s.sample_tree(n, a)
+        expected = PolyaTree.from_shape(oracle.sample_shape(n, b))
+        assert tree.parent == expected.parent
+        assert tree.child_count == expected.child_count
+        assert (tree.levels() == expected.levels()).all()
+        assert s.sample_flat(n, derive_rng(seed, n))[2] == expected.levels().tolist()
+        assert a.getstate() == b.getstate()
+        a, b = derive_rng(seed, n), derive_rng(seed, n)
+        assert s.sample_shape(n, a) == oracle.sample_shape(n, b)
+        assert a.getstate() == b.getstate()
+    assert (len(fallbacks) > 0) == (band is not None)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_monte_carlo_matches_oracle_and_extract_profile(threads, table_400):
+    n = 300
+    spec = MonteCarloSpec(n=n, degrees=(1, 2, 3), kappas=(0.5, 1.0), t_values=(0.5, 1.0),
+                          samples=40, seed=17, tightness_grid=level_grid_for(n))
+    oracle = _NestedSampler(table_400.y)
+    expected = sampling._Accumulator(spec)
+    for idx, size in enumerate(sampling._chunk_sizes(spec.samples, sampling._CHUNKS)):
+        rng = derive_rng(spec.seed, idx)
+        part = sampling._Accumulator(spec)
+        for _ in range(size):
+            tree = PolyaTree.from_shape(oracle.sample_shape(n, rng))
+            part.add_tree(extract_profile(tree, 3))
+        expected.merge(part)
+    got = monte_carlo(spec, table=table_400, threads=threads)
+    assert got.count == expected.count == 40
+    assert got.sums == expected.g
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 from math import factorial
 
@@ -209,6 +210,16 @@ def test_log_abs_matches_the_fraction_route():
         # Fraction it used to build: in range, near underflow and below it
         for extra in (2.5 - log_abs, -744.0 - log_abs, -800.0 - log_abs):
             assert _signed_exp(c, extra).hex() == _signed_exp(Fraction(c), extra).hex()
+
+
+def test_signed_exp_past_the_double_range_raises_accuracy_error():
+    c = 3**700  # log c = 769.0
+    top = math.log(sys.float_info.max) - math.log(c)
+    assert _signed_exp(c, top - 1e-9) == pytest.approx(sys.float_info.max, rel=1e-8)
+    assert _signed_exp(-c, top - 1e-9) == pytest.approx(-sys.float_info.max, rel=1e-8)
+    for value in (c, -c, Fraction(c, 7)):
+        with pytest.raises(AccuracyError, match="double range"):
+            _signed_exp(value, 0.0)
 
 
 # ---------------------------------------------------------------------------
