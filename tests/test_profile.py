@@ -575,6 +575,23 @@ def test_covariance_at_400_is_unchanged():
     assert tab.correlation.hex() == "0x1.c21693113feb9p-2"
 
 
+def test_double_ring_bits_are_unchanged():
+    # sha256 of the converted tree series and of the double-ring table at
+    # (1, 2, 1600, 40), as the ring computed them before it owned its format
+    for N, scale, digest in (
+        (400, RHO, "9e324de438899438bce12e097653faccb3f5599c09b4c62154300309282ac188"),
+        (1600, RHO, "3094b9fa99bc25d86942b138a12feb01f96b994405111f270ceb91044f0fe4d6"),
+        (100, 1.0, "26098c4e7f4ab70f0b28ea825722a4ae1c4826a3bab08890f93d161e177a6e13"),
+    ):
+        coeffs = tree_series(N).to_double(scale).coeffs
+        assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+    tab = finite_covariance(1, 2, 1600, 40, ring="double", scale=RHO)
+    fields = [v.hex() for v in astuple(tab) if isinstance(v, float)]
+    assert len(fields) == 9  # the eight moments and the correlation
+    digest = hashlib.sha256("\n".join(fields).encode()).hexdigest()
+    assert digest == "1002ed335087515fcbc16eb7547bc2e725cbb56c6b727bc467c73c4573cae550"
+
+
 @pytest.mark.parametrize("N", [1, 2, 400, 1600])
 def test_residue_primes_lift_every_pass_coefficient(N):
     ring = profile._residue_ring(N)
