@@ -322,27 +322,12 @@ def c_d_rho_ladder(d, rho, N):
     return 2.0 * r1bc - r1ab
 
 
-def compute_Cd(d, rho, b, N):
-    """C_d (with C^{(d)}(rho) = C_d rho^d) and the density mu_d = 2 C_d rho^d/(b^2 rho).
-
-    Returns (C_d, mu_d, err).  The density divides by b^2 rho; to keep
-    sum_d mu_d = 1 to full precision this uses the exact singular-system
-    identity b^2 rho / 2 = 1 + rho E'(rho) rather than a b estimate whose
-    error would bias every mu_d by the same relative amount.
-    """
-    if d < 1:
-        raise UsageError("compute_Cd requires d >= 1")
-    y = tree_series(N)
-    yvals = _y_values_on_powers(y, rho)
-    cdr = c_d_rho_solve(d, rho, yvals)
-    Cd = cdr / rho**d
-    mu = cdr / _half_b2rho(rho, N)
-    err = max(1e-12 * abs(Cd), 1e-15)
-    return Cd, mu, err
-
-
 def _half_b2rho(rho, N):
-    """b^2 rho / 2 = 1 + rho E'(rho), exact at the singular point."""
+    """b^2 rho / 2 = 1 + rho E'(rho), exact at the singular point.
+
+    mu_d divides by this rather than by a b estimate, whose error would bias
+    every mu_d alike, so sum_d mu_d = 1 to full precision.
+    """
     y = tree_series(N)
     return 1.0 + rho * _aux_exponent_deriv(_deriv_series(y), rho)
 

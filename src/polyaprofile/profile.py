@@ -61,7 +61,7 @@ from math import factorial, isqrt, sqrt
 
 from .enumeration import _build_primes, multiset_cap_series, tree_series
 from .errors import UsageError
-from .series import DOUBLE, EXACT, MarkedSeries, ResidueRing, TruncatedSeries
+from .series import DoubleRing, MarkedSeries, ResidueRing, TruncatedSeries
 
 TOTAL = None  # degree argument meaning "count every node on the level"
 
@@ -260,12 +260,11 @@ def _residue_ring(N):
 
 def _tree_series_rings(N, ring, scale):
     """y(x) exactly and in the working ring (residues when exact), from one tree_series call."""
-    if ring not in (EXACT, DOUBLE):
+    if ring not in ("exact", "double"):
         raise UsageError(f"unknown ring {ring!r}")
     y = tree_series(N)
-    if ring == DOUBLE:
-        return y, y.to_double(scale)
-    return y, TruncatedSeries(y.coeffs, N, _residue_ring(N))
+    working = DoubleRing(scale) if ring == "double" else _residue_ring(N)
+    return y, TruncatedSeries(y.coeffs, N, working)
 
 
 def _gamma0(d, y_exact, y):
@@ -276,14 +275,9 @@ def _gamma0(d, y_exact, y):
     """
     if d is TOTAL:
         return y
-    ints = []
-    for c in multiset_cap_series(d, y_exact.order, base=y_exact).coeffs:
-        f = Fraction(c)
-        assert f.denominator == 1, "root-degree series must be integral"
-        ints.append(int(f))
-    if y.ring == DOUBLE:
-        return TruncatedSeries(ints, y.order, EXACT).to_double(y.scale)
-    return TruncatedSeries(ints, y.order, y.ring)
+    cs = multiset_cap_series(d, y_exact.order, base=y_exact).coeffs
+    assert all(isinstance(c, int) for c in cs), "root-degree series must be integral"
+    return TruncatedSeries(cs, y.order, y.ring)
 
 
 _Level = namedtuple("_Level", "k g f mixed")
@@ -305,7 +299,7 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
     """
     _check_pass_arguments(degrees, k_max)
     N = y.order
-    zero = TruncatedSeries.zero(N, y.ring, y.scale)
+    zero = TruncatedSeries.zero(N, y.ring)
     g = [_gamma0(d, y_exact, y) for d in degrees]
     f = [zero] * len(g) if second else None
     m = zero if mixed else None
@@ -328,25 +322,25 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
                      zero if mixed else None)
 
 
-def gamma_series_progression(d, k_max, N, ring=EXACT, scale=1.0):
+def gamma_series_progression(d, k_max, N, ring="exact", scale=1.0):
     """Yield (k, gamma_k^{(d)}) for k = 0..k_max."""
     for level in _derivative_levels((d,), k_max, *_tree_series_rings(N, ring, scale)):
         yield level.k, level.g[0].lift()
 
 
-def gamma_series(d, k, N, ring=EXACT, scale=1.0):
+def gamma_series(d, k, N, ring="exact", scale=1.0):
     """First-derivative series: E L_n^{(d)}(k) = [x^n] gamma / y_n."""
     rings = _tree_series_rings(N, ring, scale)
     return _last(_derivative_levels((d,), k, *rings)).g[0].lift()
 
 
-def second_factorial_series(d, k, N, ring=EXACT, scale=1.0):
+def second_factorial_series(d, k, N, ring="exact", scale=1.0):
     """Series of E[X(X-1)] numerators for X = L_n^{(d)}(k)."""
     rings = _tree_series_rings(N, ring, scale)
     return _last(_derivative_levels((d,), k, *rings, second=True)).f[0].lift()
 
 
-def mixed_gamma_series(d1, d2, k, N, ring=EXACT, scale=1.0):
+def mixed_gamma_series(d1, d2, k, N, ring="exact", scale=1.0):
     """Series of E[X^{(d1)} X^{(d2)}] numerators (same level k), d1 != d2."""
     if d1 == d2:
         raise UsageError("mixed series needs distinct degrees; use the variance path")
@@ -378,20 +372,20 @@ class MomentTable:
 def _ratio(series, y_exact, y, n):
     """[x^n] series / y_n: a float in the double ring, else a Fraction of the
     lifted [x^n] over the exact y_n."""
-    return series[n] / y[n] if y.ring == DOUBLE else Fraction(series[n], y_exact[n])
+    return series[n] / y[n] if isinstance(y.ring, DoubleRing) else Fraction(series[n], y_exact[n])
 
 
-def level_mean(d, n, k, ring=EXACT, scale=1.0):
+def level_mean(d, n, k, ring="exact", scale=1.0):
     """E L_n^{(d)}(k).  A tree of size n has height below n, so a level k >= n
     is empty and its mean is 0, found without stepping the pass."""
     y_exact, y = _tree_series_rings(n, ring, scale)
     _check_pass_arguments((d,), k)
     if k >= n:
-        return 0.0 if ring == DOUBLE else Fraction(0)
+        return 0.0 if ring == "double" else Fraction(0)
     return _ratio(_last(_derivative_levels((d,), k, y_exact, y)).g[0], y_exact, y, n)
 
 
-def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
+def finite_covariance(d1, d2, n, k, ring="exact", scale=1.0):
     """Exact (or double-ring) covariance table for X^{(d1)}(k), X^{(d2)}(k).
 
     A level k >= n is empty, as in ``level_mean``: every entry is 0 and the
@@ -400,7 +394,7 @@ def finite_covariance(d1, d2, n, k, ring=EXACT, scale=1.0):
     y_exact, y = _tree_series_rings(n, ring, scale)
     if k >= n:
         _check_pass_arguments((d1, d2), k)
-        zero = 0.0 if ring == DOUBLE else Fraction(0)
+        zero = 0.0 if ring == "double" else Fraction(0)
         return MomentTable(n, d1, d2, k, *[zero] * 8, correlation=None)
     same = d1 == d2
     level = _last(_derivative_levels(
@@ -471,7 +465,7 @@ def level_difference_moment(n, r, h, N=None, power=4):
 def scaled_level_mean(d, n, kappa, scale):
     """E l_n^{(d)}(kappa) = E L_n^{(d)}(floor(kappa sqrt(n))) / sqrt(n), double ring."""
     k = int(kappa * sqrt(n))
-    return level_mean(d, n, k, ring=DOUBLE, scale=scale) / sqrt(n)
+    return level_mean(d, n, k, ring="double", scale=scale) / sqrt(n)
 
 
 def level_grid_for(n):

@@ -282,6 +282,21 @@ class TreeSampler:
         return PolyaTree(tuple(parent), tuple(count))
 
 
+# n_max -> the sampler of the last count table of that size seen.  A kept
+# sampler's per-size totals fill as walks reach them, up to about the size of
+# the table itself (4 MB at n = 6400).
+_SAMPLERS = {}
+
+
+def _sampler_for(table):
+    """The TreeSampler of this count table: its float guide and small-size
+    tables are built once, not on every call, and an unequal table gets its own."""
+    sampler = _SAMPLERS.get(table.n_max)
+    if sampler is None or sampler.table != table:
+        sampler = _SAMPLERS[table.n_max] = TreeSampler(table)
+    return sampler
+
+
 def derive_rng(seed, stream_index):
     """Independent deterministic stream for (seed, worker index)."""
     digest = hashlib.sha256(f"{seed}:{stream_index}".encode()).digest()
@@ -487,7 +502,7 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
             raise UsageError(f"{name} must be distinct, got {values}")
     if table is None:
         table = count_trees(spec.n, cache_dir=cache_dir)
-    sampler = TreeSampler(table)
+    sampler = _sampler_for(table)
     chunks = list(enumerate(_chunk_sizes(spec.samples, _CHUNKS)))
     parts = None
     if threads > 1:
@@ -521,7 +536,7 @@ def sample_class_counts(n, samples, rng, table=None):
     """Histogram of canonical isomorphism classes over many samples."""
     if table is None:
         table = count_trees(n)
-    sampler = TreeSampler(table)
+    sampler = _sampler_for(table)
     counts = {}
     for _ in range(samples):
         key = canonical_shape(sampler.sample_shape(n, rng))

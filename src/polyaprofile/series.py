@@ -4,15 +4,18 @@ Everything in this package that manipulates generating functions goes through
 the classes here:
 
 ``TruncatedSeries``
-    a(x) = sum_{n<=N} a_n x^n with scalar coefficients.  The exact ring keeps
-    Python ints / Fractions (whole quotients stay ints, so coefficient-wise
-    equality is canonical); the double ring keeps a numpy float64 vector and
-    supports an internal geometric rescaling ``scale`` (stored[n] equals the
-    true coefficient times scale**n) so that series whose coefficients grow
-    like rho**-n stay inside float range at large truncation orders.  A
-    ``ResidueRing`` as the ring keeps integer coefficients modulo each of its
-    word-size primes, as a float64 array [prime, n], and reading a
-    coefficient lifts it back by the CRT.
+    a(x) = sum_{n<=N} a_n x^n with scalar coefficients in a ring, which owns
+    their format and arithmetic, so every series method has one body.  The
+    exact ring ``EXACT`` keeps Python ints / Fractions (whole quotients stay
+    ints, so coefficient-wise equality is canonical), and it alone divides,
+    shifts, substitutes and evaluates.  A ``DoubleRing`` keeps a numpy
+    float64 vector rescaled by the ring's geometric ``scale`` (stored[n]
+    equals the true coefficient times scale**n) so that series whose
+    coefficients grow like rho**-n stay inside float range at large
+    truncation orders.  A ``ResidueRing`` keeps integer coefficients modulo
+    each of its word-size primes, as a float64 array [prime, n], and reading
+    a coefficient lifts it back by the CRT.  The derivative pass runs in
+    these two array rings, through ``+``, ``*`` and ``power_sums``.
 
 ``MarkedSeries``
     an exact series in x and one or two marking variables, stored as a map
@@ -44,9 +47,6 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import AccuracyError, DomainError, UsageError
-
-EXACT = "exact"
-DOUBLE = "double"
 
 
 def _comb_signed(i: int, r: int):
@@ -80,13 +80,135 @@ def crt_basis(primes):
     return modulus, [modulus // p * pow(modulus // p, -1, p) for p in primes]
 
 
+def _frozen(arr):
+    """arr as a read-only float64 array."""
+    arr = np.asarray(arr, dtype=float)
+    arr.setflags(write=False)
+    return arr
+
+
+# ---------------------------------------------------------------------------
+# rings: each converts exact coefficients into its format (``coefficients``)
+# and does the arithmetic of TruncatedSeries on that format
+# ---------------------------------------------------------------------------
+
+class ExactRing:
+    """Exact rationals, as a list of Python ints and Fractions; the one instance is EXACT.
+
+    Its ``power_sums`` refuses: only the derivative pass calls it, and that
+    runs in the array rings.
+    """
+
+    __slots__ = ()
+
+    def __repr__(self):
+        return "exact"
+
+    def coefficients(self, coeffs, order):
+        cs = list(coeffs[: order + 1])
+        return cs + [0] * (order + 1 - len(cs))
+
+    freeze = staticmethod(list)
+    read = staticmethod(operator.getitem)
+    equal = staticmethod(operator.eq)
+
+    def add(self, a, b):
+        return [x + y for x, y in zip(a, b)]
+
+    def sub(self, a, b):
+        return [x - y for x, y in zip(a, b)]
+
+    def mul(self, a, b, N):
+        out = [0] * (N + 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(N + 1 - i):
+                    bj = b[j]
+                    if bj:
+                        out[i + j] += ai * bj
+        return out
+
+    def scalar_mul(self, a, c):
+        return [x * c for x in a]
+
+    def power_sums(self, c, N, weights):
+        raise UsageError("power_sums is defined in the double and residue rings only")
+
+    def lift_series(self, series):
+        return series
+
+
+EXACT = ExactRing()
+
+
+class DoubleRing:
+    """Reals as a float64 vector, rescaled: stored[n] is a_n scale**n.
+
+    Rings of one scale are equal, and only series of equal rings combine.
+    """
+
+    __slots__ = ("scale",)
+
+    def __init__(self, scale):
+        self.scale = float(scale)
+
+    def __eq__(self, other):
+        return isinstance(other, DoubleRing) and self.scale == other.scale
+
+    def __repr__(self):
+        return f"DoubleRing({self.scale!r})"
+
+    def coefficients(self, coeffs, order):
+        """Exact coefficients times scale**n, each through log|c|: a big one
+        converts whenever its rescaled value lies in the double range."""
+        out = np.zeros(order + 1)
+        ls = math.log(self.scale)
+        for n, c in enumerate(coeffs[: order + 1]):
+            if c:
+                out[n] = _signed_exp(c, n * ls)
+        return _frozen(out)
+
+    freeze = staticmethod(_frozen)
+    read = staticmethod(operator.getitem)
+    equal = staticmethod(np.array_equal)
+
+    def add(self, a, b):
+        return a + b
+
+    def sub(self, a, b):
+        return a - b
+
+    def mul(self, a, b, N):
+        return np.convolve(a, b)[: N + 1]
+
+    def scalar_mul(self, a, c):
+        return a * float(c)
+
+    def power_sums(self, c, N, weights):
+        # stored[m] = a_m scale^m, so a(x^i) stored at mi needs scale^(mi-m);
+        # past the first i whose rescaled terms all underflow, every later one does
+        sums = [np.zeros(N + 1) for _ in weights]
+        val = next(iter(np.flatnonzero(c)), N + 1)
+        for i in range(2, N // max(val, 1) + 1):
+            M = N // i
+            t = c[: M + 1] * self.scale ** (np.arange(M + 1) * (i - 1))
+            if not t.any():
+                break
+            for acc, w in zip(sums, weights):
+                acc[::i] += t if w is None else t * float(w(i))
+        return sums
+
+    def lift_series(self, series):
+        return series
+
+
 class ResidueRing:
     """Integers in [0, bound], held modulo each of a set of primes.
 
     It is the ring of a TruncatedSeries whose coefficients are a read-only
     float64 array [prime, n] of residues.  Float64 arithmetic on them is exact
     while every sum of products stays below 2^53: a series of order N needs
-    (N + 1)(p - 1)^2 <= 2^53, which its constructor checks.  Reading a
+    (N + 1)(p - 1)^2 <= 2^53, which ``coefficients`` checks.  Reading a
     coefficient lifts it by the CRT, which is right when the true value lies
     in [0, bound] and the primes' product exceeds bound; a lifted value above
     bound raises AccuracyError, since a residue or the bound is then wrong.
@@ -129,73 +251,79 @@ class ResidueRing:
             out.append(v)
         return out
 
+    def coefficients(self, coeffs, order):
+        if (order + 1) * (max(self.primes) - 1) ** 2 > 1 << 53:
+            raise UsageError(f"the primes of {self!r} are too large for order {order}")
+        arr = np.zeros((len(self.primes), order + 1))
+        arr[:, : min(len(coeffs), order + 1)] = self.residues(coeffs[: order + 1])
+        return _frozen(arr)
+
+    freeze = staticmethod(_frozen)
+    equal = staticmethod(np.array_equal)
+
+    def read(self, c, n):
+        return self.lift(c[:, n:n + 1])[0]
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def sub(self, a, b):
+        return (a - b) % self.p
+
+    def mul(self, a, b, N):  # one convolution per prime, each sum below 2^53
+        return np.array([np.convolve(x, y)[: N + 1] for x, y in zip(a, b)]) % self.p
+
+    def scalar_mul(self, a, c):
+        return a * self.reduce(c) % self.p
+
+    def power_sums(self, c, N, weights):
+        # the weights are ints reduced modulo each prime, so a sum adds fewer
+        # than N products of two residues: below 2^53 like a convolution sum,
+        # and reduced once at the end
+        sums = [np.zeros(c.shape) for _ in weights]
+        val = next(iter(np.flatnonzero(c.any(axis=0))), N + 1)
+        for i in range(2, N // max(val, 1) + 1):
+            t = c[:, : N // i + 1]
+            for acc, w in zip(sums, weights):
+                acc[:, ::i] += t if w is None else t * self.reduce(w(i))
+        return [acc % self.p for acc in sums]
+
+    def lift_series(self, series):
+        """The exact-ring series, each coefficient lifted by the CRT."""
+        return TruncatedSeries(self.lift(series.coeffs), series.order)
+
 
 # ---------------------------------------------------------------------------
 # scalar series
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    __slots__ = ("coeffs", "order", "ring", "scale")
+    __slots__ = ("coeffs", "order", "ring")
 
-    def __init__(self, coeffs, order=None, ring=EXACT, scale=1.0):
+    def __init__(self, coeffs, order=None, ring=EXACT):
         if order is None:
             order = len(coeffs) - 1
-        if ring == DOUBLE:
-            arr = np.zeros(order + 1)
-            arr[: min(len(coeffs), order + 1)] = [
-                float(c) for c in coeffs[: order + 1]
-            ]
-            self.coeffs = arr
-            self.coeffs.setflags(write=False)
-        elif ring == EXACT:
-            if scale != 1.0:
-                raise UsageError("exact ring does not support rescaling")
-            cs = list(coeffs[: order + 1])
-            cs += [0] * (order + 1 - len(cs))
-            self.coeffs = cs
-        elif isinstance(ring, ResidueRing):
-            if scale != 1.0:
-                raise UsageError("a residue ring does not support rescaling")
-            if (order + 1) * (max(ring.primes) - 1) ** 2 > 1 << 53:
-                raise UsageError(f"the primes of {ring!r} are too large for order {order}")
-            arr = np.zeros((len(ring.primes), order + 1))
-            arr[:, : min(len(coeffs), order + 1)] = ring.residues(coeffs[: order + 1])
-            arr.setflags(write=False)
-            self.coeffs = arr
-        else:
-            raise UsageError(f"unknown ring {ring!r}")
+        self.coeffs = ring.coefficients(coeffs, order)
         self.order = order
         self.ring = ring
-        self.scale = float(scale)
 
     # -- constructors ------------------------------------------------------
     @classmethod
-    def zero(cls, order, ring=EXACT, scale=1.0):
-        return cls([0], order, ring, scale)
+    def zero(cls, order, ring=EXACT):
+        return cls([0], order, ring)
 
     @classmethod
-    def one(cls, order, ring=EXACT, scale=1.0):
-        return cls([1], order, ring, scale)
+    def one(cls, order, ring=EXACT):
+        return cls([1], order, ring)
 
     def one_like(self):
-        return TruncatedSeries.one(self.order, self.ring, self.scale)
-
-    @classmethod
-    def x(cls, order, ring=EXACT, scale=1.0):
-        s = scale if ring == DOUBLE else 1
-        return cls([0, s], order, ring, scale)
+        return TruncatedSeries.one(self.order, self.ring)
 
     def copy_with(self, coeffs):
         out = object.__new__(TruncatedSeries)
-        if self.ring != EXACT:
-            arr = np.asarray(coeffs, dtype=float)
-            arr.setflags(write=False)
-            out.coeffs = arr
-        else:
-            out.coeffs = list(coeffs)
+        out.coeffs = self.ring.freeze(coeffs)
         out.order = self.order
         out.ring = self.ring
-        out.scale = self.scale
         return out
 
     # -- bookkeeping ---------------------------------------------------------
@@ -207,120 +335,64 @@ class TruncatedSeries:
                 f"ring/order mismatch: ({self.ring},{self.order}) vs "
                 f"({other.ring},{other.order})"
             )
-        if self.ring == DOUBLE and self.scale != other.scale:
-            raise UsageError("scale mismatch between double-ring series")
+
+    def _exact_only(self, what):
+        """Refuse an operation that only the exact ring provides."""
+        if self.ring is not EXACT:
+            raise UsageError(f"{what} is defined in the exact ring only, not in {self.ring!r}")
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
             return NotImplemented
-        if self.ring != other.ring or self.order != other.order:
-            return False
-        if self.ring != EXACT:
-            return self.scale == other.scale and bool(
-                np.array_equal(self.coeffs, other.coeffs)
-            )
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
+        return (self.ring == other.ring and self.order == other.order
+                and bool(self.ring.equal(self.coeffs, other.coeffs)))
 
     def __repr__(self):
         head = ", ".join(str(c) for c in list(self.coeffs[:5]))
         return f"TruncatedSeries([{head}, ...], order={self.order}, ring={self.ring})"
 
     def __getitem__(self, n):
-        if self._residues():
-            return self.ring.lift(self.coeffs[:, n:n + 1])[0]
-        return self.coeffs[n]
-
-    def _residues(self):
-        return isinstance(self.ring, ResidueRing)
-
-    def _refuse_residues(self, what):
-        """Refuse an operation the residue ring does not provide."""
-        if self._residues():
-            raise UsageError(f"{what} is not defined in a residue ring")
+        return self.ring.read(self.coeffs, n)
 
     def lift(self):
         """The exact-ring series of a residue-ring one, each coefficient lifted
         by the CRT; a series of another ring as it is."""
-        if not self._residues():
-            return self
-        return TruncatedSeries(self.ring.lift(self.coeffs), self.order, EXACT)
+        return self.ring.lift_series(self)
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
         self._check_compatible(other)
-        if self.ring == DOUBLE:
-            return self.copy_with(self.coeffs + other.coeffs)
-        if self._residues():
-            return self.copy_with((self.coeffs + other.coeffs) % self.ring.p)
-        return self.copy_with([a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return self.copy_with(self.ring.add(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
         self._check_compatible(other)
-        if self.ring == DOUBLE:
-            return self.copy_with(self.coeffs - other.coeffs)
-        if self._residues():
-            return self.copy_with((self.coeffs - other.coeffs) % self.ring.p)
-        return self.copy_with([a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self.copy_with(self.ring.sub(self.coeffs, other.coeffs))
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
             self._check_compatible(other)
-            N = self.order
-            if self.ring == DOUBLE:
-                return self.copy_with(np.convolve(self.coeffs, other.coeffs)[: N + 1])
-            if self._residues():  # one convolution per prime, each sum below 2^53
-                rows = [np.convolve(a, b)[: N + 1] for a, b in zip(self.coeffs, other.coeffs)]
-                return self.copy_with(np.array(rows) % self.ring.p)
-            a, b = self.coeffs, other.coeffs
-            out = [0] * (N + 1)
-            for i, ai in enumerate(a):
-                if ai:
-                    for j in range(N + 1 - i):
-                        bj = b[j]
-                        if bj:
-                            out[i + j] += ai * bj
-            return self.copy_with(out)
-        # scalar
-        if self.ring == DOUBLE:
-            return self.copy_with(self.coeffs * float(other))
-        if self._residues():
-            return self.copy_with(self.coeffs * self.ring.reduce(other) % self.ring.p)
-        return self.copy_with([c * other for c in self.coeffs])
+            return self.copy_with(self.ring.mul(self.coeffs, other.coeffs, self.order))
+        return self.copy_with(self.ring.scalar_mul(self.coeffs, other))
 
     __rmul__ = __mul__
 
     def scalar_div(self, q):
-        self._refuse_residues("scalar_div")
-        if self.ring == DOUBLE:
-            return self.copy_with(self.coeffs / float(q))
+        self._exact_only("scalar_div")
         return self.copy_with([_quotient(c, q) for c in self.coeffs])
 
     def shift(self, k=1):
-        """Multiply by x**k (true coefficients; scale handled for double)."""
-        self._refuse_residues("shift")
-        N = self.order
-        if self.ring == DOUBLE:
-            out = np.zeros(N + 1)
-            out[k:] = self.coeffs[: N + 1 - k] * self.scale**k
-            return self.copy_with(out)
-        return self.copy_with([0] * k + list(self.coeffs[: N + 1 - k]))
+        """Multiply by x**k."""
+        self._exact_only("shift")
+        return self.copy_with([0] * k + self.coeffs[: self.order + 1 - k])
 
     def exp(self):
         """exp(a) for a with zero constant term, via e' = a'e coefficient solve."""
-        self._refuse_residues("exp")
-        if not self._is_zero_const():
+        self._exact_only("exp")
+        if self.coeffs[0] != 0:
             raise DomainError("exp requires zero constant term")
         N = self.order
-        a = self.coeffs
-        if self.ring == DOUBLE:
-            e = np.zeros(N + 1)
-            e[0] = 1.0
-            na = np.arange(N + 1) * a
-            for n in range(1, N + 1):
-                e[n] = np.dot(na[1 : n + 1], e[n - 1 :: -1][: n]) / n
-            return self.copy_with(e)
         # n e_n = sum_m m a_m e_{n-m}; whole m a_m and e_n stay ints
-        na = [_whole(m * am) for m, am in enumerate(a)]
+        na = [_whole(m * am) for m, am in enumerate(self.coeffs)]
         e = [1] + [0] * N
         for n in range(1, N + 1):
             tot = 0
@@ -332,18 +404,12 @@ class TruncatedSeries:
 
     def substitute_power(self, i):
         """a(x) -> a(x**i)."""
-        self._refuse_residues("substitute_power")
+        self._exact_only("substitute_power")
         if i < 1:
             raise UsageError("substitute_power requires i >= 1")
         if i == 1:
             return self
         N = self.order
-        if self.ring == DOUBLE:
-            out = np.zeros(N + 1)
-            m = np.arange(N // i + 1)
-            # stored[n] = a_n scale^n, so a(x^i) stored at mi needs scale^(mi-m)
-            out[m * i] = self.coeffs[m] * self.scale ** (m * (i - 1))
-            return self.copy_with(out)
         out = [0] * (N + 1)
         for m in range(N // i + 1):
             out[m * i] = self.coeffs[m]
@@ -352,48 +418,14 @@ class TruncatedSeries:
     def power_sums(self, weights):
         """[sum_{i>=2} w(i) a(x**i) for w in weights]; w = None means w(i) = 1.
 
-        One sweep over i fills every sum in place.  i ascends and stops at
-        N / val(a), past which a(x**i) vanishes, or in the double ring at the
-        first i whose rescaled terms all underflow.  Each term is the one
-        ``substitute_power`` forms, so a sum is bit-identical to adding the
-        substituted series one by one.  In a residue ring the weights are
-        ints, reduced modulo each prime, so a sum adds fewer than N products
-        of two residues: below 2^53 like a convolution sum, and reduced once
-        at the end.
+        One sweep over i fills every sum in place, in the double or a residue
+        ring.  i ascends and stops at N / val(a), past which a(x**i)
+        vanishes, or in the double ring at the first i whose rescaled terms
+        all underflow.  Each sum adds the terms of one i at a time, so it is
+        bit-identical to adding the substituted series one by one.
         """
-        N, c = self.order, self.coeffs
-        double, residues = self.ring == DOUBLE, self._residues()
-        if residues:
-            sums = [np.zeros(c.shape) for _ in weights]
-            val = next(iter(np.flatnonzero(c.any(axis=0))), N + 1)  # valuation
-        else:
-            sums = [np.zeros(N + 1) if double else [0] * (N + 1) for _ in weights]
-            val = next((m for m, cm in enumerate(c) if cm), N + 1)
-        for i in range(2, N // max(val, 1) + 1):
-            M = N // i
-            if double:
-                t = c[: M + 1] * self.scale ** (np.arange(M + 1) * (i - 1))
-                if not t.any():
-                    break
-                for acc, w in zip(sums, weights):
-                    acc[::i] += t if w is None else t * float(w(i))
-            elif residues:
-                t = c[:, : M + 1]
-                for acc, w in zip(sums, weights):
-                    acc[:, ::i] += t if w is None else t * self.ring.reduce(w(i))
-            else:
-                for acc, w in zip(sums, weights):
-                    wi = 1 if w is None else w(i)
-                    for m in range(val, M + 1):
-                        if c[m]:
-                            acc[m * i] += wi * c[m]
-        if residues:
-            sums = [acc % self.ring.p for acc in sums]
-        return [self.copy_with(acc) for acc in sums]
-
-    def _is_zero_const(self):
-        c0 = self.coeffs[0]
-        return c0 == 0
+        return [self.copy_with(acc)
+                for acc in self.ring.power_sums(self.coeffs, self.order, weights)]
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, x0, tail_bound=None):
@@ -405,28 +437,23 @@ class TruncatedSeries:
         float rounding.  When the last term has not decayed at all the series
         is useless at x0 and an AccuracyError is raised.
         """
-        self._refuse_residues("evaluate")
+        self._exact_only("evaluate")
         if abs(x0) >= 1:
             raise DomainError("evaluate requires |x0| < 1")
         if x0 == 0:
             return float(self.coeffs[0]), 0.0
-        if self.ring == DOUBLE:
-            z = x0 / self.scale
-            powers = z ** np.arange(self.order + 1)
-            total = float((self.coeffs * powers).sum())
-        else:
-            # per-term log-magnitude sum: immune to overflow of big integers
-            total = 0.0
-            tiny_run = 0
-            for n, c in enumerate(self.coeffs):
-                t = self._term_float(n, x0)
-                total += t
-                if total != 0.0 and abs(t) < 1e-18 * abs(total):
-                    tiny_run += 1
-                    if tiny_run > 4 and n > 8:
-                        break
-                else:
-                    tiny_run = 0
+        # per-term log-magnitude sum: immune to overflow of big integers
+        total = 0.0
+        tiny_run = 0
+        for n in range(self.order + 1):
+            t = self._term_float(n, x0)
+            total += t
+            if total != 0.0 and abs(t) < 1e-18 * abs(total):
+                tiny_run += 1
+                if tiny_run > 4 and n > 8:
+                    break
+            else:
+                tiny_run = 0
         t_last = abs(self._term_float(self.order, x0))
         correction, err = self._tail_model(x0, tail_bound)
         value = total + correction
@@ -455,25 +482,13 @@ class TruncatedSeries:
         c = self.coeffs[n]
         if c == 0 or x0 == 0:
             return float(c) if n == 0 else 0.0
-        if self.ring == DOUBLE:
-            return float(c) * (x0 / self.scale) ** n
-        sign = 1.0 if c > 0 else -1.0
-        if x0 < 0 and n % 2 == 1:
-            sign = -sign
-        mag = _log_abs(c) + n * math.log(abs(x0))
-        return sign * math.exp(mag) if mag > -745.0 else 0.0
+        t = _signed_exp(c, n * math.log(abs(x0)))
+        return -t if x0 < 0 and n % 2 == 1 else t
 
     def to_double(self, scale=1.0):
-        """Exact -> double conversion dividing out the given geometric scale."""
-        self._refuse_residues("to_double")
-        if self.ring == DOUBLE:
-            return self
-        out = np.zeros(self.order + 1)
-        ls = math.log(scale)
-        for n, c in enumerate(self.coeffs):
-            if c:
-                out[n] = _signed_exp(c, n * ls)
-        return TruncatedSeries(out, self.order, DOUBLE, scale)
+        """This series in the double ring of the given geometric scale."""
+        self._exact_only("to_double")
+        return TruncatedSeries(self.coeffs, self.order, DoubleRing(scale))
 
 
 def _log_abs(c):
@@ -498,8 +513,8 @@ def _signed_exp(c, extra_log):
         return math.exp(mag) if c > 0 else -math.exp(mag)
     except OverflowError:
         raise AccuracyError(
-            f"|coefficient| = e^{mag:.1f} passes the double range; "
-            "convert with a geometric scale such as rho") from None
+            f"|value| = e^{mag:.1f} passes the double range; "
+            "in the double ring, pass a geometric scale such as rho") from None
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +548,7 @@ class MarkedSeries:
     def __init__(self, terms, order, caps, basis):
         if basis not in ("u", "eps") or len(caps) != 2 or min(caps) < 0:
             raise UsageError(f"bad mark shape: caps {caps!r}, basis {basis!r}")
-        if any(s.ring != EXACT or s.order != order for s in terms.values()):
+        if any(s.ring is not EXACT or s.order != order for s in terms.values()):
             raise UsageError("marked series are exact-only, of one order")
         self.terms = {e: s for e, s in terms.items() if any(s.coeffs)}
         self.order = order

@@ -8,7 +8,6 @@ from polyaprofile.constants import (
     c_d_rho_ladder,
     compute_b,
     compute_C,
-    compute_Cd,
     compute_constants,
     compute_rho,
 )
@@ -148,14 +147,6 @@ def test_cd_ladder_cross_check(constants_400):
     for d in (1, 2, 3):
         lad = c_d_rho_ladder(d, cs.rho, 400) / cs.rho**d
         assert abs(lad / cs.Cd[d] - 1.0) < 5e-3
-
-
-def test_compute_Cd_signature(constants_400):
-    cs = constants_400
-    Cd, mu, err = compute_Cd(2, cs.rho, cs.b, 400)
-    assert abs(Cd - cs.Cd[2]) < 1e-12
-    assert abs(mu - cs.mu_d[2]) < 1e-12
-    assert err < 1e-10
 
 
 def test_constants_deterministic(constants_400):

@@ -3,6 +3,7 @@ from dataclasses import astuple
 from fractions import Fraction
 from math import prod, sqrt
 
+import numpy as np
 import pytest
 
 from polyaprofile.enumeration import (
@@ -32,7 +33,7 @@ from polyaprofile.profile import (
     two_level_series,
 )
 from polyaprofile.sampling import PolyaTree, extract_profile
-from polyaprofile.series import TruncatedSeries
+from polyaprofile.series import EXACT, DoubleRing, TruncatedSeries
 
 RHO = 0.3383218568992077
 
@@ -210,7 +211,7 @@ def test_mixed_and_second_factorial_match_brute_force():
 ], ids=["level_mean", "finite_covariance"])
 def test_unscaled_double_ring_past_the_float_range_raises_accuracy_error(call):
     # y_n passes the largest double at n = 665: with the default scale 1.0,
-    # to_double cannot hold it and tells the caller to pass a scale
+    # the double ring cannot hold it and tells the caller to pass a scale
     with pytest.raises(AccuracyError, match="double range"):
         call()
 
@@ -469,21 +470,31 @@ def test_covariance_table_matches_separate_series(ring, scale, d1, d2):
     assert [_bits(v) for v in astuple(got)] == [_bits(v) for v in astuple(want)]
 
 
+def _double_substitute_power(s, i):
+    """s(x**i) for s in a double ring: a_m scale^m, stored at m, moves to mi,
+    where it is stored as a_m scale^(mi)."""
+    m = np.arange(s.order // i + 1)
+    out = np.zeros(s.order + 1)
+    out[m * i] = s.coeffs[m] * s.ring.scale ** (m * (i - 1))
+    return s.copy_with(out)
+
+
 def _double_pass(degrees, k_max, N):
     """Per level k = 0..k_max: (gamma_k, gamma2_k) per degree and mixed_k of
     the first two degrees in the double ring at scale RHO, by the recurrences
-    written out with substitute_power and series adds over every i <= N."""
+    written out with substitutions and series adds over every i <= N."""
     y = tree_series(N).to_double(RHO)
+    zero = TruncatedSeries.zero(N, y.ring)
 
     def sub_sum(g, w):
-        acc = TruncatedSeries.zero(N, "double", RHO)
+        acc = zero
         for i in range(2, N + 1):
-            acc = acc + g.substitute_power(i) * w(i)
+            acc = acc + _double_substitute_power(g, i) * w(i)
         return acc
 
     g = [gamma_series(d, 0, N, "double", RHO) for d in degrees]
-    f = [TruncatedSeries.zero(N, "double", RHO)] * len(degrees)
-    mixed = TruncatedSeries.zero(N, "double", RHO)
+    f = [zero] * len(degrees)
+    mixed = zero
     levels = [(g, f, mixed)]
     for _ in range(k_max):
         S = [gj + sub_sum(gj, lambda i: 1) for gj in g]
@@ -562,7 +573,7 @@ def test_residue_pass_matches_the_big_integer_recurrences(N, d1, d2):
             assert list(gamma_series(d, k, N).coeffs) == g[j]
             assert list(second_factorial_series(d, k, N).coeffs) == f[j]
         lifted = mixed_gamma_series(d1, d2, k, N)
-        assert lifted.ring == "exact" and list(lifted.coeffs) == mixed
+        assert lifted.ring is EXACT and list(lifted.coeffs) == mixed
 
 
 def test_covariance_at_400_is_unchanged():
@@ -628,7 +639,7 @@ def test_mean_of_an_empty_level_steps_no_series(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _series_bits(series):
-    return series.coeffs.tobytes() if series.ring == "double" else list(series.coeffs)
+    return series.coeffs.tobytes() if isinstance(series.ring, DoubleRing) else list(series.coeffs)
 
 
 @pytest.mark.parametrize("ring,scale", [("exact", 1.0), ("double", RHO)])

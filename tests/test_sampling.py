@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyaprofile import sampling
-from polyaprofile.enumeration import canonical_shape, count_trees, degree_series, tree_series
+from polyaprofile.enumeration import (
+    CountTable,
+    canonical_shape,
+    count_trees,
+    degree_series,
+    tree_series,
+)
 from polyaprofile.errors import UsageError
 from polyaprofile.profile import level_grid_for
 from polyaprofile.sampling import (
@@ -292,6 +298,29 @@ def test_monte_carlo_threads_do_not_change_results():
     r1 = monte_carlo(spec, table=TABLE_64, threads=1)
     r4 = monte_carlo(spec, table=TABLE_64, threads=4)
     assert r1.sums == r4.sums
+
+
+def test_one_sampler_per_count_table(monkeypatch):
+    built = []
+    init = TreeSampler.__init__
+
+    def counting_init(self, table):
+        built.append(table)
+        init(self, table)
+
+    monkeypatch.setattr(TreeSampler, "__init__", counting_init)
+    monkeypatch.setattr(sampling, "_SAMPLERS", {})
+    spec = MonteCarloSpec(n=50, degrees=(1,), kappas=(1.0,), samples=32, seed=8)
+    first = monte_carlo(spec, table=TABLE_64)
+    # an equal table (count_trees builds a new one per call) reuses the sampler
+    again = monte_carlo(spec, table=count_trees(64))
+    sample_class_counts(50, 3, derive_rng(0, 0), table=TABLE_64)
+    assert built == [TABLE_64] and first.sums == again.sums
+    # a table that differs gets a sampler of its own, never the cached one
+    forged = CountTable(64, TABLE_64.y[:-1] + (TABLE_64.y[-1] + 1,))
+    assert sampling._sampler_for(forged).table is forged
+    assert sampling._sampler_for(TABLE_64).table == TABLE_64
+    assert built == [TABLE_64, forged, TABLE_64]
 
 
 def test_char_function_at_zero_is_one():

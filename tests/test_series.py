@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from polyaprofile.enumeration import _build_primes, tree_series
 from polyaprofile.errors import AccuracyError, DomainError, UsageError
 from polyaprofile.series import (
-    DOUBLE,
     EXACT,
+    DoubleRing,
     MarkedSeries,
     ResidueRing,
     TruncatedSeries,
@@ -24,6 +24,13 @@ from polyaprofile.series import (
 
 def S(coeffs, order=None, **kw):
     return TruncatedSeries(coeffs, order, **kw)
+
+
+def power_sum(a, w):
+    """sum_{i>=2} w(i) a(x**i) for an exact a, adding the substituted series
+    one by one (a test oracle); w = None means w(i) = 1."""
+    terms = (a.substitute_power(i) * (w(i) if w else 1) for i in range(2, a.order + 1))
+    return sum(terms, TruncatedSeries.zero(a.order))
 
 
 # ---------------------------------------------------------------------------
@@ -52,7 +59,7 @@ def test_mismatch_errors():
     with pytest.raises(UsageError):
         S([1], 2) + S([1], 3)
     with pytest.raises(UsageError):
-        S([1], 2) * TruncatedSeries([1.0], 2, ring=DOUBLE)
+        S([1], 2) * TruncatedSeries([1], 2, ring=DoubleRing(1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -64,7 +71,7 @@ def test_exp_zero():
 
 
 def test_exp_x():
-    e = TruncatedSeries.x(3).exp()
+    e = S([0, 1], 3).exp()
     assert e.coeffs == [1, 1, Fraction(1, 2), Fraction(1, 6)]
 
 
@@ -126,11 +133,22 @@ def test_substitute_power_composes(cs, i, j):
 def test_power_sums_match_adding_substituted_series(cs):
     a = S(cs, 12)
     weights = (None, lambda i: i, lambda i: i - 1)
-    want = [
-        sum((a.substitute_power(i) * (w(i) if w else 1) for i in range(2, 13)), S([0], 12))
-        for w in weights
-    ]
-    assert a.power_sums(weights) == want
+    want = [power_sum(a, w) for w in weights]
+    # residues: the exact sums modulo each prime
+    ring = ResidueRing(_build_primes(12, 1 << 80), 1 << 80)
+    assert S(cs, 12, ring=ring).power_sums(weights) == [S(s.coeffs, 12, ring=ring) for s in want]
+    # double ring: bit-identical to adding the rescaled substituted terms one
+    # i at a time (stored a_m scale^m moves to mi as a_m scale^(mi)), and
+    # close to the exact sums
+    scale = 0.5
+    d = a.to_double(scale)
+    for got, w, exact in zip(d.power_sums(weights), weights, want):
+        terms = np.zeros(13)
+        for i in range(2, 13):
+            m = np.arange(12 // i + 1)
+            terms[m * i] += d.coeffs[m] * scale ** (m * (i - 1)) * (w(i) if w else 1)
+        assert got.coeffs.tobytes() == terms.tobytes()
+        assert np.allclose(got.coeffs, exact.to_double(scale).coeffs, rtol=1e-13, atol=0)
 
 
 def polya_exponent(a):
@@ -142,7 +160,7 @@ def polya_exponent(a):
 
 
 def test_polya_exponent_of_x():
-    p = polya_exponent(TruncatedSeries.x(3))
+    p = polya_exponent(S([0, 1], 3))
     assert p.coeffs == [0, 1, Fraction(1, 2), Fraction(1, 3)]
 
 
@@ -185,6 +203,9 @@ def test_evaluate_outside_unit_disk_rejected():
 def test_evaluate_divergent_point_raises_accuracy():
     with pytest.raises(AccuracyError):
         tree_series(60).evaluate(0.9)
+    # a term past the double range (3^1000 / 2^10 = e^1091.6)
+    with pytest.raises(AccuracyError, match="double range"):
+        S([0] * 10 + [3**1000], 10).evaluate(0.5)
 
 
 def _log_abs_of_fraction(c):
@@ -235,8 +256,8 @@ def test_double_matches_exact(aa, bb):
     N = 10
     ea = S(aa + [0] * 5, N)
     eb = S(bb + [0] * 5, N)
-    da = TruncatedSeries(aa + [0] * 5, N, ring=DOUBLE)
-    db = TruncatedSeries(bb + [0] * 5, N, ring=DOUBLE)
+    da = TruncatedSeries(aa + [0] * 5, N, ring=DoubleRing(1.0))
+    db = TruncatedSeries(bb + [0] * 5, N, ring=DoubleRing(1.0))
     prod_exact = (ea * eb).coeffs
     prod_double = (da * db).coeffs
     for pe, pd in zip(prod_exact, prod_double):
@@ -247,32 +268,42 @@ def test_scaled_double_substitute_and_mul():
     scale = 0.25
     e = tree_series(40)
     d = e.to_double(scale)
-    for s, ds in ((e * e, d * d), (e.substitute_power(2), d.substitute_power(2))):
+    for s, ds in ((e * e, d * d), (power_sum(e, None), d.power_sums((None,))[0])):
         for n in (0, 5, 17, 40):
             want = float(s[n]) * scale**n
             assert abs(ds[n] - want) <= 1e-10 * max(abs(want), 1.0)
 
 
-def test_exact_ring_rejects_scale():
-    with pytest.raises(UsageError):
-        TruncatedSeries([1, 2], 1, ring=EXACT, scale=0.5)
+_EXACT_ONLY = {
+    "exp": lambda s: s.exp(),
+    "shift": lambda s: s.shift(1),
+    "scalar_div": lambda s: s.scalar_div(3),
+    "substitute_power": lambda s: s.substitute_power(2),
+    "evaluate": lambda s: s.evaluate(0.1),
+    "to_double": lambda s: s.to_double(0.5),
+}
 
 
-@pytest.mark.parametrize("mag,tol", [(20, 1e-12), (1000, 1e-11)])
-def test_double_exp_matches_exact_at_order_50(mag, tol):
-    # exp of a series with coefficients up to 10^3 reaches ~1e32 by order 50;
-    # the accumulated float64 roundoff there is a few 1e-12 relative, hence
-    # the slightly wider tolerance for the stress magnitudes
-    import random
-
-    rng = random.Random(7)
-    N = 50
-    coeffs = [0] + [Fraction(rng.randint(-mag, mag), rng.randint(1, 8)) for _ in range(10)]
-    e = S(coeffs, N).exp()
-    d = TruncatedSeries([float(c) for c in coeffs], N, ring=DOUBLE).exp()
-    for n in range(N + 1):
-        want = float(e[n])
-        assert abs(d[n] - want) <= tol * max(1.0, abs(want))
+@pytest.mark.parametrize("op,ring", [
+    *((op, ring) for op in _EXACT_ONLY for ring in ("double", "residue")),
+    ("power_sums", "exact"),
+    ("add_across_scales", "double"),
+])
+def test_rings_refuse_what_they_do_not_define(op, ring):
+    rings = {"exact": EXACT, "double": DoubleRing(0.5),
+             "residue": ResidueRing(_build_primes(10, 1 << 40), 1 << 40)}
+    s = S([0, 1, 2], 10, ring=rings[ring])
+    if op in _EXACT_ONLY:
+        with pytest.raises(UsageError, match="exact ring only"):
+            _EXACT_ONLY[op](s)
+    elif op == "power_sums":
+        with pytest.raises(UsageError, match="double and residue rings only"):
+            s.power_sums((None,))
+    else:
+        # one scale is one ring, whichever object holds it; two scales are two
+        assert (s + S([0, 1, 2], 10, ring=DoubleRing(0.5)))[2] == 2 * s[2]
+        with pytest.raises(UsageError, match="mismatch"):
+            s + S([0, 1, 2], 10, ring=DoubleRing(0.25))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +312,7 @@ def test_double_exp_matches_exact_at_order_50(mag, tol):
 
 def test_marked_polya_exponent_example():
     # a = u x at order 2: polya gives u x + u^2 x^2 / 2
-    a = MarkedSeries({(1, 0): TruncatedSeries.x(2)}, 2, (2, 0), "u")
+    a = MarkedSeries({(1, 0): S([0, 1], 2)}, 2, (2, 0), "u")
     p = a.polya_exponent()
     assert p[1] == {(1, 0): 1}
     assert p[2] == {(2, 0): Fraction(1, 2)}
@@ -333,7 +364,7 @@ def test_residue_ring_arithmetic_matches_the_exact_ring():
     weights = (None, lambda i: i - 1, lambda i: (1 << 45) + i)
     pairs = [
         (ra + rb, ea + eb), ((ra + rb) - rb, ea), (ra * rb, ea * eb), (ra * 12345, ea * 12345),
-        *zip(rb.power_sums(weights), eb.power_sums(weights)),
+        *zip(rb.power_sums(weights), (power_sum(eb, w) for w in weights)),
     ]
     for got, want in pairs:
         assert _canonical(got)
@@ -347,7 +378,7 @@ def test_residue_ring_refuses_what_it_cannot_do_exactly():
         S([1], 10**6, ring=ring)  # (N + 1)(p - 1)^2 > 2^53
     with pytest.raises(UsageError, match="exceed the bound"):
         ResidueRing(ring.primes[:2], 1 << 100)
-    with pytest.raises(UsageError, match="not defined in a residue ring"):
+    with pytest.raises(UsageError, match="exact ring only"):
         S([0, 1], 10, ring=ring).exp()
     with pytest.raises(TypeError):
         S([Fraction(1, 2)], 10, ring=ring)
