@@ -292,10 +292,7 @@ def criterion_6(ctx):
     covs = {}
     for n in ns:
         k = int(math.isqrt(n))
-        tab = profile_mod.finite_covariance(
-            1, 2, n, k,
-            ring=ring, scale=cs.rho if ring == "double" else 1.0,
-        )
+        tab = profile_mod.finite_covariance(1, 2, n, k, ring=ring, scale=cs.rho)
         covs[n] = float(tab.covariance) / n
         gaps[n] = abs(covs[n] - limit)
     elapsed = time.monotonic() - t0

@@ -22,6 +22,14 @@ contracts at rate ~0.22 and only ever evaluates the series at arguments
 truncated partial sum of y alone cannot do better than ~1e-3 near rho: the
 square-root singularity makes the tail decay like n^{-1/2}.)
 
+Every other constant but the ladder's b is a sum of y or y' over the powers
+of rho, and each of those sums is evaluated once.  compute_constants builds
+one table of y(rho^i), i = 2.._POWERS: C reads its first entries and the
+C^{(d)} grid reads all of it.  E'(rho) = sum_{i>=2} y'(rho^i) rho^{i-1} is
+computed once and gives both the closed-form b (the cross-check of the
+ladder) and the mu_d divisor b^2 rho / 2.  One generator, _on_powers, walks
+the powers for E in the rho fixed point, for E'(rho) and for the table.
+
 C^{(d)}(rho) is evaluated two ways: the primary route solves the derivative
 recurrence gamma_{k+1} = y (gamma_k + sum_{i>=2} gamma_k(x^i)) at x = rho,
 giving C^{(d)}(rho) = gamma_0(rho) + sum_{l>=0} sum_{i>=2} gamma_l(rho^i)
@@ -45,7 +53,7 @@ from .series import TruncatedSeries
 APPROX_RADIUS = 0.3383218568992077
 
 _SQRT2 = math.sqrt(2.0)
-# C^{(d)}(rho) is solved on the value grid rho^1..rho^_POWERS; rho^200 < 1e-94.
+# the powers rho^2..rho^_POWERS carry every sum here; rho^200 < 1e-94.
 _POWERS = 200
 
 
@@ -64,48 +72,30 @@ class ConstantsSet:
 
 
 # ---------------------------------------------------------------------------
-# evaluation helpers on the exact series
+# sums over the powers of a point
 # ---------------------------------------------------------------------------
 
-def _deriv_series(y):
-    return TruncatedSeries(
-        [n * c for n, c in enumerate(y.coeffs)][1:] + [0], y.order, y.ring
-    )
-
-
-def _aux_exponent(y, x):
-    """E(x) = sum_{i>=2} y(x^i)/i with truncation error estimate."""
-    tot = 0.0
-    err = 0.0
-    i = 2
-    while True:
+def _on_powers(series, x):
+    """(i, x^i, value, error) of series at x^i for i = 2.._POWERS, up to underflow."""
+    for i in range(2, _POWERS + 1):
         xi = x**i
         if xi < 1e-300:
+            return
+        v, e = series.evaluate(xi)
+        yield i, xi, v, e
+
+
+def _power_sum(series, x, term):
+    """(sum_{i>=2} term(i, series(x^i)), same sum of the errors), stopping at
+    the first term below 1e-18 past i = 4."""
+    tot = err = 0.0
+    for i, _, v, e in _on_powers(series, x):
+        t = term(i, v)
+        tot += t
+        err += term(i, e)
+        if t < 1e-18 and i > 4:
             break
-        v, e = y.evaluate(xi)
-        tot += v / i
-        err += e / i
-        if v / i < 1e-18 and i > 4:
-            break
-        i += 1
     return tot, err
-
-
-def _aux_exponent_deriv(yprime, x):
-    """E'(x) = sum_{i>=2} y'(x^i) x^{i-1}."""
-    tot = 0.0
-    i = 2
-    while True:
-        xi = x**i
-        if xi < 1e-300:
-            break
-        v, _ = yprime.evaluate(xi)
-        term = v * x ** (i - 1)
-        tot += term
-        if term < 1e-18 and i > 4:
-            break
-        i += 1
-    return tot
 
 
 # ---------------------------------------------------------------------------
@@ -115,24 +105,24 @@ def _aux_exponent_deriv(yprime, x):
 def compute_rho(N, tol=1e-14):
     """Radius of convergence via the singular system, with error estimate.
 
-    Returns (rho, err).  Validates the one-sided bracket g(0.2) < 0 < g(0.45)
-    for g(x) = y(x) - 1 (the 0.45 probe uses the raw partial sum, which is a
-    lower bound for the divergent tail there).
+    Returns (rho, err).  Validates the bracket g(0.2) < 0 < g(0.45) for
+    g(x) = y(x) - 1.  The 0.45 probe lies past rho, where the series
+    diverges; it sums only the terms up to x^10, which are positive, so the
+    probe is a lower bound of the divergent value at every order N.
     """
     if N < 100:
         raise UsageError("compute_rho requires N >= 100")
     y = tree_series(N)
     lo, _ = y.evaluate(0.2)
-    hi, _ = y.evaluate(0.45, tail_bound=float("inf"))
+    hi = sum(c * 0.45**n for n, c in enumerate(y.coeffs[:11]))
     if not (lo < 1.0 < hi):
         raise AccuracyError("bracket validation for y(x)=1 failed")
     rho = 0.34
-    tail_err = 0.0
     delta = 1.0
     for _ in range(200):
-        e_val, e_err = _aux_exponent(y, rho)
+        # E(rho) = sum_{i>=2} y(rho^i)/i
+        e_val, tail_err = _power_sum(y, rho, lambda i, v: v / i)
         new = math.exp(-1.0 - e_val)
-        tail_err = e_err
         delta = abs(new - rho)
         rho = new
         if delta < tol:
@@ -151,7 +141,8 @@ def compute_rho(N, tol=1e-14):
 # ---------------------------------------------------------------------------
 
 def _ladder_points(y, rho):
-    """Rungs x_j = rho (1 - 2^-j), j >= 3, whose series tail pollutes (1-y) by < 1e-3."""
+    """(x_j, y(x_j)) on the rungs x_j = rho (1 - 2^-j), j = 3, 4, ..., up to
+    the first rung whose series tail pollutes (1-y) by 1e-3 or more."""
     pts = []
     for j in range(3, 40):
         x = rho * (1.0 - 2.0**-j)
@@ -161,46 +152,56 @@ def _ladder_points(y, rho):
             break
         if 2.0 * e / one_minus > 1e-3:
             break
-        pts.append((j, x, v, e))
+        pts.append((x, v))
     return pts
 
 
-def compute_b(rho, N, return_diag=False):
+def _richardson(fa, fb, fc):
+    """Limit of f(x) = f0 + a sqrt(rho-x) + c (rho-x) + ... from three
+    consecutive rungs, each halving rho - x: one stage removes the sqrt term
+    on each pair, a second the linear term.  Returns (second stage, first
+    stage on the deeper pair)."""
+    r1ab = (_SQRT2 * fb - fa) / (_SQRT2 - 1.0)
+    r1bc = (_SQRT2 * fc - fb) / (_SQRT2 - 1.0)
+    return 2.0 * r1bc - r1ab, r1bc
+
+
+def compute_b(rho, N):
     """Singular coefficient b from the ladder limit of (1-y(x))^2/(rho-x).
 
     f(x) = b^2 - 2bc sqrt(rho-x) + O(rho-x); two Richardson stages on the
     deepest three tail-clean rungs remove the sqrt and linear terms.
     Returns (b, err).
     """
-    y = tree_series(N)
-    pts = _ladder_points(y, rho)
+    pts = _ladder_points(tree_series(N), rho)
     if len(pts) < 3:
         raise AccuracyError("not enough tail-clean ladder rungs; increase N")
-    f = {j: (1.0 - v) ** 2 / (rho - x) for j, x, v, _ in pts}
-    js = sorted(f)
-    triples = [js[i : i + 3] for i in range(len(js) - 2)]
-
-    def r2_of(triple):
-        a, bj, c = triple
-        if not (bj == a + 1 and c == bj + 1):
-            return None
-        r1ab = (_SQRT2 * f[bj] - f[a]) / (_SQRT2 - 1.0)
-        r1bc = (_SQRT2 * f[c] - f[bj]) / (_SQRT2 - 1.0)
-        return 2.0 * r1bc - r1ab, r1bc
-
-    best = r2_of(triples[-1])
-    if best is None or best[0] <= 0:
+    f = [(1.0 - v) ** 2 / (rho - x) for x, v in pts]
+    b2, r1_last = _richardson(*f[-3:])
+    if b2 <= 0:
         raise AccuracyError("ladder extrapolation failed")
-    b2, r1_last = best
     b = math.sqrt(b2)
-    prev = r2_of(triples[-2]) if len(triples) >= 2 else None
-    if prev is not None and prev[0] > 0:
-        err = abs(b - math.sqrt(prev[0])) + 1e-12
+    prev = _richardson(*f[-4:-1])[0] if len(f) >= 4 else 0.0
+    if prev > 0:
+        err = abs(b - math.sqrt(prev)) + 1e-12
     else:
         err = abs(b - math.sqrt(r1_last)) / 2.0 + 1e-12
-    if return_diag:
-        return b, err, f
     return b, err
+
+
+def _half_b2rho(rho, N):
+    """b^2 rho / 2 = 1 + rho E'(rho), exact at the singular point.
+
+    mu_d divides by this rather than by a b estimate, whose error would bias
+    every mu_d alike, so sum_d mu_d = 1 to full precision.
+    """
+    y = tree_series(N)
+    # y' keeps y's order; its x^N coefficient is 0, so evaluate adds no tail
+    yprime = TruncatedSeries(
+        [n * c for n, c in enumerate(y.coeffs)][1:] + [0], y.order, y.ring
+    )
+    ep, _ = _power_sum(yprime, rho, lambda i, v: v * rho ** (i - 1))
+    return 1.0 + rho * ep
 
 
 def b_from_functional_equation(rho, N):
@@ -209,54 +210,36 @@ def b_from_functional_equation(rho, N):
     Independent of the ladder; good to ~1e-12 at N >= 200.  Used as a
     cross-check of compute_b.
     """
-    y = tree_series(N)
-    ep = _aux_exponent_deriv(_deriv_series(y), rho)
-    return math.sqrt(2.0 * (1.0 + rho * ep) / rho)
+    return math.sqrt(2.0 * _half_b2rho(rho, N) / rho)
 
 
 # ---------------------------------------------------------------------------
 # C
 # ---------------------------------------------------------------------------
 
-def compute_C(rho, N, return_partials=False):
-    """C = exp(sum_{i>=1} (y(rho^i)/rho^i - 1)/i); i=1 term is (1/rho - 1) exactly."""
-    y = tree_series(N)
+def _C_from_powers(rho, powers):
+    """(C, err) from _on_powers rows of y at rho; the i = 1 term of
+    log C = sum_{i>=1} (y(rho^i)/rho^i - 1)/i is (1/rho - 1) exactly."""
     s = 1.0 / rho - 1.0
-    partials = [s]
     err = 0.0
-    i = 2
-    while True:
-        v, e = y.evaluate(rho**i)
-        term = (v / rho**i - 1.0) / i
+    for i, xi, v, e in powers:
+        term = (v / xi - 1.0) / i
         s += term
-        err += e / rho**i / i
-        partials.append(s)
+        err += e / xi / i
         if term < 1e-14 and i >= 40:
             break
-        i += 1
-        if i > 200:
-            break
     C = math.exp(s)
-    if return_partials:
-        return C, C * (err + 1e-14), partials
     return C, C * (err + 1e-14)
+
+
+def compute_C(rho, N):
+    """C = exp(sum_{i>=1} (y(rho^i)/rho^i - 1)/i), with its error."""
+    return _C_from_powers(rho, _on_powers(tree_series(N), rho))
 
 
 # ---------------------------------------------------------------------------
 # C_d via the derivative recurrence solved at rho
 # ---------------------------------------------------------------------------
-
-def _y_values_on_powers(y, rho):
-    """y(rho^m) for m = 1.._POWERS with y(rho) = 1 imposed exactly."""
-    vals = [0.0] * (_POWERS + 1)
-    vals[1] = 1.0
-    for m in range(2, _POWERS + 1):
-        x = rho**m
-        if x < 1e-300:
-            break
-        vals[m], _ = y.evaluate(x)
-    return vals
-
 
 def _cycle_index_values(d, svals):
     """Z_d at numeric s_r values via Z_m = (1/m) sum_r s_r Z_{m-r}."""
@@ -306,30 +289,11 @@ def c_d_rho_solve(d, rho, yvals):
 
 def c_d_rho_ladder(d, rho, N):
     """Secondary route: extrapolate (1-y) D^{(d)} / y^d along the rho ladder."""
-    y = tree_series(N)
-    D = degree_series(d, N).D
-    pts = _ladder_points(y, rho)
+    pts = _ladder_points(tree_series(N), rho)
     if len(pts) < 3:
         raise AccuracyError("not enough ladder rungs for C_d; increase N")
-    f = {}
-    for j, x, v, _ in pts:
-        Dv, _ = D.evaluate(x)
-        f[j] = (1.0 - v) * Dv / v**d
-    js = sorted(f)[-3:]
-    a, bj, c = js
-    r1ab = (_SQRT2 * f[bj] - f[a]) / (_SQRT2 - 1.0)
-    r1bc = (_SQRT2 * f[c] - f[bj]) / (_SQRT2 - 1.0)
-    return 2.0 * r1bc - r1ab
-
-
-def _half_b2rho(rho, N):
-    """b^2 rho / 2 = 1 + rho E'(rho), exact at the singular point.
-
-    mu_d divides by this rather than by a b estimate, whose error would bias
-    every mu_d alike, so sum_d mu_d = 1 to full precision.
-    """
-    y = tree_series(N)
-    return 1.0 + rho * _aux_exponent_deriv(_deriv_series(y), rho)
+    D = degree_series(d, N).D
+    return _richardson(*[(1.0 - v) * D.evaluate(x)[0] / v**d for x, v in pts[-3:]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,15 +307,16 @@ def compute_constants(N=400, degrees=range(1, 11)):
     t0 = time.monotonic()
     rho, rho_err = compute_rho(N)
     b, b_err = compute_b(rho, N)
-    b_fun = b_from_functional_equation(rho, N)
+    half_b2rho = _half_b2rho(rho, N)
+    b_fun = math.sqrt(2.0 * half_b2rho / rho)
     if abs(b - b_fun) > max(3.0 * b_err, 5e-3):
         raise AccuracyError(
             f"ladder b={b} inconsistent with functional-equation b={b_fun}"
         )
-    C, C_err = compute_C(rho, N)
-    y = tree_series(N)
-    yvals = _y_values_on_powers(y, rho)
-    half_b2rho = _half_b2rho(rho, N)
+    # y(rho^i) for i = 2.._POWERS, with y(rho) = 1 imposed exactly
+    powers = list(_on_powers(tree_series(N), rho))
+    C, C_err = _C_from_powers(rho, powers)
+    yvals = [0.0, 1.0] + [v for _, _, v, _ in powers]
     Cd = {}
     mu = {}
     err = {"rho": rho_err, "b": b_err, "C": C_err, "b_consistency": abs(b - b_fun)}

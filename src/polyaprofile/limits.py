@@ -57,8 +57,6 @@ _ARC_RADIUS = 1.0
 
 @dataclass(frozen=True)
 class LimitEvaluation:
-    kind: str
-    params: dict
     value: object  # complex or float
     quadrature_error: float = 0.0
 
@@ -151,12 +149,7 @@ def eval_psi(t, d, kappa, constants, nodes=200):
         err = abs(val2 - val) + math.exp(-_RAY_LENGTH)
     if not (cmath.isfinite(val2) and math.isfinite(err)):
         raise AccuracyError(f"the psi quadrature overflowed at kappa={kappa}, t={t}")
-    return LimitEvaluation(
-        kind="char_fn",
-        params={"t": t, "d": d, "kappa": kappa},
-        value=val2,
-        quadrature_error=err,
-    )
+    return LimitEvaluation(value=val2, quadrature_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -179,15 +172,12 @@ def eval_cov_limit(d1, d2, kappa, constants):
         * constants.c_d_rho_d(d2)
         * cov_bracket(kappa, constants.b, constants.rho)
     )
-    return LimitEvaluation(
-        kind="covariance", params={"d1": d1, "d2": d2, "kappa": kappa}, value=value
-    )
+    return LimitEvaluation(value=value)
 
 
 def eval_var_limit(d, kappa, constants):
     """Per-n variance limit: the d1 = d2 case, amplitude C_d^2 rho^{2d}."""
-    out = eval_cov_limit(d, d, kappa, constants)
-    return LimitEvaluation(kind="variance", params={"d": d, "kappa": kappa}, value=out.value)
+    return eval_cov_limit(d, d, kappa, constants)
 
 
 def limit_mean(d, kappa, constants):
@@ -230,12 +220,7 @@ def eval_limit_mean(d, kappa, constants, n_values=_DEFAULT_NS):
             err = max(err, max(ms) - min(ms))
     else:
         err = abs(ms[-1] - primary)
-    return LimitEvaluation(
-        kind="mean_profile",
-        params={"d": d, "kappa": kappa, "n_values": tuple(n_values)},
-        value=primary,
-        quadrature_error=err,
-    )
+    return LimitEvaluation(value=primary, quadrature_error=err)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +231,9 @@ def correlation_convergence_report(d1, d2, kappa, n_values, constants, ring="aut
     """Rows (n, 1 - corr, sqrt(n) (1 - corr)) for k = floor(kappa sqrt(n)).
 
     The third column should stay roughly constant: the correlation of two
-    degree counts on one level approaches 1 at speed 1/sqrt(n).  The double
-    ring rescales by ``constants.rho``.
+    degree counts on one level approaches 1 at speed 1/sqrt(n).  ``ring`` is
+    "exact", "double" (rescaled by ``constants.rho``) or "auto" (exact up to
+    n = 200); ``finite_covariance`` refuses any other.
     """
     _check_kappa(kappa)
     if any(n < 1 for n in n_values):
@@ -255,14 +241,9 @@ def correlation_convergence_report(d1, d2, kappa, n_values, constants, ring="aut
     rows = []
     for n in n_values:
         k = int(kappa * math.sqrt(n))
-        use = ring
-        if ring == "auto":
-            use = "exact" if n <= 200 else "double"
-        table = profile.finite_covariance(
-            d1, d2, n, k,
-            ring="double" if use == "double" else "exact",
-            scale=constants.rho if use == "double" else 1.0,
-        )
+        use = ("exact" if n <= 200 else "double") if ring == "auto" else ring
+        # the exact ring ignores the scale
+        table = profile.finite_covariance(d1, d2, n, k, ring=use, scale=constants.rho)
         if table.correlation is None:
             raise AccuracyError(f"degenerate variance at n={n}, k={k}")
         one_minus = 1.0 - table.correlation

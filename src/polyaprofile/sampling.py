@@ -54,11 +54,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import APPROX_RADIUS as _RHO
 from .enumeration import CountTable, canonical_shape, count_trees
 from .errors import UsageError
 
 _MEMO_CUTOFF = 64  # sizes with a precomputed cumulative selection table
-_RHO = 0.3383218568992077  # float weights are rescaled by rho^n: y_k rho^k = Theta(k^-1.5)
 _BAND = 1e-9  # guard band of the float guide, relative to the weight total
 # Monte Carlo runs split into this many seeded streams, merged in a fixed
 # order, so results do not depend on the thread count; another count would
@@ -157,7 +157,8 @@ class TreeSampler:
     def __init__(self, table: CountTable):
         self.table = table
         self.y = table.y
-        # float guide, c = _RHO: fy[k] = y_k c^k, g[d] = d y_d c^d, cpow[m] = c^m
+        # float guide at c = _RHO, where y_k c^k = Theta(k^-1.5):
+        # fy[k] = y_k c^k, g[d] = d y_d c^d, cpow[m] = c^m
         log_c = math.log(_RHO)
         fy = [0.0] + [math.exp(math.log(v) + k * log_c)
                       for k, v in enumerate(table.y[1:], 1)]
@@ -333,10 +334,6 @@ class _Accumulator:
                 for t in spec.t_values:
                     g[("cos", d, kap, t)] = 0.0
                     g[("sin", d, kap, t)] = 0.0
-        for i, d1 in enumerate(spec.degrees):
-            for d2 in spec.degrees[i + 1 :]:
-                for kap in spec.kappas:
-                    g[("xy", d1, d2, kap)] = 0.0
         if spec.tightness_grid:
             rs, hs = spec.tightness_grid
             for r in rs:
@@ -352,18 +349,13 @@ class _Accumulator:
         sq = math.sqrt(spec.n)
         for kap in spec.kappas:
             k = spec.level_of(kap)
-            vals = {}
             for d in spec.degrees:
                 v = profile.degree_count(d, k) / sq
-                vals[d] = v
                 g[("m", d, kap)] += v
                 g[("m2", d, kap)] += v * v
                 for t in spec.t_values:
                     g[("cos", d, kap, t)] += math.cos(t * v)
                     g[("sin", d, kap, t)] += math.sin(t * v)
-            for i, d1 in enumerate(spec.degrees):
-                for d2 in spec.degrees[i + 1 :]:
-                    g[("xy", d1, d2, kap)] += vals[d1] * vals[d2]
         if spec.tightness_grid:
             rs, hs = spec.tightness_grid
             for r in rs:
@@ -394,17 +386,6 @@ class MonteCarloResult:
     def mean(self, d, kappa):
         """(estimate, stderr) of E l_n^{(d)}(kappa)."""
         return self._mean_se(("m", d, kappa), ("m2", d, kappa))
-
-    def variance(self, d, kappa):
-        S = self.count
-        m = self.sums[("m", d, kappa)] / S
-        return max(self.sums[("m2", d, kappa)] / S - m * m, 0.0)
-
-    def covariance(self, d1, d2, kappa):
-        S = self.count
-        m1 = self.sums[("m", d1, kappa)] / S
-        m2 = self.sums[("m", d2, kappa)] / S
-        return self.sums[("xy", d1, d2, kappa)] / S - m1 * m2
 
     def char_function(self, d, kappa, t):
         """(complex estimate, stderr) of E exp(i t l_n^{(d)}(kappa))."""

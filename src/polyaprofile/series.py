@@ -428,7 +428,7 @@ class TruncatedSeries:
                 for acc in self.ring.power_sums(self.coeffs, self.order, weights)]
 
     # -- evaluation ----------------------------------------------------------
-    def evaluate(self, x0, tail_bound=None):
+    def evaluate(self, x0):
         """Evaluate at |x0| < 1; returns (value, error_estimate).
 
         The partial sum gets a geometric tail correction t_N * r/(1-r) built
@@ -455,20 +455,18 @@ class TruncatedSeries:
             else:
                 tiny_run = 0
         t_last = abs(self._term_float(self.order, x0))
-        correction, err = self._tail_model(x0, tail_bound)
+        correction, err = self._tail_model(x0)
         value = total + correction
-        if tail_bound is None and t_last > 0.1 * max(abs(value), 1e-300):
+        if t_last > 0.1 * max(abs(value), 1e-300):
             raise AccuracyError(
                 f"series tail has not decayed at x0={x0}: last term {t_last:.3g}"
             )
         return value, err
 
-    def _tail_model(self, x0, tail_bound):
+    def _tail_model(self, x0):
         N = self.order
         tN = self._term_float(N, x0)
         tN1 = self._term_float(N - 1, x0) if N >= 1 else 0.0
-        if tail_bound is not None:
-            return 0.0, float(tail_bound)
         if tN == 0.0:
             return 0.0, 0.0
         r = abs(tN / tN1) if tN1 else abs(x0)

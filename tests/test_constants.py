@@ -1,9 +1,11 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
 from polyaprofile.constants import (
+    _ladder_points,
     b_from_functional_equation,
     c_d_rho_ladder,
     compute_b,
@@ -13,6 +15,7 @@ from polyaprofile.constants import (
 )
 from polyaprofile.enumeration import degree_series, tree_series
 from polyaprofile.errors import UsageError
+from polyaprofile.series import TruncatedSeries
 
 RHO_REF = 0.3383219      # 7-digit reference value
 B_REF = 2.6811266        # reference value (the last digits are soft)
@@ -25,9 +28,10 @@ def test_rho_reproduction(constants_400):
 
 
 def test_rho_bracket_monotonicity():
+    # past rho the series diverges; its positive terms up to x^10 bound it below
     y = tree_series(200)
     lo, _ = y.evaluate(0.2)
-    hi, _ = y.evaluate(0.45, tail_bound=float("inf"))
+    hi = sum(float(y[n]) * 0.45**n for n in range(11))
     assert lo - 1.0 < 0.0 < hi - 1.0
 
 
@@ -66,9 +70,8 @@ def test_b_ladder_agrees_with_functional_equation(constants_400):
 
 def test_b_ladder_stabilizes_monotonically(constants_400):
     # f(x_j) = (1-y)^2/(rho-x) increases toward b^2 along the ladder
-    _, _, f = compute_b(constants_400.rho, 400, return_diag=True)
-    js = sorted(f)
-    vals = [f[j] for j in js]
+    rho = constants_400.rho
+    vals = [(1.0 - v) ** 2 / (rho - x) for x, v in _ladder_points(tree_series(400), rho)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
     assert vals[-1] < constants_400.b**2 * 1.05
 
@@ -102,12 +105,46 @@ def test_C_reproduction(constants_400):
 
 
 def test_C_partial_sums_increase(constants_400):
-    C, err, partials = compute_C(constants_400.rho, 400, return_partials=True)
+    rho = constants_400.rho
+    C, err = compute_C(rho, 400)
+    y = tree_series(400)
+    partials = [1.0 / rho - 1.0]
+    for i in range(2, 201):
+        v, _ = y.evaluate(rho**i)
+        term = (v / rho**i - 1.0) / i
+        partials.append(partials[-1] + term)
+        if term < 1e-14 and i >= 40:
+            break
+    assert C == math.exp(partials[-1])
     # all summands are >= 0 (strictly positive until they underflow)
     assert all(a <= b for a, b in zip(partials, partials[1:]))
     assert all(a < b for a, b in zip(partials[:10], partials[1:11]))
     # tail beyond i=40 is below 1e-14: the i=40 term itself bounds it
     assert partials[-1] - partials[-2] < 1e-14
+
+
+def test_constants_hold_at_orders_past_the_double_range(constants_400):
+    # past rho the terms of y leave the double range from N ~ 2500 on, so no
+    # evaluation may go there
+    cs = compute_constants(3200, degrees=(1, 2, 3))
+    assert abs(cs.rho - constants_400.rho) <= 1e-12
+    assert abs(cs.C - constants_400.C) <= 1e-12
+
+
+def test_constants_evaluate_each_series_once_per_point(monkeypatch):
+    # one table of y on the powers of rho serves C and every C_d, and E'(rho)
+    # serves both b and the mu_d divisor
+    seen = Counter()
+    evaluate = TruncatedSeries.evaluate
+
+    def counting(self, x0, *args, **kwargs):
+        seen[(self.order, tuple(self.coeffs), x0)] += 1
+        return evaluate(self, x0, *args, **kwargs)
+
+    monkeypatch.setattr(TruncatedSeries, "evaluate", counting)
+    compute_constants(400, degrees=range(1, 11))
+    assert sum(seen.values()) > 0
+    assert {key[2]: n for key, n in seen.items() if n > 1} == {}
 
 
 def test_Cd_converges_to_C(constants_400):

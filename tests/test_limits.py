@@ -256,3 +256,10 @@ def test_exact_and_double_rings_agree_in_report(constants_400):
         1, 2, 1.0, (100,), constants=constants_400, ring="double"
     )
     assert abs(a[0][1] - b[0][1]) < 1e-10
+
+
+def test_correlation_report_refuses_an_unknown_ring(constants_400):
+    with pytest.raises(UsageError, match="unknown ring 'bogus'"):
+        correlation_convergence_report(
+            1, 2, 1.0, (100,), constants=constants_400, ring="bogus"
+        )
