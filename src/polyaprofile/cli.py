@@ -40,6 +40,17 @@ def _default_cache_dir():
     return os.path.join(os.path.expanduser("~"), ".cache", "polyaprofile")
 
 
+def _load_counts(n_max):
+    """Fill the process-wide count table to n_max through the count cache, as ``count`` does.
+
+    The library reads counts through ``tree_series``, which never touches the
+    disk, so each command that needs them loads the table here first.  A size
+    below 1 is left to the command's own argument check and its message.
+    """
+    if n_max >= 1:
+        count_trees(n_max, cache_dir=_default_cache_dir())
+
+
 def _out_path(out):
     if out is None:
         return None
@@ -125,6 +136,7 @@ def constants_cmd(order_, degrees, out):
 
     def go():
         ds = _parse_list(degrees, "--degrees")
+        _load_counts(order_)
         cs = const_mod.compute_constants(order_, degrees=ds)
         payload = {
             "order": order_,
@@ -320,6 +332,9 @@ def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
         ts = _parse_list(t_grid, "--t-grid", float)
         ns = _parse_list(n_list, "--n-list")
         degrees = sorted({d, d1, d2})
+        # corr reads the series at each n of --n-list, mean at its own n values
+        needed = {"corr": ns, "mean": limits_mod._DEFAULT_NS}.get(what, ())
+        _load_counts(max((order_, *needed)))
         cs = const_mod.compute_constants(order_, degrees=degrees)
         rows = []
         if what == "psi":

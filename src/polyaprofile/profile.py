@@ -36,8 +36,9 @@ the test suite holds them to exact rational equality:
    variance and correlation.  One pass steps all of them together: per
    level it forms S_k once per degree, then steps only the series asked
    for, so the covariance table of two degrees costs 8 series products a
-   level and the plain mean 1.  Each series' substitution sums come from
-   one in-place sweep over i (``TruncatedSeries.power_sums``).
+   level and the plain mean 1.  Each series' substitution sums are a
+   gather and ``np.bincount`` along the (i, m) plan of the order, built
+   once (``TruncatedSeries.power_sums``), with no Python loop over i.
 
    The exact pass runs modulo word-size primes (a ``ResidueRing``): every
    series it steps has nonnegative integer coefficients, [x^m] of them at
@@ -48,7 +49,9 @@ the test suite holds them to exact rational equality:
    at (1, 2, 400, 20) takes 33 primes and about 0.5 s, against 3.6 s for
    the big-integer pass it replaced (2-CPU host, numpy 2.4).  The pass also
    runs in the rescaled double ring, for large n where exact answers are
-   not needed.
+   not needed: the three covariance tables of
+   ``limits.correlation_convergence_report`` at n = 400, 900 and 1600 take
+   about 0.25 s there, against 0.6 s with a Python loop over i.
 """
 
 from __future__ import annotations

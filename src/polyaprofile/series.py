@@ -15,7 +15,9 @@ the classes here:
     truncation orders.  A ``ResidueRing`` keeps integer coefficients modulo
     each of its word-size primes, as a float64 array [prime, n], and reading
     a coefficient lifts it back by the CRT.  The derivative pass runs in
-    these two array rings, through ``+``, ``*`` and ``power_sums``.
+    these two array rings, through ``+``, ``*`` and ``power_sums``, whose
+    substitution sums are a gather and ``np.bincount`` along the (i, m)
+    plan of the order (``_substitution_plan``), with no loop over i.
 
 ``MarkedSeries``
     an exact series in x and one or two marking variables, stored as a map
@@ -28,13 +30,12 @@ the classes here:
     the mark direction with the Euler operator, the same in both bases, and
     keeps whole coefficients as ints.
 
-Multiplication is plain O(N^2) convolution at every order used here
-(N <= ~1600).  In the exact ring it is a pure-Python loop over big integers,
-so the exact derivative pass runs in a residue ring instead, where a product
-is one ``np.convolve`` per prime (the multi-modular method: von zur Gathen &
-Gerhard, Modern Computer Algebra, ch. 5).  All values are immutable after
-construction and all operations are pure, so instances are safe to share
-across workers.
+Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
+it is a Python loop over big integers, so the exact derivative pass runs in a
+residue ring, where a product is one ``np.convolve`` per prime (the
+multi-modular method: von zur Gathen & Gerhard, Modern Computer Algebra,
+ch. 5).  Values are immutable and operations pure, so instances are safe to
+share across workers.
 """
 
 from __future__ import annotations
@@ -87,17 +88,50 @@ def _frozen(arr):
     return arr
 
 
+@lru_cache(maxsize=64)
+def _substitution_plan(N):
+    """(src, tgt, i, ends), read-only: entry r of sum_{i>=2} a(x**i) to order N moves
+    a_src[r] to x**tgt[r], tgt = src i, in blocks of i = 2..N ascending, src =
+    0..N // i; block i ends at ends[i] (ends[0] = ends[1] = 0), so i <= i_max is a prefix."""
+    sizes = N // np.arange(2, N + 1) + 1
+    ends = np.concatenate(([0, 0], np.cumsum(sizes)))[: N + 1]
+    i = np.repeat(np.arange(2, N + 1), sizes)
+    src = np.arange(len(i)) - ends[i - 1]
+    plan = (src, src * i, i, ends)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _plan_prefix(nonzero, N):
+    """The plan cut to i <= i_max = N / val(a), and i_max; ``nonzero`` marks a's nonzero terms."""
+    src, tgt, i, ends = _substitution_plan(N)
+    top = N // max(next(iter(np.flatnonzero(nonzero)), N + 1), 1)
+    return src[: ends[top]], tgt[: ends[top]], i[: ends[top]], top
+
+
+@lru_cache(maxsize=64)
+def _scale_powers(scale, N):
+    """scale**(tgt - src) along the plan: a_m scale^m stored at m moves to mi."""
+    src, tgt, _, _ = _substitution_plan(N)
+    return _frozen(scale ** (tgt - src))
+
+
+def _by_block(w, top):
+    """[0, 0, w(2), ..., w(top)], to be indexed by the plan's i: w once per block.
+
+    w = None means w(i) = 1; multiplying by that 1 leaves every bit as it is.
+    """
+    return [0, 0, *(map(w, range(2, top + 1)) if w else [1] * (top - 1))]
+
+
 # ---------------------------------------------------------------------------
 # rings: each converts exact coefficients into its format (``coefficients``)
 # and does the arithmetic of TruncatedSeries on that format
 # ---------------------------------------------------------------------------
 
 class ExactRing:
-    """Exact rationals, as a list of Python ints and Fractions; the one instance is EXACT.
-
-    Its ``power_sums`` refuses: only the derivative pass calls it, and that
-    runs in the array rings.
-    """
+    """Exact rationals, as a list of Python ints and Fractions; the one instance is EXACT."""
 
     __slots__ = ()
 
@@ -118,14 +152,15 @@ class ExactRing:
     def sub(self, a, b):
         return [x - y for x, y in zip(a, b)]
 
-    def mul(self, a, b, N):
+    def mul(self, a, b, N):  # walks b's nonzero terms only: y * 1 is O(N)
         out = [0] * (N + 1)
+        terms = [(j, bj) for j, bj in enumerate(b) if bj]
         for i, ai in enumerate(a):
             if ai:
-                for j in range(N + 1 - i):
-                    bj = b[j]
-                    if bj:
-                        out[i + j] += ai * bj
+                for j, bj in terms:
+                    if j > N - i:
+                        break
+                    out[i + j] += ai * bj
         return out
 
     def scalar_mul(self, a, c):
@@ -186,17 +221,11 @@ class DoubleRing:
 
     def power_sums(self, c, N, weights):
         # stored[m] = a_m scale^m, so a(x^i) stored at mi needs scale^(mi-m);
-        # past the first i whose rescaled terms all underflow, every later one does
-        sums = [np.zeros(N + 1) for _ in weights]
-        val = next(iter(np.flatnonzero(c)), N + 1)
-        for i in range(2, N // max(val, 1) + 1):
-            M = N // i
-            t = c[: M + 1] * self.scale ** (np.arange(M + 1) * (i - 1))
-            if not t.any():
-                break
-            for acc, w in zip(sums, weights):
-                acc[::i] += t if w is None else t * float(w(i))
-        return sums
+        # bincount adds in plan order, so each sum adds its terms i by i
+        src, tgt, i, top = _plan_prefix(c != 0, N)
+        t = c[src] * _scale_powers(self.scale, N)[: len(src)]
+        return [np.bincount(tgt, t * np.array(_by_block(w, top), dtype=float)[i], N + 1)
+                for w in weights]
 
     def lift_series(self, series):
         return series
@@ -231,13 +260,9 @@ class ResidueRing:
     def residues(self, ints):
         """The ints modulo each prime, as a float64 array [prime, len(ints)]."""
         ints = [operator.index(c) for c in ints]
+        if all(abs(c) < 1 << 53 for c in ints):  # exact as floats
+            return np.remainder(np.array(ints, dtype=float), self.p)
         return np.array([[c % q for c in ints] for q in self.primes], dtype=float)
-
-    def reduce(self, c):
-        """The int c modulo each prime, as a float64 column."""
-        if abs(c) < 1 << 53:  # exact as a float
-            return np.remainder(float(operator.index(c)), self.p)
-        return self.residues([c])
 
     def lift(self, columns):
         """The ints whose residues are the columns of a float64 array [prime, m]."""
@@ -245,9 +270,8 @@ class ResidueRing:
         for col in columns.astype(np.int64).T.tolist():
             v = sum(map(operator.mul, col, self.basis)) % self.modulus
             if v > self.bound:
-                raise AccuracyError(
-                    f"a residue lifts to a value above the bound {self.bound}: "
-                    "a residue or the bound is wrong")
+                raise AccuracyError(f"a residue lifts to a value above the bound {self.bound}: "
+                                    "a residue or the bound is wrong")
             out.append(v)
         return out
 
@@ -274,19 +298,20 @@ class ResidueRing:
         return np.array([np.convolve(x, y)[: N + 1] for x, y in zip(a, b)]) % self.p
 
     def scalar_mul(self, a, c):
-        return a * self.reduce(c) % self.p
+        return a * self.residues([c]) % self.p
 
     def power_sums(self, c, N, weights):
-        # the weights are ints reduced modulo each prime, so a sum adds fewer
-        # than N products of two residues: below 2^53 like a convolution sum,
-        # and reduced once at the end
-        sums = [np.zeros(c.shape) for _ in weights]
-        val = next(iter(np.flatnonzero(c.any(axis=0))), N + 1)
-        for i in range(2, N // max(val, 1) + 1):
-            t = c[:, : N // i + 1]
-            for acc, w in zip(sums, weights):
-                acc[:, ::i] += t if w is None else t * self.reduce(w(i))
-        return [acc % self.p for acc in sums]
+        # weights reduced modulo each prime: an entry adds fewer than N products
+        # of two residues, below 2^53 like a convolution sum, so the sums are
+        # exact in any order (terms of zero coefficients drop out); a bincount
+        # per prime keeps every temporary at one row of terms
+        nonzero = c.any(axis=0)
+        src, tgt, i, top = _plan_prefix(nonzero, N)
+        keep = np.flatnonzero(nonzero[src])
+        src, tgt, i = src[keep], tgt[keep], i[keep]
+        return [np.array([np.bincount(tgt, a[src] * wr[i], N + 1)
+                          for a, wr in zip(c, self.residues(_by_block(w, top)))]) % self.p
+                for w in weights]
 
     def lift_series(self, series):
         """The exact-ring series, each coefficient lifted by the CRT."""
@@ -321,9 +346,7 @@ class TruncatedSeries:
 
     def copy_with(self, coeffs):
         out = object.__new__(TruncatedSeries)
-        out.coeffs = self.ring.freeze(coeffs)
-        out.order = self.order
-        out.ring = self.ring
+        out.coeffs, out.order, out.ring = self.ring.freeze(coeffs), self.order, self.ring
         return out
 
     # -- bookkeeping ---------------------------------------------------------
@@ -331,10 +354,8 @@ class TruncatedSeries:
         if not isinstance(other, TruncatedSeries):
             raise UsageError("expected a TruncatedSeries")
         if self.ring != other.ring or self.order != other.order:
-            raise UsageError(
-                f"ring/order mismatch: ({self.ring},{self.order}) vs "
-                f"({other.ring},{other.order})"
-            )
+            raise UsageError(f"ring/order mismatch: ({self.ring},{self.order}) vs "
+                             f"({other.ring},{other.order})")
 
     def _exact_only(self, what):
         """Refuse an operation that only the exact ring provides."""
@@ -355,8 +376,7 @@ class TruncatedSeries:
         return self.ring.read(self.coeffs, n)
 
     def lift(self):
-        """The exact-ring series of a residue-ring one, each coefficient lifted
-        by the CRT; a series of another ring as it is."""
+        """A residue-ring series in the exact ring, lifted by the CRT; others as they are."""
         return self.ring.lift_series(self)
 
     # -- arithmetic ----------------------------------------------------------
@@ -409,20 +429,18 @@ class TruncatedSeries:
             raise UsageError("substitute_power requires i >= 1")
         if i == 1:
             return self
-        N = self.order
-        out = [0] * (N + 1)
-        for m in range(N // i + 1):
-            out[m * i] = self.coeffs[m]
+        out = [0] * (self.order + 1)
+        out[::i] = self.coeffs[: self.order // i + 1]
         return self.copy_with(out)
 
     def power_sums(self, weights):
         """[sum_{i>=2} w(i) a(x**i) for w in weights]; w = None means w(i) = 1.
 
-        One sweep over i fills every sum in place, in the double or a residue
-        ring.  i ascends and stops at N / val(a), past which a(x**i)
-        vanishes, or in the double ring at the first i whose rescaled terms
-        all underflow.  Each sum adds the terms of one i at a time, so it is
-        bit-identical to adding the substituted series one by one.
+        In the double or a residue ring: the terms of i <= N / val(a) (past
+        which a(x**i) vanishes) are gathered along the order's substitution
+        plan, weighted with w called once per i, and added by ``np.bincount``
+        in plan order, i ascending, so a double-ring sum is bit-identical to
+        adding the substituted series one by one.
         """
         return [self.copy_with(acc)
                 for acc in self.ring.power_sums(self.coeffs, self.order, weights)]
@@ -458,9 +476,7 @@ class TruncatedSeries:
         correction, err = self._tail_model(x0)
         value = total + correction
         if t_last > 0.1 * max(abs(value), 1e-300):
-            raise AccuracyError(
-                f"series tail has not decayed at x0={x0}: last term {t_last:.3g}"
-            )
+            raise AccuracyError(f"series tail has not decayed at x0={x0}: last term {t_last:.3g}")
         return value, err
 
     def _tail_model(self, x0):
@@ -470,8 +486,7 @@ class TruncatedSeries:
         if tN == 0.0:
             return 0.0, 0.0
         r = abs(tN / tN1) if tN1 else abs(x0)
-        if r >= 0.9999:
-            # no usable decay; refuse to model the tail
+        if r >= 0.9999:  # no usable decay; refuse to model the tail
             return 0.0, abs(tN) * N
         corr = tN * r / (1.0 - r)
         return corr, 2.0 * abs(corr) + 1e-15 * abs(tN) * N
@@ -495,9 +510,7 @@ def _log_abs(c):
     An int has ``numerator`` and ``denominator`` too, so neither needs a
     Fraction built; exact-ring coefficients are never floats.
     """
-    return math.log(abs(c.numerator)) - (
-        math.log(c.denominator) if c.denominator != 1 else 0.0
-    )
+    return math.log(abs(c.numerator)) - (math.log(c.denominator) if c.denominator != 1 else 0.0)
 
 
 def _signed_exp(c, extra_log):
@@ -549,9 +562,7 @@ class MarkedSeries:
         if any(s.ring is not EXACT or s.order != order for s in terms.values()):
             raise UsageError("marked series are exact-only, of one order")
         self.terms = {e: s for e, s in terms.items() if any(s.coeffs)}
-        self.order = order
-        self.caps = tuple(caps)
-        self.basis = basis
+        self.order, self.caps, self.basis = order, tuple(caps), basis
 
     @classmethod
     def lift(cls, s, caps, basis):
@@ -576,10 +587,8 @@ class MarkedSeries:
         else:  # u**p = (1+eps)**p
             weights = {r: _comb_signed(power, r) for r in range(self.caps[v] + 1)}
         one = TruncatedSeries.one(self.order)
-        return self.copy_with({
-            (r, 0) if v == 0 else (0, r): one * w
-            for r, w in weights.items() if r <= self.caps[v]
-        })
+        return self.copy_with({(r, 0) if v == 0 else (0, r): one * w
+                               for r, w in weights.items() if r <= self.caps[v]})
 
     def _check(self, other):
         if (self.order, self.caps, self.basis) != (other.order, other.caps, other.basis):
@@ -640,10 +649,8 @@ class MarkedSeries:
         if any(s[0] for s in self.terms.values()):
             raise DomainError("exp requires zero constant term")
         E = {_UNMARKED: self.terms.get(_UNMARKED, TruncatedSeries.zero(self.order)).exp()}
-        dp = [
-            (beta, s.copy_with([_whole(c * sum(beta)) for c in s.coeffs]))
-            for beta, s in self.terms.items() if beta != _UNMARKED
-        ]
+        dp = [(beta, s.copy_with([_whole(c * sum(beta)) for c in s.coeffs]))
+              for beta, s in self.terms.items() if beta != _UNMARKED]
         A, B = self.caps
         for alpha in sorted(((a, b) for a in range(A + 1) for b in range(B + 1)), key=sum)[1:]:
             tot = None

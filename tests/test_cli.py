@@ -224,6 +224,39 @@ def test_unwritable_cache_warns_once_and_keeps_stdout(tmp_path):
     assert good.stderr == ""
 
 
+# the CLI with enumeration._extend replaced: a run that builds any part of the
+# count table stops with exit 1
+_CLI_WITHOUT_BUILDS = """
+import sys
+import polyaprofile.enumeration as enumeration
+from polyaprofile.cli import main
+
+def refuse(n_max):
+    sys.exit(f"count table built to n = {n_max}")
+
+enumeration._extend = refuse
+main(sys.argv[1:])
+"""
+
+
+@pytest.mark.parametrize("args,written", [
+    (("constants", "--order", "150", "--degrees", "1,2"), 150),
+    (("limits", "--what", "cov", "--order", "150"), 150),
+    (("limits", "--what", "corr", "--order", "150", "--n-list", "100,160"), 160),
+], ids=["constants", "limits-cov", "limits-corr"])
+def test_constants_and_limits_read_the_count_cache(tmp_path, args, written):
+    # the first run builds the table and writes it; the second only loads it
+    first = cli_process(*args, POLYAPROFILE_CACHE=str(tmp_path))
+    assert first.returncode == 0, first.stderr
+    assert os.listdir(tmp_path) == [f"counts_{written}.txt"]
+    src = os.path.dirname(os.path.dirname(polyaprofile.__file__))
+    second = subprocess.run(
+        [sys.executable, "-c", _CLI_WITHOUT_BUILDS, *args], capture_output=True, text=True,
+        timeout=120, env={**os.environ, "PYTHONPATH": src, "POLYAPROFILE_CACHE": str(tmp_path)})
+    assert (second.returncode, second.stderr) == (0, "")
+    assert second.stdout == first.stdout
+
+
 def test_accuracy_error_exit_code():
     # rho needs N >= 100 by contract; 50 maps UsageError -> 2, an
     # unreachable tolerance maps AccuracyError -> 3

@@ -151,6 +151,95 @@ def test_power_sums_match_adding_substituted_series(cs):
         assert np.allclose(got.coeffs, exact.to_double(scale).coeffs, rtol=1e-13, atol=0)
 
 
+def loop_power_sums(ring, c, N, weights):
+    """sum_{i>=2} w(i) a(x**i) for stored coefficients c, by a loop over i
+    (a test oracle): each i adds its block of terms in place, and the double
+    ring stops at the first i whose rescaled terms all underflow."""
+    double = isinstance(ring, DoubleRing)
+    sums = [np.zeros(c.shape) for _ in weights]
+    val = next(iter(np.flatnonzero(c if double else c.any(axis=0))), N + 1)
+    for i in range(2, N // max(val, 1) + 1):
+        M = N // i
+        if double:
+            t = c[: M + 1] * ring.scale ** (np.arange(M + 1) * (i - 1))
+            if not t.any():
+                break
+        else:
+            t = c[:, : M + 1]
+        for acc, w in zip(sums, weights):
+            if w is None:
+                acc[..., ::i] += t
+            else:
+                acc[..., ::i] += t * (float(w(i)) if double else ring.residues([w(i)]))
+    return sums if double else [acc % ring.p for acc in sums]
+
+
+RHO = 0.3383218568992077
+
+
+def _with_valuation(values, N, where, draw, rng):
+    """values with every coefficient below the drawn valuation, and about a
+    fifth of those past it, set to zero."""
+    val = {"0": 0, "1": 1, "k": draw(st.integers(0, N)),
+           "above N/2": draw(st.integers(N // 2 + 1, N)), "zero": N + 1}[where]
+    zero = rng.random(N + 1) < 0.2
+    zero[: val + 1] = np.arange(min(val + 1, N + 1)) < val
+    values[..., zero] = 0
+    return values
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 2, 3, 12, 400, 1600]),
+    st.sampled_from([0.5, RHO, 1.0]),
+    st.sampled_from(["0", "1", "k", "above N/2", "zero"]),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_power_sums_are_the_loop_over_i_bit_for_bit(N, scale, where, seed, data):
+    # the plan adds each entry's terms in ascending i like the loop, so every
+    # double-ring sum has the loop's bits, underflowed blocks and all; residue
+    # sums are exact, so the bytes agree in any order
+    rng = np.random.default_rng(seed)
+    called = []
+
+    def counted(w):
+        return lambda i: called.append(i) or w(i)
+
+    weights = (None, counted(lambda i: i), counted(lambda i: i - 1))
+    # magnitudes from the subnormal range to 1e300
+    c = rng.standard_normal(N + 1) * 10.0 ** rng.uniform(-320, 300, N + 1)
+    c = _with_valuation(c, N, where, data.draw, rng)
+    ring = DoubleRing(scale)
+    got = ring.power_sums(c, N, weights)
+    top = N // max(next(iter(np.flatnonzero(c)), N + 1), 1)
+    assert sorted(called) == [i for i in range(2, top + 1) for _ in range(2)]  # w once per i
+    for g, want in zip(got, loop_power_sums(ring, c, N, weights)):
+        assert g.tobytes() == want.tobytes()
+
+    residue = ResidueRing(_build_primes(N, 1 << 80), 1 << 80)
+    c = rng.integers(0, residue.p, (len(residue.primes), N + 1)).astype(float)
+    c = _with_valuation(c, N, where, data.draw, rng)
+    weights += (lambda i: (1 << 45) + i, lambda i: (1 << 60) + i)  # the last past 2^53
+    for g, want in zip(residue.power_sums(c, N, weights), loop_power_sums(residue, c, N, weights)):
+        assert g.tobytes() == want.tobytes()
+
+
+def test_substitution_plan_lists_every_term_in_ascending_i():
+    from polyaprofile.series import _substitution_plan
+
+    N = 12
+    src, tgt, i, ends = _substitution_plan(N)
+    assert _substitution_plan(N)[0] is src  # built once per order
+    want = [(m, m * j, j) for j in range(2, N + 1) for m in range(N // j + 1)]
+    assert list(zip(src.tolist(), tgt.tolist(), i.tolist())) == want
+    assert ends.tolist() == [sum(N // j + 1 for j in range(2, top + 1)) for top in range(N + 1)]
+    with pytest.raises(ValueError, match="read-only"):
+        src[0] = 1
+    for N in (0, 1):  # no i >= 2 reaches an order below 2
+        assert [len(arr) for arr in _substitution_plan(N)] == [0, 0, 0, N + 1]
+
+
 def polya_exponent(a):
     """sum_{i>=1} a(x^i)/i, term by term (a test oracle)."""
     acc = a
