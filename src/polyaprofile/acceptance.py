@@ -1,7 +1,8 @@
 """Acceptance criteria: one callable per criterion, shared by tests and `verify`.
 
 Each criterion checks a quantitative statement at a fixed tolerance and
-returns a CriterionResult; `run_acceptance` executes all of them and the CLI
+returns a CriterionResult; its registration (`_criterion`) holds its number
+and name and times it.  `run_acceptance` executes them in order and the CLI
 renders the pass/fail table.  Quick mode shrinks sizes and sample counts
 (criteria 1-5 keep their tolerances at reduced sizes; 6-10 run as smoke
 variants) so a full quick pass stays well under ten minutes.
@@ -15,8 +16,10 @@ criterion is evaluated as stated and reports the measured gap.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -81,16 +84,34 @@ class AcceptanceContext:
         return self._mc[tag]
 
 
-def _result(number, name, t0, passed, details):
-    return CriterionResult(number, name, bool(passed), details, time.monotonic() - t0)
+CRITERIA = []
 
 
-# ---------------------------------------------------------------------------
-# criterion 1: constants reproduction
-# ---------------------------------------------------------------------------
+def _criterion(number, name, quick_name=None):
+    """Register a criterion body as CRITERIA's next entry.
 
+    The body takes the AcceptanceContext and returns (passed, details); the
+    registered callable times it and returns its CriterionResult, named
+    ``quick_name`` in quick mode when one is given.
+    """
+
+    def register(body):
+        @functools.wraps(body)
+        def criterion(ctx):
+            t0 = time.monotonic()
+            passed, details = body(ctx)
+            label = quick_name if ctx.quick and quick_name else name
+            return CriterionResult(number, label, bool(passed), details, time.monotonic() - t0)
+
+        criterion.number = number
+        CRITERIA.append(criterion)
+        return criterion
+
+    return register
+
+
+@_criterion(1, "constants reproduction")
 def criterion_1(ctx):
-    t0 = time.monotonic()
     cs = ctx.constants
     d_rho = abs(cs.rho - RHO_TARGET)
     d_b = abs(cs.b - B_TARGET)
@@ -101,15 +122,11 @@ def criterion_1(ctx):
         f"rho={cs.rho!r} (|d|={d_rho:.2e}<=1e-5) b={cs.b!r} (|d|={d_b:.2e}<=1e-2) "
         f"C={cs.C!r} (|d|={d_C:.2e}<=1e-3) runtime<30s: {elapsed < 30.0} N={ctx.N}"
     )
-    return _result(1, "constants reproduction", t0, ok, details)
+    return ok, details
 
 
-# ---------------------------------------------------------------------------
-# criterion 2: counting oracle
-# ---------------------------------------------------------------------------
-
+@_criterion(2, "counting oracle")
 def criterion_2(ctx):
-    t0 = time.monotonic()
     table = ctx.table(200)
     ok = True
     notes = []
@@ -129,46 +146,41 @@ def criterion_2(ctx):
         rel = abs(approx / float(table.y[n]) - 1.0)
         notes.append(f"n={n}: asymptotic rel err {rel:.4f} (tol {tol})")
         ok = ok and rel <= tol
-    return _result(2, "counting oracle", t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
-
-# ---------------------------------------------------------------------------
-# criterion 3: exact-profile oracle (brute force equality)
-# ---------------------------------------------------------------------------
 
 def _brute_profiles(n):
-    shapes = enumerate_trees_exhaustive(n)
+    """The profile of every tree of size n, one per isomorphism class."""
     return [
         sampling_mod.extract_profile(sampling_mod.PolyaTree.from_shape(s), d_max=n)
-        for s in shapes
+        for s in enumerate_trees_exhaustive(n)
     ]
 
 
+def _brute_law(profiles, key):
+    """{value: probability} of key(profile) over equally likely profiles.
+
+    It holds only the values seen, so it equals an exact law (which drops its
+    zero probabilities) under ``==``.
+    """
+    return {v: Fraction(c, len(profiles)) for v, c in Counter(map(key, profiles)).items()}
+
+
+@_criterion(3, "exact-profile oracle")
 def criterion_3(ctx):
-    t0 = time.monotonic()
     n_max = 6 if ctx.quick else 8
     d_max = 3 if ctx.quick else 4
     k_max = 4 if ctx.quick else 7
     h_max = 2 if ctx.quick else 3
     profiles = {n: _brute_profiles(n) for n in range(1, n_max + 1)}
-    ys = {n: len(profiles[n]) for n in profiles}
     checked = 0
     # one-level distributions
     for d in range(1, d_max + 1):
         for k, series in profile_mod.level_series_progression(d, k_max, n_max):
             for n in range(1, n_max + 1):
                 dist = profile_mod.exact_distribution(n, d, k, series=series, N=n_max)
-                brute = {}
-                for p in profiles[n]:
-                    c = p.degree_count(d, k)
-                    brute[c] = brute.get(c, 0) + 1
-                bdist = {c: Fraction(v, ys[n]) for c, v in brute.items()}
-                full = {l: dist.probs.get(l, Fraction(0)) for l in set(dist.probs) | set(bdist)}
-                if any(full[l] != bdist.get(l, Fraction(0)) for l in full):
-                    return _result(
-                        3, "exact-profile oracle", t0, False,
-                        f"distribution mismatch at n={n} d={d} k={k}",
-                    )
+                if dist.probs != _brute_law(profiles[n], lambda p: p.degree_count(d, k)):
+                    return False, f"distribution mismatch at n={n} d={d} k={k}"
                 checked += 1
     # mixed moments
     for d1 in range(1, d_max + 1):
@@ -176,16 +188,10 @@ def criterion_3(ctx):
             for k in range(k_max + 1):
                 series = profile_mod.mixed_gamma_series(d1, d2, k, n_max)
                 for n in range(1, n_max + 1):
-                    got = Fraction(series[n], ys[n])
-                    want = Fraction(
-                        sum(p.degree_count(d1, k) * p.degree_count(d2, k) for p in profiles[n]),
-                        ys[n],
-                    )
-                    if got != want:
-                        return _result(
-                            3, "exact-profile oracle", t0, False,
-                            f"mixed moment mismatch n={n} d=({d1},{d2}) k={k}",
-                        )
+                    # equal sums over the y_n trees: equal moments
+                    want = sum(p.degree_count(d1, k) * p.degree_count(d2, k) for p in profiles[n])
+                    if series[n] != want:
+                        return False, f"mixed moment mismatch n={n} d=({d1},{d2}) k={k}"
                     checked += 1
     # two-level joint distributions
     for d in range(1, d_max + 1):
@@ -196,33 +202,17 @@ def criterion_3(ctx):
             for k, series in prog:
                 for n in range(1, n_max + 1):
                     joint = profile_mod.joint_distribution(n, d, k, h, series=series, N=n_max)
-                    brute = {}
-                    for p in profiles[n]:
-                        key = (p.degree_count(d, k), p.degree_count(d, k + h))
-                        brute[key] = brute.get(key, 0) + 1
-                    bjoint = {key: Fraction(v, ys[n]) for key, v in brute.items()}
-                    keys = set(joint) | set(bjoint)
-                    if any(
-                        joint.get(key, Fraction(0)) != bjoint.get(key, Fraction(0))
-                        for key in keys
-                    ):
-                        return _result(
-                            3, "exact-profile oracle", t0, False,
-                            f"joint mismatch n={n} d={d} k={k} h={h}",
-                        )
+                    brute = _brute_law(
+                        profiles[n], lambda p: (p.degree_count(d, k), p.degree_count(d, k + h))
+                    )
+                    if joint != brute:
+                        return False, f"joint mismatch n={n} d={d} k={k} h={h}"
                     checked += 1
-    return _result(
-        3, "exact-profile oracle", t0, True,
-        f"{checked} exact equalities (n<={n_max} d<={d_max} k<={k_max} h<={h_max})",
-    )
+    return True, f"{checked} exact equalities (n<={n_max} d<={d_max} k<={k_max} h<={h_max})"
 
 
-# ---------------------------------------------------------------------------
-# criterion 4: internal consistency of the exact machinery
-# ---------------------------------------------------------------------------
-
+@_criterion(4, "internal consistency")
 def criterion_4(ctx):
-    t0 = time.monotonic()
     N = 16 if ctx.quick else 30
     d_max = 3 if ctx.quick else 4
     y = tree_series(N)
@@ -238,32 +228,19 @@ def criterion_4(ctx):
                 m_dist = dist.mean()  # probabilities sum to 1 checked inside
                 m_gamma = Fraction(gamma[n], y[n])
                 if m_dist != m_gamma:
-                    return _result(
-                        4, "internal consistency", t0, False,
-                        f"mean mismatch n={n} d={d} k={k}",
-                    )
+                    return False, f"mean mismatch n={n} d={d} k={k}"
                 means_from_dist.setdefault(n, Fraction(0))
                 means_from_dist[n] += m_dist
                 checked += 1
         for n in range(1, N + 1):
             want = Fraction(D[n], y[n])
             if means_from_dist[n] != want:
-                return _result(
-                    4, "internal consistency", t0, False,
-                    f"level-sum mismatch n={n} d={d}: {means_from_dist[n]} != {want}",
-                )
-    return _result(
-        4, "internal consistency", t0, True,
-        f"{checked} exact (n<={N}, d<={d_max}) mean/level-sum/normalisation identities",
-    )
+                return False, f"level-sum mismatch n={n} d={d}: {means_from_dist[n]} != {want}"
+    return True, f"{checked} exact (n<={N}, d<={d_max}) mean/level-sum/normalisation identities"
 
 
-# ---------------------------------------------------------------------------
-# criterion 5: degree density vs mu_d
-# ---------------------------------------------------------------------------
-
+@_criterion(5, "degree density")
 def criterion_5(ctx):
-    t0 = time.monotonic()
     n = 120 if ctx.quick else 200
     cs = ctx.constants
     table = ctx.table(max(n, 200) if not ctx.quick else n)
@@ -275,13 +252,10 @@ def criterion_5(ctx):
         rel = abs(float(dens) / cs.mu_d[d] - 1.0)
         notes.append(f"d={d}: density={float(dens):.6f} mu={cs.mu_d[d]:.6f} rel={rel:.4f}")
         ok = ok and rel <= 0.05
-    return _result(5, "degree density", t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-# ---------------------------------------------------------------------------
-# criterion 6: covariance limit (known red at the stated 15%)
-# ---------------------------------------------------------------------------
-
+@_criterion(6, "covariance limit", quick_name="covariance limit (smoke)")
 def criterion_6(ctx):
     t0 = time.monotonic()
     cs = ctx.constants
@@ -303,40 +277,29 @@ def criterion_6(ctx):
         + f"; gap shrinks: {shrinks}; runtime<300s: {elapsed < 300}"
     )
     if ctx.quick:
-        ok = shrinks and covs[ns[1]] > 0 and elapsed < 300
-        return _result(6, "covariance limit (smoke)", t0, ok, details)
+        return shrinks and covs[ns[1]] > 0 and elapsed < 300, details
     rel = gaps[400] / abs(limit)
     ok = rel <= 0.15 and shrinks and elapsed < 300
-    details += f"; rel gap at n=400 = {rel:.3f} (required <= 0.15)"
-    return _result(6, "covariance limit", t0, ok, details)
+    return ok, details + f"; rel gap at n=400 = {rel:.3f} (required <= 0.15)"
 
 
-# ---------------------------------------------------------------------------
-# criterion 7: correlation convergence speed
-# ---------------------------------------------------------------------------
-
+@_criterion(7, "correlation convergence")
 def criterion_7(ctx):
-    t0 = time.monotonic()
     ns = (100, 400) if ctx.quick else (400, 1600)
     rows = limits_mod.correlation_convergence_report(
         1, 2, 1.0, ns, constants=ctx.constants, ring="double"
     )
     v1, v2 = rows[0][2], rows[1][2]
     ratio = v2 / v1
-    ok = 0.5 <= ratio <= 2.0
     details = (
         " ".join(f"sqrt(n)(1-corr)(n={n})={v:.4f}" for n, _, v in rows)
         + f"; ratio={ratio:.3f} in [0.5, 2]"
     )
-    return _result(7, "correlation convergence", t0, ok, details)
+    return 0.5 <= ratio <= 2.0, details
 
 
-# ---------------------------------------------------------------------------
-# criterion 8: sampler uniformity
-# ---------------------------------------------------------------------------
-
+@_criterion(8, "sampler uniformity")
 def criterion_8(ctx):
-    t0 = time.monotonic()
     sizes = (5, 6) if ctx.quick else (5, 6, 7)
     samples = 20000 if ctx.quick else 100000
     ok = True
@@ -349,12 +312,8 @@ def criterion_8(ctx):
         stat, dof, p = sampling_mod.chi_square_uniform(counts, classes, samples)
         notes.append(f"n={n}: chi2={stat:.1f} dof={dof} p={p:.4f}")
         ok = ok and p >= 1e-3
-    return _result(8, "sampler uniformity", t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
-
-# ---------------------------------------------------------------------------
-# criterion 9: weak-convergence evidence
-# ---------------------------------------------------------------------------
 
 def _mean_spec(ctx, n, samples, seed_offset):
     return sampling_mod.MonteCarloSpec(
@@ -368,8 +327,8 @@ def _mean_spec(ctx, n, samples, seed_offset):
     )
 
 
+@_criterion(9, "weak-convergence evidence")
 def criterion_9(ctx):
-    t0 = time.monotonic()
     cs = ctx.constants
     notes = []
     ok = True
@@ -407,15 +366,11 @@ def criterion_9(ctx):
         ok = ok and zp.quadrature_error < 1e-6
     ok = ok and sym_ok and bound_ok
     notes.append(f"psi conj-symmetry: {sym_ok}; |psi|<=1: {bound_ok}")
-    return _result(9, "weak-convergence evidence", t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-# ---------------------------------------------------------------------------
-# criterion 10: tightness evidence
-# ---------------------------------------------------------------------------
-
+@_criterion(10, "tightness evidence")
 def criterion_10(ctx):
-    t0 = time.monotonic()
     notes = []
     ok = True
     if ctx.quick:
@@ -466,15 +421,11 @@ def criterion_10(ctx):
         f"exact E(L({r_o})-L({r_o + h_o}))^4 at n={n_o}: {exact:.4f} vs mc {est_raw:.4f} "
         f"(|d|/se={dev / se_raw:.2f})"
     )
-    return _result(10, "tightness evidence", t0, ok, "; ".join(notes))
+    return ok, "; ".join(notes)
 
 
-# ---------------------------------------------------------------------------
-# criterion 11: determinism of verify --quick
-# ---------------------------------------------------------------------------
-
+@_criterion(11, "determinism of verify --quick", quick_name="determinism (self-check)")
 def criterion_11(ctx):
-    t0 = time.monotonic()
     if ctx.quick:
         # non-recursive self-check: a stochastic run and the constants
         # pipeline are bit-identical when repeated
@@ -488,39 +439,20 @@ def criterion_11(ctx):
         c1 = const_mod.compute_constants(200, degrees=(1,))
         c2 = const_mod.compute_constants(200, degrees=(1,))
         same_const = (c1.rho, c1.b, c1.C, c1.Cd) == (c2.rho, c2.b, c2.C, c2.Cd)
-        ok = same_mc and same_const
-        return _result(
-            11, "determinism (self-check)", t0, ok,
-            f"monte carlo bit-identical: {same_mc}; constants bit-identical: {same_const}",
+        return same_mc and same_const, (
+            f"monte carlo bit-identical: {same_mc}; constants bit-identical: {same_const}"
         )
     sub1 = run_acceptance(quick=True, seed=ctx.seed, cache_dir=ctx.cache_dir, threads=1)
     sub2 = run_acceptance(quick=True, seed=ctx.seed, cache_dir=ctx.cache_dir, threads=1)
     r1 = render_report(sub1, header=False)
     r2 = render_report(sub2, header=False)
-    elapsed = time.monotonic() - t0
     quick_time = max(sum(r.elapsed for r in sub1), sum(r.elapsed for r in sub2))
     quick_green = all(r.passed for r in sub1)
     ok = (r1 == r2) and quick_time < 600.0 and quick_green
-    return _result(
-        11, "determinism of verify --quick", t0, ok,
+    return ok, (
         f"byte-reproducible: {r1 == r2}; quick pass green: {quick_green}; "
-        f"quick runtime {quick_time:.0f}s < 600s",
+        f"quick runtime {quick_time:.0f}s < 600s"
     )
-
-
-CRITERIA = [
-    criterion_1,
-    criterion_2,
-    criterion_3,
-    criterion_4,
-    criterion_5,
-    criterion_6,
-    criterion_7,
-    criterion_8,
-    criterion_9,
-    criterion_10,
-    criterion_11,
-]
 
 
 def run_acceptance(quick=False, seed=DEFAULT_SEED, cache_dir=None, threads=1,
@@ -529,13 +461,8 @@ def run_acceptance(quick=False, seed=DEFAULT_SEED, cache_dir=None, threads=1,
     if numbers is not None and not (numbers and set(numbers) <= known):
         raise UsageError(f"criteria are numbered 1..{len(CRITERIA)}, got {sorted(numbers)}")
     ctx = AcceptanceContext(quick=quick, seed=seed, cache_dir=cache_dir, threads=threads)
-    results = []
-    for fn in CRITERIA:
-        number = int(fn.__name__.split("_")[1])
-        if numbers is not None and number not in numbers:
-            continue
-        results.append(fn(ctx))
-    return results
+    return [criterion(ctx) for criterion in CRITERIA
+            if numbers is None or criterion.number in numbers]
 
 
 def render_report(results, header=True, timestamp=None, extra_header=()):

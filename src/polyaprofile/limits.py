@@ -165,13 +165,19 @@ def cov_bracket(kappa, b, rho):
 
 
 def eval_cov_limit(d1, d2, kappa, constants):
-    """Per-n covariance limit; the caller multiplies by n."""
+    """Per-n covariance limit; the caller multiplies by n.
+
+    Above kappa of about 1e154, kappa^2 overflows and the bracket's
+    kappa^2 e^{-z/2} is inf * 0; that ends in AccuracyError, not in nan.
+    """
     _check_kappa(kappa)
     value = (
         constants.c_d_rho_d(d1)
         * constants.c_d_rho_d(d2)
         * cov_bracket(kappa, constants.b, constants.rho)
     )
+    if not math.isfinite(value):
+        raise AccuracyError(f"the covariance limit is not finite at kappa={kappa}")
     return LimitEvaluation(value=value)
 
 
@@ -240,7 +246,7 @@ def correlation_convergence_report(d1, d2, kappa, n_values, constants, ring="aut
         raise UsageError(f"sizes n must be >= 1, got {tuple(n_values)}")
     rows = []
     for n in n_values:
-        k = int(kappa * math.sqrt(n))
+        k = profile.level_of(kappa, n)
         use = ("exact" if n <= 200 else "double") if ring == "auto" else ring
         # the exact ring ignores the scale
         table = profile.finite_covariance(d1, d2, n, k, ring=use, scale=constants.rho)

@@ -60,7 +60,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, isqrt, sqrt
+from math import factorial, isfinite, isqrt, sqrt
 
 from .enumeration import _build_primes, multiset_cap_series, tree_series
 from .errors import UsageError
@@ -465,10 +465,17 @@ def level_difference_moment(n, r, h, N=None, power=4):
 # helpers used by the limit/Monte-Carlo comparisons
 # ---------------------------------------------------------------------------
 
+def level_of(kappa, n):
+    """The level floor(kappa sqrt(n)) that l_n^{(d)}(kappa) reads."""
+    level = kappa * sqrt(n)
+    if not isfinite(level):
+        raise UsageError(f"the level kappa*sqrt(n) passes the float range at kappa={kappa}, n={n}")
+    return int(level)
+
+
 def scaled_level_mean(d, n, kappa, scale):
     """E l_n^{(d)}(kappa) = E L_n^{(d)}(floor(kappa sqrt(n))) / sqrt(n), double ring."""
-    k = int(kappa * sqrt(n))
-    return level_mean(d, n, k, ring="double", scale=scale) / sqrt(n)
+    return level_mean(d, n, level_of(kappa, n), ring="double", scale=scale) / sqrt(n)
 
 
 def level_grid_for(n):

@@ -57,6 +57,7 @@ import numpy as np
 from .constants import APPROX_RADIUS as _RHO
 from .enumeration import CountTable, canonical_shape, count_trees
 from .errors import UsageError
+from .profile import level_of
 
 _MEMO_CUTOFF = 64  # sizes with a precomputed cumulative selection table
 _BAND = 1e-9  # guard band of the float guide, relative to the weight total
@@ -318,14 +319,12 @@ class MonteCarloSpec:
     seed: int = 0
     tightness_grid: tuple = ()  # ((r...), (h...)) or () to skip
 
-    def level_of(self, kappa):
-        return int(kappa * math.sqrt(self.n))
-
 
 class _Accumulator:
     def __init__(self, spec):
         self.spec = spec
         self.count = 0
+        self.levels = [(kap, level_of(kap, spec.n)) for kap in spec.kappas]
         g = {}
         for d in spec.degrees:
             for kap in spec.kappas:
@@ -347,8 +346,7 @@ class _Accumulator:
         g = self.g
         self.count += 1
         sq = math.sqrt(spec.n)
-        for kap in spec.kappas:
-            k = spec.level_of(kap)
+        for kap, k in self.levels:
             for d in spec.degrees:
                 v = profile.degree_count(d, k) / sq
                 g[("m", d, kap)] += v
@@ -484,6 +482,7 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
     if table is None:
         table = count_trees(spec.n, cache_dir=cache_dir)
     sampler = _sampler_for(table)
+    total = _Accumulator(spec)  # reads each level: a kappa past the float range stops here
     chunks = list(enumerate(_chunk_sizes(spec.samples, _CHUNKS)))
     parts = None
     if threads > 1:
@@ -503,7 +502,6 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
                 _FORK_STATE.clear()
     if parts is None:
         parts = [_run_chunk(sampler, spec, idx, size) for idx, size in chunks]
-    total = _Accumulator(spec)
     for part in parts:
         total.merge(part)
     return MonteCarloResult(spec, total.count, total.g)

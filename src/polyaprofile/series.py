@@ -288,11 +288,15 @@ class ResidueRing:
     def read(self, c, n):
         return self.lift(c[:, n:n + 1])[0]
 
+    # a sum or difference of two residues is off by at most one p: one
+    # conditional step reduces it, at less than half the cost of a float %
     def add(self, a, b):
-        return (a + b) % self.p
+        s = a + b
+        return np.where(s >= self.p, s - self.p, s)
 
     def sub(self, a, b):
-        return (a - b) % self.p
+        s = a - b
+        return np.where(s < 0, s + self.p, s)
 
     def mul(self, a, b, N):  # one convolution per prime, each sum below 2^53
         return np.array([np.convolve(x, y)[: N + 1] for x, y in zip(a, b)]) % self.p

@@ -10,9 +10,11 @@ docstring of polyaprofile.acceptance and notes in the README).  The test
 asserts the criterion as stated rather than loosening it.
 """
 
+from dataclasses import replace
+
 import pytest
 
-from polyaprofile import acceptance
+from polyaprofile import acceptance, profile
 
 
 def _check(ctx, fn):
@@ -66,3 +68,63 @@ def test_criterion_10_tightness(acceptance_ctx):
 
 def test_criterion_11_determinism(acceptance_ctx):
     _check(acceptance_ctx, acceptance.criterion_11)
+
+
+# ---------------------------------------------------------------------------
+# quick-mode report lines of the exact criteria, and criterion 3's failures
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("criterion, line", [
+    (acceptance.criterion_3, "CRITERION  3 [PASS] exact-profile oracle: "
+        "360 exact equalities (n<=6 d<=3 k<=4 h<=2)"),
+    (acceptance.criterion_4, "CRITERION  4 [PASS] internal consistency: "
+        "768 exact (n<=16, d<=3) mean/level-sum/normalisation identities"),
+], ids=["criterion-3", "criterion-4"])
+def test_quick_exact_criteria_lines_are_pinned(criterion, line):
+    # integers only, so the line is the same on every host
+    assert criterion(acceptance.AcceptanceContext(quick=True)).line() == line
+
+
+def _criterion_3_with(monkeypatch, name, wrong):
+    """The quick criterion 3 line with profile.<name> replaced by wrong(original)."""
+    monkeypatch.setattr(profile, name, wrong(getattr(profile, name)))
+    return acceptance.criterion_3(acceptance.AcceptanceContext(quick=True)).line()
+
+
+def test_criterion_3_fails_on_a_wrong_level_law(monkeypatch):
+    def wrong(exact_distribution):
+        def shifted(n, d, k, **kw):
+            dist = exact_distribution(n, d, k, **kw)
+            if (n, d, k) != (5, 2, 1):
+                return dist
+            return replace(dist, probs={l + 1: p for l, p in dist.probs.items()})
+        return shifted
+
+    assert _criterion_3_with(monkeypatch, "exact_distribution", wrong) == (
+        "CRITERION  3 [FAIL] exact-profile oracle: distribution mismatch at n=5 d=2 k=1")
+
+
+def test_criterion_3_fails_on_a_wrong_mixed_moment(monkeypatch):
+    def wrong(mixed_gamma_series):
+        def bumped(d1, d2, k, N):
+            coeffs = [mixed_gamma_series(d1, d2, k, N)[n] for n in range(N + 1)]
+            if (d1, d2, k) == (1, 2, 1):
+                coeffs[4] += 1
+            return coeffs
+        return bumped
+
+    assert _criterion_3_with(monkeypatch, "mixed_gamma_series", wrong) == (
+        "CRITERION  3 [FAIL] exact-profile oracle: mixed moment mismatch n=4 d=(1,2) k=1")
+
+
+def test_criterion_3_fails_on_a_wrong_joint_law(monkeypatch):
+    def wrong(joint_distribution):
+        def shifted(n, d, k, h, **kw):
+            joint = joint_distribution(n, d, k, h, **kw)
+            if (n, d, k, h) != (5, 1, 1, 1):
+                return joint
+            return {(a, b + 1): p for (a, b), p in joint.items()}
+        return shifted
+
+    assert _criterion_3_with(monkeypatch, "joint_distribution", wrong) == (
+        "CRITERION  3 [FAIL] exact-profile oracle: joint mismatch n=5 d=1 k=1 h=1")

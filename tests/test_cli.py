@@ -185,11 +185,15 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("montecarlo", "--n", "10", "--samples", "5", "--t-grid", "0,0"),
     ("montecarlo", "--n", "-1", "--samples", "5", "--tightness"),
     ("limits", "--what", "corr", "--n-list", "-1"),
+    ("montecarlo", "--n", "5", "--samples", "2", "--kappas", "1e308"),
+    ("limits", "--what", "corr", "--kappa", "1e308", "--n-list", "400"),
+    ("limits", "--what", "mean", "--kappa", "1e308"),
 ], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
         "constants-degrees-abc", "constants-degrees-0", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
         "sample-0", "sample-neg", "verify-criteria-99", "mc-t-grid-inf", "mc-t-grid-nan",
         "limits-psi-t-grid-inf", "limits-mean-kappa-nan", "limits-cov-kappa-neg",
-        "mc-degrees-repeated", "mc-t-grid-repeated", "mc-n-neg-tightness", "limits-corr-n-list-neg"])
+        "mc-degrees-repeated", "mc-t-grid-repeated", "mc-n-neg-tightness", "limits-corr-n-list-neg",
+        "mc-kappas-level-overflow", "limits-corr-level-overflow", "limits-mean-level-overflow"])
 def test_bad_lists_and_values_exit_2_without_traceback(args):
     code, out = run_process(*args)
     assert code == 2
@@ -287,6 +291,14 @@ def test_psi_overflow_at_large_kappa_exits_3_without_warnings():
     assert "nan" not in proc.stdout
 
 
+@pytest.mark.parametrize("what", ["cov", "var"])
+def test_non_finite_cov_and_var_limits_exit_3(what):
+    proc = cli_process("limits", "--what", what, "--kappa", "1e160", "--order", "200")
+    assert proc.returncode == 3
+    assert proc.stderr == "accuracy error: the covariance limit is not finite at kappa=1e+160\n"
+    assert proc.stdout == ""
+
+
 def test_limit_mean_at_large_kappa_finishes_quickly():
     # every level past n - 1 is empty, so no level is stepped; stepping the
     # 40000 levels of n = 1600 took minutes
@@ -369,7 +381,8 @@ _DEGREE_LISTS = _mostly(
               st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda r: f"{r[0]}..{r[1]}")),
     st.one_of(_JUNK, _joined(st.integers(-1, 6))),
 )
-_KAPPA = _mostly(st.floats(0.0, 4.0), st.one_of(_SPECIAL, st.floats(-2.0, -0.1)))
+_KAPPA = _mostly(st.floats(0.0, 4.0),
+                 st.one_of(_SPECIAL, st.just(1e308), st.floats(-2.0, -0.1)))
 _KAPPA_LISTS = _mostly(_joined(st.floats(0.0, 4.0)), st.one_of(_JUNK, _joined(_KAPPA)))
 _T_LISTS = _mostly(_joined(st.floats(-4.0, 4.0)), st.one_of(_JUNK, _joined(_SPECIAL)))
 _SIZE_LISTS = _mostly(_joined(st.integers(1, 12)), st.one_of(_JUNK, _joined(_SIZES)))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polyaprofile import limits
-from polyaprofile.errors import UsageError
+from polyaprofile.errors import AccuracyError, UsageError
 from polyaprofile.limits import (
     correlation_convergence_report,
     cov_bracket,
@@ -142,6 +142,19 @@ def test_var_limit_is_diagonal_cov(constants_400):
 def test_var_limit_nonnegative_on_grid(constants_400):
     for kappa in np.linspace(0.0, 3.0, 31):
         assert eval_var_limit(1, float(kappa), constants_400).value >= 0.0
+
+
+def test_cov_and_var_limits_past_the_float_range_raise_accuracy_error(constants_400):
+    # kappa^2 overflows above about 1.3e154, and kappa^2 e^{-z/2} is inf * 0
+    cs = constants_400
+    for kappa in (0.5, 1.0, 3.0, 1e150):
+        want = cs.c_d_rho_d(1) * cs.c_d_rho_d(2) * cov_bracket(kappa, cs.b, cs.rho)
+        assert eval_cov_limit(1, 2, kappa, cs).value.hex() == want.hex()
+    for kappa in (1e160, 1e308):
+        with pytest.raises(AccuracyError, match="covariance limit is not finite"):
+            eval_cov_limit(1, 2, kappa, cs)
+        with pytest.raises(AccuracyError, match="covariance limit is not finite"):
+            eval_var_limit(1, kappa, cs)
 
 
 def test_bracket_small_kappa_expansion(constants_400):

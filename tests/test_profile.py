@@ -1,7 +1,7 @@
 import hashlib
 from dataclasses import astuple
 from fractions import Fraction
-from math import prod, sqrt
+from math import inf, nan, prod, sqrt
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from polyaprofile.enumeration import (
     tree_series,
 )
 from polyaprofile import profile
+from polyaprofile.acceptance import _brute_profiles as brute_profiles
 from polyaprofile.errors import AccuracyError, UsageError
 from polyaprofile.profile import (
     TOTAL,
@@ -26,23 +27,17 @@ from polyaprofile.profile import (
     level_degree_series,
     level_difference_moment,
     level_mean,
+    level_of,
     mixed_degree_series,
     mixed_gamma_series,
     mixed_moment_from_marked,
+    scaled_level_mean,
     second_factorial_series,
     two_level_series,
 )
-from polyaprofile.sampling import PolyaTree, extract_profile
 from polyaprofile.series import EXACT, DoubleRing, TruncatedSeries
 
 RHO = 0.3383218568992077
-
-
-def brute_profiles(n):
-    return [
-        extract_profile(PolyaTree.from_shape(s), d_max=n)
-        for s in enumerate_trees_exhaustive(n)
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -390,6 +385,16 @@ def test_marked_route_rejects_bad_level_or_degree(call):
 def test_derivative_route_rejects_bad_level_or_degree(call):
     with pytest.raises(UsageError, match="degrees d >= 1"):
         call()
+
+
+def test_level_of_refuses_a_level_past_the_float_range():
+    assert [level_of(kappa, n) for kappa, n in ((1.0, 400), (0.5, 5), (0.0, 9))] == [20, 1, 0]
+    assert level_of(1e308, 1) == int(1e308)
+    for kappa in (1e308, inf, nan):
+        with pytest.raises(UsageError, match="passes the float range"):
+            level_of(kappa, 5)
+    with pytest.raises(UsageError, match="passes the float range"):
+        scaled_level_mean(1, 400, 1e308, RHO)
 
 
 def test_double_ring_moments_match_exact():

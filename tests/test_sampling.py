@@ -300,6 +300,16 @@ def test_monte_carlo_threads_do_not_change_results():
     assert r1.sums == r4.sums
 
 
+def test_monte_carlo_refuses_a_level_past_the_float_range_before_sampling(monkeypatch):
+    def no_sampling(*args):
+        raise AssertionError("sampled a spec it should refuse")
+
+    monkeypatch.setattr(sampling, "_run_chunk", no_sampling)
+    spec = MonteCarloSpec(n=5, degrees=(1,), kappas=(1.0, 1e308), samples=2)
+    with pytest.raises(UsageError, match="passes the float range at kappa=1e\\+308, n=5"):
+        monte_carlo(spec, table=TABLE_64)
+
+
 def test_one_sampler_per_count_table(monkeypatch):
     built = []
     init = TreeSampler.__init__

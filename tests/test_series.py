@@ -461,6 +461,20 @@ def test_residue_ring_arithmetic_matches_the_exact_ring():
     assert [rb[n] for n in (0, 7, N)] == [b[0], b[7], b[N]]
 
 
+def test_residue_add_and_sub_equal_the_float_remainder():
+    # add and sub reduce by one conditional step of p; % is the oracle
+    ring = ResidueRing(_build_primes(400, 1 << 1500), 1 << 1500)
+    rng = np.random.default_rng(7)
+    shape = (len(ring.primes), 401)
+    a, b = (np.floor(rng.random(shape) * ring.p) for _ in range(2))
+    # 0, 1 and p - 1 on either side, in every pairing: 1 + (p - 1) is p
+    ends = np.hstack([np.zeros_like(ring.p), np.ones_like(ring.p), ring.p - 1])
+    a[:, :9] = np.repeat(ends, 3, axis=1)
+    b[:, :9] = np.tile(ends, 3)
+    for got, want in ((ring.add(a, b), (a + b) % ring.p), (ring.sub(a, b), (a - b) % ring.p)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_residue_ring_refuses_what_it_cannot_do_exactly():
     ring = ResidueRing(_build_primes(400, 1 << 100), 1 << 100)
     with pytest.raises(UsageError, match="too large"):
