@@ -36,6 +36,17 @@ giving C^{(d)}(rho) = gamma_0(rho) + sum_{l>=0} sum_{i>=2} gamma_l(rho^i)
 (all evaluations at arguments <= rho^2, machine precision); the secondary
 route extrapolates (1-y)D/y^d along a ladder x_j -> rho and is kept as a
 cross-check since it loses accuracy for large d where y^{-d} blows up.
+c_d_rho_solve runs the primary route for every requested degree in one
+array pass over the grid rho^m: the cycle index Z_{d-1} on the whole grid,
+one np.bincount along the order's substitution plan per recurrence level,
+and Gamma_l as the last entry of an np.cumsum.
+
+The constants are pinned bit for bit, so every float sum on their path adds
+left to right in plain double arithmetic: explicit += loops, np.cumsum and
+np.bincount, which all add in order.  No builtin sum() of floats is left on
+that path (the bracket probe of compute_rho uses math.fsum, correctly
+rounded), because from Python 3.12 on sum() compensates its float additions
+(Neumaier), which changes the last bits of some C_d between Python versions.
 """
 
 from __future__ import annotations
@@ -44,9 +55,11 @@ import math
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .enumeration import degree_series, tree_series
 from .errors import AccuracyError, UsageError
-from .series import TruncatedSeries
+from .series import TruncatedSeries, _substitution_plan
 
 #: known radius of convergence of the tree function; used only as an
 #: iteration seed and as the default geometric rescaling of float series.
@@ -114,7 +127,7 @@ def compute_rho(N, tol=1e-14):
         raise UsageError("compute_rho requires N >= 100")
     y = tree_series(N)
     lo, _ = y.evaluate(0.2)
-    hi = sum(c * 0.45**n for n, c in enumerate(y.coeffs[:11]))
+    hi = math.fsum(c * 0.45**n for n, c in enumerate(y.coeffs[:11]))
     if not (lo < 1.0 < hi):
         raise AccuracyError("bracket validation for y(x)=1 failed")
     rho = 0.34
@@ -241,50 +254,60 @@ def compute_C(rho, N):
 # C_d via the derivative recurrence solved at rho
 # ---------------------------------------------------------------------------
 
-def _cycle_index_values(d, svals):
-    """Z_d at numeric s_r values via Z_m = (1/m) sum_r s_r Z_{m-r}."""
-    Z = [1.0] + [0.0] * d
-    for m in range(1, d + 1):
-        Z[m] = sum(svals[r] * Z[m - r] for r in range(1, m + 1)) / m
-    return Z[d]
-
-
-def c_d_rho_solve(d, rho, yvals):
-    """C^{(d)}(rho) = gamma_0(rho) + sum_{l>=0} Gamma_l(rho).
+def c_d_rho_solve(degrees, rho, yvals):
+    """{d: C^{(d)}(rho)} for every d in degrees, C^{(d)} = gamma_0 + sum_{l>=0} Gamma_l.
 
     gamma_0(x) = x Z_{d-1}(y(x), ..., y(x^{d-1})) and the recurrence
     gamma_{l+1}(x) = y(x)(gamma_l(x) + sum_{i>=2} gamma_l(x^i)) is iterated on
-    the value grid {rho^m}, m <= M, where yvals[m] = y(rho^m);
-    contributions decay like y(rho^2)^l ~ 0.13^l.
+    the value grid {rho^m}, m <= M, where yvals[m] = y(rho^m), for all
+    degrees at once as the rows of one array; Gamma_l(rho) = sum_{m>=2}
+    gamma_l(rho^m) decays like y(rho^2)^l ~ 0.13^l, and a degree stops adding
+    at the first Gamma_l below 1e-17 past l = 3.  Every sum adds left to
+    right, so each value is the plain per-degree loop's, bit for bit.
     """
+    ds = sorted(set(degrees))
+    if not ds:
+        return {}
     M = len(yvals) - 1
-    g = [0.0] * (M + 1)
+    y = np.array(yvals, dtype=float)
+    # rho^m by Python's pow, as the constants were pinned; 0 from the first
+    # power below 1e-280 on
+    pw = np.zeros(M + 1)
     for m in range(1, M + 1):
         if rho**m < 1e-280:
             break
-        sv = [0.0] * max(d, 1)
-        for r in range(1, d):
-            mr = m * r
-            sv[r] = yvals[mr] if mr <= M else 0.0
-        g[m] = rho**m * _cycle_index_values(d - 1, sv)
-    total = g[1]
+        pw[m] = rho**m
+    # Z_k(s_1, ..., s_k) = (1/k) sum_r s_r Z_{k-r} on the grid, s_r = y(rho^{mr})
+    # (0 past the grid); Z_k does not depend on d, so Z_{d-1} serves every d
+    mr = np.arange(M + 1) * np.arange(ds[-1])[:, None]
+    s = np.where(mr <= M, y[np.minimum(mr, M)], 0.0)
+    Z = [np.ones(M + 1)]
+    for k in range(1, ds[-1]):
+        acc = np.zeros(M + 1)
+        for r in range(1, k + 1):
+            acc += s[r] * Z[k - r]
+        Z.append(acc / k)
+    g = pw * np.array([Z[d - 1] for d in ds])
+    total = g[:, 1].copy()
+    g[:, 1] = 0.0
+    # acc[m] = g[m] + g[2m] + g[3m] + ...: the i = 1 term, then the order's
+    # substitution plan from target back to source, i ascending; bincount adds
+    # in that order, one row of the flat index per degree still adding
+    src, tgt, _, _ = _substitution_plan(M)
+    bins = np.arange(len(ds))[:, None] * (M + 1) + np.concatenate((np.arange(M + 1), src))
+    reads = np.concatenate((np.arange(M + 1), tgt))
+    rows = np.arange(len(ds))
     for level in range(200):
-        gam = sum(g[i] for i in range(2, M + 1))
-        total += gam
-        if gam < 1e-17 and level > 3:
+        gam = np.cumsum(g, axis=1)[:, -1]
+        total[rows] += gam
+        going = ~((gam < 1e-17) & (level > 3))
+        rows, g = rows[going], g[going]
+        if not len(rows):
             break
-        ng = [0.0] * (M + 1)
-        for m in range(2, M + 1):
-            acc = g[m]
-            im = 2 * m
-            i = 2
-            while im <= M:
-                acc += g[im]
-                i += 1
-                im = i * m
-            ng[m] = yvals[m] * acc
-        g = ng
-    return total
+        acc = np.bincount(bins[: len(rows)].ravel(), g[:, reads].ravel(), g.size)
+        g = y * acc.reshape(g.shape)
+        g[:, :2] = 0.0
+    return {d: float(total[k]) for k, d in enumerate(ds)}
 
 
 def c_d_rho_ladder(d, rho, N):
@@ -317,11 +340,12 @@ def compute_constants(N=400, degrees=range(1, 11)):
     powers = list(_on_powers(tree_series(N), rho))
     C, C_err = _C_from_powers(rho, powers)
     yvals = [0.0, 1.0] + [v for _, _, v, _ in powers]
+    cdrs = c_d_rho_solve(degrees, rho, yvals)
     Cd = {}
     mu = {}
     err = {"rho": rho_err, "b": b_err, "C": C_err, "b_consistency": abs(b - b_fun)}
     for d in degrees:
-        cdr = c_d_rho_solve(d, rho, yvals)
+        cdr = cdrs[d]
         Cd[d] = cdr / rho**d
         mu[d] = cdr / half_b2rho
         err[f"C_{d}"] = max(1e-12 * abs(Cd[d]), 1e-15)

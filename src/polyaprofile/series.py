@@ -243,7 +243,7 @@ class ResidueRing:
     bound raises AccuracyError, since a residue or the bound is then wrong.
     """
 
-    __slots__ = ("primes", "p", "modulus", "basis", "bound")
+    __slots__ = ("primes", "p", "p64", "modulus", "basis", "bound")
 
     def __init__(self, primes, bound):
         self.primes = tuple(primes)
@@ -252,7 +252,9 @@ class ResidueRing:
             raise UsageError("the primes' product must exceed the bound of a residue ring")
         self.bound = bound
         self.p = np.array(self.primes, dtype=float)[:, None]
+        self.p64 = self.p.astype(np.int64)
         self.p.setflags(write=False)
+        self.p64.setflags(write=False)
 
     def __repr__(self):
         return f"ResidueRing({len(self.primes)} primes, bound of {self.bound.bit_length()} bits)"
@@ -298,11 +300,19 @@ class ResidueRing:
         s = a - b
         return np.where(s < 0, s + self.p, s)
 
+    def _reduce(self, a):
+        """a float64 array [prime, n] of integers below 2^53, modulo each prime.
+
+        The int64 % of the same integers gives the same residues as a float64
+        % in about a third of its time.
+        """
+        return (a.astype(np.int64) % self.p64).astype(float)
+
     def mul(self, a, b, N):  # one convolution per prime, each sum below 2^53
-        return np.array([np.convolve(x, y)[: N + 1] for x, y in zip(a, b)]) % self.p
+        return self._reduce(np.array([np.convolve(x, y)[: N + 1] for x, y in zip(a, b)]))
 
     def scalar_mul(self, a, c):
-        return a * self.residues([c]) % self.p
+        return self._reduce(a * self.residues([c]))
 
     def power_sums(self, c, N, weights):
         # weights reduced modulo each prime: an entry adds fewer than N products
@@ -313,8 +323,8 @@ class ResidueRing:
         src, tgt, i, top = _plan_prefix(nonzero, N)
         keep = np.flatnonzero(nonzero[src])
         src, tgt, i = src[keep], tgt[keep], i[keep]
-        return [np.array([np.bincount(tgt, a[src] * wr[i], N + 1)
-                          for a, wr in zip(c, self.residues(_by_block(w, top)))]) % self.p
+        return [self._reduce(np.array([np.bincount(tgt, a[src] * wr[i], N + 1)
+                                      for a, wr in zip(c, self.residues(_by_block(w, top)))]))
                 for w in weights]
 
     def lift_series(self, series):

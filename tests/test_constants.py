@@ -1,13 +1,20 @@
+import builtins
+import functools
 import hashlib
 import math
+import operator
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaprofile.constants import (
     _ladder_points,
+    _on_powers,
     b_from_functional_equation,
     c_d_rho_ladder,
+    c_d_rho_solve,
     compute_b,
     compute_C,
     compute_constants,
@@ -186,6 +193,16 @@ def test_cd_ladder_cross_check(constants_400):
         assert abs(lad / cs.Cd[d] - 1.0) < 5e-3
 
 
+def test_constants_keep_the_order_and_repeats_of_their_degrees(constants_400):
+    # every C_d comes from one pass over the distinct degrees; the dicts keep
+    # the order of the degrees as given, and no degrees give none
+    cs = compute_constants(400, degrees=(3, 1, 3))
+    assert list(cs.Cd) == list(cs.mu_d) == [3, 1]
+    assert [k for k in cs.err if k.startswith("C_")] == ["C_3", "C_1"]
+    assert cs.Cd == {d: constants_400.Cd[d] for d in (3, 1)}
+    assert compute_constants(400, degrees=()).Cd == {}
+
+
 def test_constants_deterministic(constants_400):
     again = compute_constants(400, degrees=(1, 2, 3))
     assert (again.rho, again.b, again.C) == (
@@ -211,3 +228,102 @@ def test_constants_bits_are_unchanged():
     fields += [cs.Cd[d] for d in range(1, 11)] + [cs.mu_d[d] for d in range(1, 11)]
     digest = hashlib.sha256(",".join(v.hex() for v in fields).encode()).hexdigest()
     assert digest == "0a0f54a08d73ba3723ea9d11666c7a45df5e84e94f416f9f0e1b1e1683c13e37"
+
+
+def _compensated_sum(items, start=0):
+    """builtin sum() from CPython 3.12 on: a float total takes float items with
+    Neumaier's compensated addition, anything else with plain +."""
+    total, comp = start, 0.0
+    for x in items:
+        if type(total) is float and type(x) is float:
+            t = total + x
+            comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            total = total + x
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_constants_bits_hold_under_compensated_sum(monkeypatch):
+    # the pinned digest must not depend on which Python's sum() is installed
+    assert _compensated_sum([1e100, 1.0, -1e100]) == 1.0  # plain adds give 0.0
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    test_constants_bits_are_unchanged()
+
+
+# ---------------------------------------------------------------------------
+# the array pass of c_d_rho_solve against the scalar loop it replaced
+# ---------------------------------------------------------------------------
+
+def _plain_sum(items):
+    """builtin sum() up to Python 3.11: 0 plus each item in turn, uncompensated."""
+    return functools.reduce(operator.add, items, 0)
+
+
+def _cycle_index_values(d, svals):
+    """Z_d at numeric s_r values via Z_m = (1/m) sum_r s_r Z_{m-r}."""
+    Z = [1.0] + [0.0] * d
+    for m in range(1, d + 1):
+        Z[m] = _plain_sum(svals[r] * Z[m - r] for r in range(1, m + 1)) / m
+    return Z[d]
+
+
+def loop_c_d_rho_solve(d, rho, yvals):
+    """C^{(d)}(rho) of one degree by the scalar loop (a test oracle), with the
+    uncompensated sums the constants were pinned with."""
+    M = len(yvals) - 1
+    g = [0.0] * (M + 1)
+    for m in range(1, M + 1):
+        if rho**m < 1e-280:
+            break
+        sv = [0.0] * max(d, 1)
+        for r in range(1, d):
+            mr = m * r
+            sv[r] = yvals[mr] if mr <= M else 0.0
+        g[m] = rho**m * _cycle_index_values(d - 1, sv)
+    total = g[1]
+    for level in range(200):
+        gam = _plain_sum(g[i] for i in range(2, M + 1))
+        total += gam
+        if gam < 1e-17 and level > 3:
+            break
+        ng = [0.0] * (M + 1)
+        for m in range(2, M + 1):
+            acc = g[m]
+            im = 2 * m
+            i = 2
+            while im <= M:
+                acc += g[im]
+                i += 1
+                im = i * m
+            ng[m] = yvals[m] * acc
+        g = ng
+    return total
+
+
+_DEGREE_SETS = [(), (1,), (7,), (3, 1, 3), tuple(range(1, 21))]
+
+
+def _assert_solve_is_the_loop(degrees, rho, yvals):
+    got = c_d_rho_solve(degrees, rho, yvals)
+    assert list(got) == sorted(set(degrees))
+    assert all(type(v) is float for v in got.values())
+    assert {d: v.hex() for d, v in got.items()} == {
+        d: loop_c_d_rho_solve(d, rho, yvals).hex() for d in got}
+
+
+@settings(max_examples=60, deadline=None)
+@given(rho=st.floats(0.25, 0.45), M=st.sampled_from([2, 3, 50, 200]),
+       degrees=st.sampled_from(_DEGREE_SETS), data=st.data())
+def test_c_d_rho_solve_is_the_scalar_loop_bit_for_bit(rho, M, degrees, data):
+    inner = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+    yvals = [0.0, 1.0] + data.draw(st.lists(inner, min_size=M - 1, max_size=M - 1))
+    _assert_solve_is_the_loop(degrees, rho, yvals)
+
+
+@pytest.mark.parametrize("N", [300, 400, 800])
+def test_c_d_rho_solve_is_the_scalar_loop_on_the_constants_grid(N):
+    rho, _ = compute_rho(N)
+    yvals = [0.0, 1.0] + [v for _, _, v, _ in _on_powers(tree_series(N), rho)]
+    for degrees in _DEGREE_SETS:
+        _assert_solve_is_the_loop(degrees, rho, yvals)

@@ -475,6 +475,18 @@ def test_residue_add_and_sub_equal_the_float_remainder():
         assert got.tobytes() == want.tobytes()
 
 
+def test_residue_reduction_equals_the_float_remainder():
+    # mul, scalar_mul and power_sums reduce integers below 2^53 through an
+    # int64 %; the float64 % of the same array is the oracle
+    ring = ResidueRing(_build_primes(400, 1 << 1500), 1 << 1500)
+    rng = np.random.default_rng(11)
+    x = np.floor(rng.random((len(ring.primes), 401)) * 2.0**53)
+    k = np.floor(rng.random(ring.p.shape) * (2.0**53 // ring.p))
+    x[:, :5] = np.hstack([np.zeros_like(ring.p), ring.p - 1, ring.p, k * ring.p,
+                          np.full_like(ring.p, 2.0**53 - 1)])
+    assert ring._reduce(x).tobytes() == (x % ring.p).tobytes()
+
+
 def test_residue_ring_refuses_what_it_cannot_do_exactly():
     ring = ResidueRing(_build_primes(400, 1 << 100), 1 << 100)
     with pytest.raises(UsageError, match="too large"):
