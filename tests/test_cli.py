@@ -85,6 +85,51 @@ def test_montecarlo_golden_digest():
     assert _digest(res) == "5c6b569dc88eb2669f871d25354765fc59a1b143aae59bc887420e87da7ff47e"
 
 
+@pytest.mark.parametrize("args,digest", [
+    ("profile-exact --n 8 --d 1 --k 2",
+     "60234caa166263d886f462b102febc8c453d78398730e489834305bb668087bc"),
+    ("profile-exact --n 9 --d 2 --k 1 --format json",
+     "0c73b2002dfa8cf29339953a87c4926decd6554048a9431361f0c0e559a15e6e"),
+    ("profile-exact --n 8 --d 1 --k 1 --h 2",
+     "bafcf87fa40b9e2b0b925cb41328b0149119eeb9c3d96f16fbb49074d2f05cdb"),
+    ("profile-exact --n 8 --d 1 --k 1 --h 2 --format json",
+     "6db12ab6c6a7e3d56e9921586358974141ae23240441904f1e11e0bd2bf1a73a"),
+    ("profile-exact --n 10 --d 2 --k 2 --mode moments",
+     "4269ef8bc8eb8ab1f3d32d23c3f0f31bcf35ad9b26e67e94e13086ed832c5001"),
+    ("profile-exact --n 10 --d 2 --k 2 --h 1 --mode moments",
+     "1ddcca63d121c710bcce62a186223b478b3f44ca42c733b1da00268095f3fa0b"),
+    ("profile-exact --n 12 --d 1 --d2 2 --k 2 --mode cov",
+     "65f5bdc370c5253028e2cbc221e413cc41c15e4a8cb61b36402ae58062fe55c4"),
+    ("profile-exact --n 12 --d 1 --d2 2 --k 2 --mode cov --format json",
+     "1daebac91998e9fd153d36597a5c8e6a27a23e965e7dbc2f8dff280e95a8526c"),
+    ("profile-exact --n 30 --d 1 --d2 2 --k 100 --mode cov",
+     "1510e718d495af34a982610248d303f5604b3216c5c96828b0bc69bd0a0a1544"),
+    ("profile-exact --n 12 --d 2 --k 2 --mode cov",
+     "2b2b71453e91a5d792e6626a0bf3979c3d9a9a8672fbd2cdb3ad72a9c416f593"),
+    ("limits --what cov", "204e287417a21cb2094da9de07ef145fede78e78262ed96c0bafa87644738eec"),
+    ("limits --what var", "0cc144c708ec812d78f68d0b6ec16331e08ac1ae06ba39fc9fbf771efa538a3d"),
+    ("limits --what mean", "e1a069be2ad4fe0df74a64ef40acfbc1583ed4b4eba9ebbee1bb9bd70b34bb26"),
+    ("limits --what corr", "816ff9c859ff78a7c0ea664c1dfa116d04eb3c8795952be019e7b821498cee13"),
+    ("--help", "09240cff6b48ce36c0d7555af98db63c1ddfe3d281ca8a185be2951762e198ce"),
+    ("count --help", "83e415a52015a9aecf0bfbca0e4c86bb9b1ed958a2d8487aebe424f60dd5feaa"),
+    ("constants --help", "8e4f2e42d1674d9fe6c39ebe46bb18202eba4cd634fca7ed1ca28a3cb3e0cf7c"),
+    ("profile-exact --help", "3e78d2279d50abeece2640f9aa95d979c8c317ee2eec038d4cf4ac7525b73eea"),
+    ("sample --help", "cd2ef46b94d5a3d87c3b3afee9f9552e1e9e6a28823940271357da2c1b7c4b97"),
+    ("montecarlo --help", "299876983bdb52a08dfa7c6a5c06408c4e89f8ec5f0eb5125aaec354cd69967f"),
+    ("limits --help", "11408a6bee706b14b5c78a6002b6851628341ea707248b3f9069afe922d3ca69"),
+    ("verify --help", "1e84d0e37ed77d20a99c5feebddd3e26651d72088e9125ba418bdc5e1d632c5e"),
+], ids=["dist", "dist-json", "joint-csv", "joint-json", "moments", "moments-h", "cov-csv",
+        "cov-json", "cov-past-height", "cov-same-degree", "limits-cov", "limits-var",
+        "limits-mean", "limits-corr", "help", "help-count", "help-constants",
+        "help-profile-exact", "help-sample", "help-montecarlo", "help-limits", "help-verify"])
+def test_stdout_is_pinned(args, digest):
+    # sha256 of stdout, recorded before the subcommands shared one runner;
+    # the help text is laid out for an 80-column terminal
+    res = CliRunner().invoke(main, args.split(), catch_exceptions=False, terminal_width=80)
+    assert res.exit_code == 0
+    assert hashlib.sha256(res.stdout_bytes).hexdigest() == digest
+
+
 def test_profile_exact_two_level_moment():
     res = run("profile-exact", "--n", "8", "--d", "1", "--k", "2", "--h", "1",
               "--mode", "moments")
