@@ -221,7 +221,7 @@ def criterion_4(ctx):
         means_from_dist = {}
         dist_prog = profile_mod.level_series_progression(d, N - 1, N)
         gamma_prog = profile_mod.gamma_series_progression(d, N - 1, N)
-        D = degree_series(d, N).D
+        D = degree_series(d, N)
         for (k, series), (_, gamma) in zip(dist_prog, gamma_prog):
             for n in range(1, N + 1):
                 dist = profile_mod.exact_distribution(n, d, k, series=series, N=N)
@@ -247,7 +247,7 @@ def criterion_5(ctx):
     ok = True
     notes = []
     for d in (1, 2, 3):
-        D = degree_series(d, n).D
+        D = degree_series(d, n)
         dens = D[n] / (n * table.y[n])
         rel = abs(float(dens) / cs.mu_d[d] - 1.0)
         notes.append(f"d={d}: density={float(dens):.6f} mu={cs.mu_d[d]:.6f} rel={rel:.4f}")

@@ -315,7 +315,7 @@ def c_d_rho_ladder(d, rho, N):
     pts = _ladder_points(tree_series(N), rho)
     if len(pts) < 3:
         raise AccuracyError("not enough ladder rungs for C_d; increase N")
-    D = degree_series(d, N).D
+    D = degree_series(d, N)
     return _richardson(*[(1.0 - v) * D.evaluate(x)[0] / v**d for x, v in pts[-3:]])[0]
 
 

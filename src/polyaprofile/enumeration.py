@@ -283,29 +283,20 @@ def multiset_cap_series(d, N, base=None):
 # degree-count series D^{(d)}
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DegreeSeriesSet:
-    """D = generating function of total degree-d vertex counts; Zsub = x Z_{d-1}(y...)."""
-
-    d: int
-    D: TruncatedSeries
-    Zsub: TruncatedSeries
-
-
 def degree_series(d, N):
-    """Solve (1-y) D = y * sum_{i>=2} D(x^i) + x Z_{d-1}(y(x), ..., y(x^{d-1})).
+    """Solve (1-y) D = y * sum_{i>=2} D(x^i) + Zsub, Zsub = x Z_{d-1}(y(x), ..., y(x^{d-1})).
 
     The solve is coefficient-by-coefficient: the right side at order n only
     involves D_j with j < n (the substituted sum only reaches j <= n/2), so
     D_n = [x^n](y D + y sum_{i>=2} D(x^i) + Zsub).  All coefficients are
-    integers: D_n counts degree-d vertices across all trees of size n.
+    integers: D_n counts degree-d vertices across all trees of size n, so D
+    is the generating function of the total degree-d vertex counts.
     """
     if d < 1 or N < 1:
         raise UsageError("degree_series requires d >= 1 and N >= 1")
     y = tree_series(N).coeffs
-    zsub_series = multiset_cap_series(d, N)
     zsub = []
-    for c in zsub_series.coeffs:
+    for c in multiset_cap_series(d, N).coeffs:
         f = Fraction(c)
         if f.denominator != 1:
             raise UsageError("cycle-index substitution lost integrality")
@@ -325,7 +316,7 @@ def degree_series(d, N):
             if y[m]:
                 tot += y[m] * (D[n - m] + T[n - m])
         D[n] = tot
-    return DegreeSeriesSet(d, TruncatedSeries(D, N, EXACT), zsub_series)
+    return TruncatedSeries(D, N, EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -58,6 +58,7 @@ from .constants import APPROX_RADIUS as _RHO
 from .enumeration import CountTable, canonical_shape, count_trees
 from .errors import UsageError
 from .profile import level_of
+from .series import DoubleRing, TruncatedSeries
 
 _MEMO_CUTOFF = 64  # sizes with a precomputed cumulative selection table
 _BAND = 1e-9  # guard band of the float guide, relative to the weight total
@@ -102,9 +103,6 @@ class PolyaTree:
         for i in range(1, self.n):
             lev[i] = lev[par[i]] + 1
         return np.asarray(lev, dtype=np.int64)
-
-    def degrees(self):
-        return np.asarray(self.child_count, dtype=np.int64) + 1
 
 
 @dataclass(frozen=True)
@@ -160,9 +158,7 @@ class TreeSampler:
         self.y = table.y
         # float guide at c = _RHO, where y_k c^k = Theta(k^-1.5):
         # fy[k] = y_k c^k, g[d] = d y_d c^d, cpow[m] = c^m
-        log_c = math.log(_RHO)
-        fy = [0.0] + [math.exp(math.log(v) + k * log_c)
-                      for k, v in enumerate(table.y[1:], 1)]
+        fy = TruncatedSeries(table.y, table.n_max, DoubleRing(_RHO)).coeffs.tolist()
         self._fy = fy
         self._g = [d * f for d, f in enumerate(fy)]
         self._cpow = [_RHO ** m for m in range(table.n_max + 1)]

@@ -233,12 +233,16 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("montecarlo", "--n", "5", "--samples", "2", "--kappas", "1e308"),
     ("limits", "--what", "corr", "--kappa", "1e308", "--n-list", "400"),
     ("limits", "--what", "mean", "--kappa", "1e308"),
+    ("verify", "--quick", "--criteria", ""),
+    ("verify", "--quick", "--criteria", "2", "--threads", "0"),
+    ("montecarlo", "--n", "10", "--samples", "5", "--threads", "-1"),
 ], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
         "constants-degrees-abc", "constants-degrees-0", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
         "sample-0", "sample-neg", "verify-criteria-99", "mc-t-grid-inf", "mc-t-grid-nan",
         "limits-psi-t-grid-inf", "limits-mean-kappa-nan", "limits-cov-kappa-neg",
         "mc-degrees-repeated", "mc-t-grid-repeated", "mc-n-neg-tightness", "limits-corr-n-list-neg",
-        "mc-kappas-level-overflow", "limits-corr-level-overflow", "limits-mean-level-overflow"])
+        "mc-kappas-level-overflow", "limits-corr-level-overflow", "limits-mean-level-overflow",
+        "verify-criteria-empty", "verify-threads-0", "mc-threads-neg"])
 def test_bad_lists_and_values_exit_2_without_traceback(args):
     code, out = run_process(*args)
     assert code == 2
@@ -366,6 +370,20 @@ def test_covariance_past_the_height_finishes_quickly():
                        "--k", "40", "--mode", "cov")
     assert far.stdout == near.stdout
     assert far.stdout.splitlines()[-1] == "correlation,undefined,"
+
+
+@pytest.mark.parametrize("far,near", [
+    (("--k", "1000000"), ("--k", "30")),
+    (("--k", "3", "--h", "1000000"), ("--k", "3", "--h", "30")),
+], ids=["level", "joint"])
+def test_marked_route_past_the_height_finishes_quickly(far, near):
+    # the marked series steps one level at a time, about 1 ms a level at
+    # n = 30; levels past n are empty, and built as level n
+    start = time.monotonic()
+    proc = cli_process("profile-exact", "--n", "30", "--d", "1", *far)
+    assert time.monotonic() - start < 30
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == cli_process("profile-exact", "--n", "30", "--d", "1", *near).stdout
 
 
 def test_correlation_past_the_height_exits_3():

@@ -176,7 +176,7 @@ def test_mu_d_against_exact_density(constants_400):
     cs = constants_400
     y200 = tree_series(200)[200]
     for d in (1, 2, 3):
-        D = degree_series(d, 200).D
+        D = degree_series(d, 200)
         dens = D[200] / (200 * y200)
         assert abs(float(dens) / cs.mu_d[d] - 1.0) <= 0.05
 

@@ -281,7 +281,7 @@ def test_multiset_identity_reconstructs_tree_series():
 # ---------------------------------------------------------------------------
 
 def test_leaf_series_small_values():
-    D = degree_series(1, 8).D
+    D = degree_series(1, 8)
     # 2-node tree has exactly one leaf (the non-root vertex)
     assert D[2] == 1
     assert D[1] == 1  # the single node is a planted leaf
@@ -292,7 +292,7 @@ def test_degree_series_vanishing_threshold():
     # a degree-d vertex needs d-1 children: impossible below n = d, and the
     # size-d star realizes it exactly once
     for d in (2, 3, 4, 5):
-        D = degree_series(d, 8).D
+        D = degree_series(d, 8)
         for n in range(1, d):
             assert D[n] == 0
         assert D[d] == 1
@@ -303,7 +303,7 @@ def test_degree_partition_identity():
     y = tree_series(N)
     sums = [0] * (N + 1)
     for d in range(1, N + 1):
-        D = degree_series(d, N).D
+        D = degree_series(d, N)
         for n in range(1, N + 1):
             sums[n] += D[n]
     for n in range(1, N + 1):
@@ -312,7 +312,7 @@ def test_degree_partition_identity():
 
 def test_degree_series_integrality():
     for d in (1, 2, 5):
-        D = degree_series(d, 20).D
+        D = degree_series(d, 20)
         for c in D.coeffs:
             assert Fraction(c).denominator == 1
 

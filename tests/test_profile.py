@@ -122,7 +122,7 @@ def test_gamma_level_sum_is_degree_series():
     # sum_k gamma_k^{(d)} = D^{(d)} coefficient-wise
     N = 30
     for d in (1, 2, 3):
-        D = degree_series(d, N).D
+        D = degree_series(d, N)
         total = [0] * (N + 1)
         for k, g in gamma_series_progression(d, N, N):
             for n in range(N + 1):
@@ -362,6 +362,34 @@ def test_marked_series_coefficients_are_ints():
     ):
         for n in range(s.order + 1):
             assert all(type(v) is int for v in s[n].values())
+
+
+def _coefficients(series):
+    return [series[n] for n in range(series.order + 1)]
+
+
+@pytest.mark.parametrize("d", [1, 2, TOTAL], ids=["d1", "d2", "total"])
+def test_marked_series_past_the_order_are_the_series_at_the_order(d):
+    # no tree of size <= N reaches level N, so from level N on every mark has
+    # vanished; the progressions step every level and are the oracle
+    N = 9
+    unmarked = [{(0, 0): v} if v else {} for v in tree_series(N).coeffs]
+    for mode in ("full", "moments"):
+        at_order = _coefficients(level_degree_series(d, N, N, mode))
+        assert at_order == unmarked
+        for k in (N + 1, N + 6):
+            stepped = profile._last(profile.level_series_progression(d, k, N, mode))[1]
+            assert _coefficients(level_degree_series(d, k, N, mode)) == _coefficients(stepped)
+    for mode in ("full", "moments", "tightness"):
+        for k, h in ((3, N + 1), (3, N + 6), (N + 1, 2), (N + 7, N + 1), (N + 1, 0)):
+            stepped = profile._last(profile.two_level_series_progression(d, k, h, N, mode))[1]
+            got = _coefficients(two_level_series(d, k, h, N, mode))
+            assert got == _coefficients(stepped)
+            assert got == _coefficients(two_level_series(d, min(k, N), min(h, N), N, mode))
+    if d is not TOTAL:
+        for mode in ("full", "moments"):
+            for k in (N, N + 1, N + 6):
+                assert _coefficients(mixed_degree_series(3 - d, d, k, N, mode)) == unmarked
 
 
 @pytest.mark.parametrize("call", [

@@ -363,7 +363,7 @@ def test_degree_total_bookkeeping_matches_exact(table_400):
     for d in (1, 2, 3):
         est = tot[d - 1] / samples
         se = math.sqrt(max(tot2[d - 1] / samples - est * est, 0.0) / samples)
-        exact = float(Fraction(degree_series(d, n).D[n], y_n))
+        exact = float(Fraction(degree_series(d, n)[n], y_n))
         assert abs(est - exact) <= 3.0 * se
 
 
