@@ -102,6 +102,7 @@ def main():
 
 
 def _run(fn):
+    """Call ``fn``; a usage or domain error exits 2 and an accuracy error 3, each with one line."""
     try:
         fn()
     except (UsageError, DomainError) as exc:
@@ -313,7 +314,7 @@ def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
     ns = _parse_list(n_list, "--n-list")
     # corr reads the series at each n of --n-list; an order below 1 is left
     # to compute_rho's check and its message
-    _counts(max((order_, 1, *(ns if what == "corr" else ()))))
+    _counts(max(order_, 1, *(ns if what == "corr" else ())))
     cs = const_mod.compute_constants(order_, degrees=sorted({d, d1, d2}))
     rows = []
     if what == "psi":
