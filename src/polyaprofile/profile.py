@@ -124,6 +124,13 @@ def _base_level(d, y, mark, z_base=None):
     return y + (mark - y.one_like()) * zsub
 
 
+def _capped(level, N):
+    """``level``, or N if it is deeper: no tree of size at most N has a level
+    N or deeper, so each deeper level's series is the one at level N.  A
+    negative N is left to the order check and its message."""
+    return min(level, max(N, 0))
+
+
 def level_series_progression(d, k_max, N, mode="full", order=2):
     """Yield (k, y_k) for k = 0..k_max, reusing each level for the next."""
     y = _marked_tree_series(N, mode, order, 1, (d,), k_max)
@@ -136,10 +143,9 @@ def level_degree_series(d, k, N, mode="full", order=2):
     mode 'full': coefficients are polynomials in u of degree at most N, the
     complete distribution.  mode 'moments': u = 1+eps nilpotent of the given
     order, carrying factorial moments E[X (X-1) ... (X-j+1)] for j <= order.
-    A tree of size at most N has no level N or deeper, so any k > N gives
-    the series at k = N, which is built instead.
+    A level k past N is built at N (``_capped``).
     """
-    return _last(level_series_progression(d, min(k, N), N, mode, order))[1]
+    return _last(level_series_progression(d, _capped(k, N), N, mode, order))[1]
 
 
 def two_level_series(d, k, h, N, mode="full", order=2):
@@ -151,9 +157,10 @@ def two_level_series(d, k, h, N, mode="full", order=2):
     mode 'tightness': one nilpotent mark of order 4 with level k weighted by
     u and level k+h by 1/u, so the x^n coefficient is
     E-numerators of binomials C(L(k) - L(k+h), j), j <= 4.
-    As in ``level_degree_series``, k and h past N are built at N.
+    k and h past N are built at N (``_capped``).
     """
-    return _last(two_level_series_progression(d, min(k, N), min(h, N), N, mode, order))[1]
+    return _last(two_level_series_progression(
+        d, _capped(k, N), _capped(h, N), N, mode, order))[1]
 
 
 def two_level_series_progression(d, k_max, h, N, mode="full", order=2):
@@ -179,8 +186,7 @@ def mixed_degree_series(d1, d2, k, N, mode="full", order=1):
     Base case: y + (u-1) x Z_{d1-1}(y(x), ...) + (v-1) x Z_{d2-1}(y(x), ...),
     then the usual exp recurrence.  The nilpotent mode is the independent
     cross-check of mixed_gamma_series: E[X^{(d1)} X^{(d2)}] is the (1,1)
-    eps-coefficient over y_n.  As in ``level_degree_series``, k past N is
-    built at N.
+    eps-coefficient over y_n.  A level k past N is built at N (``_capped``).
     """
     if d1 == d2 or TOTAL in (d1, d2):
         raise UsageError("mixed-degree series needs two distinct degrees")
@@ -188,7 +194,7 @@ def mixed_degree_series(d1, d2, k, N, mode="full", order=1):
     one = y.one_like()
     base = (y + (y.mark() - one) * multiset_cap_series(d1, N, base=y)
             + (y.mark(v=1) - one) * multiset_cap_series(d2, N, base=y))
-    return _last(_marked_levels(base, min(k, N)))[1]
+    return _last(_marked_levels(base, _capped(k, N)))[1]
 
 
 def _marked_law(series, n):
