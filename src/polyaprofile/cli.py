@@ -102,7 +102,7 @@ def main():
 
 
 def _run(fn):
-    """Call ``fn``; a usage or domain error exits 2 and an accuracy error 3, each with one line."""
+    """Call ``fn``; a usage or domain error exits 2 and an accuracy error 3, after one stderr line."""
     try:
         fn()
     except (UsageError, DomainError) as exc:
