@@ -9,9 +9,9 @@ variants) so a full quick pass stays well under ten minutes.
 
 Known red: criterion 6 demands the exact finite-n covariance at n = 400
 within 15% of its limit value.  The finite-size gap of that covariance is
-~4.1/sqrt(n) (20.5% at n = 400, shrinking to 10% at n = 1600), so the 15%
-window is not attainable at n = 400 by any correct implementation; the
-criterion is evaluated as stated and reports the measured gap.
+20.4% at n = 400 (4.08/sqrt(n)) and about 3.94/sqrt(n) from n = 1600 on
+(9.9% there), so the 15% window is not attainable at n = 400 by any correct
+implementation; the criterion is evaluated as stated and reports the gap.
 """
 
 from __future__ import annotations
@@ -178,7 +178,7 @@ def criterion_3(ctx):
     for d in range(1, d_max + 1):
         for k, series in profile_mod.level_series_progression(d, k_max, n_max):
             for n in range(1, n_max + 1):
-                dist = profile_mod.exact_distribution(n, d, k, series=series, N=n_max)
+                dist = profile_mod.exact_distribution(n, d, k, series=series)
                 if dist.probs != _brute_law(profiles[n], lambda p: p.degree_count(d, k)):
                     return False, f"distribution mismatch at n={n} d={d} k={k}"
                 checked += 1
@@ -201,7 +201,7 @@ def criterion_3(ctx):
             )
             for k, series in prog:
                 for n in range(1, n_max + 1):
-                    joint = profile_mod.joint_distribution(n, d, k, h, series=series, N=n_max)
+                    joint = profile_mod.joint_distribution(n, d, k, h, series=series)
                     brute = _brute_law(
                         profiles[n], lambda p: (p.degree_count(d, k), p.degree_count(d, k + h))
                     )
@@ -224,7 +224,7 @@ def criterion_4(ctx):
         D = degree_series(d, N)
         for (k, series), (_, gamma) in zip(dist_prog, gamma_prog):
             for n in range(1, N + 1):
-                dist = profile_mod.exact_distribution(n, d, k, series=series, N=N)
+                dist = profile_mod.exact_distribution(n, d, k, series=series)
                 m_dist = dist.mean()  # probabilities sum to 1 checked inside
                 m_gamma = Fraction(gamma[n], y[n])
                 if m_dist != m_gamma:

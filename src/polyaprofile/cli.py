@@ -203,6 +203,10 @@ def _value_rows(key, items):
 @click.option("--out", type=str, default=None)
 def profile_exact(n, d, k, h, d2, mode, fmt, out):
     """Exact distributions and moment tables of L_n^{(d)}(k)."""
+    if mode == "cov" and h is not None:
+        raise UsageError("--h is read only by --mode dist and moments")
+    if mode != "cov" and d2 is not None:
+        raise UsageError("--d2 is read only by --mode cov")
     if mode == "dist" and h is None:
         dist = profile_mod.exact_distribution(n, d, k)
         rows = [
@@ -312,9 +316,9 @@ def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
     """Limit-law evaluations (CSV)."""
     ts = _parse_list(t_grid, "--t-grid", float)
     ns = _parse_list(n_list, "--n-list")
-    # corr reads the series at each n of --n-list; an order below 1 is left
-    # to compute_rho's check and its message
-    _counts(max(order_, 1, *(ns if what == "corr" else ())))
+    # corr and mean read the series at each n of --n-list; an order below 1
+    # is left to compute_rho's check and its message
+    _counts(max(order_, 1, *(ns if what in ("corr", "mean") else ())))
     cs = const_mod.compute_constants(order_, degrees=sorted({d, d1, d2}))
     rows = []
     if what == "psi":
@@ -331,7 +335,7 @@ def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
         rows.append({"quantity": f"{what}_per_n", "kappa": kappa, "value": ev.value})
         fields = ["quantity", "kappa", "value"]
     elif what == "mean":
-        ev = limits_mod.eval_limit_mean(d, kappa, cs)
+        ev = limits_mod.eval_limit_mean(d, kappa, cs, n_values=ns)
         rows.append(
             {"quantity": "limit_mean", "kappa": kappa, "value": ev.value,
              "extrapolation_error": ev.quadrature_error}

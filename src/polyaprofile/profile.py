@@ -46,7 +46,7 @@ the test suite holds them to exact rational equality:
    residues once the primes' product exceeds that bound.  Only what is
    read is lifted: [x^n] of five series for a covariance table, one for a
    mean, whole series for the gamma-series readers.  The covariance table
-   at (1, 2, 400, 20) takes 33 primes and about 0.5 s, against 3.6 s for
+   at (1, 2, 400, 20) takes 33 primes and 0.3–0.4 s, against 3.6 s for
    the big-integer pass it replaced (2-CPU host, numpy 2.4).  The pass also
    runs in the rescaled double ring, for large n where exact answers are
    not needed: the three covariance tables of
@@ -191,9 +191,7 @@ def mixed_degree_series(d1, d2, k, N, mode="full", order=1):
     if d1 == d2 or TOTAL in (d1, d2):
         raise UsageError("mixed-degree series needs two distinct degrees")
     y = _marked_tree_series(N, mode, order, 2, (d1, d2), k)
-    one = y.one_like()
-    base = (y + (y.mark() - one) * multiset_cap_series(d1, N, base=y)
-            + (y.mark(v=1) - one) * multiset_cap_series(d2, N, base=y))
+    base = _base_level(d2, _base_level(d1, y, y.mark()), y.mark(v=1), z_base=y)
     return _last(_marked_levels(base, _capped(k, N)))[1]
 
 
@@ -205,10 +203,9 @@ def _marked_law(series, n):
     return {e: Fraction(v, yn) for e, v in series[n].items()}
 
 
-def mixed_degree_moment_from_marked(n, d1, d2, k, N=None):
+def mixed_degree_moment_from_marked(n, d1, d2, k):
     """E[X^{(d1)}(k) X^{(d2)}(k)] via the nilpotent two-variable marking."""
-    N = N if N is not None else n
-    s = mixed_degree_series(d1, d2, k, N, mode="moments", order=1)
+    s = mixed_degree_series(d1, d2, k, n, mode="moments", order=1)
     return _marked_law(s, n).get((1, 1), Fraction(0))
 
 
@@ -230,26 +227,22 @@ class ProfileDistribution:
         return sum(l * (l - 1) * p for l, p in self.probs.items())
 
 
-def exact_distribution(n, d, k, series=None, N=None):
-    """P(L_n^{(d)}(k) = l) as exact rationals (probabilities sum to 1)."""
-    N = N if N is not None else n
-    if n > N:
-        raise UsageError("n exceeds the series truncation order")
+def exact_distribution(n, d, k, series=None):
+    """P(L_n^{(d)}(k) = l) as exact rationals (probabilities sum to 1), read
+    from ``series`` (of any order N >= n) or from the level-k series at n."""
     if series is None:
-        series = level_degree_series(d, k, N, mode="full")
+        series = level_degree_series(d, k, n, mode="full")
     probs = {l: p for (l, _), p in _marked_law(series, n).items()}
     if sum(probs.values()) != 1:
         raise AssertionError("distribution does not sum to 1")
     return ProfileDistribution(n, d, k, probs)
 
 
-def joint_distribution(n, d, k, h, series=None, N=None):
-    """P(L(k) = l1, L(k+h) = l2) as exact rationals."""
-    N = N if N is not None else n
-    if n > N:
-        raise UsageError("n exceeds the series truncation order")
+def joint_distribution(n, d, k, h, series=None):
+    """P(L(k) = l1, L(k+h) = l2) as exact rationals; ``series`` as in
+    ``exact_distribution``."""
     if series is None:
-        series = two_level_series(d, k, h, N, mode="full")
+        series = two_level_series(d, k, h, n, mode="full")
     probs = _marked_law(series, n)
     if sum(probs.values()) != 1:
         raise AssertionError("joint distribution does not sum to 1")
@@ -312,10 +305,9 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
     """
     _check_pass_arguments(degrees, k_max)
     N = y.order
-    zero = TruncatedSeries.zero(N, y.ring)
     g = [_gamma0(d, y_exact, y) for d in degrees]
-    f = [zero] * len(g) if second else None
-    m = zero if mixed else None
+    zero = _zero_level(0, degrees, y, second, mixed)
+    f, m = zero.f, zero.mixed
     yield _Level(0, g, f, m)
     weights = (None, lambda i: i - 1) if second else (None,)
     for k in range(1, min(k_max, N - 1) + 1):
@@ -331,8 +323,27 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
         g = [y * Sj for Sj in S]
         yield _Level(k, g, f, m)
     for k in range(N, k_max + 1):
-        yield _Level(k, [zero] * len(g), [zero] * len(g) if second else None,
-                     zero if mixed else None)
+        yield zero._replace(k=k)
+
+
+def _zero_level(k, degrees, y, second, mixed):
+    """The _Level at k of a pass whose every series asked for is zero."""
+    zero = TruncatedSeries.zero(y.order, y.ring)
+    zeros = [zero] * len(degrees)
+    return _Level(k, zeros, zeros if second else None, zero if mixed else None)
+
+
+def _final_level(degrees, k, N, ring, scale, second=False, mixed=False):
+    """(y exactly, y in the working ring, the _Level at k) of the pass at order N.
+
+    A level k >= N is zero to order N (see ``_derivative_levels``): it is
+    returned once the arguments are checked, without stepping the pass.
+    """
+    y_exact, y = _tree_series_rings(N, ring, scale)
+    if k < N:
+        return y_exact, y, _last(_derivative_levels(degrees, k, y_exact, y, second, mixed))
+    _check_pass_arguments(degrees, k)
+    return y_exact, y, _zero_level(k, degrees, y, second, mixed)
 
 
 def gamma_series_progression(d, k_max, N, ring="exact", scale=1.0):
@@ -343,22 +354,19 @@ def gamma_series_progression(d, k_max, N, ring="exact", scale=1.0):
 
 def gamma_series(d, k, N, ring="exact", scale=1.0):
     """First-derivative series: E L_n^{(d)}(k) = [x^n] gamma / y_n."""
-    rings = _tree_series_rings(N, ring, scale)
-    return _last(_derivative_levels((d,), k, *rings)).g[0].lift()
+    return _final_level((d,), k, N, ring, scale)[2].g[0].lift()
 
 
 def second_factorial_series(d, k, N, ring="exact", scale=1.0):
     """Series of E[X(X-1)] numerators for X = L_n^{(d)}(k)."""
-    rings = _tree_series_rings(N, ring, scale)
-    return _last(_derivative_levels((d,), k, *rings, second=True)).f[0].lift()
+    return _final_level((d,), k, N, ring, scale, second=True)[2].f[0].lift()
 
 
 def mixed_gamma_series(d1, d2, k, N, ring="exact", scale=1.0):
     """Series of E[X^{(d1)} X^{(d2)}] numerators (same level k), d1 != d2."""
     if d1 == d2:
         raise UsageError("mixed series needs distinct degrees; use the variance path")
-    rings = _tree_series_rings(N, ring, scale)
-    return _last(_derivative_levels((d1, d2), k, *rings, mixed=True)).mixed.lift()
+    return _final_level((d1, d2), k, N, ring, scale, mixed=True)[2].mixed.lift()
 
 
 # ---------------------------------------------------------------------------
@@ -389,30 +397,19 @@ def _ratio(series, y_exact, y, n):
 
 
 def level_mean(d, n, k, ring="exact", scale=1.0):
-    """E L_n^{(d)}(k).  A tree of size n has height below n, so a level k >= n
-    is empty and its mean is 0, found without stepping the pass."""
-    y_exact, y = _tree_series_rings(n, ring, scale)
-    _check_pass_arguments((d,), k)
-    if k >= n:
-        return 0.0 if ring == "double" else Fraction(0)
-    return _ratio(_last(_derivative_levels((d,), k, y_exact, y)).g[0], y_exact, y, n)
+    """E L_n^{(d)}(k); 0 for a level k >= n, which no tree of size n reaches."""
+    y_exact, y, level = _final_level((d,), k, n, ring, scale)
+    return _ratio(level.g[0], y_exact, y, n)
 
 
 def finite_covariance(d1, d2, n, k, ring="exact", scale=1.0):
     """Exact (or double-ring) covariance table for X^{(d1)}(k), X^{(d2)}(k).
 
-    A level k >= n is empty, as in ``level_mean``: every entry is 0 and the
-    correlation None, found without stepping the pass.
+    At a level k >= n every entry is 0 and the correlation None.
     """
-    y_exact, y = _tree_series_rings(n, ring, scale)
-    if k >= n:
-        _check_pass_arguments((d1, d2), k)
-        zero = 0.0 if ring == "double" else Fraction(0)
-        return MomentTable(n, d1, d2, k, *[zero] * 8, correlation=None)
     same = d1 == d2
-    level = _last(_derivative_levels(
-        (d1,) if same else (d1, d2), k, y_exact, y, second=True, mixed=not same,
-    ))
+    y_exact, y, level = _final_level(
+        (d1,) if same else (d1, d2), k, n, ring, scale, second=True, mixed=not same)
     m1, f1 = _ratio(level.g[0], y_exact, y, n), _ratio(level.f[0], y_exact, y, n)
     var1 = f1 + m1 - m1 * m1
     if same:
@@ -436,24 +433,22 @@ def finite_covariance(d1, d2, n, k, ring="exact", scale=1.0):
     )
 
 
-def factorial_moments_from_marked(n, d, k, order=2, N=None):
+def factorial_moments_from_marked(n, d, k, order=2):
     """Factorial moments E[X^(j)] via the nilpotent marking route, j = 0..order."""
-    N = N if N is not None else n
-    law = _marked_law(level_degree_series(d, k, N, mode="moments", order=order), n)
+    law = _marked_law(level_degree_series(d, k, n, mode="moments", order=order), n)
     return [law.get((j, 0), Fraction(0)) * factorial(j) for j in range(order + 1)]
 
 
-def mixed_moment_from_marked(n, d, k, h, N=None):
+def mixed_moment_from_marked(n, d, k, h):
     """E[L(k) L(k+h)] via the two-variable nilpotent marking route."""
-    N = N if N is not None else n
-    s = two_level_series(d, k, h, N, mode="moments", order=1)
+    s = two_level_series(d, k, h, n, mode="moments", order=1)
     return _marked_law(s, n).get((1, 1), Fraction(0))
 
 
 _STIRLING_WEIGHTS = {1: (1,), 2: (1, 2), 3: (1, 6, 6), 4: (1, 14, 36, 24)}
 
 
-def level_difference_moment(n, r, h, N=None, power=4):
+def level_difference_moment(n, r, h, power=4):
     """E[(L(r) - L(r+h))^power] for power in {1,2,3,4}, exact rationals.
 
     L counts every node on a level (the total profile).
@@ -464,8 +459,7 @@ def level_difference_moment(n, r, h, N=None, power=4):
     """
     if power not in _STIRLING_WEIGHTS:
         raise UsageError("power must be in 1..4")
-    N = N if N is not None else n
-    law = _marked_law(two_level_series(TOTAL, r, h, N, mode="tightness"), n)
+    law = _marked_law(two_level_series(TOTAL, r, h, n, mode="tightness"), n)
     cs = [law.get((j, 0), Fraction(0)) for j in range(5)]
     weights = _STIRLING_WEIGHTS[power]
     return sum(w * cs[j + 1] for j, w in enumerate(weights))

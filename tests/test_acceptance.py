@@ -4,8 +4,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see one pass/fail line
 per criterion, or use the CLI: `polyaprofile verify`.
 
 Criterion 6 is expected to fail at its stated 15% tolerance: the exact
-finite-size gap of the covariance at n = 400 is ~20.5% and shrinks like
-~4.1/sqrt(n), so the window is unreachable at that n (see the module
+finite-size gap of the covariance at n = 400 is 20.4% (4.08/sqrt(n)) and
+about 3.94/sqrt(n) from n = 1600 on, so the window is unreachable at that n (see the module
 docstring of polyaprofile.acceptance and notes in the README).  The test
 asserts the criterion as stated rather than loosening it.
 """

@@ -198,7 +198,10 @@ def run_process(*args, **env):
     ("--n", "-3", "--d", "1", "--k", "1", "--mode", "moments"),
     ("--n", "5", "--d", "1", "--k", "-2", "--mode", "cov"),
     ("--n", "5", "--d", "0", "--k", "1", "--h", "1"),
-], ids=["n0", "n-3-moments", "k-2-cov", "d0-joint"])
+    ("--n", "8", "--d", "1", "--k", "2", "--mode", "cov", "--h", "1"),
+    ("--n", "8", "--d", "1", "--k", "2", "--d2", "3"),
+    ("--n", "8", "--d", "1", "--k", "2", "--d2", "3", "--mode", "moments"),
+], ids=["n0", "n-3-moments", "k-2-cov", "d0-joint", "cov-h", "dist-d2", "moments-d2"])
 def test_bad_profile_arguments_exit_2_without_traceback(args):
     code, out = run_process("profile-exact", *args)
     assert code == 2
@@ -236,13 +239,16 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("verify", "--quick", "--criteria", ""),
     ("verify", "--quick", "--criteria", "2", "--threads", "0"),
     ("montecarlo", "--n", "10", "--samples", "5", "--threads", "-1"),
+    ("limits", "--what", "mean", "--n-list", "12,12"),
+    ("limits", "--what", "mean", "--n-list", "0,12"),
 ], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
         "constants-degrees-abc", "constants-degrees-0", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
         "sample-0", "sample-neg", "verify-criteria-99", "mc-t-grid-inf", "mc-t-grid-nan",
         "limits-psi-t-grid-inf", "limits-mean-kappa-nan", "limits-cov-kappa-neg",
         "mc-degrees-repeated", "mc-t-grid-repeated", "mc-n-neg-tightness", "limits-corr-n-list-neg",
         "mc-kappas-level-overflow", "limits-corr-level-overflow", "limits-mean-level-overflow",
-        "verify-criteria-empty", "verify-threads-0", "mc-threads-neg"])
+        "verify-criteria-empty", "verify-threads-0", "mc-threads-neg",
+        "limits-mean-n-list-repeated", "limits-mean-n-list-0"])
 def test_bad_lists_and_values_exit_2_without_traceback(args):
     code, out = run_process(*args)
     assert code == 2
@@ -296,7 +302,8 @@ main(sys.argv[1:])
     (("constants", "--order", "150", "--degrees", "1,2"), 150),
     (("limits", "--what", "cov", "--order", "150"), 150),
     (("limits", "--what", "corr", "--order", "150", "--n-list", "100,160"), 160),
-], ids=["constants", "limits-cov", "limits-corr"])
+    (("limits", "--what", "mean", "--order", "150", "--n-list", "100,160"), 160),
+], ids=["constants", "limits-cov", "limits-corr", "limits-mean"])
 def test_constants_and_limits_read_the_count_cache(tmp_path, args, written):
     # the first run builds the table and writes it; the second only loads it
     first = cli_process(*args, POLYAPROFILE_CACHE=str(tmp_path))

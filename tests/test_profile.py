@@ -1,4 +1,5 @@
 import hashlib
+import time
 from dataclasses import astuple
 from fractions import Fraction
 from math import inf, nan, prod, sqrt
@@ -79,7 +80,7 @@ def test_root_degree_distribution_matches_enumeration():
 def test_requires_order_at_least_n():
     series = level_degree_series(1, 1, 6, mode="full")
     with pytest.raises(UsageError):
-        exact_distribution(8, 1, 1, series=series, N=6)
+        exact_distribution(8, 1, 1, series=series)
 
 
 def test_mean_zero_beyond_height():
@@ -98,8 +99,9 @@ def test_gamma_matches_distribution_means_small():
     for d in (1, 2, 3):
         for k in (0, 1, 2, 4):
             g = gamma_series(d, k, 12)
+            series = level_degree_series(d, k, 12)
             for n in range(1, 13):
-                dist = exact_distribution(n, d, k, N=12)
+                dist = exact_distribution(n, d, k, series=series)
                 assert dist.mean() == Fraction(g[n], y[n])
 
 
@@ -107,10 +109,7 @@ def test_eps_route_matches_gamma_and_second_factorial():
     y = tree_series(10)
     for d in (1, 2):
         for k in (1, 3):
-            moments = [
-                factorial_moments_from_marked(n, d, k, order=2, N=10)
-                for n in range(1, 11)
-            ]
+            moments = [factorial_moments_from_marked(n, d, k, order=2) for n in range(1, 11)]
             g = gamma_series(d, k, 10)
             g2 = second_factorial_series(d, k, 10)
             for n in range(1, 11):
@@ -254,14 +253,14 @@ def test_two_level_marginals_collapse():
     s = two_level_series(d, k, h, N, mode="full")
     # u1 = 1 leaves the level-(k+h) marking: marginalize and compare
     for n in range(1, N + 1):
-        joint = joint_distribution(n, d, k, h, series=s, N=N)
+        joint = joint_distribution(n, d, k, h, series=s)
         m2 = {}
         m1 = {}
         for (l1, l2), p in joint.items():
             m2[l2] = m2.get(l2, Fraction(0)) + p
             m1[l1] = m1.get(l1, Fraction(0)) + p
-        d2 = exact_distribution(n, d, k + h, N=N)
-        d1 = exact_distribution(n, d, k, N=N)
+        d2 = exact_distribution(n, d, k + h, series=level_degree_series(d, k + h, N))
+        d1 = exact_distribution(n, d, k, series=level_degree_series(d, k, N))
         assert m2 == {l: p for l, p in d2.probs.items()}
         assert m1 == {l: p for l, p in d1.probs.items()}
 
@@ -281,7 +280,7 @@ def test_two_level_mixed_moment_route():
         profiles = brute_profiles(n)
         y_n = len(profiles)
         for (k, h) in ((1, 1), (0, 2)):
-            got = mixed_moment_from_marked(n, 1, k, h, N=n)
+            got = mixed_moment_from_marked(n, 1, k, h)
             want = Fraction(
                 sum(p.degree_count(1, k) * p.degree_count(1, k + h) for p in profiles),
                 y_n,
@@ -316,7 +315,7 @@ def test_mixed_degree_eps_route_matches_gamma_route():
         for k in (0, 1, 3):
             g = mixed_gamma_series(d1, d2, k, N)
             for n in (5, 12, 20):
-                assert mixed_degree_moment_from_marked(n, d1, d2, k, N=N) == Fraction(
+                assert mixed_degree_moment_from_marked(n, d1, d2, k) == Fraction(
                     g[n], y[n]
                 )
 
@@ -722,7 +721,22 @@ def test_levels_past_the_height_match_the_stepped_pass(monkeypatch, n, d1, d2, r
             (_bits(v), isinstance(v, Fraction)) for v in astuple(want)]
     table = lambda: finite_covariance(d1, d2, n, n + 3, ring=ring, scale=scale)
     assert _series_products(monkeypatch, table) == 0
-    # the pass itself steps only the levels below the height
-    every_level = lambda: second_factorial_series(d1, n + 3, n, ring, scale)
-    assert _series_products(monkeypatch, every_level) == _series_products(
-        monkeypatch, lambda: second_factorial_series(d1, n - 1, n, ring, scale))
+    # a reader past the height does not step the pass either
+    past = lambda: second_factorial_series(d1, n + 3, n, ring, scale)
+    assert _series_products(monkeypatch, past) == 0
+
+
+@pytest.mark.parametrize("reader", [
+    lambda: gamma_series(1, 10**6, 30),
+    lambda: second_factorial_series(1, 10**6, 30),
+    lambda: mixed_gamma_series(1, 2, 10**6, 30),
+], ids=["gamma", "second_factorial", "mixed"])
+def test_series_readers_far_past_the_height_step_nothing(monkeypatch, reader):
+    # stepping the N - 1 levels below the height and then one zero level per
+    # k took about 1 s at k = 10**6 (2-CPU host); the zero series is read
+    # without stepping, in milliseconds
+    assert _series_products(monkeypatch, reader) == 0
+    start = time.monotonic()
+    series = reader()
+    assert time.monotonic() - start < 0.5
+    assert series.order == 30 and not any(series[m] for m in range(31))
