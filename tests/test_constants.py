@@ -251,6 +251,19 @@ def test_constants_bits_hold_under_compensated_sum(monkeypatch):
     test_constants_bits_are_unchanged()
 
 
+def test_constants_bits_are_unchanged_past_the_double_range():
+    # at N = 3200 the terms of y past rho leave the double range, and the
+    # tail model reads terms N and N - 1 there; the digest covers every
+    # constant and every error entry but the wall time, recorded before the
+    # exact-ring evaluation read a table of log-magnitudes
+    cs = compute_constants(3200, degrees=range(1, 11))
+    fields = [cs.rho, cs.b, cs.C]
+    fields += [cs.Cd[d] for d in range(1, 11)] + [cs.mu_d[d] for d in range(1, 11)]
+    fields += [v for k, v in cs.err.items() if k != "elapsed_s"]
+    digest = hashlib.sha256(",".join(v.hex() for v in fields).encode()).hexdigest()
+    assert digest == "753ca5a20819404913f89f7318a456d30bc204657e314387214cfb4edfab1c0f"
+
+
 # ---------------------------------------------------------------------------
 # the array pass of c_d_rho_solve against the scalar loop it replaced
 # ---------------------------------------------------------------------------
