@@ -170,20 +170,25 @@ def constants_cmd(order_, degrees, out):
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 
 
-def _parse_list(text, option, convert=int):
-    """Comma-separated ``convert`` values; ``lo..hi`` is an integer range.
+def _parse_list(text, option, convert=int, empty=False):
+    """Comma-separated ``convert`` values; ``lo..hi`` is an integer range with lo <= hi.
 
-    Floats must be finite.
+    Floats must be finite.  A list of no values is refused unless ``empty``.
     """
     try:
         if convert is int and ".." in text:
-            lo, hi = text.split("..")
-            return tuple(range(int(lo), int(hi) + 1))
-        values = tuple(convert(p) for p in text.split(",") if p)
+            lo, hi = map(int, text.split(".."))
+            values = tuple(range(lo, hi + 1)) if lo <= hi else None
+        else:
+            values = tuple(convert(p) for p in text.split(",") if p)
     except ValueError:
         raise UsageError(f"{option} expects a comma-separated list, got {text!r}") from None
+    if values is None:  # a range hi < lo
+        raise UsageError(f"{option} range {text!r} runs backwards")
     if convert is float and not all(map(math.isfinite, values)):
         raise UsageError(f"{option} expects finite numbers, got {text!r}")
+    if not (values or empty):
+        raise UsageError(f"{option} expects at least one value, got {text!r}")
     return values
 
 
@@ -285,7 +290,7 @@ def montecarlo(n, samples, seed, degrees, kappas, t_grid, tightness, threads, no
         n=n,
         degrees=_parse_list(degrees, "--degrees"),
         kappas=_parse_list(kappas, "--kappas", float),
-        t_values=_parse_list(t_grid, "--t-grid", float),
+        t_values=_parse_list(t_grid, "--t-grid", float, empty=True),
         samples=samples,
         seed=seed,
         tightness_grid=profile_mod.level_grid_for(n) if tightness else (),
@@ -314,8 +319,9 @@ def montecarlo(n, samples, seed, degrees, kappas, t_grid, tightness, threads, no
 @click.option("--out", type=str, default=None)
 def limits_cmd(what, d, d1, d2, kappa, t_grid, n_list, order_, out):
     """Limit-law evaluations (CSV)."""
-    ts = _parse_list(t_grid, "--t-grid", float)
-    ns = _parse_list(n_list, "--n-list")
+    # a list the chosen quantity does not read may be empty
+    ts = _parse_list(t_grid, "--t-grid", float, empty=what != "psi")
+    ns = _parse_list(n_list, "--n-list", empty=what not in ("corr", "mean"))
     # corr and mean read the series at each n of --n-list; an order below 1
     # is left to compute_rho's check and its message
     _counts(max(order_, 1, *(ns if what in ("corr", "mean") else ())))

@@ -18,6 +18,10 @@ the classes here:
     these two array rings, through ``+``, ``*`` and ``power_sums``, whose
     substitution sums are a gather and ``np.bincount`` along the (i, m)
     plan of the order (``_substitution_plan``), with no loop over i.
+    An exact series evaluates at a point through its table of (log|a_n|,
+    sign of a_n), built at its first evaluation and never passed on to a
+    series made from it: each term is then one multiply-add and one
+    ``math.exp``, the float operations of forming it from a_n afresh.
 
 ``MarkedSeries``
     an exact series in x and one or two marking variables, stored as a map
@@ -337,7 +341,7 @@ class ResidueRing:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    __slots__ = ("coeffs", "order", "ring")
+    __slots__ = ("coeffs", "order", "ring", "_logs")
 
     def __init__(self, coeffs, order=None, ring=EXACT):
         if order is None:
@@ -345,6 +349,7 @@ class TruncatedSeries:
         self.coeffs = ring.coefficients(coeffs, order)
         self.order = order
         self.ring = ring
+        self._logs = None  # evaluate's table of log-magnitudes, built at its first call
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -361,6 +366,7 @@ class TruncatedSeries:
     def copy_with(self, coeffs):
         out = object.__new__(TruncatedSeries)
         out.coeffs, out.order, out.ring = self.ring.freeze(coeffs), self.order, self.ring
+        out._logs = None
         return out
 
     # -- bookkeeping ---------------------------------------------------------
@@ -463,6 +469,17 @@ class TruncatedSeries:
     def evaluate(self, x0):
         """Evaluate at |x0| < 1; returns (value, error_estimate).
 
+        Each term a_n x0**n is e**(log|a_n| + n log|x0|) with its sign, so big
+        integers never overflow.  log|a_n| and the sign of a_n come from the
+        series' table of log-magnitudes, built at the first evaluation, and
+        log|x0| is taken once per call; each term then costs one multiply-add
+        and one ``math.exp``.  The table caches, it does not approximate:
+        the float operations are those of forming each term from a_n afresh,
+        in the same order.  ``math.exp`` stays per term and ``math.log`` per
+        coefficient and per point, because numpy's vectorised ones differ
+        from them in the last bit on some arguments, and the constants are
+        pinned bit for bit.
+
         The partial sum gets a geometric tail correction t_N * r/(1-r) built
         from the last retained terms (exact for a truly geometric tail).  The
         returned error is a conservative multiple of that correction plus
@@ -474,11 +491,28 @@ class TruncatedSeries:
             raise DomainError("evaluate requires |x0| < 1")
         if x0 == 0:
             return float(self.coeffs[0]), 0.0
-        # per-term log-magnitude sum: immune to overflow of big integers
+        logs = self._logs
+        if logs is None:  # [(log|a_n|, sign of a_n) or None for a_n = 0], once per series
+            logs = self._logs = [(_log_abs(c), 1.0 if c > 0 else -1.0) if c else None
+                                 for c in self.coeffs]
+        lx = math.log(abs(x0))
+        odd = -1.0 if x0 < 0 else 1.0  # the sign of x0**n at odd n
+        exp = math.exp
         total = 0.0
         tiny_run = 0
-        for n in range(self.order + 1):
-            t = self._term_float(n, x0)
+        # each term as _table_term forms it, inlined: the loop runs up to
+        # N + 1 times per point
+        for n, entry in enumerate(logs):
+            t = 0.0
+            if entry is not None:
+                mag = entry[0] + n * lx
+                if mag >= -745.0:
+                    try:
+                        t = entry[1] * exp(mag)
+                    except OverflowError:
+                        raise _out_of_range(mag) from None
+                    if n & 1:
+                        t *= odd
             total += t
             if total != 0.0 and abs(t) < 1e-18 * abs(total):
                 tiny_run += 1
@@ -486,31 +520,14 @@ class TruncatedSeries:
                     break
             else:
                 tiny_run = 0
-        t_last = abs(self._term_float(self.order, x0))
-        correction, err = self._tail_model(x0)
-        value = total + correction
-        if t_last > 0.1 * max(abs(value), 1e-300):
-            raise AccuracyError(f"series tail has not decayed at x0={x0}: last term {t_last:.3g}")
-        return value, err
-
-    def _tail_model(self, x0):
         N = self.order
-        tN = self._term_float(N, x0)
-        tN1 = self._term_float(N - 1, x0) if N >= 1 else 0.0
-        if tN == 0.0:
-            return 0.0, 0.0
-        r = abs(tN / tN1) if tN1 else abs(x0)
-        if r >= 0.9999:  # no usable decay; refuse to model the tail
-            return 0.0, abs(tN) * N
-        corr = tN * r / (1.0 - r)
-        return corr, 2.0 * abs(corr) + 1e-15 * abs(tN) * N
-
-    def _term_float(self, n, x0):
-        c = self.coeffs[n]
-        if c == 0 or x0 == 0:
-            return float(c) if n == 0 else 0.0
-        t = _signed_exp(c, n * math.log(abs(x0)))
-        return -t if x0 < 0 and n % 2 == 1 else t
+        tN = _table_term(logs, N, lx, odd)
+        tN1 = _table_term(logs, N - 1, lx, odd) if N >= 1 else 0.0
+        correction, err = _tail_model(tN, tN1, x0, N)
+        value = total + correction
+        if abs(tN) > 0.1 * max(abs(value), 1e-300):
+            raise AccuracyError(f"series tail has not decayed at x0={x0}: last term {abs(tN):.3g}")
+        return value, err
 
     def to_double(self, scale=1.0):
         """This series in the double ring of the given geometric scale."""
@@ -537,9 +554,41 @@ def _signed_exp(c, extra_log):
     try:
         return math.exp(mag) if c > 0 else -math.exp(mag)
     except OverflowError:
-        raise AccuracyError(
-            f"|value| = e^{mag:.1f} passes the double range; "
-            "in the double ring, pass a geometric scale such as rho") from None
+        raise _out_of_range(mag) from None
+
+
+def _out_of_range(mag):
+    """The error for a value e^mag past the double range."""
+    return AccuracyError(f"|value| = e^{mag:.1f} passes the double range; "
+                         "in the double ring, pass a geometric scale such as rho")
+
+
+def _table_term(logs, n, lx, odd):
+    """Term n of a series at x0 from its table entry, as ``evaluate``'s loop forms it.
+
+    lx is log|x0| and odd the sign of x0**n at odd n.
+    """
+    if logs[n] is None:
+        return 0.0
+    mag = logs[n][0] + n * lx
+    if mag < -745.0:
+        return 0.0
+    try:
+        t = logs[n][1] * math.exp(mag)
+    except OverflowError:
+        raise _out_of_range(mag) from None
+    return t * odd if n & 1 else t
+
+
+def _tail_model(tN, tN1, x0, N):
+    """(correction, error) of the tail past term N, from terms N and N - 1."""
+    if tN == 0.0:
+        return 0.0, 0.0
+    r = abs(tN / tN1) if tN1 else abs(x0)
+    if r >= 0.9999:  # no usable decay; refuse to model the tail
+        return 0.0, abs(tN) * N
+    corr = tN * r / (1.0 - r)
+    return corr, 2.0 * abs(corr) + 1e-15 * abs(tN) * N
 
 
 # ---------------------------------------------------------------------------

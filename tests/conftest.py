@@ -29,5 +29,10 @@ def table_400():
 
 @pytest.fixture(scope="session")
 def acceptance_ctx():
-    """Full-size acceptance context shared by the criterion tests."""
-    return AcceptanceContext(quick=False, cache_dir=CACHE_DIR, threads=1)
+    """Full-size acceptance context shared by the criterion tests.
+
+    The Monte Carlo criteria run on every available CPU (up to 16): seeded
+    results do not depend on the worker count.
+    """
+    return AcceptanceContext(quick=False, cache_dir=CACHE_DIR,
+                             threads=min(len(os.sched_getaffinity(0)), 16))

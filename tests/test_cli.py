@@ -241,6 +241,14 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
     ("montecarlo", "--n", "10", "--samples", "5", "--threads", "-1"),
     ("limits", "--what", "mean", "--n-list", "12,12"),
     ("limits", "--what", "mean", "--n-list", "0,12"),
+    ("constants", "--order", "400", "--degrees", "3..1"),
+    ("constants", "--degrees", ",,"),
+    ("montecarlo", "--n", "30", "--samples", "2", "--degrees", "3..1", "--threads", "1",
+     "--no-timestamp"),
+    ("montecarlo", "--n", "30", "--samples", "2", "--kappas", ",,", "--threads", "1"),
+    ("limits", "--what", "psi", "--t-grid", ",,"),
+    ("limits", "--what", "corr", "--n-list", ",,"),
+    ("limits", "--what", "mean", "--n-list", ","),
 ], ids=["mc-degrees-abc", "mc-kappas-x", "mc-t-grid-a", "limits-t-grid-a", "limits-n-list-x",
         "constants-degrees-abc", "constants-degrees-0", "verify-criteria-abc", "mc-degrees-0", "mc-kappas-neg",
         "sample-0", "sample-neg", "verify-criteria-99", "mc-t-grid-inf", "mc-t-grid-nan",
@@ -248,12 +256,31 @@ def test_bad_profile_arguments_exit_2_without_traceback(args):
         "mc-degrees-repeated", "mc-t-grid-repeated", "mc-n-neg-tightness", "limits-corr-n-list-neg",
         "mc-kappas-level-overflow", "limits-corr-level-overflow", "limits-mean-level-overflow",
         "verify-criteria-empty", "verify-threads-0", "mc-threads-neg",
-        "limits-mean-n-list-repeated", "limits-mean-n-list-0"])
+        "limits-mean-n-list-repeated", "limits-mean-n-list-0",
+        "constants-degrees-reversed", "constants-degrees-empty", "mc-degrees-reversed",
+        "mc-kappas-empty", "limits-psi-t-grid-empty", "limits-corr-n-list-empty",
+        "limits-mean-n-list-empty"])
 def test_bad_lists_and_values_exit_2_without_traceback(args):
     code, out = run_process(*args)
     assert code == 2
     assert "Traceback" not in out
     assert out.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("args,dropped", [
+    (("limits", "--what", "cov"), ("--t-grid", ",,")),
+    (("limits", "--what", "psi"), ("--n-list", ",,")),
+    (("montecarlo", "--n", "30", "--samples", "2", "--threads", "1", "--no-timestamp"),
+     ("--t-grid", "")),
+], ids=["limits-cov-t-grid", "limits-psi-n-list", "mc-t-grid"])
+def test_empty_lists_an_option_reads_as_nothing_are_accepted(args, dropped):
+    # montecarlo's empty --t-grid (its default) asks for no characteristic-
+    # function rows, and limits reads --t-grid for psi only and --n-list for
+    # corr and mean only: an empty list there changes nothing
+    want = run(*args)
+    got = run(*args, *dropped)
+    assert want.exit_code == got.exit_code == 0
+    assert got.output == want.output
 
 
 def test_sample_with_corrupt_cache_file(tmp_path):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyaprofile import series as series_mod
 from polyaprofile.constants import (
     _ladder_points,
     _on_powers,
@@ -152,6 +153,16 @@ def test_constants_evaluate_each_series_once_per_point(monkeypatch):
     compute_constants(400, degrees=range(1, 11))
     assert sum(seen.values()) > 0
     assert {key[2]: n for key, n in seen.items() if n > 1} == {}
+
+
+def test_constants_take_each_log_magnitude_once_per_series(monkeypatch):
+    # each evaluated series builds its table of log|y_n| once: four series of
+    # 400 nonzero coefficients, where forming every term afresh took ~13 450
+    calls = []
+    log_abs = series_mod._log_abs
+    monkeypatch.setattr(series_mod, "_log_abs", lambda c: calls.append(c) or log_abs(c))
+    compute_constants(400, degrees=range(1, 11))
+    assert 0 < len(calls) <= 2500
 
 
 def test_Cd_converges_to_C(constants_400):

@@ -333,6 +333,131 @@ def test_signed_exp_past_the_double_range_raises_accuracy_error():
 
 
 # ---------------------------------------------------------------------------
+# evaluate against the per-term route it replaced
+# ---------------------------------------------------------------------------
+
+def _term_float(self, n, x0):
+    c = self.coeffs[n]
+    if c == 0 or x0 == 0:
+        return float(c) if n == 0 else 0.0
+    t = _signed_exp(c, n * math.log(abs(x0)))
+    return -t if x0 < 0 and n % 2 == 1 else t
+
+
+def _tail_model(self, x0):
+    N = self.order
+    tN = _term_float(self, N, x0)
+    tN1 = _term_float(self, N - 1, x0) if N >= 1 else 0.0
+    if tN == 0.0:
+        return 0.0, 0.0
+    r = abs(tN / tN1) if tN1 else abs(x0)
+    if r >= 0.9999:  # no usable decay; refuse to model the tail
+        return 0.0, abs(tN) * N
+    corr = tN * r / (1.0 - r)
+    return corr, 2.0 * abs(corr) + 1e-15 * abs(tN) * N
+
+
+def loop_evaluate(self, x0):
+    """``TruncatedSeries.evaluate`` forming every term from its coefficient
+    afresh through ``_signed_exp`` (a test oracle)."""
+    self._exact_only("evaluate")
+    if abs(x0) >= 1:
+        raise DomainError("evaluate requires |x0| < 1")
+    if x0 == 0:
+        return float(self.coeffs[0]), 0.0
+    # per-term log-magnitude sum: immune to overflow of big integers
+    total = 0.0
+    tiny_run = 0
+    for n in range(self.order + 1):
+        t = _term_float(self, n, x0)
+        total += t
+        if total != 0.0 and abs(t) < 1e-18 * abs(total):
+            tiny_run += 1
+            if tiny_run > 4 and n > 8:
+                break
+        else:
+            tiny_run = 0
+    t_last = abs(_term_float(self, self.order, x0))
+    correction, err = _tail_model(self, x0)
+    value = total + correction
+    if t_last > 0.1 * max(abs(value), 1e-300):
+        raise AccuracyError(f"series tail has not decayed at x0={x0}: last term {t_last:.3g}")
+    return value, err
+
+
+def _outcome(evaluate, s, x0):
+    """(value, error) of evaluate(s, x0) as float.hex, or the type and message it raised."""
+    try:
+        value, err = evaluate(s, x0)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return value.hex(), err.hex()
+
+
+def _assert_evaluate_is_the_loop(s, points):
+    for x0 in points:
+        assert _outcome(TruncatedSeries.evaluate, s, x0) == _outcome(loop_evaluate, s, x0), x0
+
+
+_COEFF = st.one_of(
+    st.integers(-1000, 1000),
+    st.integers(-(1 << 200), 1 << 200),
+    st.fractions(-1000, 1000, max_denominator=10**6),
+    st.sampled_from([3**1000, -(3**1000), Fraction(1, 3**1000)]),
+)
+# a coefficient or a run of zeros, joined and cut to orders 0..60
+_COEFFS = st.lists(st.one_of(_COEFF.map(lambda c: [c]), st.integers(1, 12).map(lambda k: [0] * k)),
+                   min_size=1, max_size=40).map(lambda blocks: sum(blocks, [])[:61])
+_POINT = st.one_of(
+    st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.95, 1.0, exclude_max=True),
+    st.floats(-1.0, -0.95, exclude_min=True),
+    st.sampled_from([1e-300, -1e-300, 5e-324, -5e-324, 1e-30, -1e-7]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeffs=_COEFFS, points=st.lists(_POINT, min_size=1, max_size=8))
+def test_evaluate_is_the_per_term_loop_bit_for_bit(coeffs, points):
+    # one series, many points: every point after the first reads its table
+    _assert_evaluate_is_the_loop(S(coeffs), points)
+
+
+def test_evaluate_is_the_per_term_loop_past_the_double_range():
+    # 3**1000 x**10 at 0.5 is e^1091.7: both routes raise the same message
+    s = S([0] * 10 + [3**1000], 10)
+    assert _outcome(TruncatedSeries.evaluate, s, 0.5)[1].startswith("|value| = e^1091.7")
+    _assert_evaluate_is_the_loop(s, [0.5, -0.5, 1e-100])
+
+
+@pytest.mark.parametrize("N", [400, 3200])
+def test_evaluate_is_the_per_term_loop_on_the_constants_grids(N):
+    # the powers of rho read by C and C_d, and the rungs of the ladder for b;
+    # at N = 3200 the terms of y past rho leave the double range
+    from polyaprofile.constants import APPROX_RADIUS, compute_rho
+
+    rho = compute_rho(N)[0]
+    y = tree_series(N)
+    rungs = [rho * (1.0 - 2.0**-j) for j in range(3, 40)]
+    _assert_evaluate_is_the_loop(y, [rho**i for i in range(2, 201)] + rungs)
+    _assert_evaluate_is_the_loop(y, [APPROX_RADIUS, 0.34, 0.2, -0.3])
+
+
+def test_series_made_from_an_evaluated_series_evaluate_as_their_own():
+    # the table belongs to one series: sums, products, shifts and copies of
+    # an evaluated series build their own
+    a = S([0, 1, -2, Fraction(3, 7), 5, 0, -8, 13], 7)
+    b = S([1, 0, 4, -1, 0, 2, 0, 9], 7)
+    points = [0.3, -0.45, 0.05]
+    _assert_evaluate_is_the_loop(a, points)
+    _assert_evaluate_is_the_loop(b, points)
+    made = [a + b, a - b, a * b, a * 3, a.shift(2), a.copy_with([c * 2 for c in a.coeffs]),
+            a.copy_with(b.coeffs)]
+    for s in made:
+        _assert_evaluate_is_the_loop(s, points)
+
+
+# ---------------------------------------------------------------------------
 # double ring
 # ---------------------------------------------------------------------------
 
