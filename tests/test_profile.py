@@ -305,6 +305,33 @@ def test_fourth_difference_moment_matches_brute_force():
             assert got2 == want2
 
 
+def _repr_sha256(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_tightness_moment_at_100_is_pinned():
+    # E(L(10) - L(20))^4 at n = 100; over h^2 n it is the tightness ratio
+    got = level_difference_moment(100, 10, 10)
+    assert type(got) is Fraction
+    assert got == Fraction(310123145476308577114703462541171354339946778949,
+                           51384328351659326880337136395054298255277970)
+    assert round(float(got / (10**2 * 100)), 5) == 0.60354
+
+
+def test_tightness_moment_at_400_is_pinned():
+    # E(L(20) - L(40))^4 at n = 400, by the sha256 of its repr
+    got = level_difference_moment(400, 20, 20)
+    assert _repr_sha256(got) == "868d1a060371c7d76f6b9e789c8d279b0f85295a6b82eb0b12996937e916894f"
+    assert round(float(got / (20**2 * 400)), 4) == 0.5562
+
+
+def test_total_joint_law_at_30_is_pinned():
+    # P(L(3) = l1, L(5) = l2) at n = 30, by the sha256 of its sorted items
+    probs = joint_distribution(30, None, 3, 2)
+    assert _repr_sha256(sorted(probs.items())) == (
+        "48ef870df771f58ea476111477a399d26ea931b1c5e674f4a4116bde429614af")
+
+
 def test_mixed_degree_eps_route_matches_gamma_route():
     # two fully independent routes to E[X^{(d1)}(k) X^{(d2)}(k)]
     from polyaprofile.profile import mixed_degree_moment_from_marked
