@@ -7,39 +7,54 @@ the classes here:
     a(x) = sum_{n<=N} a_n x^n with scalar coefficients in a ring, which owns
     their format and arithmetic, so every series method has one body.  The
     exact ring ``EXACT`` keeps Python ints / Fractions (whole quotients stay
-    ints, so coefficient-wise equality is canonical), and it alone divides,
-    shifts, substitutes and evaluates.  A ``DoubleRing`` keeps a numpy
+    ints, so coefficient-wise equality is canonical), and it alone
+    evaluates.  A ``DoubleRing`` keeps a numpy
     float64 vector rescaled by the ring's geometric ``scale`` (stored[n]
     equals the true coefficient times scale**n) so that series whose
     coefficients grow like rho**-n stay inside float range at large
     truncation orders.  A ``ResidueRing`` keeps integer coefficients modulo
     each of its word-size primes, as a float64 array [prime, n], and reading
-    a coefficient lifts it back by the CRT.  The derivative pass runs in
+    a coefficient lifts it back by the CRT (signed, for values of either
+    sign, in a ring made ``signed``).  The derivative pass runs in
     these two array rings, through ``+``, ``*`` and ``power_sums``, whose
     substitution sums are a gather and ``np.bincount`` along the (i, m)
     plan of the order (``_substitution_plan``), with no loop over i.
+    A rational whose denominator is prime to every p has residues too, so
+    the residue ring also divides by an int below its smallest prime
+    (``scalar_div``, through a table of inverses built once per ring),
+    shifts, substitutes x -> x**i (a strided copy), takes ``exp`` by
+    n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, forms
+    residues of Fraction weights (``weights``) and adds sums of products
+    (``mul_sum``) and of substituted series (``add_power_sum``) for the
+    marked series.  Only the double ring refuses those.
     An exact series evaluates at a point through its table of (log|a_n|,
     sign of a_n), built at its first evaluation and never passed on to a
     series made from it: each term is then one multiply-add and one
     ``math.exp``, the float operations of forming it from a_n afresh.
 
 ``MarkedSeries``
-    an exact series in x and one or two marking variables, stored as a map
+    a series in x and one or two marking variables, stored as a map
     from the mark exponent (a, b) to the TruncatedSeries in x that multiplies
     it (b = 0 with one mark), so sums, products and shifts are scalar-series
-    arithmetic.  The marks live in the monomial basis ('u': an exponent
+    arithmetic.  Its terms are of one ring and one order, exact or residue,
+    and the one body of every method serves both: the residue ring carries
+    the profile's marked route, and the exact ring is its test oracle.  The
+    marks live in the monomial basis ('u': an exponent
     counts marked nodes) or in the nilpotent basis ('eps': the series is
     f(1+eps) truncated at a fixed eps-degree, which carries all
     u-derivatives at u = 1 up to that order in one pass).  ``exp`` steps in
     the mark direction with the Euler operator, the same in both bases, and
-    keeps whole coefficients as ints.
+    keeps whole coefficients as ints in the exact ring.  Each term's
+    x-valuation is found once, and a product whose valuations add up past
+    the order is skipped, not formed.
 
 Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
-it is a Python loop over big integers, so the exact derivative pass runs in a
-residue ring, where a product is one ``np.convolve`` per prime (the
-multi-modular method: von zur Gathen & Gerhard, Modern Computer Algebra,
-ch. 5).  Values are immutable and operations pure, so instances are safe to
-share across workers.
+it is a Python loop over big integers, so the exact derivative pass and the
+marked series run in a residue ring, where a product is one ``np.convolve``
+per prime (the multi-modular method: von zur Gathen & Gerhard, Modern
+Computer Algebra, ch. 5); products of a few terms each are batched across
+primes and pairs (``_short_products``).  Values are immutable and operations
+pure, so instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -129,6 +144,28 @@ def _by_block(w, top):
     return [0, 0, *(map(w, range(2, top + 1)) if w else [1] * (top - 1))]
 
 
+_SHORT_WINDOW = 16  # product windows this short are batched across pairs and primes
+
+
+def _short_products(items, width):
+    """sum over (a, va, b, vb, size) of a b on its window of ``size`` <= width terms.
+
+    a's window is padded on the left and b's on the right to ``width``, so
+    every product lands on the last ``width`` terms, x^(N+1-width)..x^N: the
+    batch takes ``width`` slice multiply-adds instead of one convolution per
+    prime and pair.  Each entry sums at most width * len(items) products.
+    """
+    x = np.zeros((len(items), len(items[0][0]), width))
+    y = np.zeros_like(x)
+    for j, (a, va, b, vb, size) in enumerate(items):
+        x[j, :, width - size:] = a[:, va:va + size]
+        y[j, :, :size] = b[:, vb:vb + size]
+    out = np.zeros_like(x)
+    for m in range(width):
+        out[:, :, m:] += x[:, :, m:m + 1] * y[:, :, :width - m]
+    return out.sum(axis=0)
+
+
 # ---------------------------------------------------------------------------
 # rings: each converts exact coefficients into its format (``coefficients``)
 # and does the arithmetic of TruncatedSeries on that format
@@ -156,19 +193,65 @@ class ExactRing:
     def sub(self, a, b):
         return [x - y for x, y in zip(a, b)]
 
-    def mul(self, a, b, N):  # walks b's nonzero terms only: y * 1 is O(N)
+    def mul(self, a, b, N):
+        return self.mul_sum([(a, 0, b, 0)], N)
+
+    def mul_sum(self, pairs, N):
+        """sum a b over the pairs (a, val(a), b, val(b)), to order N.
+
+        Each product walks b's nonzero terms only: y * 1 is O(N).
+        """
         out = [0] * (N + 1)
-        terms = [(j, bj) for j, bj in enumerate(b) if bj]
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in terms:
-                    if j > N - i:
-                        break
-                    out[i + j] += ai * bj
+        for a, _, b, _ in pairs:
+            terms = [(j, bj) for j, bj in enumerate(b) if bj]
+            for i, ai in enumerate(a):
+                if ai:
+                    for j, bj in terms:
+                        if j > N - i:
+                            break
+                        out[i + j] += ai * bj
         return out
 
     def scalar_mul(self, a, c):
         return [x * c for x in a]
+
+    def scalar_div(self, a, q):
+        return [_quotient(c, q) for c in a]
+
+    def shift(self, a, k):
+        k = min(k, len(a))
+        return [0] * k + a[: len(a) - k]
+
+    def substitute_power(self, a, i):
+        out = [0] * len(a)
+        out[::i] = a[: (len(a) - 1) // i + 1]
+        return out
+
+    def exp(self, a):
+        # n e_n = sum_m m a_m e_{n-m}; whole m a_m and e_n stay ints
+        na = [_whole(m * am) for m, am in enumerate(a)]
+        e = [1] + [0] * (len(a) - 1)
+        for n in range(1, len(a)):
+            tot = 0
+            for m in range(1, n + 1):
+                if na[m]:
+                    tot += na[m] * e[n - m]
+            e[n] = _quotient(tot, n)
+        return e
+
+    def valuation(self, a):
+        return next((n for n, x in enumerate(a) if x), len(a))
+
+    weights = staticmethod(list)
+    accumulator = staticmethod(lambda N: [0] * (N + 1))
+    settle = staticmethod(list)
+
+    def add_power_sum(self, out, a, weights, lo, hi):
+        for i in range(lo, hi + 1):
+            if weights[i]:
+                for m in range(1, (len(a) - 1) // i + 1):
+                    if a[m]:
+                        out[m * i] += _whole(weights[i] * a[m])
 
     def power_sums(self, c, N, weights):
         raise UsageError("power_sums is defined in the double and residue rings only")
@@ -236,32 +319,41 @@ class DoubleRing:
 
 
 class ResidueRing:
-    """Integers in [0, bound], held modulo each of a set of primes.
+    """Integers in [0, bound], or in [-bound, bound] when ``signed``, held
+    modulo each of a set of primes.
 
     It is the ring of a TruncatedSeries whose coefficients are a read-only
     float64 array [prime, n] of residues.  Float64 arithmetic on them is exact
     while every sum of products stays below 2^53: a series of order N needs
     (N + 1)(p - 1)^2 <= 2^53, which ``coefficients`` checks.  Reading a
     coefficient lifts it by the CRT, which is right when the true value lies
-    in [0, bound] and the primes' product exceeds bound; a lifted value above
-    bound raises AccuracyError, since a residue or the bound is then wrong.
+    in the ring's range and the primes' product exceeds twice the bound
+    (once, when unsigned); a lifted value out of range raises AccuracyError,
+    since a residue or the bound is then wrong.
+
+    A rational whose denominator is prime to every p has residues too, so
+    the ring divides by any int from 1 up to its smallest prime
+    (``scalar_div``), through a table of inverses it builds once.
     """
 
-    __slots__ = ("primes", "p", "p64", "modulus", "basis", "bound")
+    __slots__ = ("primes", "p", "p64", "modulus", "basis", "bound", "signed", "_inv")
 
-    def __init__(self, primes, bound):
+    def __init__(self, primes, bound, signed=False):
         self.primes = tuple(primes)
         self.modulus, self.basis = crt_basis(self.primes)
-        if self.modulus <= bound:
-            raise UsageError("the primes' product must exceed the bound of a residue ring")
-        self.bound = bound
+        if self.modulus <= (2 * bound + 1 if signed else bound):
+            raise UsageError("the primes' product must exceed the bound of a residue ring"
+                             + (" twice over when signed" if signed else ""))
+        self.bound, self.signed = bound, signed
         self.p = np.array(self.primes, dtype=float)[:, None]
         self.p64 = self.p.astype(np.int64)
         self.p.setflags(write=False)
         self.p64.setflags(write=False)
+        self._inv = np.zeros((len(self.primes), 1))
 
     def __repr__(self):
-        return f"ResidueRing({len(self.primes)} primes, bound of {self.bound.bit_length()} bits)"
+        kind = "signed bound" if self.signed else "bound"
+        return f"ResidueRing({len(self.primes)} primes, {kind} of {self.bound.bit_length()} bits)"
 
     def residues(self, ints):
         """The ints modulo each prime, as a float64 array [prime, len(ints)]."""
@@ -270,13 +362,44 @@ class ResidueRing:
             return np.remainder(np.array(ints, dtype=float), self.p)
         return np.array([[c % q for c in ints] for q in self.primes], dtype=float)
 
+    def inverses(self, q_max):
+        """Read-only [prime, q] array of q^-1 mod p for q = 1..q_max (column 0 is 0).
+
+        Built once per ring, by inv(q) = -(p // q) inv(p mod q) mod p, and
+        extended when a larger q is asked for.
+        """
+        if q_max >= min(self.primes):
+            raise UsageError(f"{q_max} is not below the smallest prime of {self!r}")
+        if self._inv.shape[1] <= q_max:
+            size = max(q_max + 1, 2 * self._inv.shape[1])
+            ints, rows = self.p64[:, 0], np.arange(len(self.primes))
+            inv = np.zeros((len(self.primes), size))
+            inv[:, 1] = 1
+            for q in range(2, size):
+                quo, rem = np.divmod(ints, q)
+                inv[:, q] = -quo * inv[rows, rem] % self.p[:, 0]
+            inv.setflags(write=False)
+            self._inv = inv
+        return self._inv
+
+    def weights(self, values):
+        """Residues of ints and Fractions whose denominators lie below the smallest prime."""
+        fracs = [Fraction(v) for v in values]
+        dens = [f.denominator for f in fracs]
+        inv = self.inverses(max(dens, default=1))[:, dens]
+        return self._reduce(self.residues([f.numerator for f in fracs]) * inv)
+
     def lift(self, columns):
         """The ints whose residues are the columns of a float64 array [prime, m]."""
         out = []
+        half = self.modulus // 2
         for col in columns.astype(np.int64).T.tolist():
             v = sum(map(operator.mul, col, self.basis)) % self.modulus
-            if v > self.bound:
-                raise AccuracyError(f"a residue lifts to a value above the bound {self.bound}: "
+            if self.signed and v > half:
+                v -= self.modulus
+            if abs(v) > self.bound:
+                raise AccuracyError(f"a residue lifts to a value above the bound {self.bound}"
+                                    f"{' in magnitude' if self.signed else ''}: "
                                     "a residue or the bound is wrong")
             out.append(v)
         return out
@@ -312,11 +435,113 @@ class ResidueRing:
         """
         return (a.astype(np.int64) % self.p64).astype(float)
 
-    def mul(self, a, b, N):  # one convolution per prime, each sum below 2^53
-        return self._reduce(np.array([np.convolve(x, y)[: N + 1] for x, y in zip(a, b)]))
+    def mul(self, a, b, N):
+        return self.mul_sum([(a, 0, b, 0)], N)
+
+    def mul_sum(self, pairs, N):
+        """sum a b over the pairs (a, val(a), b, val(b)), to order N.
+
+        Only the terms from the valuations on are multiplied, so a pair's
+        product fills the window x^(val(a)+val(b))..x^N.  A long window is
+        one convolution per prime; the short ones are batched (see
+        ``_short_products``).  Products are added unreduced into one buffer,
+        each entry gaining at most one product of two residues per term of a
+        window, and the buffer is reduced and folded in only when its entries
+        could pass 2^53: ``room`` = 2^53 / (p - 1)^2 products, which
+        ``coefficients`` keeps at N + 1 or more.
+        """
+        acc, raw, load = None, np.zeros((len(self.primes), N + 1)), 0
+        room = (1 << 53) // (max(self.primes) - 1) ** 2
+        items = [(a, va, b, vb, N + 1 - va - vb) for a, va, b, vb in pairs if va + vb <= N]
+        short = [item for item in items if item[4] <= _SHORT_WINDOW]
+        width = max((item[4] for item in short), default=1)
+        if len(short) * len(self.primes) <= width:  # fewer convolutions than batch steps
+            short = []
+        for a, va, b, vb, size in items:
+            if short and size <= _SHORT_WINDOW:
+                continue
+            if load + size > room:
+                acc, raw, load = self._fold(acc, raw), np.zeros_like(raw), 0
+            for out, x, y in zip(raw[:, va + vb:], a[:, va:va + size], b[:, vb:vb + size]):
+                out += np.convolve(x, y)[:size]
+            load += size
+        batch = max(room // width, 1)
+        for start in range(0, len(short), batch):
+            if load + width * batch > room:
+                acc, raw, load = self._fold(acc, raw), np.zeros_like(raw), 0
+            raw[:, N + 1 - width:] += _short_products(short[start:start + batch], width)
+            load += width * batch
+        return self._fold(acc, raw)
+
+    def _fold(self, acc, raw):
+        """acc + raw reduced (acc None counts as zero)."""
+        raw = self._reduce(raw)
+        return raw if acc is None else self.add(acc, raw)
 
     def scalar_mul(self, a, c):
         return self._reduce(a * self.residues([c]))
+
+    def scalar_div(self, a, q):
+        if q < 1:
+            raise UsageError(f"a residue ring divides by positive ints only, not {q}")
+        return self._reduce(a * self.inverses(q)[:, q:q + 1])
+
+    def shift(self, a, k):
+        out = np.zeros_like(a)
+        out[:, k:] = a[:, : max(a.shape[1] - k, 0)]
+        return out
+
+    def substitute_power(self, a, i):
+        out = np.zeros_like(a)
+        out[:, ::i] = a[:, : (a.shape[1] - 1) // i + 1]
+        return out
+
+    def exp(self, a):
+        # n e_n = sum_m (m a_m) e_{n-m}, one dot per prime for each n, then
+        # times n^-1; e is kept reversed, so e_{n-1}, ..., e_0 is one slice
+        N = a.shape[1] - 1
+        na = self._reduce(a * np.arange(N + 1))
+        inv, p = self.inverses(max(N, 1)), self.p[:, 0]
+        rev = np.zeros_like(a)
+        rev[:, N] = 1
+        for n in range(1, N + 1):
+            dot = np.einsum("ij,ij->i", na[:, 1:n + 1], rev[:, N - n + 1:])
+            rev[:, N - n] = dot % p * inv[:, n] % p
+        return rev[:, ::-1]
+
+    def valuation(self, a):
+        nonzero = a.any(axis=0)
+        first = int(nonzero.argmax())
+        return first if nonzero[first] else a.shape[1]
+
+    def accumulator(self, N):
+        return np.zeros((len(self.primes), N + 1))
+
+    def settle(self, out):
+        return self._reduce(out)
+
+    def add_power_sum(self, out, a, weights, lo, hi):
+        """out += sum_{i=lo}^{hi} weights[:, i] a(x**i), in place, left unreduced.
+
+        One i is a strided add of products below p^2.  A range of i is
+        gathered along the order's substitution plan and added per prime by
+        ``np.bincount``, then reduced.  An entry x^t of out thus gains less
+        than p^2 per divisor i of t from a single-i call and less than p from
+        a range, so sums stay below 2^53 while each entry has at most N + 1
+        such gains (``coefficients``' condition).
+        """
+        N = a.shape[1] - 1
+        if lo == hi:
+            out[:, ::lo] += a[:, : N // lo + 1] * weights[:, lo:lo + 1]
+            return
+        src, tgt, i, ends = _substitution_plan(N)
+        cut = slice(ends[max(lo, 2) - 1], ends[hi])
+        src, tgt, i = src[cut], tgt[cut], i[cut]
+        terms = a[:, src] * weights[:, i]
+        gain = np.array([np.bincount(tgt, row, N + 1) for row in terms])
+        if lo == 1:
+            gain += a * weights[:, 1:2]
+        out += self._reduce(gain)
 
     def power_sums(self, c, N, weights):
         # weights reduced modulo each prime: an entry adds fewer than N products
@@ -341,7 +566,7 @@ class ResidueRing:
 # ---------------------------------------------------------------------------
 
 class TruncatedSeries:
-    __slots__ = ("coeffs", "order", "ring", "_logs")
+    __slots__ = ("coeffs", "order", "ring", "_logs", "_val")
 
     def __init__(self, coeffs, order=None, ring=EXACT):
         if order is None:
@@ -350,6 +575,7 @@ class TruncatedSeries:
         self.order = order
         self.ring = ring
         self._logs = None  # evaluate's table of log-magnitudes, built at its first call
+        self._val = None  # the x-valuation, found at its first use
 
     # -- constructors ------------------------------------------------------
     @classmethod
@@ -366,7 +592,7 @@ class TruncatedSeries:
     def copy_with(self, coeffs):
         out = object.__new__(TruncatedSeries)
         out.coeffs, out.order, out.ring = self.ring.freeze(coeffs), self.order, self.ring
-        out._logs = None
+        out._logs = out._val = None
         return out
 
     # -- bookkeeping ---------------------------------------------------------
@@ -377,10 +603,13 @@ class TruncatedSeries:
             raise UsageError(f"ring/order mismatch: ({self.ring},{self.order}) vs "
                              f"({other.ring},{other.order})")
 
-    def _exact_only(self, what):
-        """Refuse an operation that only the exact ring provides."""
-        if self.ring is not EXACT:
-            raise UsageError(f"{what} is defined in the exact ring only, not in {self.ring!r}")
+    def _exact_only(self, what, residues=False):
+        """Refuse an operation that only the exact ring provides, or with
+        ``residues`` the exact and residue rings."""
+        if self.ring is not EXACT and not (residues and isinstance(self.ring, ResidueRing)):
+            also = " (and modulo primes)" if residues else ""
+            raise UsageError(f"{what} is defined in the exact ring only{also}, "
+                             f"not in {self.ring!r}")
 
     def __eq__(self, other):
         if not isinstance(other, TruncatedSeries):
@@ -398,6 +627,12 @@ class TruncatedSeries:
     def lift(self):
         """A residue-ring series in the exact ring, lifted by the CRT; others as they are."""
         return self.ring.lift_series(self)
+
+    def valuation(self):
+        """The least n with a_n != 0 (order + 1 for the zero series), found once."""
+        if self._val is None:
+            self._val = self.ring.valuation(self.coeffs)
+        return self._val
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other):
@@ -417,41 +652,30 @@ class TruncatedSeries:
     __rmul__ = __mul__
 
     def scalar_div(self, q):
-        self._exact_only("scalar_div")
-        return self.copy_with([_quotient(c, q) for c in self.coeffs])
+        """Divide by a nonzero int q; a residue ring needs 1 <= q below its smallest prime."""
+        self._exact_only("scalar_div", residues=True)
+        return self.copy_with(self.ring.scalar_div(self.coeffs, q))
 
     def shift(self, k=1):
         """Multiply by x**k."""
-        self._exact_only("shift")
-        return self.copy_with([0] * k + self.coeffs[: self.order + 1 - k])
+        self._exact_only("shift", residues=True)
+        return self.copy_with(self.ring.shift(self.coeffs, k))
 
     def exp(self):
         """exp(a) for a with zero constant term, via e' = a'e coefficient solve."""
-        self._exact_only("exp")
-        if self.coeffs[0] != 0:
+        self._exact_only("exp", residues=True)
+        if self.valuation() == 0:
             raise DomainError("exp requires zero constant term")
-        N = self.order
-        # n e_n = sum_m m a_m e_{n-m}; whole m a_m and e_n stay ints
-        na = [_whole(m * am) for m, am in enumerate(self.coeffs)]
-        e = [1] + [0] * N
-        for n in range(1, N + 1):
-            tot = 0
-            for m in range(1, n + 1):
-                if na[m]:
-                    tot += na[m] * e[n - m]
-            e[n] = _quotient(tot, n)
-        return self.copy_with(e)
+        return self.copy_with(self.ring.exp(self.coeffs))
 
     def substitute_power(self, i):
         """a(x) -> a(x**i)."""
-        self._exact_only("substitute_power")
+        self._exact_only("substitute_power", residues=True)
         if i < 1:
             raise UsageError("substitute_power requires i >= 1")
         if i == 1:
             return self
-        out = [0] * (self.order + 1)
-        out[::i] = self.coeffs[: self.order // i + 1]
-        return self.copy_with(out)
+        return self.copy_with(self.ring.substitute_power(self.coeffs, i))
 
     def power_sums(self, weights):
         """[sum_{i>=2} w(i) a(x**i) for w in weights]; w = None means w(i) = 1.
@@ -609,23 +833,32 @@ def _eps_power_image(i, a, cap):
 
 
 class MarkedSeries:
-    """Exact series in x and one or two marks, stored by mark exponent.
+    """Series in x and one or two marks, stored by mark exponent.
 
     ``terms`` maps a mark exponent (a, b) to the TruncatedSeries in x that
     multiplies it; b stays 0 with one mark, and zero terms are dropped.
-    ``caps`` bounds a and b.  In the 'u' basis an exponent counts marked
-    nodes; in the 'eps' basis it is a power of eps = u - 1.
+    Every term is of one ring and one order, and the series takes its ring
+    from them (the exact ring when it has none).  ``caps`` bounds a and b.
+    In the 'u' basis an exponent counts marked nodes; in the 'eps' basis it
+    is a power of eps = u - 1.
+
+    Each term keeps its x-valuation (``TruncatedSeries.valuation``), so
+    products whose valuations add up past the order are skipped, not formed.
     """
 
-    __slots__ = ("terms", "order", "caps", "basis")
+    __slots__ = ("terms", "order", "caps", "basis", "ring")
 
     def __init__(self, terms, order, caps, basis):
         if basis not in ("u", "eps") or len(caps) != 2 or min(caps) < 0:
             raise UsageError(f"bad mark shape: caps {caps!r}, basis {basis!r}")
-        if any(s.ring is not EXACT or s.order != order for s in terms.values()):
-            raise UsageError("marked series are exact-only, of one order")
-        self.terms = {e: s for e, s in terms.items() if any(s.coeffs)}
+        self.ring = next(iter(terms.values())).ring if terms else EXACT
+        if any(s.ring != self.ring or s.order != order for s in terms.values()):
+            raise UsageError("the terms of a marked series are of one ring and one order")
         self.order, self.caps, self.basis = order, tuple(caps), basis
+        self.terms = self._nonzero(terms)
+
+    def _nonzero(self, terms):
+        return {e: s for e, s in terms.items() if s.valuation() <= self.order}
 
     @classmethod
     def lift(cls, s, caps, basis):
@@ -634,12 +867,12 @@ class MarkedSeries:
 
     def copy_with(self, terms):
         out = object.__new__(MarkedSeries)
-        out.terms = {e: s for e, s in terms.items() if any(s.coeffs)}
-        out.order, out.caps, out.basis = self.order, self.caps, self.basis
+        out.order, out.caps, out.basis, out.ring = self.order, self.caps, self.basis, self.ring
+        out.terms = out._nonzero(terms)
         return out
 
     def one_like(self):
-        return self.copy_with({_UNMARKED: TruncatedSeries.one(self.order)})
+        return self.copy_with({_UNMARKED: TruncatedSeries.one(self.order, self.ring)})
 
     def mark(self, power=1, v=0):
         """The monomial u_v**power (v = 0 or 1) in this basis, constant in x."""
@@ -649,13 +882,14 @@ class MarkedSeries:
             weights = {power: 1}
         else:  # u**p = (1+eps)**p
             weights = {r: _comb_signed(power, r) for r in range(self.caps[v] + 1)}
-        one = TruncatedSeries.one(self.order)
+        one = TruncatedSeries.one(self.order, self.ring)
         return self.copy_with({(r, 0) if v == 0 else (0, r): one * w
                                for r, w in weights.items() if r <= self.caps[v]})
 
     def _check(self, other):
-        if (self.order, self.caps, self.basis) != (other.order, other.caps, other.basis):
-            raise UsageError("marked series order/caps/basis mismatch")
+        if (self.order, self.caps, self.basis, self.ring) != (
+                other.order, other.caps, other.basis, other.ring):
+            raise UsageError("marked series order/caps/basis/ring mismatch")
 
     def _fits(self, e):
         return e[0] <= self.caps[0] and e[1] <= self.caps[1]
@@ -682,22 +916,33 @@ class MarkedSeries:
         if not isinstance(other, MarkedSeries):
             return self.copy_with({e: s * other for e, s in self.terms.items()})
         self._check(other)
-        terms = {}
+        pairs = {}
         for (a1, b1), s1 in self.terms.items():
             for (a2, b2), s2 in other.terms.items():
                 e = (a1 + a2, b1 + b2)
                 if self._fits(e):
-                    p = s1 * s2
-                    terms[e] = terms[e] + p if e in terms else p
-        return self.copy_with(terms)
+                    pairs.setdefault(e, []).append((s1, s2))
+        return self.copy_with({e: self._sum_of_products(ps) for e, ps in pairs.items()})
 
     __rmul__ = __mul__
+
+    def _sum_of_products(self, pairs):
+        """sum s t over a non-empty list of pairs of terms; a pair whose
+        valuations add up past the order is skipped."""
+        N = self.order
+        terms = [(s.coeffs, s.valuation(), t.coeffs, t.valuation()) for s, t in pairs]
+        return pairs[0][0].copy_with(
+            self.ring.mul_sum([p for p in terms if p[1] + p[3] <= N], N))
 
     def scalar_div(self, q):
         return self.copy_with({e: s.scalar_div(q) for e, s in self.terms.items()})
 
     def shift(self, k=1):
         return self.copy_with({e: s.shift(k) for e, s in self.terms.items()})
+
+    def _check_constant_term(self, what):
+        if any(s.valuation() == 0 for s in self.terms.values()):
+            raise DomainError(f"{what} requires zero constant term")
 
     def exp(self):
         """exp(p) through the Euler operator theta = sum_m m d/dm over the marks.
@@ -707,23 +952,30 @@ class MarkedSeries:
             |alpha| E_alpha = sum_{0 < beta <= alpha} |beta| p_beta E_{alpha-beta},
 
         from E_0 = exp(p_0) in x.  It is the same in both bases, and whole
-        coefficients stay ints.
+        coefficients stay ints in the exact ring.  A product of two terms
+        whose valuations add up past the order is zero and is skipped.
         """
-        if any(s[0] for s in self.terms.values()):
-            raise DomainError("exp requires zero constant term")
-        E = {_UNMARKED: self.terms.get(_UNMARKED, TruncatedSeries.zero(self.order)).exp()}
-        dp = [(beta, s.copy_with([_whole(c * sum(beta)) for c in s.coeffs]))
-              for beta, s in self.terms.items() if beta != _UNMARKED]
-        A, B = self.caps
-        for alpha in sorted(((a, b) for a in range(A + 1) for b in range(B + 1)), key=sum)[1:]:
-            tot = None
-            for (a, b), s in dp:
-                rest = E.get((alpha[0] - a, alpha[1] - b))
-                if rest is not None:
-                    t = s * rest
-                    tot = t if tot is None else tot + t
-            if tot is not None and any(tot.coeffs):
-                E[alpha] = tot.scalar_div(sum(alpha))
+        self._check_constant_term("exp")
+        N = self.order
+        E = {_UNMARKED: self.terms.get(_UNMARKED, TruncatedSeries.zero(N, self.ring)).exp()}
+        dp = {}  # |beta| -> [(beta, |beta| p_beta)], by ascending valuation
+        for beta, s in sorted(self.terms.items(), key=lambda item: item[1].valuation()):
+            if beta != _UNMARKED:
+                dp.setdefault(sum(beta), []).append((beta, s * sum(beta)))
+        # E_alpha of |alpha| = size needs only the E of smaller size, all known
+        for size in range(1, sum(self.caps) + 1):
+            pairs = {}
+            for (a, b), rest in E.items():
+                for (c, d), s in dp.get(size - a - b, ()):
+                    if s.valuation() + rest.valuation() > N:
+                        break
+                    alpha = (a + c, b + d)
+                    if self._fits(alpha):
+                        pairs.setdefault(alpha, []).append((s, rest))
+            for alpha, ps in pairs.items():
+                tot = self._sum_of_products(ps)
+                if tot.valuation() <= N:
+                    E[alpha] = tot.scalar_div(size)
         return self.copy_with(E)
 
     def substitute_power(self, i):
@@ -741,28 +993,67 @@ class MarkedSeries:
         return self.copy_with(terms)
 
     def polya_exponent(self):
-        """sum_{i>=1} a(x**i, u**i) / i, accumulated in place over ascending i."""
-        if any(s[0] for s in self.terms.values()):
-            raise DomainError("polya_exponent requires zero constant term")
-        N = self.order
+        """sum_{i>=1} a(x**i, u**i) / i, accumulated in place over ascending i.
+
+        Only i <= N / val(a_e) reach the order.  In the u basis the image of
+        u**e takes one i, and is added as one substituted series; in the eps
+        basis every i adds to each image exponent, and the ring adds each
+        (exponent, image exponent) pair over all i at once, weighted by the
+        image coefficient over i.
+        """
+        self._check_constant_term("polya_exponent")
+        N, ring = self.order, self.ring
         acc = {}
-        for i in range(1, N + 1):
-            for e, s in self.terms.items():
-                c = s.coeffs
-                for e2, w in self._image(e, i):
-                    out = acc.setdefault(e2, [0] * (N + 1))
-                    for m in range(1, N // i + 1):
-                        if c[m]:
-                            out[m * i] += _quotient(w * c[m], i)
-        return self.copy_with({e: TruncatedSeries(c, N) for e, c in acc.items()})
+
+        def add(e2, coeffs, weights, lo, hi):
+            if e2 not in acc:
+                acc[e2] = ring.accumulator(N)
+            ring.add_power_sum(acc[e2], coeffs, weights, lo, hi)
+
+        for e, s in self.terms.items():
+            top = N // s.valuation()
+            if self.basis == "u":
+                inverses = _polya_weights(ring, N, None)
+                for i in range(1, top + 1):
+                    e2 = (e[0] * i, e[1] * i)
+                    if not self._fits(e2):
+                        break
+                    add(e2, s.coeffs, inverses, i, i)
+            else:
+                for e2, weights in _polya_weights(ring, N, (e, self.caps)):
+                    add(e2, s.coeffs, weights, 1, top)
+        like = next(iter(self.terms.values()), None)  # acc is empty when there are no terms
+        return self.copy_with({e: like.copy_with(ring.settle(out)) for e, out in acc.items()})
 
     def at_one(self):
-        """Collapse every mark to 1 (eps = 0), giving a scalar TruncatedSeries."""
-        zero = TruncatedSeries.zero(self.order)
+        """Collapse every mark to 1 (eps = 0), giving a scalar exact-ring series."""
+        zero = TruncatedSeries.zero(self.order, self.ring)
         if self.basis == "u":
-            return sum(self.terms.values(), zero)
-        return self.terms.get(_UNMARKED, zero)
+            return sum(self.terms.values(), zero).lift()
+        return self.terms.get(_UNMARKED, zero).lift()
 
     def __getitem__(self, n):
         """The x**n coefficient as {mark exponent: nonzero value}."""
-        return {e: s[n] for e, s in self.terms.items() if s[n]}
+        coefficients = ((e, s[n]) for e, s in self.terms.items())
+        return {e: v for e, v in coefficients if v}
+
+
+@lru_cache(maxsize=256)
+def _polya_weights(ring, N, source):
+    """The weights of ``MarkedSeries.polya_exponent`` in the ring's format, over i = 0..N.
+
+    source None: [0, 1, 1/2, ..., 1/N].  source (e, caps), eps basis: the
+    pairs (image exponent e2, [0, c_1 / 1, ..., c_N / N]) with c_i the
+    coefficient of eps**e2 in the image of eps**e under u -> u**i.
+    """
+    if source is None:
+        return ring.weights([0] + [Fraction(1, i) for i in range(1, N + 1)])
+    e, caps = source
+    images = [[0] * (N + 1) for _ in range((caps[0] + 1) * (caps[1] + 1))]
+    for i in range(1, N + 1):
+        wa, wb = (_eps_power_image(i, a, cap) for a, cap in zip(e, caps))
+        for p, x in enumerate(wa):
+            for q, y in enumerate(wb):
+                images[p * (caps[1] + 1) + q][i] = Fraction(x * y, i)
+    return tuple(((j // (caps[1] + 1), j % (caps[1] + 1)), ring.weights(w))
+                 for j, w in enumerate(images) if any(w))

@@ -165,6 +165,23 @@ def test_constants_take_each_log_magnitude_once_per_series(monkeypatch):
     assert 0 < len(calls) <= 2500
 
 
+def test_constants_share_one_table_of_y(monkeypatch):
+    # tree_series(N) is one series per N, so compute_rho, compute_b and
+    # compute_constants read one table of log|y_n|, kept for the next call:
+    # a first call builds the tables of y and y' (400 entries each), a
+    # repeated one only that of y'; each took 1 600 calls when every step
+    # built its own y
+    assert tree_series(400) is tree_series(400)
+    tree_series.cache_clear()
+    calls = []
+    log_abs = series_mod._log_abs
+    monkeypatch.setattr(series_mod, "_log_abs", lambda c: calls.append(c) or log_abs(c))
+    compute_constants(400, degrees=range(1, 11))
+    first = len(calls)
+    compute_constants(400, degrees=range(1, 11))
+    assert 0 < first <= 850 and 0 < len(calls) - first <= 450
+
+
 def test_Cd_converges_to_C(constants_400):
     cs = compute_constants(400, degrees=range(1, 11))
     ks = []

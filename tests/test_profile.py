@@ -6,6 +6,8 @@ from math import inf, nan, prod, sqrt
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyaprofile.enumeration import (
     degree_series,
@@ -29,6 +31,7 @@ from polyaprofile.profile import (
     level_difference_moment,
     level_mean,
     level_of,
+    mixed_degree_moment_from_marked,
     mixed_degree_series,
     mixed_gamma_series,
     mixed_moment_from_marked,
@@ -36,7 +39,7 @@ from polyaprofile.profile import (
     second_factorial_series,
     two_level_series,
 )
-from polyaprofile.series import EXACT, DoubleRing, TruncatedSeries
+from polyaprofile.series import EXACT, DoubleRing, ResidueRing, TruncatedSeries
 
 RHO = 0.3383218568992077
 
@@ -375,6 +378,51 @@ def test_total_profile_distribution():
             brute[c] = brute.get(c, 0) + 1
         got = {l: v for (l, _), v in s[n].items()}
         assert got == brute
+
+
+def _over_exact(fn):
+    """fn() with every marked series built over EXACT: the big-integer route."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(profile, "_marked_ring", lambda *args: EXACT)
+        return fn()
+
+
+_DEGREES = st.sampled_from([1, 2, 3, 4, TOTAL])
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), extra=st.integers(0, 3), d=_DEGREES, d2=_DEGREES,
+       k=st.integers(0, 5), h=st.integers(0, 3), order=st.integers(1, 3))
+def test_residue_marked_route_is_the_big_integer_route(n, extra, d, d2, k, h, order):
+    # the marked series over a residue ring, lifted at every x**m, and the
+    # laws and moments read from them equal the same code over EXACT; the
+    # series are of order N >= n and the laws are read at n
+    N = n + extra
+    series = [
+        lambda: level_degree_series(d, k, N, "full"),
+        lambda: level_degree_series(d, k, N, "moments", order),
+        lambda: two_level_series(d, k, h, N, "full"),
+        lambda: two_level_series(d, k, h, N, "moments", order),
+        lambda: two_level_series(d, k, h, N, "tightness"),
+    ]
+    if TOTAL not in (d, d2) and d != d2:
+        series += [lambda: mixed_degree_series(d, d2, k, N, "full"),
+                   lambda: mixed_degree_series(d, d2, k, N, "moments", order)]
+    for build in series:
+        got = build()
+        assert isinstance(got.ring, ResidueRing)
+        assert _coefficients(got) == _over_exact(lambda: _coefficients(build()))
+    laws = [
+        lambda: exact_distribution(n, d, k, series=level_degree_series(d, k, N)),
+        lambda: joint_distribution(n, d, k, h, series=two_level_series(d, k, h, N)),
+        lambda: factorial_moments_from_marked(n, d, k, order),
+        lambda: mixed_moment_from_marked(n, d, k, h),
+        lambda: [level_difference_moment(n, k, h, power) for power in (1, 2, 3, 4)],
+    ]
+    if TOTAL not in (d, d2) and d != d2:
+        laws.append(lambda: mixed_degree_moment_from_marked(n, d, d2, k))
+    for law in laws:
+        assert law() == _over_exact(law)
 
 
 def test_marked_series_coefficients_are_ints():

@@ -499,7 +499,9 @@ _EXACT_ONLY = {
 
 
 @pytest.mark.parametrize("op,ring", [
-    *((op, ring) for op in _EXACT_ONLY for ring in ("double", "residue")),
+    *((op, "double") for op in _EXACT_ONLY),
+    ("evaluate", "residue"),
+    ("to_double", "residue"),
     ("power_sums", "exact"),
     ("add_across_scales", "double"),
 ])
@@ -558,6 +560,35 @@ def test_eps_mode_tracks_negative_powers():
     assert inv.substitute_power(2)[0] == {(0, 0): 1, (1, 0): -2, (2, 0): 3, (3, 0): -4}
 
 
+@settings(max_examples=60, deadline=None)
+@given(N=st.integers(1, 8), basis=st.sampled_from(["u", "eps"]), caps=st.sampled_from(
+    [(1, 0), (3, 0), (1, 1), (2, 1)]), residue=st.booleans(), data=st.data())
+def test_marked_exp_and_polya_exponent_are_their_definitions(N, basis, caps, residue, data):
+    # exp(p) = sum_j p^j / j! and polya(p) = sum_i p(x^i, u^i) / i, formed by
+    # products, substitutions and divisions, equal the Euler-operator and
+    # plan-wide passes at every x**n up to the order, in either ring; the
+    # terms of p start at drawn valuations, so products of valuations adding
+    # up to exactly N occur
+    ring = ResidueRing(_build_primes(N, 1 << 80), 1 << 80, signed=True) if residue else EXACT
+    terms = {}
+    for a in range(caps[0] + 1):
+        for b in range(caps[1] + 1):
+            val = data.draw(st.integers(1, N + 1))
+            cs = data.draw(st.lists(st.integers(-9, 9), min_size=N + 1 - val, max_size=N + 1 - val))
+            terms[(a, b)] = S([0] * val + cs, N, ring=ring)
+    p = MarkedSeries(terms, N, caps, basis)
+    assert p.ring is ring
+    term = total = p.one_like()
+    for j in range(1, N + 1):
+        term = (term * p).scalar_div(j)
+        total = total + term
+    assert p.exp().terms == total.terms
+    polya = p
+    for i in range(2, N + 1):
+        polya = polya + p.substitute_power(i).scalar_div(i)
+    assert p.polya_exponent().terms == polya.terms
+
+
 # ---------------------------------------------------------------------------
 # residue ring
 # ---------------------------------------------------------------------------
@@ -612,6 +643,81 @@ def test_residue_reduction_equals_the_float_remainder():
     assert ring._reduce(x).tobytes() == (x % ring.p).tobytes()
 
 
+_BIG = st.integers(-(10**40), 10**40)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cs=st.lists(_BIG, min_size=1, max_size=40), q=st.integers(1, 10**5),
+       k=st.integers(0, 45), i=st.integers(1, 45), seed=st.integers(0, 2**32))
+def test_residue_operations_are_the_exact_ones_modulo_each_prime(cs, q, k, i, seed):
+    # each residue operation, against the exact ring's result taken modulo
+    # each prime; a Fraction's residue is its numerator over its denominator
+    N = len(cs) - 1
+    bound = 10**45 * math.factorial(N + 1)
+    ring = ResidueRing(_build_primes(N, bound << 20), bound, signed=True)
+    e, r = S(cs, N), S(cs, N, ring=ring)
+
+    def modulo_primes(series):
+        return np.array([[c.numerator * pow(c.denominator, -1, p) % p
+                          for c in map(Fraction, series.coeffs)] for p in ring.primes],
+                        dtype=float)
+
+    def same(got, want):
+        assert _canonical(got) and got.coeffs.tobytes() == modulo_primes(want).tobytes()
+
+    same(r.scalar_div(q), e.scalar_div(q))
+    same(r.shift(k), e.shift(k))
+    same(r.substitute_power(i), e.substitute_power(i))
+    a = [0, *(c % 201 - 100 for c in cs[1:])]  # small: exact exp grows fast
+    same(S(a, N, ring=ring).exp(), S(a, N).exp())
+    rng = random.Random(seed)
+    fracs = [Fraction(c, rng.randrange(1, 3 * N + 4)) for c in cs]
+    assert ring.weights(fracs).tobytes() == modulo_primes(S(fracs, N)).tobytes()
+    # sums of products, from the valuations on, and substitution sums
+    vals = [min(rng.randrange(N + 2), e.valuation()) for _ in range(4)]
+    shifted = [e.shift(v) for v in vals]
+    pairs = [(shifted[0], shifted[1]), (shifted[2], shifted[3]), (e, e)]
+    want = sum((s * t for s, t in pairs), S([0], N))
+    got = ring.mul_sum([(S(s.coeffs, N, ring=ring).coeffs, s.valuation(),
+                         S(t.coeffs, N, ring=ring).coeffs, t.valuation()) for s, t in pairs], N)
+    same(r.copy_with(got), want)
+    weights = [0] + [Fraction(rng.randrange(-9, 10), j) for j in range(1, N + 1)]
+    for lo, hi in ((i, i), (1, N), (2, max(N // 2, 2))):
+        if hi > N or lo > N:
+            continue
+        out_e, out_r = EXACT.accumulator(N), ring.accumulator(N)
+        EXACT.add_power_sum(out_e, a, weights, lo, hi)
+        ring.add_power_sum(out_r, S(a, N, ring=ring).coeffs, ring.weights(weights), lo, hi)
+        same(r.copy_with(ring.settle(out_r)), S(EXACT.settle(out_e), N))
+    # the signed lift gives back every coefficient of magnitude up to the bound
+    assert r.lift() == e
+    assert S([bound, -bound], 1, ring=ring).lift() == S([bound, -bound], 1)
+
+
+def test_residue_lifts_refuse_values_past_the_bound():
+    bound = 10**30
+    primes = _build_primes(10, bound << 20)
+    signed, unsigned = ResidueRing(primes, bound, signed=True), ResidueRing(primes, bound)
+    for ring, value in ((signed, bound + 1), (signed, -bound - 1), (unsigned, bound + 1),
+                        (unsigned, -1)):
+        with pytest.raises(AccuracyError, match="above the bound"):
+            S([0, value], 10, ring=ring)[1]
+    assert S([0, -bound], 10, ring=signed)[1] == -bound
+    with pytest.raises(UsageError, match="twice over when signed"):
+        ResidueRing(primes[:2], (math.prod(primes[:2]) - 1) // 2, signed=True)
+
+
+def test_residue_inverses_and_division_refuse_a_multiple_of_a_prime():
+    ring = ResidueRing(_build_primes(10, 1 << 60), 1 << 60)
+    inv = ring.inverses(50)
+    assert all(inv[j, q] * q % p == 1 for j, p in enumerate(ring.primes) for q in range(1, 51))
+    assert ring.inverses(10) is inv  # built once
+    with pytest.raises(UsageError, match="smallest prime"):
+        ring.inverses(min(ring.primes))
+    with pytest.raises(UsageError, match="positive ints"):
+        S([0, 1], 10, ring=ring).scalar_div(0)
+
+
 def test_residue_ring_refuses_what_it_cannot_do_exactly():
     ring = ResidueRing(_build_primes(400, 1 << 100), 1 << 100)
     with pytest.raises(UsageError, match="too large"):
@@ -619,6 +725,6 @@ def test_residue_ring_refuses_what_it_cannot_do_exactly():
     with pytest.raises(UsageError, match="exceed the bound"):
         ResidueRing(ring.primes[:2], 1 << 100)
     with pytest.raises(UsageError, match="exact ring only"):
-        S([0, 1], 10, ring=ring).exp()
+        S([0, 1], 10, ring=ring).evaluate(0.1)
     with pytest.raises(TypeError):
         S([Fraction(1, 2)], 10, ring=ring)
