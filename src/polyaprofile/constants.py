@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -82,6 +83,17 @@ class ConstantsSet:
     def c_d_rho_d(self, d):
         """C_d * rho^d, the amplitude appearing in the limit laws."""
         return self.Cd[d] * self.rho**d
+
+
+@lru_cache(maxsize=16)
+def _y(N):
+    """tree_series(N), one series per N for the evaluations in this module.
+
+    Its table of log-magnitudes, built at its first evaluation, serves every
+    later step and call at N.  The series never leaves this module, and
+    nothing here changes it in place.
+    """
+    return tree_series(N)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +137,7 @@ def compute_rho(N, tol=1e-14):
     """
     if N < 100:
         raise UsageError("compute_rho requires N >= 100")
-    y = tree_series(N)
+    y = _y(N)
     lo, _ = y.evaluate(0.2)
     hi = math.fsum(c * 0.45**n for n, c in enumerate(y.coeffs[:11]))
     if not (lo < 1.0 < hi):
@@ -186,7 +198,7 @@ def compute_b(rho, N):
     deepest three tail-clean rungs remove the sqrt and linear terms.
     Returns (b, err).
     """
-    pts = _ladder_points(tree_series(N), rho)
+    pts = _ladder_points(_y(N), rho)
     if len(pts) < 3:
         raise AccuracyError("not enough tail-clean ladder rungs; increase N")
     f = [(1.0 - v) ** 2 / (rho - x) for x, v in pts]
@@ -208,7 +220,7 @@ def _half_b2rho(rho, N):
     mu_d divides by this rather than by a b estimate, whose error would bias
     every mu_d alike, so sum_d mu_d = 1 to full precision.
     """
-    y = tree_series(N)
+    y = _y(N)
     # y' keeps y's order; its x^N coefficient is 0, so evaluate adds no tail
     yprime = TruncatedSeries(
         [n * c for n, c in enumerate(y.coeffs)][1:] + [0], y.order, y.ring
@@ -247,7 +259,7 @@ def _C_from_powers(rho, powers):
 
 def compute_C(rho, N):
     """C = exp(sum_{i>=1} (y(rho^i)/rho^i - 1)/i), with its error."""
-    return _C_from_powers(rho, _on_powers(tree_series(N), rho))
+    return _C_from_powers(rho, _on_powers(_y(N), rho))
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +324,7 @@ def c_d_rho_solve(degrees, rho, yvals):
 
 def c_d_rho_ladder(d, rho, N):
     """Secondary route: extrapolate (1-y) D^{(d)} / y^d along the rho ladder."""
-    pts = _ladder_points(tree_series(N), rho)
+    pts = _ladder_points(_y(N), rho)
     if len(pts) < 3:
         raise AccuracyError("not enough ladder rungs for C_d; increase N")
     D = degree_series(d, N)
@@ -337,7 +349,7 @@ def compute_constants(N=400, degrees=range(1, 11)):
             f"ladder b={b} inconsistent with functional-equation b={b_fun}"
         )
     # y(rho^i) for i = 2.._POWERS, with y(rho) = 1 imposed exactly
-    powers = list(_on_powers(tree_series(N), rho))
+    powers = list(_on_powers(_y(N), rho))
     C, C_err = _C_from_powers(rho, powers)
     yvals = [0.0, 1.0] + [v for _, _, v, _ in powers]
     cdrs = c_d_rho_solve(degrees, rho, yvals)

@@ -235,15 +235,8 @@ def _save(cache_dir, n_max):
         print(f"warning: count table not cached: {exc}", file=sys.stderr)
 
 
-@lru_cache(maxsize=16)
 def tree_series(N):
-    """The tree generating function y(x) as an exact truncated series, from the count table.
-
-    Every call at one N returns the same series, which nothing changes in
-    place: the table of log-magnitudes its first evaluation builds serves
-    every later caller (``constants.compute_constants`` evaluates y in three
-    steps, and again at every call).
-    """
+    """The tree generating function y(x) as an exact truncated series, from the count table."""
     return TruncatedSeries(count_trees(N).y, N, EXACT)
 
 

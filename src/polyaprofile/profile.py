@@ -19,20 +19,24 @@ the test suite holds them to exact rational equality:
    whose caps and basis come from one helper; its exp steps in the mark
    direction, so the level series keep integer coefficients.
 
-   The marked series run modulo word-size primes (a ``ResidueRing`` per
-   order, caps and basis, ``_marked_ring``).  Every division on the way is
-   by a small int (1/i in the Polya exponent, 1/|alpha| in the exp, 1/m in
-   the cycle index), invertible modulo primes near 2^20, so the rational
-   intermediates have residues too; only the [x^n] coefficients read are
-   lifted by the CRT.  They are integers with known bounds, and the primes'
-   product exceeds 2^20 times the bound at the order N: in the u basis
+   From order ``_RESIDUE_FROM`` = 11 on, the marked series run modulo
+   word-size primes (a ``ResidueRing`` per order, caps and basis,
+   ``_marked_ring``); below it they stay in big integers, which are the
+   faster there (the full-mode laws at n = 8 take 1.4-2x as long modulo
+   primes, and the two rings break even near n = 11).  Every division on
+   the way is by a small int (1/i in the Polya exponent, 1/|alpha| in the
+   exp, 1/m in the cycle index), invertible modulo primes near 2^20, so the
+   rational intermediates have residues too; only the [x^n] coefficients
+   read are lifted by the CRT.  They are integers with known bounds, and the
+   primes' product exceeds 2^20 times the bound at the order N: in the u basis
    [x^n u^l] <= y_n; in the eps basis [x^n eps^a] = sum over the trees of
    C(L, a) <= C(n, a) y_n, per mark; in the tightness mode, signed, with
    |[x^n eps^j]| <= C(n + 4, 4) y_n.  E(L(20) - L(40))^4 at n = 400 takes
-   0.9–1.2 s (6.6–8.0 s in big integers) and the joint law of L(3) and L(5)
-   at n = 30 0.24–0.28 s (2.1–2.3 s), timed alternately on a 2-CPU host.
-   The same code over the exact ring, the big-integer route, stays as the
-   test oracle: the tests reach it by replacing ``_marked_ring``.
+   1.0–1.2 s (7.8–9.1 s in big integers) and the joint law of L(3) and L(5)
+   at n = 30 0.6–1.0 s (2.2–2.3 s), timed alternately on a 2-CPU host.
+   The same code over the exact ring, the big-integer route, is the test
+   oracle at every order: the tests reach it by replacing ``_marked_ring``,
+   and the residue route below the crossover by lowering ``_RESIDUE_FROM``.
 
 2. Derivative recurrences.  Differentiating the exp recurrence once, twice,
    and in two variables and setting the marks to 1 gives univariate
@@ -79,7 +83,7 @@ from math import comb, factorial, isfinite, isqrt, prod, sqrt
 
 from .enumeration import _build_primes, multiset_cap_series, tree_series
 from .errors import UsageError
-from .series import DoubleRing, MarkedSeries, ResidueRing, TruncatedSeries
+from .series import EXACT, DoubleRing, MarkedSeries, ResidueRing, TruncatedSeries
 
 TOTAL = None  # degree argument meaning "count every node on the level"
 
@@ -101,7 +105,8 @@ def _marked_tree_series(N, mode, order, marks, degrees, *levels, signed=False):
     mode 'full' caps each mark at N in the u basis, for whole laws; mode
     'moments' caps it at ``order`` in the eps basis, for factorial moments
     (``signed`` for the tightness marking, whose coefficients may be
-    negative).  The series lives in the ring ``_marked_ring`` picks.
+    negative).  The series is exact below order ``_RESIDUE_FROM`` and
+    lives in the ring ``_marked_ring`` picks from it on.
     """
     if min(levels) < 0 or any(d is not TOTAL and d < 1 for d in degrees):
         raise UsageError("marked series need levels k, h >= 0 and degrees d >= 1")
@@ -113,8 +118,14 @@ def _marked_tree_series(N, mode, order, marks, degrees, *levels, signed=False):
         raise UsageError(f"unknown mode {mode!r}")
     y = tree_series(N)
     caps = (cap, cap if marks == 2 else 0)
-    y = TruncatedSeries(y.coeffs, N, _marked_ring(N, caps, basis, signed))
-    return MarkedSeries.lift(y, caps, basis)
+    ring = EXACT if N < _RESIDUE_FROM else _marked_ring(N, caps, basis, signed)
+    return MarkedSeries.lift(TruncatedSeries(y.coeffs, N, ring), caps, basis)
+
+
+# below this order the marked series stay in big integers, which are the
+# faster there: numpy's cost per call outweighs products of a few terms
+# (measured; see the module docstring)
+_RESIDUE_FROM = 11
 
 
 @lru_cache(maxsize=64)

@@ -24,8 +24,9 @@ the classes here:
     (``scalar_div``, through a table of inverses built once per ring),
     shifts, substitutes x -> x**i (a strided copy), takes ``exp`` by
     n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, forms
-    residues of Fraction weights (``weights``) and adds sums of products
-    (``mul_sum``) and of substituted series (``add_power_sum``) for the
+    residues of Fraction weights (``weights``), adds sums of products
+    (``mul_sum``) and of substituted series (``add_power_sum``) and lifts
+    one coefficient of many series in one call (``read_many``) for the
     marked series.  Only the double ring refuses those.
     An exact series evaluates at a point through its table of (log|a_n|,
     sign of a_n), built at its first evaluation and never passed on to a
@@ -52,9 +53,8 @@ Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
 it is a Python loop over big integers, so the exact derivative pass and the
 marked series run in a residue ring, where a product is one ``np.convolve``
 per prime (the multi-modular method: von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 5); products of a few terms each are batched across
-primes and pairs (``_short_products``).  Values are immutable and operations
-pure, so instances are safe to share across workers.
+Computer Algebra, ch. 5).  Values are immutable and operations pure, so
+instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -144,28 +144,6 @@ def _by_block(w, top):
     return [0, 0, *(map(w, range(2, top + 1)) if w else [1] * (top - 1))]
 
 
-_SHORT_WINDOW = 16  # product windows this short are batched across pairs and primes
-
-
-def _short_products(items, width):
-    """sum over (a, va, b, vb, size) of a b on its window of ``size`` <= width terms.
-
-    a's window is padded on the left and b's on the right to ``width``, so
-    every product lands on the last ``width`` terms, x^(N+1-width)..x^N: the
-    batch takes ``width`` slice multiply-adds instead of one convolution per
-    prime and pair.  Each entry sums at most width * len(items) products.
-    """
-    x = np.zeros((len(items), len(items[0][0]), width))
-    y = np.zeros_like(x)
-    for j, (a, va, b, vb, size) in enumerate(items):
-        x[j, :, width - size:] = a[:, va:va + size]
-        y[j, :, :size] = b[:, vb:vb + size]
-    out = np.zeros_like(x)
-    for m in range(width):
-        out[:, :, m:] += x[:, :, m:m + 1] * y[:, :, :width - m]
-    return out.sum(axis=0)
-
-
 # ---------------------------------------------------------------------------
 # rings: each converts exact coefficients into its format (``coefficients``)
 # and does the arithmetic of TruncatedSeries on that format
@@ -186,6 +164,9 @@ class ExactRing:
     freeze = staticmethod(list)
     read = staticmethod(operator.getitem)
     equal = staticmethod(operator.eq)
+
+    def read_many(self, arrays, n):
+        return [a[n] for a in arrays]
 
     def add(self, a, b):
         return [x + y for x, y in zip(a, b)]
@@ -417,6 +398,10 @@ class ResidueRing:
     def read(self, c, n):
         return self.lift(c[:, n:n + 1])[0]
 
+    def read_many(self, arrays, n):
+        """Coefficient n of each array, lifted together."""
+        return self.lift(np.array([a[:, n] for a in arrays]).T) if arrays else []
+
     # a sum or difference of two residues is off by at most one p: one
     # conditional step reduces it, at less than half the cost of a float %
     def add(self, a, b):
@@ -442,35 +427,24 @@ class ResidueRing:
         """sum a b over the pairs (a, val(a), b, val(b)), to order N.
 
         Only the terms from the valuations on are multiplied, so a pair's
-        product fills the window x^(val(a)+val(b))..x^N.  A long window is
-        one convolution per prime; the short ones are batched (see
-        ``_short_products``).  Products are added unreduced into one buffer,
-        each entry gaining at most one product of two residues per term of a
-        window, and the buffer is reduced and folded in only when its entries
-        could pass 2^53: ``room`` = 2^53 / (p - 1)^2 products, which
-        ``coefficients`` keeps at N + 1 or more.
+        product fills the window x^(val(a)+val(b))..x^N, one convolution per
+        prime.  Products are added unreduced into one buffer, each entry
+        gaining at most one product of two residues per term of a window, and
+        the buffer is reduced and folded in only when its entries could pass
+        2^53: ``room`` = 2^53 / (p - 1)^2 products, which ``coefficients``
+        keeps at N + 1 or more.
         """
         acc, raw, load = None, np.zeros((len(self.primes), N + 1)), 0
         room = (1 << 53) // (max(self.primes) - 1) ** 2
-        items = [(a, va, b, vb, N + 1 - va - vb) for a, va, b, vb in pairs if va + vb <= N]
-        short = [item for item in items if item[4] <= _SHORT_WINDOW]
-        width = max((item[4] for item in short), default=1)
-        if len(short) * len(self.primes) <= width:  # fewer convolutions than batch steps
-            short = []
-        for a, va, b, vb, size in items:
-            if short and size <= _SHORT_WINDOW:
+        for a, va, b, vb in pairs:
+            size = N + 1 - va - vb
+            if size <= 0:
                 continue
             if load + size > room:
                 acc, raw, load = self._fold(acc, raw), np.zeros_like(raw), 0
             for out, x, y in zip(raw[:, va + vb:], a[:, va:va + size], b[:, vb:vb + size]):
                 out += np.convolve(x, y)[:size]
             load += size
-        batch = max(room // width, 1)
-        for start in range(0, len(short), batch):
-            if load + width * batch > room:
-                acc, raw, load = self._fold(acc, raw), np.zeros_like(raw), 0
-            raw[:, N + 1 - width:] += _short_products(short[start:start + batch], width)
-            load += width * batch
         return self._fold(acc, raw)
 
     def _fold(self, acc, raw):
@@ -852,6 +826,8 @@ class MarkedSeries:
         if basis not in ("u", "eps") or len(caps) != 2 or min(caps) < 0:
             raise UsageError(f"bad mark shape: caps {caps!r}, basis {basis!r}")
         self.ring = next(iter(terms.values())).ring if terms else EXACT
+        if self.ring is not EXACT and not isinstance(self.ring, ResidueRing):
+            raise UsageError(f"marked series are exact or modulo primes, not in {self.ring!r}")
         if any(s.ring != self.ring or s.order != order for s in terms.values()):
             raise UsageError("the terms of a marked series are of one ring and one order")
         self.order, self.caps, self.basis = order, tuple(caps), basis
@@ -1034,8 +1010,8 @@ class MarkedSeries:
 
     def __getitem__(self, n):
         """The x**n coefficient as {mark exponent: nonzero value}."""
-        coefficients = ((e, s[n]) for e, s in self.terms.items())
-        return {e: v for e, v in coefficients if v}
+        values = self.ring.read_many([s.coeffs for s in self.terms.values()], n)
+        return {e: v for e, v in zip(self.terms, values) if v}
 
 
 @lru_cache(maxsize=256)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyaprofile import constants as constants_mod
 from polyaprofile import series as series_mod
 from polyaprofile.constants import (
     _ladder_points,
@@ -166,13 +167,13 @@ def test_constants_take_each_log_magnitude_once_per_series(monkeypatch):
 
 
 def test_constants_share_one_table_of_y(monkeypatch):
-    # tree_series(N) is one series per N, so compute_rho, compute_b and
-    # compute_constants read one table of log|y_n|, kept for the next call:
-    # a first call builds the tables of y and y' (400 entries each), a
+    # the constants read one y per N (constants._y), so compute_rho, compute_b
+    # and compute_constants read one table of log|y_n|, kept for the next
+    # call: a first call builds the tables of y and y' (400 entries each), a
     # repeated one only that of y'; each took 1 600 calls when every step
-    # built its own y
-    assert tree_series(400) is tree_series(400)
-    tree_series.cache_clear()
+    # built its own y.  The public tree_series still hands out a new series
+    assert tree_series(400) is not tree_series(400)
+    constants_mod._y.cache_clear()
     calls = []
     log_abs = series_mod._log_abs
     monkeypatch.setattr(series_mod, "_log_abs", lambda c: calls.append(c) or log_abs(c))

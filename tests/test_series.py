@@ -504,6 +504,7 @@ _EXACT_ONLY = {
     ("to_double", "residue"),
     ("power_sums", "exact"),
     ("add_across_scales", "double"),
+    ("marked", "double"),
 ])
 def test_rings_refuse_what_they_do_not_define(op, ring):
     rings = {"exact": EXACT, "double": DoubleRing(0.5),
@@ -515,6 +516,9 @@ def test_rings_refuse_what_they_do_not_define(op, ring):
     elif op == "power_sums":
         with pytest.raises(UsageError, match="double and residue rings only"):
             s.power_sums((None,))
+    elif op == "marked":
+        with pytest.raises(UsageError, match="exact or modulo primes"):
+            MarkedSeries.lift(s, (1, 0), "u")
     else:
         # one scale is one ring, whichever object holds it; two scales are two
         assert (s + S([0, 1, 2], 10, ring=DoubleRing(0.5)))[2] == 2 * s[2]
