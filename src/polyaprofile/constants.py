@@ -30,13 +30,12 @@ computed once and gives both the closed-form b (the cross-check of the
 ladder) and the mu_d divisor b^2 rho / 2.  One generator, _on_powers, walks
 the powers for E in the rho fixed point, for E'(rho) and for the table.
 
-C^{(d)}(rho) is evaluated two ways: the primary route solves the derivative
-recurrence gamma_{k+1} = y (gamma_k + sum_{i>=2} gamma_k(x^i)) at x = rho,
-giving C^{(d)}(rho) = gamma_0(rho) + sum_{l>=0} sum_{i>=2} gamma_l(rho^i)
-(all evaluations at arguments <= rho^2, machine precision); the secondary
-route extrapolates (1-y)D/y^d along a ladder x_j -> rho and is kept as a
-cross-check since it loses accuracy for large d where y^{-d} blows up.
-c_d_rho_solve runs the primary route for every requested degree in one
+C^{(d)}(rho) solves the derivative recurrence gamma_{k+1} = y (gamma_k +
+sum_{i>=2} gamma_k(x^i)) at x = rho, giving C^{(d)}(rho) = gamma_0(rho) +
+sum_{l>=0} sum_{i>=2} gamma_l(rho^i) (all evaluations at arguments <= rho^2,
+machine precision).  The tests hold it to a second route that extrapolates
+(1-y)D/y^d along a ladder x_j -> rho, which loses accuracy for large d where
+y^{-d} blows up.  c_d_rho_solve runs it for every requested degree in one
 array pass over the grid rho^m: the cycle index Z_{d-1} on the whole grid,
 one np.bincount along the order's substitution plan per recurrence level,
 and Gamma_l as the last entry of an np.cumsum.
@@ -58,7 +57,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .enumeration import degree_series, tree_series
+from .enumeration import tree_series
 from .errors import AccuracyError, UsageError
 from .series import TruncatedSeries, _substitution_plan
 
@@ -229,15 +228,6 @@ def _half_b2rho(rho, N):
     return 1.0 + rho * ep
 
 
-def b_from_functional_equation(rho, N):
-    """Closed-form b = sqrt(2 (1 + rho E'(rho)) / rho) from the singular system.
-
-    Independent of the ladder; good to ~1e-12 at N >= 200.  Used as a
-    cross-check of compute_b.
-    """
-    return math.sqrt(2.0 * _half_b2rho(rho, N) / rho)
-
-
 # ---------------------------------------------------------------------------
 # C
 # ---------------------------------------------------------------------------
@@ -302,12 +292,11 @@ def c_d_rho_solve(degrees, rho, yvals):
     g = pw * np.array([Z[d - 1] for d in ds])
     total = g[:, 1].copy()
     g[:, 1] = 0.0
-    # acc[m] = g[m] + g[2m] + g[3m] + ...: the i = 1 term, then the order's
-    # substitution plan from target back to source, i ascending; bincount adds
-    # in that order, one row of the flat index per degree still adding
-    src, tgt, _, _ = _substitution_plan(M)
-    bins = np.arange(len(ds))[:, None] * (M + 1) + np.concatenate((np.arange(M + 1), src))
-    reads = np.concatenate((np.arange(M + 1), tgt))
+    # acc[m] = g[m] + g[2m] + g[3m] + ...: the order's substitution plan from
+    # target back to source, i ascending from 1; bincount adds in that order,
+    # one row of the flat index per degree still adding
+    src, reads, _, _ = _substitution_plan(M)
+    bins = np.arange(len(ds))[:, None] * (M + 1) + src
     rows = np.arange(len(ds))
     for level in range(200):
         gam = np.cumsum(g, axis=1)[:, -1]
@@ -320,15 +309,6 @@ def c_d_rho_solve(degrees, rho, yvals):
         g = y * acc.reshape(g.shape)
         g[:, :2] = 0.0
     return {d: float(total[k]) for k, d in enumerate(ds)}
-
-
-def c_d_rho_ladder(d, rho, N):
-    """Secondary route: extrapolate (1-y) D^{(d)} / y^d along the rho ladder."""
-    pts = _ladder_points(_y(N), rho)
-    if len(pts) < 3:
-        raise AccuracyError("not enough ladder rungs for C_d; increase N")
-    D = degree_series(d, N)
-    return _richardson(*[(1.0 - v) * D.evaluate(x)[0] / v**d for x, v in pts[-3:]])[0]
 
 
 # ---------------------------------------------------------------------------

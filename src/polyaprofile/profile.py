@@ -55,9 +55,10 @@ the test suite holds them to exact rational equality:
    variance and correlation.  One pass steps all of them together: per
    level it forms S_k once per degree, then steps only the series asked
    for, so the covariance table of two degrees costs 8 series products a
-   level and the plain mean 1.  Each series' substitution sums are a
-   gather and ``np.bincount`` along the (i, m) plan of the order, built
-   once (``TruncatedSeries.power_sums``), with no Python loop over i.
+   level and the plain mean 1.  Each substitution sum is one
+   ``TruncatedSeries.power_sum``, the ring's sum that the marked route's
+   Polya exponent uses too (no Python loop over i in the array rings),
+   weighted by the arrays of 1, i and i - 1 the pass builds once.
 
    The exact pass runs modulo word-size primes (a ``ResidueRing``): every
    series it steps has nonnegative integer coefficients, [x^m] of them at
@@ -359,17 +360,15 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
     zero = _zero_level(0, degrees, y, second, mixed)
     f, m = zero.f, zero.mixed
     yield _Level(0, g, f, m)
-    weights = (None, lambda i: i - 1) if second else (None,)
+    # the weights 1, i and i - 1 of the substitution sums, over i = 0..N
+    ones, by_i, by_i_less_one = map(y.ring.weights, ([1] * (N + 1), range(N + 1), range(-1, N)))
     for k in range(1, min(k_max, N - 1) + 1):
-        sums = [gj.power_sums(weights) for gj in g]
-        S = [gj + G[0] for gj, G in zip(g, sums)]
+        S = [gj + gj.power_sum(ones) for gj in g]
         if second:
-            f = [
-                y * (Sj * Sj + fj + fj.power_sums((lambda i: i,))[0] + G[1])
-                for G, Sj, fj in zip(sums, S, f)
-            ]
+            f = [y * (Sj * Sj + fj + fj.power_sum(by_i) + gj.power_sum(by_i_less_one))
+                 for gj, Sj, fj in zip(g, S, f)]
         if mixed:
-            m = y * (S[0] * S[1] + m + m.power_sums((lambda i: i,))[0])
+            m = y * (S[0] * S[1] + m + m.power_sum(by_i))
         g = [y * Sj for Sj in S]
         yield _Level(k, g, f, m)
     for k in range(N, k_max + 1):

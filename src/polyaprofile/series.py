@@ -7,27 +7,28 @@ the classes here:
     a(x) = sum_{n<=N} a_n x^n with scalar coefficients in a ring, which owns
     their format and arithmetic, so every series method has one body.  The
     exact ring ``EXACT`` keeps Python ints / Fractions (whole quotients stay
-    ints, so coefficient-wise equality is canonical), and it alone
-    evaluates.  A ``DoubleRing`` keeps a numpy
-    float64 vector rescaled by the ring's geometric ``scale`` (stored[n]
-    equals the true coefficient times scale**n) so that series whose
-    coefficients grow like rho**-n stay inside float range at large
-    truncation orders.  A ``ResidueRing`` keeps integer coefficients modulo
-    each of its word-size primes, as a float64 array [prime, n], and reading
-    a coefficient lifts it back by the CRT (signed, for values of either
-    sign, in a ring made ``signed``).  The derivative pass runs in
-    these two array rings, through ``+``, ``*`` and ``power_sums``, whose
-    substitution sums are a gather and ``np.bincount`` along the (i, m)
-    plan of the order (``_substitution_plan``), with no loop over i.
+    ints, so coefficient-wise equality is canonical), and it alone evaluates.
+    A ``DoubleRing`` keeps a numpy float64 vector rescaled by the ring's
+    geometric ``scale`` (stored[n] equals the true coefficient times
+    scale**n) so that series whose coefficients grow like rho**-n stay inside
+    float range at large truncation orders.  A ``ResidueRing`` keeps integer
+    coefficients modulo each of its word-size primes, as a float64 array
+    [prime, n], and reading a coefficient lifts it back by the CRT (signed,
+    for values of either sign, in a ring made ``signed``).  Every ring has
+    one substitution sum, ``power_sum(a, weights, lo, hi)`` = sum_{i=lo}^{hi}
+    weights[i] a(x**i), weights in the ring's format (``weights``): the
+    derivative pass takes its S_k from it and the marked series their Polya
+    exponent.  In the array rings a range of i is a gather and
+    ``np.bincount`` along the (i, m) plan of the order
+    (``_substitution_plan``), with no loop over i.
     A rational whose denominator is prime to every p has residues too, so
     the residue ring also divides by an int below its smallest prime
     (``scalar_div``, through a table of inverses built once per ring),
     shifts, substitutes x -> x**i (a strided copy), takes ``exp`` by
-    n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, forms
-    residues of Fraction weights (``weights``), adds sums of products
-    (``mul_sum``) and of substituted series (``add_power_sum``) and lifts
-    one coefficient of many series in one call (``read_many``) for the
-    marked series.  Only the double ring refuses those.
+    n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, adds
+    sums of products (``mul_sum``) and lifts one coefficient of many
+    series in one call (``read_many``) for the marked series.  Only the
+    double ring refuses those.
     An exact series evaluates at a point through its table of (log|a_n|,
     sign of a_n), built at its first evaluation and never passed on to a
     series made from it: each term is then one multiply-add and one
@@ -40,14 +41,13 @@ the classes here:
     arithmetic.  Its terms are of one ring and one order, exact or residue,
     and the one body of every method serves both: the residue ring carries
     the profile's marked route, and the exact ring is its test oracle.  The
-    marks live in the monomial basis ('u': an exponent
-    counts marked nodes) or in the nilpotent basis ('eps': the series is
-    f(1+eps) truncated at a fixed eps-degree, which carries all
-    u-derivatives at u = 1 up to that order in one pass).  ``exp`` steps in
-    the mark direction with the Euler operator, the same in both bases, and
-    keeps whole coefficients as ints in the exact ring.  Each term's
-    x-valuation is found once, and a product whose valuations add up past
-    the order is skipped, not formed.
+    marks live in the monomial basis ('u': an exponent counts marked nodes)
+    or in the nilpotent basis ('eps': the series is f(1+eps) truncated at a
+    fixed eps-degree, which carries all u-derivatives at u = 1 up to that
+    order in one pass).  ``exp`` steps in the mark direction with the Euler
+    operator, the same in both bases, and keeps whole coefficients as ints in
+    the exact ring.  Each term's x-valuation is found once, and a product
+    whose valuations add up past the order is skipped, not formed.
 
 Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
 it is a Python loop over big integers, so the exact derivative pass and the
@@ -109,24 +109,17 @@ def _frozen(arr):
 
 @lru_cache(maxsize=64)
 def _substitution_plan(N):
-    """(src, tgt, i, ends), read-only: entry r of sum_{i>=2} a(x**i) to order N moves
-    a_src[r] to x**tgt[r], tgt = src i, in blocks of i = 2..N ascending, src =
-    0..N // i; block i ends at ends[i] (ends[0] = ends[1] = 0), so i <= i_max is a prefix."""
-    sizes = N // np.arange(2, N + 1) + 1
-    ends = np.concatenate(([0, 0], np.cumsum(sizes)))[: N + 1]
-    i = np.repeat(np.arange(2, N + 1), sizes)
+    """(src, tgt, i, ends), read-only: entry r of sum_{i>=1} a(x**i) to order N moves
+    a_src[r] to x**tgt[r], tgt = src i, in blocks of i = 1..N ascending, src =
+    0..N // i; block i is ends[i - 1]:ends[i] (ends[0] = 0), so lo <= i <= hi is a slice."""
+    sizes = N // np.arange(1, N + 1) + 1
+    ends = np.concatenate(([0], np.cumsum(sizes)))
+    i = np.repeat(np.arange(1, N + 1), sizes)
     src = np.arange(len(i)) - ends[i - 1]
     plan = (src, src * i, i, ends)
     for arr in plan:
         arr.setflags(write=False)
     return plan
-
-
-def _plan_prefix(nonzero, N):
-    """The plan cut to i <= i_max = N / val(a), and i_max; ``nonzero`` marks a's nonzero terms."""
-    src, tgt, i, ends = _substitution_plan(N)
-    top = N // max(next(iter(np.flatnonzero(nonzero)), N + 1), 1)
-    return src[: ends[top]], tgt[: ends[top]], i[: ends[top]], top
 
 
 @lru_cache(maxsize=64)
@@ -136,12 +129,10 @@ def _scale_powers(scale, N):
     return _frozen(scale ** (tgt - src))
 
 
-def _by_block(w, top):
-    """[0, 0, w(2), ..., w(top)], to be indexed by the plan's i: w once per block.
-
-    w = None means w(i) = 1; multiplying by that 1 leaves every bit as it is.
-    """
-    return [0, 0, *(map(w, range(2, top + 1)) if w else [1] * (top - 1))]
+def _first(nonzero):
+    """The index of the first True of a non-empty boolean vector, its length when none is."""
+    first = int(nonzero.argmax())
+    return first if nonzero[first] else len(nonzero)
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +215,19 @@ class ExactRing:
         return next((n for n, x in enumerate(a) if x), len(a))
 
     weights = staticmethod(list)
-    accumulator = staticmethod(lambda N: [0] * (N + 1))
-    settle = staticmethod(list)
 
-    def add_power_sum(self, out, a, weights, lo, hi):
+    def power_sum(self, a, weights, lo, hi):
+        """sum_{i=lo}^{hi} weights[i] a(x**i), each product whole as an int."""
+        N = len(a) - 1
+        terms = [(m, am) for m, am in enumerate(a) if am]
+        out = [0] * (N + 1)
         for i in range(lo, hi + 1):
             if weights[i]:
-                for m in range(1, (len(a) - 1) // i + 1):
-                    if a[m]:
-                        out[m * i] += _whole(weights[i] * a[m])
-
-    def power_sums(self, c, N, weights):
-        raise UsageError("power_sums is defined in the double and residue rings only")
+                for m, am in terms:
+                    if m * i > N:
+                        break
+                    out[m * i] += _whole(weights[i] * am)
+        return out
 
     def lift_series(self, series):
         return series
@@ -287,13 +279,26 @@ class DoubleRing:
     def scalar_mul(self, a, c):
         return a * float(c)
 
-    def power_sums(self, c, N, weights):
-        # stored[m] = a_m scale^m, so a(x^i) stored at mi needs scale^(mi-m);
-        # bincount adds in plan order, so each sum adds its terms i by i
-        src, tgt, i, top = _plan_prefix(c != 0, N)
-        t = c[src] * _scale_powers(self.scale, N)[: len(src)]
-        return [np.bincount(tgt, t * np.array(_by_block(w, top), dtype=float)[i], N + 1)
-                for w in weights]
+    weights = staticmethod(_frozen)
+
+    def valuation(self, a):
+        return _first(a != 0)
+
+    def power_sum(self, a, weights, lo, hi):
+        """sum_{i=lo}^{hi} weights[i] a(x**i), over i <= N / val(a), past which a(x**i) vanishes.
+
+        stored[m] = a_m scale^m, so a(x^i) stored at mi needs scale^(mi-m).
+        ``np.bincount`` adds in plan order, i ascending: the bits of adding
+        the substituted series one by one.
+        """
+        N = len(a) - 1
+        top = min(hi, N // max(self.valuation(a), 1))
+        if top < lo:
+            return np.zeros(N + 1)
+        src, tgt, i, ends = _substitution_plan(N)
+        cut = slice(ends[lo - 1], ends[top])
+        terms = a[src[cut]] * _scale_powers(self.scale, N)[cut] * weights[i[cut]]
+        return np.bincount(tgt[cut], terms, N + 1)
 
     def lift_series(self, series):
         return series
@@ -484,51 +489,31 @@ class ResidueRing:
         return rev[:, ::-1]
 
     def valuation(self, a):
-        nonzero = a.any(axis=0)
-        first = int(nonzero.argmax())
-        return first if nonzero[first] else a.shape[1]
+        return _first(a.any(axis=0))
 
-    def accumulator(self, N):
-        return np.zeros((len(self.primes), N + 1))
+    def power_sum(self, a, weights, lo, hi):
+        """sum_{i=lo}^{hi} weights[:, i] a(x**i), reduced.
 
-    def settle(self, out):
-        return self._reduce(out)
-
-    def add_power_sum(self, out, a, weights, lo, hi):
-        """out += sum_{i=lo}^{hi} weights[:, i] a(x**i), in place, left unreduced.
-
-        One i is a strided add of products below p^2.  A range of i is
-        gathered along the order's substitution plan and added per prime by
-        ``np.bincount``, then reduced.  An entry x^t of out thus gains less
-        than p^2 per divisor i of t from a single-i call and less than p from
-        a range, so sums stay below 2^53 while each entry has at most N + 1
-        such gains (``coefficients``' condition).
+        One i is a strided product.  A range of i is gathered along the plan,
+        cut at i <= N / val(a) and to a's nonzero terms, and added by one
+        ``np.bincount`` per prime (one row of terms at a time).  x^t gains a
+        product of two residues per i dividing t (every i at t = 0): at most
+        N + 1 terms below p^2, exact in any order (``coefficients``' bound).
         """
         N = a.shape[1] - 1
+        out = np.zeros(a.shape)
         if lo == hi:
-            out[:, ::lo] += a[:, : N // lo + 1] * weights[:, lo:lo + 1]
-            return
+            out[:, ::lo] = self._reduce(a[:, : N // lo + 1] * weights[:, lo:lo + 1])
+            return out
+        nonzero = a.any(axis=0)
+        top = min(hi, N // max(_first(nonzero), 1))
+        if top < lo:
+            return out
         src, tgt, i, ends = _substitution_plan(N)
-        cut = slice(ends[max(lo, 2) - 1], ends[hi])
-        src, tgt, i = src[cut], tgt[cut], i[cut]
-        terms = a[:, src] * weights[:, i]
-        gain = np.array([np.bincount(tgt, row, N + 1) for row in terms])
-        if lo == 1:
-            gain += a * weights[:, 1:2]
-        out += self._reduce(gain)
-
-    def power_sums(self, c, N, weights):
-        # weights reduced modulo each prime: an entry adds fewer than N products
-        # of two residues, below 2^53 like a convolution sum, so the sums are
-        # exact in any order (terms of zero coefficients drop out); a bincount
-        # per prime keeps every temporary at one row of terms
-        nonzero = c.any(axis=0)
-        src, tgt, i, top = _plan_prefix(nonzero, N)
-        keep = np.flatnonzero(nonzero[src])
+        keep = ends[lo - 1] + np.flatnonzero(nonzero[src[ends[lo - 1]:ends[top]]])
         src, tgt, i = src[keep], tgt[keep], i[keep]
-        return [self._reduce(np.array([np.bincount(tgt, a[src] * wr[i], N + 1)
-                                      for a, wr in zip(c, self.residues(_by_block(w, top)))]))
-                for w in weights]
+        return self._reduce(np.array([np.bincount(tgt, row[src] * wr[i], N + 1)
+                                      for row, wr in zip(a, weights)]))
 
     def lift_series(self, series):
         """The exact-ring series, each coefficient lifted by the CRT."""
@@ -651,17 +636,9 @@ class TruncatedSeries:
             return self
         return self.copy_with(self.ring.substitute_power(self.coeffs, i))
 
-    def power_sums(self, weights):
-        """[sum_{i>=2} w(i) a(x**i) for w in weights]; w = None means w(i) = 1.
-
-        In the double or a residue ring: the terms of i <= N / val(a) (past
-        which a(x**i) vanishes) are gathered along the order's substitution
-        plan, weighted with w called once per i, and added by ``np.bincount``
-        in plan order, i ascending, so a double-ring sum is bit-identical to
-        adding the substituted series one by one.
-        """
-        return [self.copy_with(acc)
-                for acc in self.ring.power_sums(self.coeffs, self.order, weights)]
+    def power_sum(self, weights):
+        """sum_{i>=2} weights[i] a(x**i), with ``weights`` = ``ring.weights`` of w_0..w_N."""
+        return self.copy_with(self.ring.power_sum(self.coeffs, weights, 2, self.order))
 
     # -- evaluation ----------------------------------------------------------
     def evaluate(self, x0):
@@ -969,44 +946,31 @@ class MarkedSeries:
         return self.copy_with(terms)
 
     def polya_exponent(self):
-        """sum_{i>=1} a(x**i, u**i) / i, accumulated in place over ascending i.
+        """sum_{i>=1} a(x**i, u**i) / i, as the ring's substitution sums.
 
-        Only i <= N / val(a_e) reach the order.  In the u basis the image of
-        u**e takes one i, and is added as one substituted series; in the eps
-        basis every i adds to each image exponent, and the ring adds each
-        (exponent, image exponent) pair over all i at once, weighted by the
-        image coefficient over i.
+        Only i <= N / val(a_e) reach the order.  In the u basis u**e has one
+        image per i, so each i is a sum of its own, but u**0 is its own image
+        under every i; in the eps basis every i adds to each image exponent,
+        weighted by the image coefficient over i, in one sum over all i.
         """
         self._check_constant_term("polya_exponent")
         N, ring = self.order, self.ring
         acc = {}
-
-        def add(e2, coeffs, weights, lo, hi):
-            if e2 not in acc:
-                acc[e2] = ring.accumulator(N)
-            ring.add_power_sum(acc[e2], coeffs, weights, lo, hi)
-
         for e, s in self.terms.items():
             top = N // s.valuation()
             if self.basis == "u":
-                inverses = _polya_weights(ring, N, None)
-                for i in range(1, top + 1):
-                    e2 = (e[0] * i, e[1] * i)
-                    if not self._fits(e2):
-                        break
-                    add(e2, s.coeffs, inverses, i, i)
+                spans = [(1, top)] if e == _UNMARKED else [(i, i) for i in range(1, top + 1)]
+                sums = [((e[0] * lo, e[1] * lo), _polya_weights(ring, N, None), lo, hi)
+                        for lo, hi in spans]
             else:
-                for e2, weights in _polya_weights(ring, N, (e, self.caps)):
-                    add(e2, s.coeffs, weights, 1, top)
+                images = _polya_weights(ring, N, (e, self.caps))
+                sums = [(e2, weights, 1, top) for e2, weights in images]
+            for e2, weights, lo, hi in sums:
+                if self._fits(e2):
+                    part = ring.power_sum(s.coeffs, weights, lo, hi)
+                    acc[e2] = ring.add(acc[e2], part) if e2 in acc else part
         like = next(iter(self.terms.values()), None)  # acc is empty when there are no terms
-        return self.copy_with({e: like.copy_with(ring.settle(out)) for e, out in acc.items()})
-
-    def at_one(self):
-        """Collapse every mark to 1 (eps = 0), giving a scalar exact-ring series."""
-        zero = TruncatedSeries.zero(self.order, self.ring)
-        if self.basis == "u":
-            return sum(self.terms.values(), zero).lift()
-        return self.terms.get(_UNMARKED, zero).lift()
+        return self.copy_with({e: like.copy_with(out) for e, out in acc.items()})
 
     def __getitem__(self, n):
         """The x**n coefficient as {mark exponent: nonzero value}."""

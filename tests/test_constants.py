@@ -12,10 +12,11 @@ from hypothesis import strategies as st
 from polyaprofile import constants as constants_mod
 from polyaprofile import series as series_mod
 from polyaprofile.constants import (
+    _half_b2rho,
     _ladder_points,
     _on_powers,
-    b_from_functional_equation,
-    c_d_rho_ladder,
+    _richardson,
+    _y,
     c_d_rho_solve,
     compute_b,
     compute_C,
@@ -23,12 +24,29 @@ from polyaprofile.constants import (
     compute_rho,
 )
 from polyaprofile.enumeration import degree_series, tree_series
-from polyaprofile.errors import UsageError
+from polyaprofile.errors import AccuracyError, UsageError
 from polyaprofile.series import TruncatedSeries
 
 RHO_REF = 0.3383219      # 7-digit reference value
 B_REF = 2.6811266        # reference value (the last digits are soft)
 C_REF = 7.7581604
+
+
+def b_from_functional_equation(rho, N):
+    """Closed-form b = sqrt(2 (1 + rho E'(rho)) / rho) from the singular system
+    (a test oracle for compute_b): independent of the ladder, good to ~1e-12
+    at N >= 200."""
+    return math.sqrt(2.0 * _half_b2rho(rho, N) / rho)
+
+
+def c_d_rho_ladder(d, rho, N):
+    """C^{(d)}(rho) by extrapolating (1-y) D^{(d)} / y^d along the rho ladder
+    (a test oracle for c_d_rho_solve; it loses accuracy as y^-d grows with d)."""
+    pts = _ladder_points(_y(N), rho)
+    if len(pts) < 3:
+        raise AccuracyError("not enough ladder rungs for C_d; increase N")
+    D = degree_series(d, N)
+    return _richardson(*[(1.0 - v) * D.evaluate(x)[0] / v**d for x, v in pts[-3:]])[0]
 
 
 def test_rho_reproduction(constants_400):

@@ -27,10 +27,19 @@ def S(coeffs, order=None, **kw):
 
 
 def power_sum(a, w):
-    """sum_{i>=2} w(i) a(x**i) for an exact a, adding the substituted series
-    one by one (a test oracle); w = None means w(i) = 1."""
-    terms = (a.substitute_power(i) * (w(i) if w else 1) for i in range(2, a.order + 1))
+    """sum_{i>=2} w[i] a(x**i) for an exact a, adding the substituted series
+    one by one (a test oracle)."""
+    terms = (a.substitute_power(i) * w[i] for i in range(2, a.order + 1))
     return sum(terms, TruncatedSeries.zero(a.order))
+
+
+def at_one(s):
+    """Collapse every mark of a marked series to 1 (eps = 0), giving a scalar
+    exact-ring series (a test oracle)."""
+    zero = TruncatedSeries.zero(s.order, s.ring)
+    if s.basis == "u":
+        return sum(s.terms.values(), zero).lift()
+    return s.terms.get((0, 0), zero).lift()
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +107,7 @@ def test_exp_is_ring_homomorphism(aa, bb):
 
 
 # ---------------------------------------------------------------------------
-# substitute_power / power_sums
+# substitute_power / power_sum
 # ---------------------------------------------------------------------------
 
 def test_substitute_power_basic():
@@ -132,21 +141,26 @@ def test_substitute_power_composes(cs, i, j):
 )
 def test_power_sums_match_adding_substituted_series(cs):
     a = S(cs, 12)
-    weights = (None, lambda i: i, lambda i: i - 1)
+    weights = ([1] * 13, list(range(13)), list(range(-1, 12)))  # 1, i and i - 1
     want = [power_sum(a, w) for w in weights]
+    # exact: the substituted series added, constant terms and all
+    assert [a.power_sum(EXACT.weights(w)) for w in weights] == want
     # residues: the exact sums modulo each prime
     ring = ResidueRing(_build_primes(12, 1 << 80), 1 << 80)
-    assert S(cs, 12, ring=ring).power_sums(weights) == [S(s.coeffs, 12, ring=ring) for s in want]
+    r = S(cs, 12, ring=ring)
+    assert [r.power_sum(ring.weights(w)) for w in weights] == [
+        S(s.coeffs, 12, ring=ring) for s in want]
     # double ring: bit-identical to adding the rescaled substituted terms one
     # i at a time (stored a_m scale^m moves to mi as a_m scale^(mi)), and
     # close to the exact sums
     scale = 0.5
     d = a.to_double(scale)
-    for got, w, exact in zip(d.power_sums(weights), weights, want):
+    for w, exact in zip(weights, want):
+        got = d.power_sum(d.ring.weights(w))
         terms = np.zeros(13)
         for i in range(2, 13):
             m = np.arange(12 // i + 1)
-            terms[m * i] += d.coeffs[m] * scale ** (m * (i - 1)) * (w(i) if w else 1)
+            terms[m * i] += d.coeffs[m] * scale ** (m * (i - 1)) * w[i]
         assert got.coeffs.tobytes() == terms.tobytes()
         assert np.allclose(got.coeffs, exact.to_double(scale).coeffs, rtol=1e-13, atol=0)
 
@@ -201,27 +215,24 @@ def test_power_sums_are_the_loop_over_i_bit_for_bit(N, scale, where, seed, data)
     # double-ring sum has the loop's bits, underflowed blocks and all; residue
     # sums are exact, so the bytes agree in any order
     rng = np.random.default_rng(seed)
-    called = []
 
-    def counted(w):
-        return lambda i: called.append(i) or w(i)
+    def power_sums(ring, c, weights):
+        return [ring.power_sum(c, ring.weights([w(i) if w else 1 for i in range(N + 1)]), 2, N)
+                for w in weights]
 
-    weights = (None, counted(lambda i: i), counted(lambda i: i - 1))
+    weights = (None, lambda i: i, lambda i: i - 1)
     # magnitudes from the subnormal range to 1e300
     c = rng.standard_normal(N + 1) * 10.0 ** rng.uniform(-320, 300, N + 1)
     c = _with_valuation(c, N, where, data.draw, rng)
     ring = DoubleRing(scale)
-    got = ring.power_sums(c, N, weights)
-    top = N // max(next(iter(np.flatnonzero(c)), N + 1), 1)
-    assert sorted(called) == [i for i in range(2, top + 1) for _ in range(2)]  # w once per i
-    for g, want in zip(got, loop_power_sums(ring, c, N, weights)):
+    for g, want in zip(power_sums(ring, c, weights), loop_power_sums(ring, c, N, weights)):
         assert g.tobytes() == want.tobytes()
 
     residue = ResidueRing(_build_primes(N, 1 << 80), 1 << 80)
     c = rng.integers(0, residue.p, (len(residue.primes), N + 1)).astype(float)
     c = _with_valuation(c, N, where, data.draw, rng)
     weights += (lambda i: (1 << 45) + i, lambda i: (1 << 60) + i)  # the last past 2^53
-    for g, want in zip(residue.power_sums(c, N, weights), loop_power_sums(residue, c, N, weights)):
+    for g, want in zip(power_sums(residue, c, weights), loop_power_sums(residue, c, N, weights)):
         assert g.tobytes() == want.tobytes()
 
 
@@ -231,13 +242,14 @@ def test_substitution_plan_lists_every_term_in_ascending_i():
     N = 12
     src, tgt, i, ends = _substitution_plan(N)
     assert _substitution_plan(N)[0] is src  # built once per order
-    want = [(m, m * j, j) for j in range(2, N + 1) for m in range(N // j + 1)]
+    want = [(m, m * j, j) for j in range(1, N + 1) for m in range(N // j + 1)]
     assert list(zip(src.tolist(), tgt.tolist(), i.tolist())) == want
-    assert ends.tolist() == [sum(N // j + 1 for j in range(2, top + 1)) for top in range(N + 1)]
+    assert ends.tolist() == [sum(N // j + 1 for j in range(1, top + 1)) for top in range(N + 1)]
     with pytest.raises(ValueError, match="read-only"):
         src[0] = 1
-    for N in (0, 1):  # no i >= 2 reaches an order below 2
-        assert [len(arr) for arr in _substitution_plan(N)] == [0, 0, 0, N + 1]
+    # order 0 has no i in 1..N; order 1 has i = 1 alone, both of its terms
+    assert [len(arr) for arr in _substitution_plan(0)] == [0, 0, 0, 1]
+    assert [arr.tolist() for arr in _substitution_plan(1)] == [[0, 1], [0, 1], [1, 1], [0, 2]]
 
 
 def polya_exponent(a):
@@ -482,7 +494,8 @@ def test_scaled_double_substitute_and_mul():
     scale = 0.25
     e = tree_series(40)
     d = e.to_double(scale)
-    for s, ds in ((e * e, d * d), (power_sum(e, None), d.power_sums((None,))[0])):
+    ones = [1] * 41
+    for s, ds in ((e * e, d * d), (power_sum(e, ones), d.power_sum(d.ring.weights(ones)))):
         for n in (0, 5, 17, 40):
             want = float(s[n]) * scale**n
             assert abs(ds[n] - want) <= 1e-10 * max(abs(want), 1.0)
@@ -502,7 +515,6 @@ _EXACT_ONLY = {
     *((op, "double") for op in _EXACT_ONLY),
     ("evaluate", "residue"),
     ("to_double", "residue"),
-    ("power_sums", "exact"),
     ("add_across_scales", "double"),
     ("marked", "double"),
 ])
@@ -513,9 +525,6 @@ def test_rings_refuse_what_they_do_not_define(op, ring):
     if op in _EXACT_ONLY:
         with pytest.raises(UsageError, match="exact ring only"):
             _EXACT_ONLY[op](s)
-    elif op == "power_sums":
-        with pytest.raises(UsageError, match="double and residue rings only"):
-            s.power_sums((None,))
     elif op == "marked":
         with pytest.raises(UsageError, match="exact or modulo primes"):
             MarkedSeries.lift(s, (1, 0), "u")
@@ -543,7 +552,7 @@ def test_marked_collapse_at_one_matches_tree_series():
 
     for d, k in ((1, 0), (2, 1), (3, 2)):
         s = level_degree_series(d, k, 12, mode="full")
-        assert s.at_one() == tree_series(12)
+        assert at_one(s) == tree_series(12)
 
 
 def test_marked_u_degree_bounded_by_n():
@@ -610,10 +619,10 @@ def test_residue_ring_arithmetic_matches_the_exact_ring():
     a, b = ([rng.getrandbits(600) for _ in range(N + 1)] for _ in range(2))
     ea, eb = S(a, N), S(b, N)
     ra, rb = S(a, N, ring=ring), S(b, N, ring=ring)
-    weights = (None, lambda i: i - 1, lambda i: (1 << 45) + i)
+    weights = ([1] * (N + 1), list(range(-1, N)), [(1 << 45) + i for i in range(N + 1)])
     pairs = [
         (ra + rb, ea + eb), ((ra + rb) - rb, ea), (ra * rb, ea * eb), (ra * 12345, ea * 12345),
-        *zip(rb.power_sums(weights), (power_sum(eb, w) for w in weights)),
+        *((rb.power_sum(ring.weights(w)), power_sum(eb, w)) for w in weights),
     ]
     for got, want in pairs:
         assert _canonical(got)
@@ -636,7 +645,7 @@ def test_residue_add_and_sub_equal_the_float_remainder():
 
 
 def test_residue_reduction_equals_the_float_remainder():
-    # mul, scalar_mul and power_sums reduce integers below 2^53 through an
+    # mul, scalar_mul and power_sum reduce integers below 2^53 through an
     # int64 %; the float64 % of the same array is the oracle
     ring = ResidueRing(_build_primes(400, 1 << 1500), 1 << 1500)
     rng = np.random.default_rng(11)
@@ -685,14 +694,21 @@ def test_residue_operations_are_the_exact_ones_modulo_each_prime(cs, q, k, i, se
     got = ring.mul_sum([(S(s.coeffs, N, ring=ring).coeffs, s.valuation(),
                          S(t.coeffs, N, ring=ring).coeffs, t.valuation()) for s, t in pairs], N)
     same(r.copy_with(got), want)
+    # substitution sums of a series with a nonzero constant term, for one i,
+    # i = 1 alone and ranges from 1 and from 2, in all three rings, against
+    # the substituted series added one by one
+    b = S([cs[0] % 201 - 100 or 1, *a[1:]], N)
     weights = [0] + [Fraction(rng.randrange(-9, 10), j) for j in range(1, N + 1)]
-    for lo, hi in ((i, i), (1, N), (2, max(N // 2, 2))):
+    double = DoubleRing(0.5)
+    for lo, hi in ((i, i), (1, 1), (1, N), (2, max(N // 2, 2))):
         if hi > N or lo > N:
             continue
-        out_e, out_r = EXACT.accumulator(N), ring.accumulator(N)
-        EXACT.add_power_sum(out_e, a, weights, lo, hi)
-        ring.add_power_sum(out_r, S(a, N, ring=ring).coeffs, ring.weights(weights), lo, hi)
-        same(r.copy_with(ring.settle(out_r)), S(EXACT.settle(out_e), N))
+        want = sum((b.substitute_power(j) * weights[j] for j in range(lo, hi + 1)), S([0], N))
+        assert S(EXACT.power_sum(b.coeffs, weights, lo, hi), N) == want
+        same(r.copy_with(ring.power_sum(S(b.coeffs, N, ring=ring).coeffs, ring.weights(weights),
+                                        lo, hi)), want)
+        got = double.power_sum(b.to_double(0.5).coeffs, double.weights(weights), lo, hi)
+        assert np.allclose(got, want.to_double(0.5).coeffs, rtol=1e-12, atol=1e-9)
     # the signed lift gives back every coefficient of magnitude up to the bound
     assert r.lift() == e
     assert S([bound, -bound], 1, ring=ring).lift() == S([bound, -bound], 1)
