@@ -201,16 +201,19 @@ def limit_mean(d, kappa, constants):
 def eval_limit_mean(d, kappa, constants, n_values=_DEFAULT_NS):
     """Limit of E l_n^{(d)}(kappa) by Richardson extrapolation in 1/sqrt(n).
 
-    Uses exact series means at the given n values (double-ring arithmetic)
-    and removes the O(1/sqrt(n)) drift from the last two; the spread against
-    the previous pair is the reported error, widened when the sequence is
-    not monotone.
+    Uses exact series means at the given n values, read from one
+    double-ring pass at the largest n with the bits of ``scaled_level_mean``
+    at each, and removes the O(1/sqrt(n)) drift from the last two; the
+    spread against the previous pair is the reported error, widened when the
+    sequence is not monotone.
     """
     _check_kappa(kappa)
     if len(n_values) < 2 or len(set(n_values)) < len(n_values) or min(n_values) < 1:
         raise UsageError("extrapolation needs two or more distinct sizes n >= 1, "
                          f"got {tuple(n_values)}")
-    ms = [profile.scaled_level_mean(d, n, kappa, constants.rho) for n in n_values]
+    reads = [(n, profile.level_of(kappa, n)) for n in n_values]
+    means = profile.level_means(d, reads, ring="double", scale=constants.rho)
+    ms = [m / math.sqrt(n) for n, m in zip(n_values, means)]
     xs = [1.0 / math.sqrt(n) for n in n_values]
 
     def extrap(i, j):
@@ -241,19 +244,24 @@ def correlation_convergence_report(d1, d2, kappa, n_values, constants, ring="aut
     n = 400, 1600, 3600 and 6400 for (d1, d2, kappa) = (1, 2, 1), so 1 - corr
     falls a little slower than 1/sqrt(n) at these sizes.  ``ring`` is
     "exact", "double" (rescaled by ``constants.rho``) or "auto" (exact up to
-    n = 200); ``finite_covariance`` refuses any other.
+    n = 200); ``finite_covariances`` refuses any other.  The sizes of a ring
+    are read from one pass at its largest n, with the bits of a pass per n,
+    so "auto" runs at most two.
     """
     _check_kappa(kappa)
     if any(n < 1 for n in n_values):
         raise UsageError(f"sizes n must be >= 1, got {tuple(n_values)}")
+    uses = [("exact" if n <= 200 else "double") if ring == "auto" else ring for n in n_values]
+    reads = {}  # working ring -> its (n, k) reads; the exact ring ignores the scale
+    for n, use in zip(n_values, uses):
+        reads.setdefault(use, []).append((n, profile.level_of(kappa, n)))
+    tables = {use: iter(profile.finite_covariances(d1, d2, rs, ring=use, scale=constants.rho))
+              for use, rs in reads.items()}
     rows = []
-    for n in n_values:
-        k = profile.level_of(kappa, n)
-        use = ("exact" if n <= 200 else "double") if ring == "auto" else ring
-        # the exact ring ignores the scale
-        table = profile.finite_covariance(d1, d2, n, k, ring=use, scale=constants.rho)
+    for n, use in zip(n_values, uses):
+        table = next(tables[use])
         if table.correlation is None:
-            raise AccuracyError(f"degenerate variance at n={n}, k={k}")
+            raise AccuracyError(f"degenerate variance at n={n}, k={table.k}")
         one_minus = 1.0 - table.correlation
         rows.append((n, one_minus, math.sqrt(n) * one_minus))
     return rows

@@ -69,9 +69,17 @@ the test suite holds them to exact rational equality:
    at (1, 2, 400, 20) takes 33 primes and 0.3–0.4 s, against 3.6 s for
    the big-integer pass it replaced (2-CPU host, numpy 2.4).  The pass also
    runs in the rescaled double ring, for large n where exact answers are
-   not needed: the three covariance tables of
+   not needed.
+
+   [x^m] of a series of the pass is the same at any order N >= m, to the
+   bit: a product's output m is one dot product and a substitution sum
+   adds each target's terms in ascending i, whatever the arrays' length;
+   in the exact ring N's bound covers every smaller n.  So one pass at the
+   largest n reads a list of sizes (``_levels_at``), from y and gamma_0
+   converted once per (N, ring, scale): the covariance tables of
    ``limits.correlation_convergence_report`` at n = 400, 900 and 1600 take
-   about 0.25 s there, against 0.6 s with a Python loop over i.
+   0.13–0.19 s in one pass, against 0.19–0.27 s in three (0.6 s with a
+   Python loop over i; 2-CPU host).
 """
 
 from __future__ import annotations
@@ -315,8 +323,11 @@ def _residue_ring(N):
     return ResidueRing(_build_primes(N, bound << 20), bound)
 
 
+@lru_cache(maxsize=4)
 def _tree_series_rings(N, ring, scale):
-    """y(x) exactly and in the working ring (residues when exact), from one tree_series call."""
+    """y(x) exactly and in the working ring (residues when exact), kept for
+    later passes; ``scale`` is the double ring's float (the ring is
+    unhashable).  A residue y takes about 1.7 MB at N = 1600: few are kept."""
     if ring not in ("exact", "double"):
         raise UsageError(f"unknown ring {ring!r}")
     y = tree_series(N)
@@ -324,45 +335,38 @@ def _tree_series_rings(N, ring, scale):
     return y, TruncatedSeries(y.coeffs, N, working)
 
 
-def _gamma0(d, y_exact, y):
-    """gamma_0^{(d)} = x Z_{d-1}(y(x), ..., y(x^{d-1})), integer coefficients.
-
-    For the total profile gamma_0 = y (every tree has one root at level 0).
-    ``y`` is ``y_exact`` in the working ring.
-    """
+@lru_cache(maxsize=16)
+def _gamma0(d, N, ring, scale):
+    """gamma_0^{(d)} = x Z_{d-1}(y(x), ..., y(x^{d-1})) in the working ring,
+    kept like y; for the total profile gamma_0 = y (every tree has one root
+    at level 0)."""
+    y_exact, y = _tree_series_rings(N, ring, scale)
     if d is TOTAL:
         return y
-    cs = multiset_cap_series(d, y_exact.order, base=y_exact).coeffs
+    cs = multiset_cap_series(d, N, base=y_exact).coeffs
     assert all(isinstance(c, int) for c in cs), "root-degree series must be integral"
-    return TruncatedSeries(cs, y.order, y.ring)
+    return TruncatedSeries(cs, N, y.ring)
 
 
 _Level = namedtuple("_Level", "k g f mixed")
 
 
-def _check_pass_arguments(degrees, k_max):
-    if k_max < 0 or any(d is not TOTAL and d < 1 for d in degrees):
-        raise UsageError("the derivative pass needs k >= 0 and degrees d >= 1")
-
-
-def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
-    """Yield _Level(k, g, f, mixed) for k = 0..k_max in one recurrence pass.
+def _derivative_levels(degrees, k_max, key, second=False, mixed=False):
+    """Yield _Level(k, g, f, mixed) for k = 0..k_max < N in one recurrence
+    pass, ``key`` = (N, ring, scale) as ``_tree_series_rings`` takes it.
 
     g[j] is gamma_k for degrees[j]; f[j] its gamma2_k when ``second``; mixed
     is mixed_k of degrees[0] and degrees[1] when ``mixed``.  Series not asked
-    for are None and cost nothing.  A node on level k needs k + 1 nodes, so
-    every series has x-valuation above k: from k = N on the levels are zero
-    to order N and are yielded without a series product.
+    for are None and cost nothing.
     """
-    _check_pass_arguments(degrees, k_max)
-    N = y.order
-    g = [_gamma0(d, y_exact, y) for d in degrees]
+    N, y = key[0], _tree_series_rings(*key)[1]
+    g = [_gamma0(d, *key) for d in degrees]
     zero = _zero_level(0, degrees, y, second, mixed)
     f, m = zero.f, zero.mixed
     yield _Level(0, g, f, m)
     # the weights 1, i and i - 1 of the substitution sums, over i = 0..N
     ones, by_i, by_i_less_one = map(y.ring.weights, ([1] * (N + 1), range(N + 1), range(-1, N)))
-    for k in range(1, min(k_max, N - 1) + 1):
+    for k in range(1, k_max + 1):
         S = [gj + gj.power_sum(ones) for gj in g]
         if second:
             f = [y * (Sj * Sj + fj + fj.power_sum(by_i) + gj.power_sum(by_i_less_one))
@@ -371,8 +375,6 @@ def _derivative_levels(degrees, k_max, y_exact, y, second=False, mixed=False):
             m = y * (S[0] * S[1] + m + m.power_sum(by_i))
         g = [y * Sj for Sj in S]
         yield _Level(k, g, f, m)
-    for k in range(N, k_max + 1):
-        yield zero._replace(k=k)
 
 
 def _zero_level(k, degrees, y, second, mixed):
@@ -382,40 +384,45 @@ def _zero_level(k, degrees, y, second, mixed):
     return _Level(k, zeros, zeros if second else None, zero if mixed else None)
 
 
-def _final_level(degrees, k, N, ring, scale, second=False, mixed=False):
-    """(y exactly, y in the working ring, the _Level at k) of the pass at order N.
-
-    A level k >= N is zero to order N (see ``_derivative_levels``): it is
-    returned once the arguments are checked, without stepping the pass.
+def _levels_at(degrees, reads, ring, scale, second=False, mixed=False):
+    """(y exactly, y in the working ring, the _Level of each (n, k) read) of
+    one pass at N, the largest n (see the module docstring), stepped up to
+    the largest k below its n.  A node on level k needs k + 1 nodes, so a
+    read with k >= n is the zero level and steps nothing.
     """
-    y_exact, y = _tree_series_rings(N, ring, scale)
-    if k < N:
-        return y_exact, y, _last(_derivative_levels(degrees, k, y_exact, y, second, mixed))
-    _check_pass_arguments(degrees, k)
-    return y_exact, y, _zero_level(k, degrees, y, second, mixed)
+    if min(k for _, k in reads) < 0 or any(d is not TOTAL and d < 1 for d in degrees):
+        raise UsageError("the derivative pass needs k >= 0 and degrees d >= 1")
+    N = max(n for n, _ in reads)
+    key = (N, ring, float(scale) if ring == "double" else 1.0)
+    y_exact, y = _tree_series_rings(*key)
+    stepped = {k for n, k in reads if k < n}
+    steps = _derivative_levels(degrees, max(stepped), key, second, mixed) if stepped else ()
+    levels = {level.k: level for level in steps if level.k in stepped}
+    return y_exact, y, [levels[k] if k < n else _zero_level(k, degrees, y, second, mixed)
+                        for n, k in reads]
 
 
 def gamma_series_progression(d, k_max, N, ring="exact", scale=1.0):
     """Yield (k, gamma_k^{(d)}) for k = 0..k_max."""
-    for level in _derivative_levels((d,), k_max, *_tree_series_rings(N, ring, scale)):
+    for level in _levels_at((d,), [(N, k) for k in range(k_max + 1)], ring, scale)[2]:
         yield level.k, level.g[0].lift()
 
 
 def gamma_series(d, k, N, ring="exact", scale=1.0):
     """First-derivative series: E L_n^{(d)}(k) = [x^n] gamma / y_n."""
-    return _final_level((d,), k, N, ring, scale)[2].g[0].lift()
+    return _levels_at((d,), [(N, k)], ring, scale)[2][0].g[0].lift()
 
 
 def second_factorial_series(d, k, N, ring="exact", scale=1.0):
     """Series of E[X(X-1)] numerators for X = L_n^{(d)}(k)."""
-    return _final_level((d,), k, N, ring, scale, second=True)[2].f[0].lift()
+    return _levels_at((d,), [(N, k)], ring, scale, second=True)[2][0].f[0].lift()
 
 
 def mixed_gamma_series(d1, d2, k, N, ring="exact", scale=1.0):
     """Series of E[X^{(d1)} X^{(d2)}] numerators (same level k), d1 != d2."""
     if d1 == d2:
         raise UsageError("mixed series needs distinct degrees; use the variance path")
-    return _final_level((d1, d2), k, N, ring, scale, mixed=True)[2].mixed.lift()
+    return _levels_at((d1, d2), [(N, k)], ring, scale, mixed=True)[2][0].mixed.lift()
 
 
 # ---------------------------------------------------------------------------
@@ -445,29 +452,47 @@ def _ratio(series, y_exact, y, n):
     return series[n] / y[n] if isinstance(y.ring, DoubleRing) else Fraction(series[n], y_exact[n])
 
 
+def level_means(d, reads, ring="exact", scale=1.0):
+    """E L_n^{(d)}(k) for each (n, k) read, from one pass (``_levels_at``);
+    0 for a level k >= n, which no tree of size n reaches."""
+    y_exact, y, levels = _levels_at((d,), reads, ring, scale)
+    return [_ratio(level.g[0], y_exact, y, n) for (n, _), level in zip(reads, levels)]
+
+
 def level_mean(d, n, k, ring="exact", scale=1.0):
-    """E L_n^{(d)}(k); 0 for a level k >= n, which no tree of size n reaches."""
-    y_exact, y, level = _final_level((d,), k, n, ring, scale)
-    return _ratio(level.g[0], y_exact, y, n)
+    """E L_n^{(d)}(k), the one read of ``level_means``."""
+    return level_means(d, [(n, k)], ring, scale)[0]
 
 
-def finite_covariance(d1, d2, n, k, ring="exact", scale=1.0):
-    """Exact (or double-ring) covariance table for X^{(d1)}(k), X^{(d2)}(k).
+def finite_covariances(d1, d2, reads, ring="exact", scale=1.0):
+    """Exact (or double-ring) covariance tables for X^{(d1)}(k), X^{(d2)}(k),
+    one per (n, k) read, from one pass (``_levels_at``).
 
     At a level k >= n every entry is 0 and the correlation None.
     """
     same = d1 == d2
-    y_exact, y, level = _final_level(
-        (d1,) if same else (d1, d2), k, n, ring, scale, second=True, mixed=not same)
-    m1, f1 = _ratio(level.g[0], y_exact, y, n), _ratio(level.f[0], y_exact, y, n)
+    y_exact, y, levels = _levels_at(
+        (d1,) if same else (d1, d2), reads, ring, scale, second=True, mixed=not same)
+    return [_moment_table(d1, d2, n, k, level, lambda s, n=n: _ratio(s, y_exact, y, n))
+            for (n, k), level in zip(reads, levels)]
+
+
+def finite_covariance(d1, d2, n, k, ring="exact", scale=1.0):
+    """The covariance table at size n and level k, the one read of ``finite_covariances``."""
+    return finite_covariances(d1, d2, [(n, k)], ring, scale)[0]
+
+
+def _moment_table(d1, d2, n, k, level, ratio):
+    """The MomentTable of a covariance pass's level, read at n by ``ratio``."""
+    m1, f1 = ratio(level.g[0]), ratio(level.f[0])
     var1 = f1 + m1 - m1 * m1
-    if same:
+    if d1 == d2:
         m2, f2, var2, mixed = m1, f1, var1, f1 + m1  # E[X^2]
         cov = var1
     else:
-        m2, f2 = _ratio(level.g[1], y_exact, y, n), _ratio(level.f[1], y_exact, y, n)
+        m2, f2 = ratio(level.g[1]), ratio(level.f[1])
         var2 = f2 + m2 - m2 * m2
-        mixed = _ratio(level.mixed, y_exact, y, n)
+        mixed = ratio(level.mixed)
         cov = mixed - m1 * m2
     if var1 > 0 and var2 > 0:
         corr = float(cov) / sqrt(float(var1) * float(var2))

@@ -1,6 +1,7 @@
 import hashlib
 import time
 from dataclasses import astuple
+from types import SimpleNamespace
 from fractions import Fraction
 from math import inf, nan, prod, sqrt
 
@@ -15,7 +16,7 @@ from polyaprofile.enumeration import (
     multiset_cap_series,
     tree_series,
 )
-from polyaprofile import profile
+from polyaprofile import limits, profile, series
 from polyaprofile.acceptance import _brute_profiles as brute_profiles
 from polyaprofile.errors import AccuracyError, UsageError
 from polyaprofile.profile import (
@@ -834,3 +835,122 @@ def test_series_readers_far_past_the_height_step_nothing(monkeypatch, reader):
     series = reader()
     assert time.monotonic() - start < 0.5
     assert series.order == 30 and not any(series[m] for m in range(31))
+
+
+# ---------------------------------------------------------------------------
+# one pass for a list of sizes
+# ---------------------------------------------------------------------------
+
+def _table_bits(table):
+    return [(_bits(v), type(v)) for v in astuple(table)]
+
+
+@pytest.mark.parametrize("d1,d2,reads,ring,scale", [
+    # kappa from 0.5 to 2, sizes not squares, a repeated read and reads past the height
+    (1, 2, [(1600, 40), (400, 20), (777, 55), (401, 10), (900, 15), (900, 15), (50, 60)],
+     "double", RHO),
+    (2, 2, [(300, 17), (500, 11), (300, 17), (120, 130)], "double", 0.3),
+    (TOTAL, 2, [(250, 8), (630, 25), (630, 50), (630, 630)], "double", RHO),
+    (3, 1, [(90, 19), (700, 13), (200, 7)], "double", RHO),
+    (1, 2, [(60, 5), (45, 7), (61, 60), (60, 5), (30, 12)], "exact", 1.0),
+    (TOTAL, 3, [(40, 3), (25, 6), (40, 40)], "exact", 1.0),
+    (2, 2, [(50, 4), (35, 4)], "exact", 1.0),
+], ids=["1-2", "2-2-scale-0.3", "total-2", "3-1", "exact-1-2", "exact-total-3", "exact-2-2"])
+def test_shared_reads_equal_single_reads(d1, d2, reads, ring, scale):
+    # a pass at the largest n gives each smaller n the bits (or the rationals)
+    # of a pass of its own: the products and substitution sums do not depend
+    # on the arrays' length (np.convolve and np.bincount add in the same order)
+    shared = profile.finite_covariances(d1, d2, reads, ring, scale)
+    single = [finite_covariance(d1, d2, n, k, ring, scale) for n, k in reads]
+    assert [_table_bits(t) for t in shared] == [_table_bits(t) for t in single]
+    for d in (d1, d2):
+        shared = profile.level_means(d, reads, ring, scale)
+        assert [_bits(m) for m in shared] == [_bits(level_mean(d, n, k, ring, scale))
+                                              for n, k in reads]
+
+
+def test_auto_report_reads_like_a_pass_per_size(monkeypatch):
+    # sizes up to 200 run in the exact ring under "auto", the others in the
+    # double ring: one pass each
+    sizes = (100, 150, 400, 120)
+    want = []
+    for n in sizes:
+        tab = finite_covariance(1, 2, n, level_of(1.0, n), "exact" if n <= 200 else "double", RHO)
+        want.append((n, 1.0 - tab.correlation, sqrt(n) * (1.0 - tab.correlation)))
+    passes = 0
+    levels_at = profile._levels_at
+
+    def counting(*args, **kwargs):
+        nonlocal passes
+        passes += 1
+        return levels_at(*args, **kwargs)
+
+    monkeypatch.setattr(profile, "_levels_at", counting)
+    rows = limits.correlation_convergence_report(1, 2, 1.0, sizes, SimpleNamespace(rho=RHO))
+    assert passes == 2
+    assert [[_bits(v) for v in row] for row in rows] == [[_bits(v) for v in row] for row in want]
+
+
+@pytest.mark.parametrize("d,kappa,ns", [
+    (1, 1.0, (400, 900, 1600)), (2, 0.5, (1600, 100, 350)), (TOTAL, 2.0, (50, 901)),
+])
+def test_limit_mean_reads_like_a_pass_per_size(monkeypatch, d, kappa, ns):
+    # the shared pass gives scaled_level_mean's bits at each size
+    reads = [(n, level_of(kappa, n)) for n in ns]
+    means = profile.level_means(d, reads, ring="double", scale=RHO)
+    assert [(m / sqrt(n)).hex() for n, m in zip(ns, means)] == [
+        scaled_level_mean(d, n, kappa, RHO).hex() for n in ns]
+    cs = SimpleNamespace(rho=RHO)
+    got = limits.eval_limit_mean(d, kappa, cs, ns)
+    shared = profile.level_means
+    monkeypatch.setattr(profile, "level_means", lambda d, reads, ring, scale: [
+        shared(d, [read], ring, scale)[0] for read in reads])
+    single = limits.eval_limit_mean(d, kappa, cs, ns)
+    assert (got.value.hex(), got.quadrature_error.hex()) == (
+        single.value.hex(), single.quadrature_error.hex())
+
+
+def _cold_products(monkeypatch, fn):
+    """_series_products of fn() with no pass inputs kept from earlier calls."""
+    profile._tree_series_rings.cache_clear()
+    profile._gamma0.cache_clear()
+    return _series_products(monkeypatch, fn)
+
+
+def test_report_steps_only_the_products_of_its_largest_table(monkeypatch):
+    cs = SimpleNamespace(rho=RHO)
+    report = _cold_products(monkeypatch, lambda: limits.correlation_convergence_report(
+        1, 2, 1.0, (400, 900, 1600), cs, ring="double"))
+    largest = _cold_products(
+        monkeypatch, lambda: finite_covariance(1, 2, 1600, 40, ring="double", scale=RHO))
+    smaller = _cold_products(monkeypatch, lambda: [
+        finite_covariance(1, 2, n, k, ring="double", scale=RHO) for n, k in ((400, 20), (900, 30))])
+    assert report == largest and smaller > 0
+
+
+def test_pass_inputs_are_converted_once_and_kept_read_only(monkeypatch):
+    conversions = 0
+    signed_exp = series._signed_exp
+
+    def counting(c, extra_log):
+        nonlocal conversions
+        conversions += 1
+        return signed_exp(c, extra_log)
+
+    monkeypatch.setattr(series, "_signed_exp", counting)
+    table = lambda: finite_covariance(3, TOTAL, 500, 22, ring="double", scale=RHO)
+    profile._tree_series_rings.cache_clear()
+    profile._gamma0.cache_clear()
+    first = table()
+    assert conversions > 0
+    conversions = 0
+    assert _table_bits(table()) == _table_bits(first)
+    assert conversions == 0
+    # the kept arrays refuse writes, and tree_series still builds a new series
+    y_exact, y = profile._tree_series_rings(500, "double", RHO)
+    kept = (y, profile._gamma0(3, 500, "double", RHO), profile._tree_series_rings(60, "exact", 1.0)[1],
+            profile._gamma0(2, 60, "exact", 1.0))
+    for s in kept:
+        with pytest.raises(ValueError, match="read-only"):
+            s.coeffs[..., 1] = 1
+    assert tree_series(500) is not tree_series(500) and tree_series(500) is not y_exact
