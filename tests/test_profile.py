@@ -329,6 +329,16 @@ def test_tightness_moment_at_400_is_pinned():
     assert round(float(got / (20**2 * 400)), 4) == 0.5562
 
 
+def test_small_tightness_moment_is_pinned():
+    # E(L(2) - L(4))^4 at n = 10, read through the signed marking
+    assert level_difference_moment(10, 2, 2) == Fraction(79663, 719)
+
+
+def test_small_mixed_degree_moment_is_pinned():
+    # E[X^{(1)}(2) X^{(2)}(2)] at n = 9, through the two-mark eps basis
+    assert mixed_degree_moment_from_marked(9, 1, 2, 2) == Fraction(95, 143)
+
+
 def test_total_joint_law_at_30_is_pinned():
     # P(L(3) = l1, L(5) = l2) at n = 30, by the sha256 of its sorted items
     probs = joint_distribution(30, None, 3, 2)
