@@ -28,16 +28,15 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from math import isqrt, prod
+from math import prod
 from operator import mul
 
 import numpy as np
 
 from .errors import UsageError
-from .series import EXACT, TruncatedSeries, crt_basis
+from .series import EXACT, TruncatedSeries, build_primes, crt_basis, inverse_table
 
 EXHAUSTIVE_MAX = 10
 
@@ -46,7 +45,6 @@ EXHAUSTIVE_MAX = 10
 CHECK_PRIMES = (1048573, 1048571)
 # Batches of this many primes share one recurrence pass (see _extend).
 _PRIME_BATCH = 64
-_SIEVE_WINDOW = 4096
 _CACHE_NAME = re.compile(r"counts_(\d+)\.txt")
 
 # The process-wide count table: _rows[n] = y_n.  It only grows.
@@ -136,13 +134,13 @@ def _recurrence_holds(y):
 def _extend(n_max):
     """Rebuild rows 0..n_max multi-modularly and append the rows the table lacks.
 
-    Each batch of ``_build_primes`` runs the Euler recurrence for every row
+    Each batch of ``build_primes`` runs the Euler recurrence for every row
     (``_residues``) and is folded into each y_m by the CRT (the batch's own
     basis (M/p)((M/p)^-1 mod p), then Garner's step onto the product of the
     earlier batches).  Row m takes no more batches once their product exceeds
     4^m > y_m.  The rows already in the table must equal the rebuilt prefix.
     """
-    primes = _build_primes(n_max, 4**n_max)
+    primes = build_primes(n_max, 4**n_max)
     y = [0] * (n_max + 1)
     modulus = 1  # product of the batches folded in so far
     for start in range(0, len(primes), _PRIME_BATCH):
@@ -162,53 +160,17 @@ def _extend(n_max):
     _rows.extend(y[len(_rows):])
 
 
-def _build_primes(n, bound):
-    """Primes below 2^20, largest first, for exact residue arithmetic at length n.
-
-    - each prime exceeds n, so every m <= n is invertible modulo it;
-    - (n + 1)(p - 1)^2 <= 2^53, so a sum of n + 1 products of residues is
-      exact in float64 (primes just below 2^20 up to n = 8191, smaller ones
-      past that);
-    - their product exceeds ``bound``, so the CRT recovers any integer in
-      [0, bound].
-
-    The count table takes them for rows 0..n with bound 4^n: a rooted
-    unlabelled tree has a distinct plane embedding, so y_m <= Catalan(m - 1)
-    < 4^m.  The exact derivative pass of order n takes them as the primes of
-    its residue ring.
-    """
-    top = min(1 << 20, isqrt((1 << 53) // (n + 1)) + 2)
-    primes, product = [], 1
-    for hi in range(top, n + 1, -_SIEVE_WINDOW):  # sieve [lo, hi), top down
-        lo = max(hi - _SIEVE_WINDOW, n + 1)
-        is_prime = np.ones(hi - lo, dtype=bool)
-        for q in range(2, isqrt(hi - 1) + 1):
-            is_prime[max(q * q, -(-lo // q) * q) - lo::q] = False
-        for p in (np.flatnonzero(is_prime)[::-1] + lo).tolist():
-            primes.append(p)
-            product *= p
-            if product > bound:
-                return primes
-    raise UsageError(f"no set of primes below 2^20 exceeds a bound of {bound.bit_length()} bits"
-                     f" at n = {n}")
-
-
 def _residues(primes, n_max):
     """y_m mod p for each m <= n_max and p in primes, as a float64 array [m, prime].
 
     The Euler recurrence runs for all the primes at once in float64, which is
     exact: every stored value is a residue below p, so each dot sum of at
-    most n_max - 1 products stays below 2^53 (see ``_build_primes``).  y is
+    most n_max - 1 products stays below 2^53 (see ``build_primes``).  y is
     kept reversed (column n_max - k holds y_k), so y_{m-1}, ..., y_1 is one
     contiguous slice.
     """
-    ints = np.array(primes, dtype=np.int64)
-    p = ints.astype(np.float64)
-    cols = np.arange(len(primes))
-    inv = np.ones((n_max, len(primes)))  # inv[i] = i^-1 mod p
-    for i in range(2, n_max):
-        q, r = np.divmod(ints, i)
-        inv[i] = -q * inv[r, cols] % p
+    p = np.array(primes, dtype=np.float64)
+    inv = inverse_table(primes, n_max)  # inv[i] = i^-1 mod p
     y = np.zeros((len(primes), n_max + 1))
     s = np.zeros_like(y)  # s[:, k] = sum of d y_d over the divisors d of k seen so far
     y[:, n_max - 1] = 1
@@ -279,6 +241,15 @@ def multiset_cap_series(d, N, base=None):
     return Z.shift(1)
 
 
+def root_degree_counts(d, N):
+    """[x^n] x Z_{d-1}(y(x), ..., y(x^{d-1})) for n = 0..N, as ints: the
+    number of trees of size n whose root has degree d."""
+    cs = multiset_cap_series(d, N).coeffs
+    if not all(isinstance(c, int) for c in cs):
+        raise AssertionError("the root-degree series lost integrality")
+    return cs
+
+
 # ---------------------------------------------------------------------------
 # degree-count series D^{(d)}
 # ---------------------------------------------------------------------------
@@ -295,12 +266,7 @@ def degree_series(d, N):
     if d < 1 or N < 1:
         raise UsageError("degree_series requires d >= 1 and N >= 1")
     y = tree_series(N).coeffs
-    zsub = []
-    for c in multiset_cap_series(d, N).coeffs:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise UsageError("cycle-index substitution lost integrality")
-        zsub.append(int(f))
+    zsub = root_degree_counts(d, N)
     D = [0] * (N + 1)
     T = [0] * (N + 1)  # T_n = sum_{i>=2, i|n} D_{n/i}
     for n in range(1, N + 1):

@@ -19,24 +19,21 @@ the test suite holds them to exact rational equality:
    whose caps and basis come from one helper; its exp steps in the mark
    direction, so the level series keep integer coefficients.
 
-   From order ``_RESIDUE_FROM`` = 11 on, the marked series run modulo
-   word-size primes (a ``ResidueRing`` per order, caps and basis,
-   ``_marked_ring``); below it they stay in big integers, which are the
-   faster there (the full-mode laws at n = 8 take 1.4-2x as long modulo
-   primes, and the two rings break even near n = 11).  Every division on
-   the way is by a small int (1/i in the Polya exponent, 1/|alpha| in the
-   exp, 1/m in the cycle index), invertible modulo primes near 2^20, so the
-   rational intermediates have residues too; only the [x^n] coefficients
-   read are lifted by the CRT.  They are integers with known bounds, and the
-   primes' product exceeds 2^20 times the bound at the order N: in the u basis
-   [x^n u^l] <= y_n; in the eps basis [x^n eps^a] = sum over the trees of
-   C(L, a) <= C(n, a) y_n, per mark; in the tightness mode, signed, with
-   |[x^n eps^j]| <= C(n + 4, 4) y_n.  E(L(20) - L(40))^4 at n = 400 takes
-   1.0–1.2 s (7.8–9.1 s in big integers) and the joint law of L(3) and L(5)
-   at n = 30 0.6–1.0 s (2.2–2.3 s), timed alternately on a 2-CPU host.
+   The marked series run modulo word-size primes at every order (a
+   ``ResidueRing`` per order, caps and basis, ``_marked_ring``).  Every
+   division on the way is by a small int (1/i in the Polya exponent,
+   1/|alpha| in the exp, 1/m in the cycle index), invertible modulo primes
+   near 2^20, so the rational intermediates have residues too; only the
+   [x^n] coefficients read are lifted by the CRT.  They are integers with
+   known bounds, and the primes' product exceeds 2^20 times the bound at
+   the order N: in the u basis [x^n u^l] <= y_n; in the eps basis
+   [x^n eps^a] = sum over the trees of C(L, a) <= C(n, a) y_n, per mark; in
+   the tightness mode, signed, with |[x^n eps^j]| <= C(n + 4, 4) y_n.
+   E(L(20) - L(40))^4 at n = 400 takes 1.0–1.2 s (7.8–9.1 s in big
+   integers) and the joint law of L(3) and L(5) at n = 30 0.6–1.0 s
+   (2.2–2.3 s), timed alternately on a 2-CPU host.
    The same code over the exact ring, the big-integer route, is the test
-   oracle at every order: the tests reach it by replacing ``_marked_ring``,
-   and the residue route below the crossover by lowering ``_RESIDUE_FROM``.
+   oracle at every order: the tests reach it by replacing ``_marked_ring``.
 
 2. Derivative recurrences.  Differentiating the exp recurrence once, twice,
    and in two variables and setting the marks to 1 gives univariate
@@ -90,9 +87,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, isfinite, isqrt, prod, sqrt
 
-from .enumeration import _build_primes, multiset_cap_series, tree_series
+from .enumeration import multiset_cap_series, root_degree_counts, tree_series
 from .errors import UsageError
-from .series import EXACT, DoubleRing, MarkedSeries, ResidueRing, TruncatedSeries
+from .series import DoubleRing, MarkedSeries, ResidueRing, TruncatedSeries
 
 TOTAL = None  # degree argument meaning "count every node on the level"
 
@@ -114,8 +111,7 @@ def _marked_tree_series(N, mode, order, marks, degrees, *levels, signed=False):
     mode 'full' caps each mark at N in the u basis, for whole laws; mode
     'moments' caps it at ``order`` in the eps basis, for factorial moments
     (``signed`` for the tightness marking, whose coefficients may be
-    negative).  The series is exact below order ``_RESIDUE_FROM`` and
-    lives in the ring ``_marked_ring`` picks from it on.
+    negative).  The series lives in the ring ``_marked_ring`` picks.
     """
     if min(levels) < 0 or any(d is not TOTAL and d < 1 for d in degrees):
         raise UsageError("marked series need levels k, h >= 0 and degrees d >= 1")
@@ -127,14 +123,8 @@ def _marked_tree_series(N, mode, order, marks, degrees, *levels, signed=False):
         raise UsageError(f"unknown mode {mode!r}")
     y = tree_series(N)
     caps = (cap, cap if marks == 2 else 0)
-    ring = EXACT if N < _RESIDUE_FROM else _marked_ring(N, caps, basis, signed)
+    ring = _marked_ring(N, caps, basis, signed)
     return MarkedSeries.lift(TruncatedSeries(y.coeffs, N, ring), caps, basis)
-
-
-# below this order the marked series stay in big integers, which are the
-# faster there: numpy's cost per call outweighs products of a few terms
-# (measured; see the module docstring)
-_RESIDUE_FROM = 11
 
 
 @lru_cache(maxsize=64)
@@ -144,7 +134,7 @@ def _marked_ring(N, caps, basis, signed=False):
     Its bound holds every [x^n] coefficient, n <= N, of the series built
     in it (see the module docstring): y_N in the u basis; y_N times
     max_{a <= cap} C(N, a) per mark in the eps basis; C(N + cap, cap) y_N in
-    magnitude when ``signed``.  Its primes' product exceeds 2^20 times that.
+    magnitude when ``signed``.
     """
     y_N = tree_series(N)[N]
     if basis == "u":
@@ -153,7 +143,7 @@ def _marked_ring(N, caps, basis, signed=False):
         bound = comb(N + caps[0], caps[0]) * y_N
     else:
         bound = y_N * prod(comb(N, min(cap, N // 2)) for cap in caps)
-    return ResidueRing(_build_primes(N, bound << 20), bound, signed)
+    return ResidueRing(N, bound, signed)
 
 
 def _marked_levels(base, k_max):
@@ -314,13 +304,9 @@ def joint_distribution(n, d, k, h, series=None):
 
 @lru_cache(maxsize=None)
 def _residue_ring(N):
-    """The residue ring of the exact pass at order N, kept for later calls.
-
-    Its bound is N^2 y_N (see the module docstring) and its primes' product
-    exceeds 2^20 times that, a spare prime's worth of margin.
-    """
-    bound = N * N * tree_series(N)[N]
-    return ResidueRing(_build_primes(N, bound << 20), bound)
+    """The residue ring of the exact pass at order N, of bound N^2 y_N (see
+    the module docstring), kept for later calls."""
+    return ResidueRing(N, N * N * tree_series(N)[N])
 
 
 @lru_cache(maxsize=4)
@@ -340,12 +326,10 @@ def _gamma0(d, N, ring, scale):
     """gamma_0^{(d)} = x Z_{d-1}(y(x), ..., y(x^{d-1})) in the working ring,
     kept like y; for the total profile gamma_0 = y (every tree has one root
     at level 0)."""
-    y_exact, y = _tree_series_rings(N, ring, scale)
+    y = _tree_series_rings(N, ring, scale)[1]
     if d is TOTAL:
         return y
-    cs = multiset_cap_series(d, N, base=y_exact).coeffs
-    assert all(isinstance(c, int) for c in cs), "root-degree series must be integral"
-    return TruncatedSeries(cs, N, y.ring)
+    return TruncatedSeries(root_degree_counts(d, N), N, y.ring)
 
 
 _Level = namedtuple("_Level", "k g f mixed")

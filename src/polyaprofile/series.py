@@ -129,6 +129,55 @@ def _scale_powers(scale, N):
     return _frozen(scale ** (tgt - src))
 
 
+_SIEVE_WINDOW = 4096
+
+
+def build_primes(n, bound):
+    """Primes below 2^20, largest first, for exact residue arithmetic at length n.
+
+    - each prime exceeds n, so every m <= n is invertible modulo it;
+    - (n + 1)(p - 1)^2 <= 2^53, so a sum of n + 1 products of residues is
+      exact in float64 (primes just below 2^20 up to n = 8191, smaller ones
+      past that), which ``ResidueRing.coefficients`` and ``mul_sum`` rely on;
+    - their product exceeds ``bound``, so the CRT recovers any integer in
+      [0, bound].
+
+    The count table takes them for rows 0..n with bound 4^n: a rooted
+    unlabelled tree has a distinct plane embedding, so y_m <= Catalan(m - 1)
+    < 4^m.  A ``ResidueRing`` of order n takes them for its bound times 2^20.
+    """
+    top = min(1 << 20, math.isqrt((1 << 53) // (n + 1)) + 2)
+    primes, product = [], 1
+    for hi in range(top, n + 1, -_SIEVE_WINDOW):  # sieve [lo, hi), top down
+        lo = max(hi - _SIEVE_WINDOW, n + 1)
+        is_prime = np.ones(hi - lo, dtype=bool)
+        for q in range(2, math.isqrt(hi - 1) + 1):
+            is_prime[max(q * q, -(-lo // q) * q) - lo::q] = False
+        for p in (np.flatnonzero(is_prime)[::-1] + lo).tolist():
+            primes.append(p)
+            product *= p
+            if product > bound:
+                return primes
+    raise UsageError(f"no set of primes below 2^20 exceeds a bound of {bound.bit_length()} bits"
+                     f" at n = {n}")
+
+
+def inverse_table(primes, size):
+    """Read-only float64 array [q, prime] of q^-1 mod p for q = 1..size - 1 (row 0 is 0).
+
+    Each row is one numpy step for all the primes, by inv(q) = -(p // q)
+    inv(p mod q) mod p; every q must lie below the smallest prime.
+    """
+    ints = np.array(primes, dtype=np.int64)
+    p, cols = ints.astype(float), np.arange(len(ints))
+    inv = np.zeros((size, len(ints)))
+    inv[1:2] = 1
+    for q in range(2, size):
+        quo, rem = np.divmod(ints, q)
+        inv[q] = -quo * inv[rem, cols] % p
+    return _frozen(inv)
+
+
 def _first(nonzero):
     """The index of the first True of a non-empty boolean vector, its length when none is."""
     first = int(nonzero.argmax())
@@ -306,16 +355,17 @@ class DoubleRing:
 
 class ResidueRing:
     """Integers in [0, bound], or in [-bound, bound] when ``signed``, held
-    modulo each of a set of primes.
+    modulo each of the primes ``build_primes`` picks for the ring's order,
+    whose product exceeds 2^20 times the bound.
 
     It is the ring of a TruncatedSeries whose coefficients are a read-only
     float64 array [prime, n] of residues.  Float64 arithmetic on them is exact
     while every sum of products stays below 2^53: a series of order N needs
-    (N + 1)(p - 1)^2 <= 2^53, which ``coefficients`` checks.  Reading a
-    coefficient lifts it by the CRT, which is right when the true value lies
-    in the ring's range and the primes' product exceeds twice the bound
-    (once, when unsigned); a lifted value out of range raises AccuracyError,
-    since a residue or the bound is then wrong.
+    (N + 1)(p - 1)^2 <= 2^53, which the primes meet up to the ring's order
+    and ``coefficients`` checks.  Reading a coefficient lifts it by the CRT,
+    which is right when the true value lies in the ring's range, as the
+    primes' product exceeds twice the bound; a lifted value out of range
+    raises AccuracyError, since a residue or the bound is then wrong.
 
     A rational whose denominator is prime to every p has residues too, so
     the ring divides by any int from 1 up to its smallest prime
@@ -324,12 +374,9 @@ class ResidueRing:
 
     __slots__ = ("primes", "p", "p64", "modulus", "basis", "bound", "signed", "_inv")
 
-    def __init__(self, primes, bound, signed=False):
-        self.primes = tuple(primes)
+    def __init__(self, order, bound, signed=False):
+        self.primes = tuple(build_primes(order, bound << 20))
         self.modulus, self.basis = crt_basis(self.primes)
-        if self.modulus <= (2 * bound + 1 if signed else bound):
-            raise UsageError("the primes' product must exceed the bound of a residue ring"
-                             + (" twice over when signed" if signed else ""))
         self.bound, self.signed = bound, signed
         self.p = np.array(self.primes, dtype=float)[:, None]
         self.p64 = self.p.astype(np.int64)
@@ -351,21 +398,13 @@ class ResidueRing:
     def inverses(self, q_max):
         """Read-only [prime, q] array of q^-1 mod p for q = 1..q_max (column 0 is 0).
 
-        Built once per ring, by inv(q) = -(p // q) inv(p mod q) mod p, and
-        extended when a larger q is asked for.
+        Built once per ring (``inverse_table``) and extended when a larger q
+        is asked for.
         """
         if q_max >= min(self.primes):
             raise UsageError(f"{q_max} is not below the smallest prime of {self!r}")
         if self._inv.shape[1] <= q_max:
-            size = max(q_max + 1, 2 * self._inv.shape[1])
-            ints, rows = self.p64[:, 0], np.arange(len(self.primes))
-            inv = np.zeros((len(self.primes), size))
-            inv[:, 1] = 1
-            for q in range(2, size):
-                quo, rem = np.divmod(ints, q)
-                inv[:, q] = -quo * inv[rows, rem] % self.p[:, 0]
-            inv.setflags(write=False)
-            self._inv = inv
+            self._inv = inverse_table(self.primes, max(q_max + 1, 2 * self._inv.shape[1])).T
         return self._inv
 
     def weights(self, values):

@@ -13,10 +13,11 @@ from polyaprofile.enumeration import (
     degree_series,
     enumerate_trees_exhaustive,
     multiset_cap_series,
+    root_degree_counts,
     tree_series,
 )
 from polyaprofile.errors import UsageError
-from polyaprofile.series import TruncatedSeries
+from polyaprofile.series import TruncatedSeries, build_primes
 
 A000081 = [0, 1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486]
 
@@ -163,7 +164,7 @@ def test_build_in_small_steps_matches_the_oracle(empty_table):
 
 @pytest.mark.parametrize("n", [1, 2, 400, 6400, 10**5])
 def test_build_primes_make_the_build_exact(n):
-    primes = enumeration._build_primes(n, 4**n)
+    primes = build_primes(n, 4**n)
     small = [q for q in range(2, 1025) if all(q % r for r in range(2, isqrt(q) + 1))]
     assert all(p % q for p in primes for q in small if q * q <= p)
     assert len(set(primes)) == len(primes)
@@ -327,3 +328,16 @@ def test_multiset_cap_series_counts_root_degrees():
                 1 for s in enumerate_trees_exhaustive(n) if len(s) == d - 1
             )
             assert g[n] == brute
+
+
+def test_root_degree_counts_are_the_cap_series_as_ints(monkeypatch):
+    for d in (1, 2, 3, 6):
+        cs = root_degree_counts(d, 20)
+        assert all(type(c) is int for c in cs)
+        assert cs == list(multiset_cap_series(d, 20).coeffs)
+    # a fraction there is an internal fault, raised as one (not a usage error)
+    monkeypatch.setattr(enumeration, "multiset_cap_series",
+                        lambda d, N: TruncatedSeries([0, Fraction(1, 2)], N))
+    for build in (root_degree_counts, degree_series):
+        with pytest.raises(AssertionError, match="integrality"):
+            build(2, 5)

@@ -398,18 +398,6 @@ def _over_exact(fn):
         return fn()
 
 
-def test_marked_series_leave_big_integers_at_the_crossover():
-    # below the crossover order the marked series are exact; from it on they
-    # run modulo primes, and the laws read from either are the same
-    N = profile._RESIDUE_FROM
-    assert level_degree_series(1, 2, N - 1).ring is EXACT
-    assert two_level_series(1, 1, 1, N - 1, "tightness").ring is EXACT
-    assert isinstance(level_degree_series(1, 2, N).ring, ResidueRing)
-    assert isinstance(two_level_series(1, 1, 1, N, "tightness").ring, ResidueRing)
-    for n in (N - 1, N):
-        assert exact_distribution(n, 1, 2) == _over_exact(lambda: exact_distribution(n, 1, 2))
-
-
 _DEGREES = st.sampled_from([1, 2, 3, 4, TOTAL])
 
 
@@ -419,14 +407,7 @@ _DEGREES = st.sampled_from([1, 2, 3, 4, TOTAL])
 def test_residue_marked_route_is_the_big_integer_route(n, extra, d, d2, k, h, order):
     # the marked series over a residue ring, lifted at every x**m, and the
     # laws and moments read from them equal the same code over EXACT; the
-    # series are of order N >= n and the laws are read at n; the residue
-    # side runs modulo primes at every order, below the crossover too
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(profile, "_RESIDUE_FROM", 1)
-        _residue_against_exact(n, extra, d, d2, k, h, order)
-
-
-def _residue_against_exact(n, extra, d, d2, k, h, order):
+    # series are of order N >= n and the laws are read at n
     N = n + extra
     series = [
         lambda: level_degree_series(d, k, N, "full"),

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyaprofile.enumeration import _build_primes, tree_series
+from polyaprofile.enumeration import tree_series
 from polyaprofile.errors import AccuracyError, DomainError, UsageError
 from polyaprofile.series import (
     EXACT,
@@ -146,7 +146,7 @@ def test_power_sums_match_adding_substituted_series(cs):
     # exact: the substituted series added, constant terms and all
     assert [a.power_sum(EXACT.weights(w)) for w in weights] == want
     # residues: the exact sums modulo each prime
-    ring = ResidueRing(_build_primes(12, 1 << 80), 1 << 80)
+    ring = ResidueRing(12, 1 << 80)
     r = S(cs, 12, ring=ring)
     assert [r.power_sum(ring.weights(w)) for w in weights] == [
         S(s.coeffs, 12, ring=ring) for s in want]
@@ -228,7 +228,7 @@ def test_power_sums_are_the_loop_over_i_bit_for_bit(N, scale, where, seed, data)
     for g, want in zip(power_sums(ring, c, weights), loop_power_sums(ring, c, N, weights)):
         assert g.tobytes() == want.tobytes()
 
-    residue = ResidueRing(_build_primes(N, 1 << 80), 1 << 80)
+    residue = ResidueRing(N, 1 << 80)
     c = rng.integers(0, residue.p, (len(residue.primes), N + 1)).astype(float)
     c = _with_valuation(c, N, where, data.draw, rng)
     weights += (lambda i: (1 << 45) + i, lambda i: (1 << 60) + i)  # the last past 2^53
@@ -520,7 +520,7 @@ _EXACT_ONLY = {
 ])
 def test_rings_refuse_what_they_do_not_define(op, ring):
     rings = {"exact": EXACT, "double": DoubleRing(0.5),
-             "residue": ResidueRing(_build_primes(10, 1 << 40), 1 << 40)}
+             "residue": ResidueRing(10, 1 << 40)}
     s = S([0, 1, 2], 10, ring=rings[ring])
     if op in _EXACT_ONLY:
         with pytest.raises(UsageError, match="exact ring only"):
@@ -582,7 +582,7 @@ def test_marked_exp_and_polya_exponent_are_their_definitions(N, basis, caps, res
     # plan-wide passes at every x**n up to the order, in either ring; the
     # terms of p start at drawn valuations, so products of valuations adding
     # up to exactly N occur
-    ring = ResidueRing(_build_primes(N, 1 << 80), 1 << 80, signed=True) if residue else EXACT
+    ring = ResidueRing(N, 1 << 80, signed=True) if residue else EXACT
     terms = {}
     for a in range(caps[0] + 1):
         for b in range(caps[1] + 1):
@@ -614,7 +614,7 @@ def _canonical(series):
 
 def test_residue_ring_arithmetic_matches_the_exact_ring():
     N, bound = 400, 1 << 1500
-    ring = ResidueRing(_build_primes(N, bound), bound)
+    ring = ResidueRing(N, bound)
     rng = random.Random(5)
     a, b = ([rng.getrandbits(600) for _ in range(N + 1)] for _ in range(2))
     ea, eb = S(a, N), S(b, N)
@@ -632,7 +632,7 @@ def test_residue_ring_arithmetic_matches_the_exact_ring():
 
 def test_residue_add_and_sub_equal_the_float_remainder():
     # add and sub reduce by one conditional step of p; % is the oracle
-    ring = ResidueRing(_build_primes(400, 1 << 1500), 1 << 1500)
+    ring = ResidueRing(400, 1 << 1500)
     rng = np.random.default_rng(7)
     shape = (len(ring.primes), 401)
     a, b = (np.floor(rng.random(shape) * ring.p) for _ in range(2))
@@ -647,7 +647,7 @@ def test_residue_add_and_sub_equal_the_float_remainder():
 def test_residue_reduction_equals_the_float_remainder():
     # mul, scalar_mul and power_sum reduce integers below 2^53 through an
     # int64 %; the float64 % of the same array is the oracle
-    ring = ResidueRing(_build_primes(400, 1 << 1500), 1 << 1500)
+    ring = ResidueRing(400, 1 << 1500)
     rng = np.random.default_rng(11)
     x = np.floor(rng.random((len(ring.primes), 401)) * 2.0**53)
     k = np.floor(rng.random(ring.p.shape) * (2.0**53 // ring.p))
@@ -667,7 +667,7 @@ def test_residue_operations_are_the_exact_ones_modulo_each_prime(cs, q, k, i, se
     # each prime; a Fraction's residue is its numerator over its denominator
     N = len(cs) - 1
     bound = 10**45 * math.factorial(N + 1)
-    ring = ResidueRing(_build_primes(N, bound << 20), bound, signed=True)
+    ring = ResidueRing(N, bound, signed=True)
     e, r = S(cs, N), S(cs, N, ring=ring)
 
     def modulo_primes(series):
@@ -716,19 +716,67 @@ def test_residue_operations_are_the_exact_ones_modulo_each_prime(cs, q, k, i, se
 
 def test_residue_lifts_refuse_values_past_the_bound():
     bound = 10**30
-    primes = _build_primes(10, bound << 20)
-    signed, unsigned = ResidueRing(primes, bound, signed=True), ResidueRing(primes, bound)
+    signed, unsigned = ResidueRing(10, bound, signed=True), ResidueRing(10, bound)
     for ring, value in ((signed, bound + 1), (signed, -bound - 1), (unsigned, bound + 1),
                         (unsigned, -1)):
         with pytest.raises(AccuracyError, match="above the bound"):
             S([0, value], 10, ring=ring)[1]
     assert S([0, -bound], 10, ring=signed)[1] == -bound
-    with pytest.raises(UsageError, match="twice over when signed"):
-        ResidueRing(primes[:2], (math.prod(primes[:2]) - 1) // 2, signed=True)
+
+
+def _primes_by_trial_division(n, bound):
+    """The largest primes p < 2^20 with p > n and (n + 1)(p - 1)^2 <= 2^53,
+    largest first, down to the first whose running product exceeds bound."""
+    out, product = [], 1
+    for p in range(min((1 << 20) - 1, math.isqrt((1 << 53) // (n + 1)) + 1), n, -1):
+        if all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+            product *= p
+            if product > bound:
+                return out
+    raise AssertionError("no primes left")
+
+
+@pytest.mark.parametrize("N, bound, signed", [
+    (0, 1, False), (1, 0, True), (12, 1 << 80, False), (30, 10**40, True),
+    (400, 1 << 1500, False), (400, 3 << 700, True), (9000, 1 << 200, False),
+])
+def test_residue_ring_takes_its_primes_from_its_order_and_bound(N, bound, signed):
+    ring = ResidueRing(N, bound, signed)
+    assert ring.primes == tuple(_primes_by_trial_division(N, bound << 20))
+    assert min(ring.primes) > N  # every m <= N is invertible
+    assert (N + 1) * (max(ring.primes) - 1) ** 2 <= 2**53  # float64 dot sums are exact
+    assert math.prod(ring.primes) > bound << 20  # a spare 2^20 of margin
+    assert math.prod(ring.primes) > (2 * bound + 1 if signed else bound)  # the CRT's range
+
+
+@pytest.mark.parametrize("N", [30, 400])
+def test_profile_rings_keep_their_bounds_and_primes(N):
+    # the derivative pass's ring and the ring of each marked builder: each
+    # bound as the profile module documents it, its primes those of the
+    # smallest product past 2^20 times it
+    from polyaprofile import profile
+    from polyaprofile.profile import (
+        TOTAL, level_degree_series, mixed_degree_series, two_level_series)
+    y_N = tree_series(N)[N]
+    eps = [y_N * math.comb(N, j) for j in (1, 2, 3)]
+    rings = [(profile._residue_ring(N), N * N * y_N, False),
+             (level_degree_series(1, 0, N).ring, y_N, False),
+             (two_level_series(1, 0, 0, N).ring, y_N, False),
+             (two_level_series(TOTAL, 0, 0, N, "tightness").ring, math.comb(N + 4, 4) * y_N, True)]
+    for j in (1, 2, 3):
+        rings += [(level_degree_series(1, 0, N, "moments", j).ring, eps[j - 1], False),
+                  (two_level_series(1, 0, 0, N, "moments", j).ring,
+                   eps[j - 1] * math.comb(N, j), False),
+                  (mixed_degree_series(1, 2, 0, N, "moments", j).ring,
+                   eps[j - 1] * math.comb(N, j), False)]
+    for ring, bound, signed in rings:
+        assert (ring.bound, ring.signed) == (bound, signed)
+        assert ring.primes == tuple(_primes_by_trial_division(N, bound << 20))
 
 
 def test_residue_inverses_and_division_refuse_a_multiple_of_a_prime():
-    ring = ResidueRing(_build_primes(10, 1 << 60), 1 << 60)
+    ring = ResidueRing(10, 1 << 60)
     inv = ring.inverses(50)
     assert all(inv[j, q] * q % p == 1 for j, p in enumerate(ring.primes) for q in range(1, 51))
     assert ring.inverses(10) is inv  # built once
@@ -739,11 +787,9 @@ def test_residue_inverses_and_division_refuse_a_multiple_of_a_prime():
 
 
 def test_residue_ring_refuses_what_it_cannot_do_exactly():
-    ring = ResidueRing(_build_primes(400, 1 << 100), 1 << 100)
+    ring = ResidueRing(400, 1 << 100)
     with pytest.raises(UsageError, match="too large"):
         S([1], 10**6, ring=ring)  # (N + 1)(p - 1)^2 > 2^53
-    with pytest.raises(UsageError, match="exceed the bound"):
-        ResidueRing(ring.primes[:2], 1 << 100)
     with pytest.raises(UsageError, match="exact ring only"):
         S([0, 1], 10, ring=ring).evaluate(0.1)
     with pytest.raises(TypeError):
