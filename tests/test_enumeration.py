@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt, prod
@@ -316,6 +317,17 @@ def test_degree_series_integrality():
         D = degree_series(d, 20)
         for c in D.coeffs:
             assert Fraction(c).denominator == 1
+
+
+@pytest.mark.parametrize("d, digest", [
+    (1, "1949dd561536944bb774d1e7882e51eb3cecc68922608824242cdc3e6d8cbb23"),
+    (3, "729bbc1a0f6f546192096404112e708e6e07cd225dc1709dea72050e41dffd32"),
+])
+def test_degree_series_is_pinned(d, digest):
+    # sha256 over the decimal digits of every coefficient (exact integers, so
+    # no float form), recorded while T_n was found by scanning every i <= n
+    coeffs = degree_series(d, 400).coeffs
+    assert hashlib.sha256(",".join(map(str, coeffs)).encode()).hexdigest() == digest
 
 
 def test_multiset_cap_series_counts_root_degrees():
