@@ -14,7 +14,8 @@ even pairs, the new side in odd ones.  The output keeps each run's
 environment line and last JSON line, and per workload and end-to-end metric
 (from BENCHMARK.json) the median and quartiles of each side and the number of
 pairs the new side won.  It is written to ``--out``, by default the first
-free BENCH_<k>.json in the repository root.
+free BENCH_<k>.json in the repository root.  Each run's end-to-end metrics go
+to stderr as soon as it ends, so an outlying run shows while the record runs.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ def main(argv=None):
                 pair = {"seed": seed, "first": order[0]}
                 for side in order:
                     pair[side] = _run(checkouts[side], name, seed, args.seconds)
-                    value = pair[side]["result"]["metrics"].get("path_a_s", {}).get("value")
-                    print(f"{name} pair {i} seed {seed} {side}: path_a_s {value}",
+                    got = pair[side]["result"]["metrics"]
+                    shown = " ".join(f"{m} {got.get(m, {}).get('value')}" for m in metrics)
+                    print(f"{name} pair {i} seed {seed} {side}: {shown}",
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
             record["workloads"][name] = {"pairs": pairs, "summary": _summary(pairs, metrics)}

@@ -165,7 +165,7 @@ def constants_cmd(order_, degrees, out):
         "C": cs.C,
         "C_d": {str(d): cs.Cd[d] for d in ds},
         "mu_d": {str(d): cs.mu_d[d] for d in ds},
-        "err": {k: v for k, v in cs.err.items() if k != "elapsed_s"},
+        "err": cs.err,
     }
     _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", out)
 

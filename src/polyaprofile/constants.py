@@ -51,7 +51,6 @@ rounded), because from Python 3.12 on sum() compensates its float additions
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -319,7 +318,6 @@ def compute_constants(N=400, degrees=range(1, 11)):
     """All constants in one pass; reproducible bit-identically for fixed N."""
     if any(d < 1 for d in degrees):
         raise UsageError(f"degrees must be >= 1, got {sorted(degrees)}")
-    t0 = time.monotonic()
     rho, rho_err = compute_rho(N)
     b, b_err = compute_b(rho, N)
     half_b2rho = _half_b2rho(rho, N)
@@ -341,5 +339,4 @@ def compute_constants(N=400, degrees=range(1, 11)):
         Cd[d] = cdr / rho**d
         mu[d] = cdr / half_b2rho
         err[f"C_{d}"] = max(1e-12 * abs(Cd[d]), 1e-15)
-    err["elapsed_s"] = time.monotonic() - t0
     return ConstantsSet(rho=rho, b=b, C=C, Cd=Cd, mu_d=mu, err=err)

@@ -88,31 +88,22 @@ def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, arc_radius):
     c = 0.5 * kappa * b * math.sqrt(rho)
     lam = amplitude / (b * math.sqrt(rho))
     S, w = _RAY_LENGTH, arc_radius
-
-    def integrand(s):
-        r = np.sqrt(-s)
-        q = c * r
-        num = r * np.exp(-q - s)
-        den = r * np.exp(q) - 1j * t * lam * np.sinh(q)
-        return num / den, np.abs(den)
-
     x, wt = _unit_rule(nodes)
+    # the arc: s = w e^{i theta} clockwise through -w, theta: -pi/2 -> -3pi/2
+    s_arc = w * np.exp(1j * (-0.5 * np.pi - np.pi * x))
+    pieces = (  # (s, ds/dx) of each piece, in contour order
+        ((S - S * x) - 1j * w, -S),  # incoming ray below the axis
+        (s_arc, 1j * s_arc * (-np.pi)),
+        (S * x + 1j * w, S),  # outgoing ray above the axis
+    )
     min_den = math.inf
     total = 0.0 + 0.0j
-    # incoming ray below the axis: s = (S - S x) - i w, ds = -S dx
-    v, dmag = integrand((S - S * x) - 1j * w)
-    total += np.sum(wt * v * (-S))
-    min_den = min(min_den, dmag.min())
-    # clockwise arc through -w: s = w e^{i theta}, theta: -pi/2 -> -3pi/2
-    theta = -0.5 * np.pi - np.pi * x
-    s_arc = w * np.exp(1j * theta)
-    v, dmag = integrand(s_arc)
-    total += np.sum(wt * v * (1j * s_arc * (-np.pi)))
-    min_den = min(min_den, dmag.min())
-    # outgoing ray above the axis: s = S x + i w, ds = S dx
-    v, dmag = integrand(S * x + 1j * w)
-    total += np.sum(wt * v * S)
-    min_den = min(min_den, dmag.min())
+    for s, ds in pieces:
+        r = np.sqrt(-s)
+        q = c * r
+        den = r * np.exp(q) - 1j * t * lam * np.sinh(q)
+        total += np.sum(wt * (r * np.exp(-q - s) / den) * ds)
+        min_den = min(min_den, np.abs(den).min())
     prefactor = amplitude * t / (b * math.sqrt(rho * math.pi))
     return 1.0 + prefactor * total, min_den
 

@@ -63,8 +63,8 @@ the test suite holds them to exact rational equality:
    residues once the primes' product exceeds that bound.  Only what is
    read is lifted: [x^n] of five series for a covariance table, one for a
    mean, whole series for the gamma-series readers.  The covariance table
-   at (1, 2, 400, 20) takes 33 primes and 0.3–0.4 s, against 3.6 s for
-   the big-integer pass it replaced (2-CPU host, numpy 2.4).  The pass also
+   at (1, 2, 400, 20) takes 33 primes and 0.3–0.4 s (2-CPU host,
+   numpy 2.4).  The pass also
    runs in the rescaled double ring, for large n where exact answers are
    not needed.
 
@@ -75,8 +75,7 @@ the test suite holds them to exact rational equality:
    largest n reads a list of sizes (``_levels_at``), from y and gamma_0
    converted once per (N, ring, scale): the covariance tables of
    ``limits.correlation_convergence_report`` at n = 400, 900 and 1600 take
-   0.13–0.19 s in one pass, against 0.19–0.27 s in three (0.6 s with a
-   Python loop over i; 2-CPU host).
+   0.13–0.19 s in one pass, against 0.19–0.27 s in three (2-CPU host).
 """
 
 from __future__ import annotations

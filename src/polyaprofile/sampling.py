@@ -50,6 +50,7 @@ import hashlib
 import math
 import random
 from bisect import bisect_right
+from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,12 +138,9 @@ def _profile(level, child_count, d_max):
     deg = np.asarray(child_count, dtype=np.int64) + 1
     height = int(lev.max()) if len(lev) else 0
     level_counts = np.bincount(lev, minlength=height + 1)
-    dl = np.zeros((d_max, height + 1), dtype=np.int64)
     mask = deg <= d_max
-    if mask.any():
-        flat = (deg[mask] - 1) * (height + 1) + lev[mask]
-        counts = np.bincount(flat, minlength=d_max * (height + 1))
-        dl = counts.reshape(d_max, height + 1)
+    flat = (deg[mask] - 1) * (height + 1) + lev[mask]
+    dl = np.bincount(flat, minlength=d_max * (height + 1)).reshape(d_max, height + 1)
     return ProfileSample(len(lev), level_counts, dl, d_max)
 
 
@@ -321,21 +319,7 @@ class _Accumulator:
         self.spec = spec
         self.count = 0
         self.levels = [(kap, level_of(kap, spec.n)) for kap in spec.kappas]
-        g = {}
-        for d in spec.degrees:
-            for kap in spec.kappas:
-                g[("m", d, kap)] = 0.0
-                g[("m2", d, kap)] = 0.0
-                for t in spec.t_values:
-                    g[("cos", d, kap, t)] = 0.0
-                    g[("sin", d, kap, t)] = 0.0
-        if spec.tightness_grid:
-            rs, hs = spec.tightness_grid
-            for r in rs:
-                for h in hs:
-                    g[("t4", r, h)] = 0.0
-                    g[("t8", r, h)] = 0.0
-        self.g = g
+        self.g = defaultdict(float)  # every sum starts at 0.0 on its first add
 
     def add_tree(self, profile):
         spec = self.spec
@@ -392,7 +376,6 @@ class MonteCarloResult:
 
     def tightness_ratio(self, r, h):
         """(estimate, stderr) of E(L(r) - L(r+h))^4 / (h^2 n)."""
-        S = self.count
         m, se = self._mean_se(("t4", r, h), ("t8", r, h))
         scale = h * h * self.spec.n
         return m / scale, se / scale
@@ -500,7 +483,7 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
         parts = [_run_chunk(sampler, spec, idx, size) for idx, size in chunks]
     for part in parts:
         total.merge(part)
-    return MonteCarloResult(spec, total.count, total.g)
+    return MonteCarloResult(spec, total.count, dict(total.g))
 
 
 # ---------------------------------------------------------------------------

@@ -251,13 +251,8 @@ def test_constants_keep_the_order_and_repeats_of_their_degrees(constants_400):
 
 
 def test_constants_deterministic(constants_400):
-    again = compute_constants(400, degrees=(1, 2, 3))
-    assert (again.rho, again.b, again.C) == (
-        constants_400.rho,
-        constants_400.b,
-        constants_400.C,
-    )
-    assert again.Cd == constants_400.Cd
+    # a plain value: every field, the error estimates included, repeats
+    assert compute_constants(400, degrees=(1, 2, 3)) == constants_400
 
 
 def test_constants_stable_under_doubling(constants_400):
@@ -301,12 +296,12 @@ def test_constants_bits_hold_under_compensated_sum(monkeypatch):
 def test_constants_bits_are_unchanged_past_the_double_range():
     # at N = 3200 the terms of y past rho leave the double range, and the
     # tail model reads terms N and N - 1 there; the digest covers every
-    # constant and every error entry but the wall time, recorded before the
-    # exact-ring evaluation read a table of log-magnitudes
+    # constant and every error entry, recorded before the exact-ring
+    # evaluation read a table of log-magnitudes
     cs = compute_constants(3200, degrees=range(1, 11))
     fields = [cs.rho, cs.b, cs.C]
     fields += [cs.Cd[d] for d in range(1, 11)] + [cs.mu_d[d] for d in range(1, 11)]
-    fields += [v for k, v in cs.err.items() if k != "elapsed_s"]
+    fields += cs.err.values()
     digest = hashlib.sha256(",".join(v.hex() for v in fields).encode()).hexdigest()
     assert digest == "753ca5a20819404913f89f7318a456d30bc204657e314387214cfb4edfab1c0f"
 

@@ -300,6 +300,21 @@ def test_monte_carlo_threads_do_not_change_results():
     assert r1.sums == r4.sums
 
 
+def test_monte_carlo_sums_are_a_plain_dict_of_the_spec_keys():
+    spec = MonteCarloSpec(n=40, degrees=(1, 2), kappas=(1.0,), t_values=(0.5,), samples=20,
+                          seed=3, tightness_grid=((2,), (3,)))
+    result = monte_carlo(spec, table=TABLE_64)
+    assert type(result.sums) is dict
+    assert set(result.sums) == {(kind, d, 1.0) for kind in ("m", "m2") for d in (1, 2)} | {
+        (kind, d, 1.0, 0.5) for kind in ("cos", "sin") for d in (1, 2)} | {
+        ("t4", 2, 3), ("t8", 2, 3)}
+    # a quantity the spec did not ask for has no sum, so it cannot read as 0
+    with pytest.raises(KeyError):
+        result.mean(3, 1.0)
+    with pytest.raises(KeyError):
+        result.mean(1, 0.5)
+
+
 def test_monte_carlo_refuses_a_level_past_the_float_range_before_sampling(monkeypatch):
     def no_sampling(*args):
         raise AssertionError("sampled a spec it should refuse")
