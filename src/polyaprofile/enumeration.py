@@ -13,8 +13,9 @@ and ``tree_series`` both read it.  It is built multi-modularly (von zur
 Gathen & Gerhard, Modern Computer Algebra, ch. 5): the recurrence runs in
 numpy modulo primes just below 2^20, and the CRT rebuilds each y_n.  A cold
 build takes about 0.25 s at n = 1600 and 13 s at n = 6400 on a 2-CPU host.
-Its disk cache is checked row by row against the recurrence modulo two primes
-when it is loaded.
+Its disk cache holds one row per line in hexadecimal, which converts in time
+linear in the digits and is exempt from CPython's int/str digit limit, and is
+checked row by row against the recurrence modulo two primes when it is loaded.
 
 Degree convention: planted.  Every vertex, the root included, has degree
 1 + (number of children), the root's extra edge going to a phantom node that
@@ -26,10 +27,11 @@ from __future__ import annotations
 import os
 import re
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from math import prod
+from math import isqrt, prod
 from operator import mul
 
 import numpy as np
@@ -65,7 +67,7 @@ def count_trees(n_max, cache_dir=None):
     ``cache_dir`` with m >= n_max that passes the check; otherwise it extends
     itself and writes ``counts_<n_max>.txt``.  A cold build of n_max = 6400
     takes about 13 s (2-CPU host, Python 3.11, numpy 2.4) and a load
-    of its file about 0.3 s, which is why the disk cache stays.
+    of its file about 0.1 s, which is why the disk cache stays.
     """
     if n_max < 1:
         raise UsageError(f"tree counts need a size n >= 1, got {n_max}")
@@ -93,11 +95,15 @@ def _cached_file(cache_dir, n_max):
 
 
 def _load(m, path):
-    """Rows 0..m of a cache file, or None after removing a file that fails the check."""
+    """Rows 0..m of a cache file, or None after removing a file that fails the check.
+
+    A file of decimal rows, the format before hexadecimal, reads as wrong
+    numbers (y_6 = 20 as 0x20), fails the check and is rebuilt once.
+    """
     with open(path) as fh:
         try:
-            rows = [int(line.strip()) for line in fh]
-        except ValueError:  # a line that is not a decimal
+            rows = [int(line, 16) for line in fh]
+        except ValueError:  # a line that is not a hexadecimal number
             rows = []
     if len(rows) == m + 1 and _recurrence_holds(rows):
         return rows
@@ -110,7 +116,9 @@ def _recurrence_holds(y):
 
     Each row is reduced once, modulo the primes' product.  Residues are below
     2^20, so each convolution sum is below len(y) 2^40: exact in float64 up to
-    len(y) = 8192 (``_residues``' bound), in int64 beyond.
+    len(y) = 8192 (``_residues``' bound), in int64 beyond.  The divisor sums
+    s_k take O(sqrt(m)) slice steps for the last row m: one per divisor
+    d <= sqrt(m), then one per cofactor i of the larger divisors.
     """
     if y[:2] != [0, 1]:
         return False
@@ -123,8 +131,12 @@ def _recurrence_holds(y):
     n = np.arange(len(y), dtype=dtype)
     dy = n * r % p
     s = np.zeros_like(r)
-    for d in range(1, len(y)):
+    m = len(y) - 1
+    root = isqrt(m)
+    for d in range(1, root + 1):  # s_k += d y_d at k = d, 2d, ...
         s[:, d::d] += dy[:, d:d + 1]
+    for i in range(1, m // (root + 1) + 1):  # s_{i d} += d y_d for root < d <= m / i
+        s[:, i * (root + 1):m + 1:i] += dy[:, root + 1:m // i + 1]
     s %= p
     conv = np.array([np.convolve(si, ri)[: len(y)] for si, ri in zip(s, r)])
     return bool(np.array_equal((n - 1) * r % p, conv % p))
@@ -185,13 +197,22 @@ def _residues(primes, n_max):
 
 
 def _save(cache_dir, n_max):
-    """Write rows 0..n_max as counts_<n_max>.txt; warn on stderr if that fails."""
+    """Write rows 0..n_max in hexadecimal as counts_<n_max>.txt; warn on stderr if that fails.
+
+    The temporary file is removed on every failure.
+    """
     path = os.path.join(cache_dir, f"counts_{n_max}.txt")
+    tmp = path + ".tmp"
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path + ".tmp", "w") as fh:
-            fh.write("\n".join(map(str, _rows[: n_max + 1])))
-        os.replace(path + ".tmp", path)
+        try:
+            with open(tmp, "w") as fh:
+                fh.write("\n".join(format(v, "x") for v in _rows[: n_max + 1]))
+            os.replace(tmp, path)
+        except BaseException:
+            with suppress(OSError):
+                os.remove(tmp)
+            raise
     except OSError as exc:
         print(f"warning: count table not cached: {exc}", file=sys.stderr)
 

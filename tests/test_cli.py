@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import polyaprofile
 from polyaprofile.cli import main
+from polyaprofile.enumeration import count_trees
 
 
 def run(*args):
@@ -308,6 +309,33 @@ def test_unwritable_cache_warns_once_and_keeps_stdout(tmp_path):
     assert "Traceback" not in bad.stderr
     assert bad.stderr.count("warning:") == 1
     assert good.stderr == ""
+
+
+@pytest.mark.parametrize("args", [("count", "--n-max", "1500"), ("constants", "--order", "1600")],
+                         ids=["count", "constants"])
+def test_counts_past_the_int_digit_limit_exit_0_and_leave_no_temporary_file(tmp_path, args):
+    # y_1500 has 705 decimal digits: at a limit of 640 the cache stays
+    # hexadecimal, and count lifts the limit for its own CSV cells
+    proc = cli_process(*args, PYTHONINTMAXSTRDIGITS="640", POLYAPROFILE_CACHE=str(tmp_path))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert os.listdir(tmp_path) == [f"counts_{args[-1]}.txt"]
+    if args[0] == "count":
+        y = count_trees(1500).y
+        assert proc.stdout == "n,y_n\n" + "".join(f"{n},{y[n]}\n" for n in range(1, 1501))
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int/str digit limit")
+def test_count_lifts_the_int_digit_limit_only_while_it_writes():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        res = run("count", "--n-max", "1500")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert res.exit_code == 0
+    assert len(res.output.splitlines()[-1]) > 640
 
 
 # the CLI with enumeration._extend replaced: a run that builds any part of the

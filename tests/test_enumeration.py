@@ -1,4 +1,5 @@
 import hashlib
+import sys
 from fractions import Fraction
 from itertools import permutations
 from math import isqrt, prod
@@ -85,15 +86,79 @@ def empty_table(monkeypatch):
     return reset
 
 
+def _hex_rows(rows):
+    """A cache file's text: one row per line in lowercase hexadecimal."""
+    return "\n".join(format(v, "x") for v in rows)
+
+
 def test_count_table_disk_cache_roundtrip(tmp_path, empty_table, monkeypatch):
     fresh = count_trees(80)
     empty_table()
     cached_write = count_trees(80, cache_dir=str(tmp_path))
-    assert (tmp_path / "counts_80.txt").exists()
+    assert (tmp_path / "counts_80.txt").read_text() == _hex_rows(fresh.y)
     empty_table()
     monkeypatch.setattr(enumeration, "_extend", _forbidden)
     cached_read = count_trees(80, cache_dir=str(tmp_path))
     assert list(cached_write.y) == list(fresh.y) == list(cached_read.y)
+
+
+def test_decimal_cache_file_is_rebuilt_in_hexadecimal(tmp_path, empty_table):
+    # the format before hexadecimal: y_6 = 20 reads as 0x20 and fails the check
+    (tmp_path / "counts_13.txt").write_text("\n".join(map(str, A000081)))
+    assert list(count_trees(13, cache_dir=str(tmp_path)).y) == A000081
+    assert (tmp_path / "counts_13.txt").read_text() == _hex_rows(A000081)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int/str digit limit")
+def test_cache_round_trip_passes_the_int_digit_limit(tmp_path, empty_table, monkeypatch):
+    # y_1500 has 705 decimal digits; the hexadecimal cache never converts in decimal
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        built = count_trees(1500, cache_dir=str(tmp_path))
+        assert [p.name for p in tmp_path.iterdir()] == ["counts_1500.txt"]
+        empty_table()
+        monkeypatch.setattr(enumeration, "_extend", _forbidden)
+        loaded = count_trees(1500, cache_dir=str(tmp_path))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(str(built.y[1500])) > 640
+    assert loaded.y == built.y
+
+
+def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch, capsys):
+    count_trees(20)
+
+    def refuse(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(enumeration.os, "replace", refuse)
+    enumeration._save(str(tmp_path), 20)
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == "warning: count table not cached: disk full\n"
+
+    def stop(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(enumeration.os, "replace", stop)
+    with pytest.raises(KeyboardInterrupt):
+        enumeration._save(str(tmp_path), 20)
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err == ""
+
+
+def test_load_check_takes_every_prefix_and_refuses_every_wrong_row():
+    # the divisor sums of the check take O(sqrt(n)) slices; a wrong sum at any
+    # k would refuse a correct prefix or pass a wrong row
+    y = _euler_counts(150)
+    for m in range(1, 151):
+        assert enumeration._recurrence_holds(y[:m + 1])
+    for k in range(2, 151):
+        for delta in (1, -1):
+            wrong = y[:]
+            wrong[k] += delta
+            assert not enumeration._recurrence_holds(wrong)
 
 
 def test_request_within_the_table_runs_no_step_and_reads_no_file(tmp_path, monkeypatch):
@@ -128,7 +193,7 @@ def test_larger_cache_file_is_reused(tmp_path, empty_table, monkeypatch):
 
 def test_smallest_sufficient_cache_file_is_read(tmp_path, empty_table, monkeypatch):
     count_trees(80, cache_dir=str(tmp_path))
-    (tmp_path / "counts_20.txt").write_text("\n".join(map(str, count_trees(20).y)))
+    (tmp_path / "counts_20.txt").write_text(_hex_rows(count_trees(20).y))
     empty_table()
     monkeypatch.setattr(enumeration, "_extend", _forbidden)
     assert list(count_trees(13, cache_dir=str(tmp_path)).y) == A000081
@@ -184,20 +249,22 @@ def test_wrong_row_in_the_table_stops_the_build(monkeypatch):
 
 
 def _corrupt(rows, kind):
-    lines = [str(v) for v in rows]
+    """A cache file of ``rows`` in the current (hexadecimal) format with one fault."""
+    rows = list(rows)
     if kind == "wrong-digit":
-        lines[4] = "5"
+        rows[4] = 5
     elif kind == "wrong-last-row":
-        lines[-1] = str(rows[-1] + 1)
-    elif kind == "non-digit":
-        lines[7] = "48x"
+        rows[-1] += 1
     elif kind == "truncated":
-        lines = lines[:9]
+        rows = rows[:9]
     elif kind == "wrong-by-check-prime":  # right modulo the first check prime
-        lines[6] = str(rows[6] + enumeration.CHECK_PRIMES[0])
+        rows[6] += enumeration.CHECK_PRIMES[0]
     elif kind == "y1-is-2":  # every row satisfies the recurrence, from y_1 = 2
-        lines = [str(v) for v in (0, 2, 4, 14, 52, 214, 916, 4116, 18996, 89894, 433196,
-                                  2119904, 10503612, 52594476)]
+        rows = [0, 2, 4, 14, 52, 214, 916, 4116, 18996, 89894, 433196, 2119904, 10503612,
+                52594476]
+    lines = _hex_rows(rows).split("\n")
+    if kind == "non-digit":
+        lines[7] += "x"
     return "\n".join(lines)
 
 
@@ -210,7 +277,7 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path, empty_table, kind, n):
     # the failed file is replaced by a correct counts_<n>.txt
     assert [p.name for p in tmp_path.iterdir()] == [f"counts_{n}.txt"]
     rows = (tmp_path / f"counts_{n}.txt").read_text().split("\n")
-    assert rows == [str(v) for v in A000081[: n + 1]]
+    assert rows == [format(v, "x") for v in A000081[: n + 1]]
 
 
 # ---------------------------------------------------------------------------
