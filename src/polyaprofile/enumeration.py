@@ -31,7 +31,7 @@ from contextlib import suppress
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, groupby
-from math import isqrt, prod
+from math import prod
 from operator import mul
 
 import numpy as np
@@ -116,9 +116,7 @@ def _recurrence_holds(y):
 
     Each row is reduced once, modulo the primes' product.  Residues are below
     2^20, so each convolution sum is below len(y) 2^40: exact in float64 up to
-    len(y) = 8192 (``_residues``' bound), in int64 beyond.  The divisor sums
-    s_k take O(sqrt(m)) slice steps for the last row m: one per divisor
-    d <= sqrt(m), then one per cofactor i of the larger divisors.
+    len(y) = 8192 (``_residues``' bound), in int64 beyond.
     """
     if y[:2] != [0, 1]:
         return False
@@ -131,12 +129,8 @@ def _recurrence_holds(y):
     n = np.arange(len(y), dtype=dtype)
     dy = n * r % p
     s = np.zeros_like(r)
-    m = len(y) - 1
-    root = isqrt(m)
-    for d in range(1, root + 1):  # s_k += d y_d at k = d, 2d, ...
+    for d in range(1, len(y)):
         s[:, d::d] += dy[:, d:d + 1]
-    for i in range(1, m // (root + 1) + 1):  # s_{i d} += d y_d for root < d <= m / i
-        s[:, i * (root + 1):m + 1:i] += dy[:, root + 1:m // i + 1]
     s %= p
     conv = np.array([np.convolve(si, ri)[: len(y)] for si, ri in zip(s, r)])
     return bool(np.array_equal((n - 1) * r % p, conv % p))

@@ -304,14 +304,12 @@ class DoubleRing:
 
     def coefficients(self, coeffs, order):
         """Exact coefficients times scale**n, each through log|c|: a big one
-        converts whenever its rescaled value lies in the double range.  At
-        scale 1 nothing is rescaled, and ``float`` rounds each one correctly,
-        where exp(log|c|) can miss an integer such as 9 by an ulp."""
+        converts whenever its rescaled value lies in the double range."""
         out = np.zeros(order + 1)
         ls = math.log(self.scale)
         for n, c in enumerate(coeffs[: order + 1]):
             if c:
-                out[n] = _signed_exp(c, n * ls) if ls else _unscaled(c)
+                out[n] = _signed_exp(c, n * ls)
         return _frozen(out)
 
     freeze = staticmethod(_frozen)
@@ -773,14 +771,6 @@ def _signed_exp(c, extra_log):
         return math.exp(mag) if c > 0 else -math.exp(mag)
     except OverflowError:
         raise _out_of_range(mag) from None
-
-
-def _unscaled(c):
-    """float(c) for an int or Fraction c, or the error past the double range."""
-    try:
-        return float(c)
-    except OverflowError:
-        raise _out_of_range(_log_abs(c)) from None
 
 
 def _out_of_range(mag):

@@ -148,19 +148,6 @@ def test_failed_cache_write_leaves_no_temporary_file(tmp_path, monkeypatch, caps
     assert capsys.readouterr().err == ""
 
 
-def test_load_check_takes_every_prefix_and_refuses_every_wrong_row():
-    # the divisor sums of the check take O(sqrt(n)) slices; a wrong sum at any
-    # k would refuse a correct prefix or pass a wrong row
-    y = _euler_counts(150)
-    for m in range(1, 151):
-        assert enumeration._recurrence_holds(y[:m + 1])
-    for k in range(2, 151):
-        for delta in (1, -1):
-            wrong = y[:]
-            wrong[k] += delta
-            assert not enumeration._recurrence_holds(wrong)
-
-
 def test_request_within_the_table_runs_no_step_and_reads_no_file(tmp_path, monkeypatch):
     count_trees(50)
     (tmp_path / "counts_50.txt").write_text("not a count table")
