@@ -65,14 +65,31 @@ def _params_hash(params):
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _check_out(out):
+    """Refuse an ``--out`` that no write could create: a directory, or a path under a file."""
+    path = _out_path(out)
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise UsageError(f"--out {path!r} is a directory")
+    above = os.path.dirname(os.path.abspath(path))
+    while not os.path.exists(above):  # the directories _emit would create
+        above = os.path.dirname(above)
+    if not os.path.isdir(above):
+        raise UsageError(f"--out {path!r} lies under {above!r}, which is not a directory")
+
+
 def _emit(text, out):
     path = _out_path(out)
     if path is None:
         click.echo(text, nl=False)
-    else:
+        return
+    try:
         os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         with open(path, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path!r}: {exc.strerror or exc}") from None
 
 
 @contextlib.contextmanager
@@ -137,13 +154,18 @@ def _run(fn):
 def _command(name):
     """Register the decorated body as subcommand ``name`` of ``main``, run through ``_run``.
 
-    The body's click options and docstring become the subcommand's.
+    The body's click options and docstring become the subcommand's.  Its
+    ``--out`` is checked before the body starts.
     """
 
     def register(body):
         @functools.wraps(body)
         def command(**params):
-            _run(lambda: body(**params))
+            def checked():
+                _check_out(params["out"])
+                body(**params)
+
+            _run(checked)
 
         return main.command(name)(command)
 
@@ -213,9 +235,15 @@ def _parse_list(text, option, convert=int, empty=False):
     return values
 
 
+def _exact_str(v):
+    """``str(v)`` of a computed exact number, whatever its digit count (see ``_csv_text``)."""
+    with _any_int_digits():
+        return str(v)
+
+
 def _value_rows(key, items):
     """One row ``{key: name, "value": v, "value_float": float(v)}`` per exact (name, v)."""
-    return [{key: name, "value": str(v), "value_float": float(v)} for name, v in items]
+    return [{key: name, "value": _exact_str(v), "value_float": float(v)} for name, v in items]
 
 
 @_command("profile-exact")
@@ -236,7 +264,7 @@ def profile_exact(n, d, k, h, d2, mode, fmt, out):
     if mode == "dist" and h is None:
         dist = profile_mod.exact_distribution(n, d, k)
         rows = [
-            {"count": l, "probability": str(p), "probability_float": float(p)}
+            {"count": l, "probability": _exact_str(p), "probability_float": float(p)}
             for l, p in sorted(dist.probs.items())
         ]
     elif mode == "dist":
@@ -245,7 +273,7 @@ def profile_exact(n, d, k, h, d2, mode, fmt, out):
             {
                 "count_k": l1,
                 "count_kh": l2,
-                "probability": str(p),
+                "probability": _exact_str(p),
                 "probability_float": float(p),
             }
             for (l1, l2), p in sorted(probs.items())

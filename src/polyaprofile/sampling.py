@@ -9,12 +9,22 @@ pick (j, d) with probability d y_d y_{n-jd} / ((n-1) y_n), sample a tree T'
 of size n - jd and one tree D of size d, and attach j identical copies of D
 to the root of T'.  Induction gives a uniform isomorphism class of size n.
 
-One walk emits the tree flat, as preorder lists ``parent``, ``child_count``
-and ``level`` in the order :meth:`PolyaTree.from_shape` gives.  Picking
-(j, d) appends j leaves at once when d = 1, else the root of D and a frame
-for it; a filled frame's subtree is the block from its root to the end of
-the lists, and its j - 1 copies are that block appended again with parent
-indices offset.  Draws thus follow the preorder of the recursion.
+One walk emits the tree flat, as the preorder lists ``child_count`` and
+``level`` in the order :meth:`PolyaTree.from_shape` gives.  Picking (j, d)
+appends j leaves at once when d = 1 and stays on the current frame; else it
+appends the root of D and suspends the current frame on a stack until D is
+filled.  A filled frame's subtree is the block from its root to the end of
+the lists, and its j - 1 copies are that block appended again: copies are
+siblings, so their levels and child counts repeat unchanged.  Draws thus
+follow the preorder of the recursion.  Where parents are asked for,
+:meth:`TreeSampler.sample_flat` rebuilds them from the levels in one pass:
+node i's parent is the last node before it one level up.
+
+Two draws are made without a table.  A size-2 remainder and a subtree with
+d = 2 both have the weight total (2-1) y_2 = 1, so R is 0 after the same
+``getrandbits(1)`` rejections that ``randrange(1)`` makes, and the pair is
+always (1, 1): one more leaf, or a root with one leaf for each of the j
+copies.  The draw is still made, so the stream stays the same.
 
 Selection draws an exact integer R uniform in [0, (n-1) y_n) and returns the
 pair whose interval of cumulative big-integer weights holds R; the walk is
@@ -23,9 +33,10 @@ O(sqrt(n)) expected steps.  R is drawn inline: ``getrandbits(k)``, k the
 bit length of the total, until below the total.  That is the body of
 ``Random._randbelow_with_getrandbits``, which ``rng.randrange(total)``
 runs on Python 3.10 to 3.13, so seeded streams are those of ``randrange``.
-Sizes n <= 64 bisect a precomputed table of cumulative weights.  Larger
-sizes walk a float guide first (Denise & Zimmermann, TCS 218, 1999): the
-weights rescaled by c^n with c = rho,
+Sizes 3 to 64 bisect a table of cumulative weights that each sampler builds
+once, with the total and its bit length.  Larger sizes walk a float guide
+first (Denise & Zimmermann, TCS 218, 1999): the weights rescaled by c^n
+with c = rho,
 
     d y_d y_{n-jd} c^n = g_d fy_{n-jd} c^{(j-1)d},   fy_k = y_k c^k,  g_d = d fy_d,
 
@@ -52,6 +63,7 @@ import random
 from bisect import bisect_right
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -61,7 +73,7 @@ from .errors import UsageError
 from .profile import level_of
 from .series import DoubleRing, TruncatedSeries
 
-_MEMO_CUTOFF = 64  # sizes with a precomputed cumulative selection table
+_MEMO_CUTOFF = 64  # sizes with a precomputed selection table
 _BAND = 1e-9  # guard band of the float guide, relative to the weight total
 # Monte Carlo runs split into this many seeded streams, merged in a fixed
 # order, so results do not depend on the thread count; another count would
@@ -144,6 +156,17 @@ def _profile(level, child_count, d_max):
     return ProfileSample(len(lev), level_counts, dl, d_max)
 
 
+def _parents(level):
+    """Preorder parent list of preorder levels: node i's parent is the last node
+    before it one level up."""
+    parent, last = [-1], [0] * len(level)  # last[l]: the latest node on level l
+    for i in range(1, len(level)):
+        lv = level[i]
+        parent.append(last[lv - 1])
+        last[lv] = i
+    return parent
+
+
 # ---------------------------------------------------------------------------
 # sampler
 # ---------------------------------------------------------------------------
@@ -160,11 +183,16 @@ class TreeSampler:
         self._fy = fy
         self._g = [d * f for d, f in enumerate(fy)]
         self._cpow = [_RHO ** m for m in range(table.n_max + 1)]
-        # per size, filled on first use: the total (n-1) y_n, its bit length,
-        # and for n <= _MEMO_CUTOFF the cumulative selection table
+        # per size, filled on first use: the total (n-1) y_n and its bit length
         self._totals = [None] * (table.n_max + 1)
         self._bits = [0] * (table.n_max + 1)
-        self._tables = [None] * (_MEMO_CUTOFF + 1)
+        # per size 3 <= m <= _MEMO_CUTOFF: (total, bits, cumulative weights,
+        # pairs); the walk draws size 2 without a table
+        self._small = [None] * (min(_MEMO_CUTOFF, table.n_max) + 1)
+        for m in range(3, len(self._small)):
+            cums = list(accumulate(w for _, _, w in self._weights(m)))
+            pairs = [(j, d) for j, d, _ in self._weights(m)]
+            self._small[m] = (self._total(m), self._bits[m], cums, pairs)
 
     def _weights(self, n):
         """(j, d, d y_d y_{n-jd}) in walk order: j ascending, d descending."""
@@ -177,16 +205,6 @@ class TreeSampler:
         total = self._totals[n] = (n - 1) * self.y[n]
         self._bits[n] = total.bit_length()
         return total
-
-    def _selection_table(self, n):
-        """(cumulative weights, pairs) of size n <= _MEMO_CUTOFF."""
-        cums, pairs, acc = [], [], 0
-        for j, d, w in self._weights(n):
-            acc += w
-            cums.append(acc)
-            pairs.append((j, d))
-        tab = self._tables[n] = (cums, pairs)
-        return tab
 
     def _walk_exact(self, n, R):
         """The pair whose interval of exact cumulative weights holds R."""
@@ -221,49 +239,66 @@ class TreeSampler:
                     return self._walk_exact(n, R)
         return self._walk_exact(n, R)
 
-    def sample_flat(self, n, rng):
-        """Preorder (parent, child_count, level) lists of a uniform tree of n nodes."""
+    def _walk(self, n, rng):
+        """Preorder (child_count, level) lists of a uniform tree of n nodes."""
         if n < 1 or n > self.table.n_max:
             raise UsageError(f"size {n} outside the count table (<= {self.table.n_max})")
         getrandbits = rng.getrandbits
-        totals, bits, tables, choose = self._totals, self._bits, self._tables, self._choose
-        parent, count, level = [-1], [0], [0]
-        stack = [[0, n, 1]]  # frame: [root index, size left to fill, copies wanted]
-        while stack:
-            r, m, copies = frame = stack[-1]
-            if m == 1:  # subtree done: it is the block parent[r:], copied copies - 1 times
-                stack.pop()
-                if copies > 1:
-                    size, p, par = len(parent) - r, parent[r], parent[r + 1:]
-                    count += count[r:] * (copies - 1)
-                    level += level[r:] * (copies - 1)
-                    for off in range(size, size * copies, size):
-                        parent.append(p)
-                        parent += [q + off for q in par]
+        small, totals, bits, choose = self._small, self._totals, self._bits, self._choose
+        cutoff = _MEMO_CUTOFF
+        count, level = [0], [0]
+        stack = []  # the frames waiting on a subtree, as tuples of the four below
+        r, m, copies, lv = 0, n, 1, 1  # root index, size left to fill, copies wanted, child level
+        while True:
+            if m > 2:
+                # R is rng.randrange(total), inline
+                if m <= cutoff:
+                    total, k, cums, pairs = small[m]
+                    R = getrandbits(k)
+                    while R >= total:
+                        R = getrandbits(k)
+                    j, d = pairs[bisect_right(cums, R)]
+                else:
+                    total = totals[m] or self._total(m)
+                    k = bits[m]
+                    R = getrandbits(k)
+                    while R >= total:
+                        R = getrandbits(k)
+                    j, d = choose(m, R)
+                count[r] += j
+                m -= j * d
+                if d == 1:
+                    count += [0] * j
+                    level += [lv] * j
+                elif d == 2:  # the subtree's size-2 draw, made here: root and one leaf
+                    while getrandbits(1):
+                        pass
+                    count += [1, 0] * j
+                    level += [lv, lv + 1] * j
+                else:
+                    stack.append((r, m, copies, lv))
+                    r, m, copies = len(count), d, j
+                    count.append(0)
+                    level.append(lv)
+                    lv += 1
                 continue
-            total = totals[m] or self._total(m)
-            k = bits[m]
-            R = getrandbits(k)  # rng.randrange(total), inline
-            while R >= total:
-                R = getrandbits(k)
-            if m <= _MEMO_CUTOFF:
-                cums, pairs = tables[m] or self._selection_table(m)
-                j, d = pairs[bisect_right(cums, R)]
-            else:
-                j, d = choose(m, R)
-            frame[1] = m - j * d
-            count[r] += j
-            lv = level[r] + 1
-            if d == 1:
-                parent += [r] * j
-                count += [0] * j
-                level += [lv] * j
-            else:
-                stack.append([len(parent), d, j])
-                parent.append(r)
+            if m == 2:  # a size-2 remainder: its one draw, then one leaf
+                while getrandbits(1):
+                    pass
+                count[r] += 1
                 count.append(0)
                 level.append(lv)
-        return parent, count, level
+            if copies > 1:  # the subtree is the block from r on; its copies follow it
+                count += count[r:] * (copies - 1)
+                level += level[r:] * (copies - 1)
+            if not stack:
+                return count, level
+            r, m, copies, lv = stack.pop()
+
+    def sample_flat(self, n, rng):
+        """Preorder (parent, child_count, level) lists of a uniform tree of n nodes."""
+        count, level = self._walk(n, rng)
+        return _parents(level), count, level
 
     def sample_shape(self, n, rng):
         """Nested-tuple tree of exactly n nodes, uniform over classes."""
@@ -425,7 +460,7 @@ def _run_chunk(sampler, spec, chunk_index, chunk_size):
     acc = _Accumulator(spec)
     d_max = max(spec.degrees, default=1)
     for _ in range(chunk_size):
-        _, count, level = sampler.sample_flat(spec.n, rng)
+        count, level = sampler._walk(spec.n, rng)
         acc.add_tree(_profile(level, count, d_max))
     return acc
 

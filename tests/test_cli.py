@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import polyaprofile
+from polyaprofile import cli
 from polyaprofile.cli import main
 from polyaprofile.enumeration import count_trees
 
@@ -338,6 +340,74 @@ def test_count_lifts_the_int_digit_limit_only_while_it_writes():
     assert len(res.output.splitlines()[-1]) > 640
 
 
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.10.7 has no int/str digit limit")
+def test_profile_exact_lifts_the_int_digit_limit_only_while_it_formats():
+    # the exact covariance table at n = 700 has values of more than 640 digits
+    args = ("profile-exact", "--n", "700", "--d", "1", "--k", "5", "--mode", "cov", "--d2", "2")
+    want = run(*args)
+    assert want.exit_code == 0
+    assert max(map(len, want.output.replace("\n", ",").split(","))) > 640
+    proc = cli_process(*args, PYTHONINTMAXSTRDIGITS="640")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", want.output)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        res = run(*args, "--format", "json")
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert res.exit_code == 0
+    assert [row["value"] for row in json.loads(res.output)] == [
+        line.split(",")[1] for line in want.output.splitlines()[1:]]
+
+
+_OUT_ARGS = {
+    "count": ("--n-max", "10"),
+    "constants": ("--order", "50"),
+    "profile-exact": ("--n", "10", "--d", "1", "--k", "1"),
+    "sample": ("--n", "10"),
+    "montecarlo": ("--n", "10", "--samples", "2"),
+    "limits": ("--what", "psi"),
+    "verify": ("--quick",),
+}
+
+
+@pytest.mark.parametrize("kind", ["directory", "under-a-file"])
+@pytest.mark.parametrize("command", list(_OUT_ARGS))
+def test_unwritable_out_exits_2_before_any_work(command, kind, tmp_path, monkeypatch):
+    (tmp_path / "file").write_text("")
+    out = tmp_path if kind == "directory" else tmp_path / "file" / "sub" / "out.csv"
+    # every library entry point the commands reach is gone: any work would raise
+    for name in ("_counts", "const_mod", "limits_mod", "profile_mod", "sampling_mod",
+                 "run_acceptance"):
+        monkeypatch.setattr(cli, name, None)
+    res = CliRunner().invoke(main, [command, *_OUT_ARGS[command], "--out", str(out)],
+                             catch_exceptions=False)
+    assert res.exit_code == 2
+    assert res.output.startswith("usage error: --out ") and res.output.count("\n") == 1
+    assert sorted(os.listdir(tmp_path)) == ["file"]
+
+
+def test_unwritable_out_is_one_stderr_line(tmp_path):
+    (tmp_path / "file").write_text("")
+    proc = cli_process("count", "--n-max", "5", "--out", str(tmp_path / "file" / "out.csv"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"usage error: --out {str(tmp_path / 'file' / 'out.csv')!r} lies "
+                           f"under {str(tmp_path / 'file')!r}, which is not a directory\n")
+
+
+def test_failed_out_write_exits_2(tmp_path, monkeypatch):
+    def full_disk(*args, **kwargs):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, "open", full_disk, raising=False)
+    res = run("count", "--n-max", "5", "--out", str(tmp_path / "out.csv"))
+    assert res.exit_code == 2
+    assert res.output == (f"usage error: cannot write --out {str(tmp_path / 'out.csv')!r}: "
+                          f"{os.strerror(errno.ENOSPC)}\n")
+
+
 # the CLI with enumeration._extend replaced: a run that builds any part of the
 # count table stops with exit 1
 _CLI_WITHOUT_BUILDS = """
@@ -514,24 +584,27 @@ _SIZE_LISTS = _mostly(_joined(st.integers(1, 12)), st.one_of(_JUNK, _joined(_SIZ
 _ORDER = _req("--order", st.sampled_from([200, 100, 50]))
 _SAMPLES = _mostly(st.integers(1, 4), st.integers(-1, 0))
 _SEED = st.integers(0, 99)
+# a directory, or a path under a file that is not a directory: nothing is written
+_OUT = _mostly(st.just([]),
+               _req("--out", st.sampled_from([".", os.path.join(os.devnull, "out.csv")])))
 
 _COMMANDS = st.one_of(
-    _argv("count", _req("--n-max", _SIZES)),
-    _argv("constants", _ORDER, _opt("--degrees", _DEGREE_LISTS)),
+    _argv("count", _req("--n-max", _SIZES), _OUT),
+    _argv("constants", _ORDER, _opt("--degrees", _DEGREE_LISTS), _OUT),
     _argv("profile-exact", _req("--n", _SIZES), _req("--d", _DEGREES), _req("--k", _SIZES),
           _opt("--h", _SIZES), _opt("--d2", _DEGREES),
           _opt("--mode", st.sampled_from(["dist", "moments", "cov"])),
-          _opt("--format", st.sampled_from(["csv", "json"]))),
+          _opt("--format", st.sampled_from(["csv", "json"])), _OUT),
     _argv("sample", _req("--n", _SIZES), _opt("--samples", _SAMPLES), _opt("--seed", _SEED),
-          st.just(["--no-timestamp"])),
+          st.just(["--no-timestamp"]), _OUT),
     _argv("montecarlo", _req("--n", _SIZES), _req("--samples", _SAMPLES), _opt("--seed", _SEED),
           _opt("--degrees", _DEGREE_LISTS), _opt("--kappas", _KAPPA_LISTS),
           _opt("--t-grid", _T_LISTS), st.sampled_from([[], ["--tightness"]]),
-          st.just(["--threads", "1", "--no-timestamp"])),
+          st.just(["--threads", "1", "--no-timestamp"]), _OUT),
     _argv("limits", _req("--what", st.sampled_from(["psi", "cov", "var", "corr", "mean"])),
           _opt("--d", _DEGREES), _opt("--d1", _DEGREES), _opt("--d2", _DEGREES),
           _opt("--kappa", _KAPPA), _opt("--t-grid", _T_LISTS),
-          _opt("--n-list", _SIZE_LISTS), _ORDER),
+          _opt("--n-list", _SIZE_LISTS), _ORDER, _OUT),
 )
 
 
@@ -541,3 +614,5 @@ def test_random_argument_vectors_exit_with_a_mapped_code(argv):
     res = CliRunner().invoke(main, argv)
     assert res.exception is None or isinstance(res.exception, SystemExit), (argv, res.exc_info)
     assert res.exit_code in (0, 2, 3, 4), (argv, res.output)
+    if "--out" in argv:  # refused before any other check
+        assert res.exit_code == 2 and res.output.startswith("usage error: --out "), argv

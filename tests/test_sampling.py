@@ -1,4 +1,5 @@
 import math
+import random
 from bisect import bisect_right
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from polyaprofile.enumeration import (
     canonical_shape,
     count_trees,
     degree_series,
+    enumerate_trees_exhaustive,
     tree_series,
 )
 from polyaprofile.errors import UsageError
@@ -258,6 +260,70 @@ def test_flat_walk_matches_nested_oracle(n, seeds, band, monkeypatch, cache_dir)
         assert s.sample_shape(n, a) == oracle.sample_shape(n, b)
         assert a.getstate() == b.getstate()
     assert (len(fallbacks) > 0) == (band is not None)
+
+
+def _preorder_levels(shape, level=0):
+    yield level
+    for child in shape:
+        yield from _preorder_levels(child, level + 1)
+
+
+def test_parents_rebuilt_from_levels_are_the_preorder_parents():
+    trees = 0
+    for n in range(1, 11):
+        for shape in enumerate_trees_exhaustive(n):
+            assert sampling._parents(list(_preorder_levels(shape))) == list(
+                PolyaTree.from_shape(shape).parent)
+            trees += 1
+    assert trees == 1205
+
+
+class _StickyBits(random.Random):
+    """A seeded stream whose getrandbits(1) gives 1 three times before each
+    bit it draws, so every size-2 draw rejects at least three times; every
+    call's bit count is logged."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.calls = []
+        self._ones = 0
+
+    def getrandbits(self, k):
+        self.calls.append(k)
+        if k == 1 and self._ones < 3:
+            self._ones += 1
+            return 1
+        self._ones = 0
+        return super().getrandbits(k)
+
+
+class _LoggingNestedSampler(_NestedSampler):
+    def __init__(self, y):
+        super().__init__(y)
+        self.picks = []  # (size, j, d) of every choice
+
+    def _choose(self, n, rng):
+        j, d = super()._choose(n, rng)
+        self.picks.append((n, j, d))
+        return j, d
+
+
+@pytest.mark.parametrize("n", [30, 200])
+def test_size_two_draws_match_the_oracle_under_rejections(n, table_400):
+    s, picks = TreeSampler(table_400), []
+    for seed in range(12):
+        oracle = _LoggingNestedSampler(table_400.y)
+        a, b = _StickyBits(seed), _StickyBits(seed)
+        count, level = s._walk(n, a)
+        expected = PolyaTree.from_shape(oracle.sample_shape(n, b))
+        assert count == list(expected.child_count)
+        assert level == expected.levels().tolist()
+        assert a.calls == b.calls and a.getstate() == b.getstate()
+        # only a size-2 draw asks for one bit, and each asks at least four times
+        assert a.calls.count(1) >= 4 * sum(m == 2 for m, _, _ in oracle.picks) > 0
+        picks += oracle.picks
+    assert any(m - j * d == 2 for m, j, d in picks)  # a size-2 remainder
+    assert any(d == 2 and j >= 2 for m, j, d in picks)  # a d = 2 subtree copied j >= 2 times
 
 
 @pytest.mark.parametrize("threads", [1, 2])
