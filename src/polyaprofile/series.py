@@ -303,13 +303,15 @@ class DoubleRing:
         return f"DoubleRing({self.scale!r})"
 
     def coefficients(self, coeffs, order):
-        """Exact coefficients times scale**n, each through log|c|: a big one
-        converts whenever its rescaled value lies in the double range."""
+        """Exact coefficients times scale**n.  At scale 1 each converts with
+        float(), correctly rounded, so small ints stay exact; at any other
+        scale each goes through log|c|, so that a big one converts whenever
+        its rescaled value lies in the double range."""
         out = np.zeros(order + 1)
         ls = math.log(self.scale)
         for n, c in enumerate(coeffs[: order + 1]):
             if c:
-                out[n] = _signed_exp(c, n * ls)
+                out[n] = _signed_exp(c, n * ls) if ls else _to_float(c)
         return _frozen(out)
 
     freeze = staticmethod(_frozen)
@@ -771,6 +773,14 @@ def _signed_exp(c, extra_log):
         return math.exp(mag) if c > 0 else -math.exp(mag)
     except OverflowError:
         raise _out_of_range(mag) from None
+
+
+def _to_float(c):
+    """An int or Fraction c as the nearest float."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise _out_of_range(_log_abs(c)) from None
 
 
 def _out_of_range(mag):

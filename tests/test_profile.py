@@ -706,14 +706,16 @@ def test_covariance_at_400_is_unchanged():
 
 def test_double_ring_bits_are_unchanged():
     # sha256 of the converted tree series and of the double-ring table at
-    # (1, 2, 1600, 40), as the ring computed them before it owned its format
+    # (1, 2, 1600, 40), as the ring computed them before it owned its format;
+    # at scale 1 each coefficient converts with float(), correctly rounded
     for N, scale, digest in (
         (400, RHO, "9e324de438899438bce12e097653faccb3f5599c09b4c62154300309282ac188"),
         (1600, RHO, "3094b9fa99bc25d86942b138a12feb01f96b994405111f270ceb91044f0fe4d6"),
-        (100, 1.0, "26098c4e7f4ab70f0b28ea825722a4ae1c4826a3bab08890f93d161e177a6e13"),
+        (100, 1.0, "1097539ce4d724a644c55671e112bd9ad1fd31dd79271e6d3efbdea4897e7d1b"),
     ):
         coeffs = tree_series(N).to_double(scale).coeffs
         assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
+    assert list(tree_series(100).to_double(1.0).coeffs) == [float(c) for c in tree_series(100).coeffs]
     tab = finite_covariance(1, 2, 1600, 40, ring="double", scale=RHO)
     fields = [v.hex() for v in astuple(tab) if isinstance(v, float)]
     assert len(fields) == 9  # the eight moments and the correlation

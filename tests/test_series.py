@@ -490,6 +490,21 @@ def test_double_matches_exact(aa, bb):
         assert abs(pd - pe) <= 1e-12 * max(1.0, abs(pe))
 
 
+def test_unscaled_double_conversion_is_float_rounding():
+    # at scale 1 every coefficient is float(c), so small ints are exact and a
+    # product that cancels keeps its small value
+    coeffs = [-193, 9, Fraction(1, 3), Fraction(-(3**700), 3**699), 2**60 + 1, 0]
+    got = TruncatedSeries(coeffs, 5, ring=DoubleRing(1.0)).coeffs
+    assert list(got) == [float(c) for c in coeffs]
+    aa, bb = [0, 0, 0, -193, -99, -26], [0, 0, 0, 355, 400, -253]
+    da = TruncatedSeries(aa + [0] * 5, 10, ring=DoubleRing(1.0))
+    db = TruncatedSeries(bb + [0] * 5, 10, ring=DoubleRing(1.0))
+    assert list((da * db).coeffs) == [float(c) for c in (S(aa + [0] * 5, 10) * S(bb + [0] * 5, 10)).coeffs]
+    for value in (3**700, -(3**700), Fraction(3**700, 7)):
+        with pytest.raises(AccuracyError, match="double range"):
+            TruncatedSeries([0, value], 1, ring=DoubleRing(1.0))
+
+
 def test_scaled_double_substitute_and_mul():
     scale = 0.25
     e = tree_series(40)
