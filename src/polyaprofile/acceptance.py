@@ -66,7 +66,7 @@ class AcceptanceContext:
         self.N = 300 if quick else 400
         self._constants = None
         self.constants_s = None  # the wall time of computing the constants
-        self._mc = {}
+        self._mc = {}  # MonteCarloSpec -> its result: equal specs share one run
 
     @property
     def constants(self):
@@ -79,12 +79,11 @@ class AcceptanceContext:
     def table(self, n):
         return count_trees(n, cache_dir=self.cache_dir)
 
-    def mc(self, tag, spec):
-        if tag not in self._mc:
-            self._mc[tag] = sampling_mod.monte_carlo(
-                spec, table=self.table(spec.n), threads=self.threads
-            )
-        return self._mc[tag]
+    def mc(self, spec):
+        if spec not in self._mc:
+            self._mc[spec] = sampling_mod.monte_carlo(spec, self.table(spec.n),
+                                                      threads=self.threads)
+        return self._mc[spec]
 
 
 CRITERIA = []
@@ -336,7 +335,7 @@ def criterion_9(ctx):
     notes = []
     ok = True
     n_a = 400 if ctx.quick else 1600
-    mc_a = ctx.mc("mc_a", _mean_spec(ctx, n_a, 1500 if ctx.quick else 4000, 910))
+    mc_a = ctx.mc(_mean_spec(ctx, n_a, 1500 if ctx.quick else 4000, 910))
     for kappa in (0.5, 1.0):
         est, se = mc_a.mean(1, kappa)
         exact = profile_mod.scaled_level_mean(1, n_a, kappa, cs.rho)
@@ -346,7 +345,7 @@ def criterion_9(ctx):
             f"mean(kappa={kappa}, n={n_a}): mc={est:.5f} exact={exact:.5f} |d|/se={dev / se:.2f}"
         )
     if not ctx.quick:
-        mc_b = ctx.mc("mc_b", _mean_spec(ctx, 6400, 1500, 920))
+        mc_b = ctx.mc(_mean_spec(ctx, 6400, 1500, 920))
         for t in (0.5, 1.0):
             z_a, _ = mc_a.char_function(1, 1.0, t)
             z_b, _ = mc_b.char_function(1, 1.0, t)
@@ -383,9 +382,8 @@ def criterion_10(ctx):
     maxima = {}
     for i, (n, s) in enumerate(ns_samples):
         if n == 1600:
-            # same run criterion 9 uses, so the shared cache is deterministic
-            # no matter which criterion executes first
-            mc = ctx.mc("mc_a", _mean_spec(ctx, 1600, 4000, 910))
+            # criterion 9's spec, so the two share one run whichever goes first
+            spec = _mean_spec(ctx, 1600, 4000, 910)
         else:
             spec = sampling_mod.MonteCarloSpec(
                 n=n,
@@ -395,7 +393,7 @@ def criterion_10(ctx):
                 seed=ctx.seed + 100 + i,
                 tightness_grid=profile_mod.level_grid_for(n),
             )
-            mc = ctx.mc(f"mc_t{n}", spec)
+        mc = ctx.mc(spec)
         est, se, r, h = mc.tightness_max()
         maxima[n] = est
         notes.append(f"n={n}: max ratio={est:.3f} at (r={r},h={h})")
@@ -414,7 +412,7 @@ def criterion_10(ctx):
         seed=ctx.seed + 140,
         tightness_grid=((r_o,), (h_o,)),
     )
-    mc = ctx.mc("mc_oracle", spec)
+    mc = ctx.mc(spec)
     est, se = mc.tightness_ratio(r_o, h_o)
     est_raw = est * (h_o * h_o * n_o)
     se_raw = se * (h_o * h_o * n_o)
@@ -436,8 +434,8 @@ def criterion_11(ctx):
             n=100, degrees=(1, 2), kappas=(1.0,), samples=400, seed=ctx.seed + 7,
             tightness_grid=profile_mod.level_grid_for(100),
         )
-        a = sampling_mod.monte_carlo(spec, table=ctx.table(100), threads=1)
-        b = sampling_mod.monte_carlo(spec, table=ctx.table(100), threads=ctx.threads)
+        a = sampling_mod.monte_carlo(spec, ctx.table(100), threads=1)
+        b = sampling_mod.monte_carlo(spec, ctx.table(100), threads=ctx.threads)
         same_mc = a.sums == b.sums and a.count == b.count
         same_const = (const_mod.compute_constants(200, degrees=(1,))
                       == const_mod.compute_constants(200, degrees=(1,)))

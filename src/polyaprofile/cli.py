@@ -310,7 +310,7 @@ def sample(n, samples, seed, no_timestamp, out):
     """Uniform random trees; CSV of parent arrays, one row per sample."""
     if samples < 1:
         raise UsageError("--samples must be >= 1")
-    sampler = sampling_mod.TreeSampler(_counts(n))
+    sampler = sampling_mod._sampler_for(_counts(n))
     rows = []
     for i in range(samples):
         rng = sampling_mod.derive_rng(seed, i)
@@ -344,16 +344,16 @@ def montecarlo(n, samples, seed, degrees, kappas, t_grid, tightness, threads, no
         seed=seed,
         tightness_grid=profile_mod.level_grid_for(n) if tightness else (),
     )
-    result = sampling_mod.monte_carlo(spec, threads=_threads(threads),
-                                      cache_dir=_default_cache_dir())
+    workers = _threads(threads)  # every option is checked before the count table loads
+    result = sampling_mod.monte_carlo(spec, _counts(n), threads=workers)
     params = {
         "n": n, "samples": samples, "degrees": spec.degrees,
         "kappas": spec.kappas, "t_values": spec.t_values,
         "tightness": tightness,
     }
     header = _stochastic_header(seed, params, no_timestamp)
-    fields = ["kind", "n", "d", "kappa", "t", "r", "h", "estimate", "stderr", "samples"]
-    _emit(_csv_text(result.rows(), fields, header), out)
+    rows = result.rows()  # a run has a degree and a kappa, so at least one row
+    _emit(_csv_text(rows, list(rows[0]), header), out)
 
 
 @_command("limits")

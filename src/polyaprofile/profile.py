@@ -544,4 +544,4 @@ def level_grid_for(n):
     if n < 1:
         raise UsageError(f"the tightness grid needs a size n >= 1, got {n}")
     rt = isqrt(n)
-    return [0, rt, 2 * rt], [1, max(rt // 2, 1), rt]
+    return (0, rt, 2 * rt), (1, max(rt // 2, 1), rt)

@@ -9,16 +9,16 @@ pick (j, d) with probability d y_d y_{n-jd} / ((n-1) y_n), sample a tree T'
 of size n - jd and one tree D of size d, and attach j identical copies of D
 to the root of T'.  Induction gives a uniform isomorphism class of size n.
 
-One walk emits the tree flat, as the preorder lists ``child_count`` and
-``level`` in the order :meth:`PolyaTree.from_shape` gives.  Picking (j, d)
-appends j leaves at once when d = 1 and stays on the current frame; else it
-appends the root of D and suspends the current frame on a stack until D is
-filled.  A filled frame's subtree is the block from its root to the end of
-the lists, and its j - 1 copies are that block appended again: copies are
-siblings, so their levels and child counts repeat unchanged.  Draws thus
-follow the preorder of the recursion.  Where parents are asked for,
-:meth:`TreeSampler.sample_flat` rebuilds them from the levels in one pass:
-node i's parent is the last node before it one level up.
+One walk emits the tree as its :class:`PolyaTree` record: the preorder lists
+``child_count`` and ``level``, in the order :meth:`PolyaTree.from_shape`
+gives.  Picking (j, d) appends j leaves at once when d = 1 and stays on the
+current frame; else it appends the root of D and suspends the current frame
+on a stack until D is filled.  A filled frame's subtree is the block from
+its root to the end of the lists, and its j - 1 copies are that block
+appended again: copies are siblings, so their levels and child counts repeat
+unchanged.  Draws thus follow the preorder of the recursion.  The profile
+reads the two lists as they are; parents, where asked for, are derived from
+the levels (node i's parent is the last node before it one level up).
 
 Two draws are made without a table.  A size-2 remainder and a subtree with
 d = 2 both have the weight total (2-1) y_2 = 1, so R is 0 after the same
@@ -68,7 +68,7 @@ from itertools import accumulate
 import numpy as np
 
 from .constants import APPROX_RADIUS as _RHO
-from .enumeration import CountTable, canonical_shape, count_trees
+from .enumeration import CountTable, canonical_shape
 from .errors import UsageError
 from .profile import level_of
 from .series import DoubleRing, TruncatedSeries
@@ -87,35 +87,37 @@ _CHUNKS = 16
 
 @dataclass(frozen=True)
 class PolyaTree:
-    """Flat tree: parent[i] < i for i >= 1, parent[0] = -1."""
+    """Preorder tree: node i has child_count[i] children and lies on level[i]."""
 
-    parent: tuple
-    child_count: tuple
+    child_count: list
+    level: list
 
     @property
     def n(self):
-        return len(self.parent)
+        return len(self.level)
+
+    @property
+    def parent(self):
+        """parent[i] < i for i >= 1, parent[0] = -1: node i's parent is the last
+        node before it one level up."""
+        level = self.level
+        parent, last = [-1], [0] * len(level)  # last[l]: the latest node on level l
+        for i in range(1, len(level)):
+            lv = level[i]
+            parent.append(last[lv - 1])
+            last[lv] = i
+        return parent
 
     @classmethod
     def from_shape(cls, shape):
-        parent = [-1]
-        child_count = [len(shape)]
-        stack = [(c, 0) for c in reversed(shape)]
+        child_count, level = [len(shape)], [0]
+        stack = [(c, 1) for c in reversed(shape)]
         while stack:
-            t, p = stack.pop()
-            idx = len(parent)
-            parent.append(p)
+            t, lv = stack.pop()
             child_count.append(len(t))
-            stack.extend((c, idx) for c in reversed(t))
-        return cls(tuple(parent), tuple(child_count))
-
-    def levels(self):
-        """level[i] = distance from the root (parents precede children)."""
-        lev = [0] * self.n
-        par = self.parent
-        for i in range(1, self.n):
-            lev[i] = lev[par[i]] + 1
-        return np.asarray(lev, dtype=np.int64)
+            level.append(lv)
+            stack.extend((c, lv + 1) for c in reversed(t))
+        return cls(child_count, level)
 
 
 @dataclass(frozen=True)
@@ -141,30 +143,15 @@ class ProfileSample:
 
 
 def extract_profile(tree, d_max):
-    """BFS level decomposition with per-degree counts (degree = children + 1)."""
-    return _profile(tree.levels(), tree.child_count, d_max)
-
-
-def _profile(level, child_count, d_max):
-    lev = np.asarray(level, dtype=np.int64)
-    deg = np.asarray(child_count, dtype=np.int64) + 1
+    """Per-level counts, and per level the counts of each degree (children + 1) <= d_max."""
+    lev = np.asarray(tree.level, dtype=np.int64)
+    deg = np.asarray(tree.child_count, dtype=np.int64) + 1
     height = int(lev.max()) if len(lev) else 0
     level_counts = np.bincount(lev, minlength=height + 1)
     mask = deg <= d_max
     flat = (deg[mask] - 1) * (height + 1) + lev[mask]
     dl = np.bincount(flat, minlength=d_max * (height + 1)).reshape(d_max, height + 1)
     return ProfileSample(len(lev), level_counts, dl, d_max)
-
-
-def _parents(level):
-    """Preorder parent list of preorder levels: node i's parent is the last node
-    before it one level up."""
-    parent, last = [-1], [0] * len(level)  # last[l]: the latest node on level l
-    for i in range(1, len(level)):
-        lv = level[i]
-        parent.append(last[lv - 1])
-        last[lv] = i
-    return parent
 
 
 # ---------------------------------------------------------------------------
@@ -295,22 +282,17 @@ class TreeSampler:
                 return count, level
             r, m, copies, lv = stack.pop()
 
-    def sample_flat(self, n, rng):
-        """Preorder (parent, child_count, level) lists of a uniform tree of n nodes."""
-        count, level = self._walk(n, rng)
-        return _parents(level), count, level
+    def sample_tree(self, n, rng):
+        """A uniform tree of exactly n nodes, as the walk emits it."""
+        return PolyaTree(*self._walk(n, rng))
 
     def sample_shape(self, n, rng):
         """Nested-tuple tree of exactly n nodes, uniform over classes."""
-        parent, _, _ = self.sample_flat(n, rng)
+        parent = self.sample_tree(n, rng).parent
         kids = [[] for _ in parent]  # filled last child first, since children follow parents
         for i in range(n - 1, 0, -1):
             kids[parent[i]].append(tuple(reversed(kids[i])))
         return tuple(reversed(kids[0]))
-
-    def sample_tree(self, n, rng):
-        parent, count, _ = self.sample_flat(n, rng)
-        return PolyaTree(tuple(parent), tuple(count))
 
 
 # n_max -> the sampler of the last count table of that size seen.  A kept
@@ -340,6 +322,8 @@ def derive_rng(seed, stream_index):
 
 @dataclass(frozen=True)
 class MonteCarloSpec:
+    """A Monte Carlo run's parameters, refused on construction unless valid."""
+
     n: int
     degrees: tuple = (1, 2)
     kappas: tuple = (0.5, 1.0)
@@ -347,6 +331,25 @@ class MonteCarloSpec:
     samples: int = 1000
     seed: int = 0
     tightness_grid: tuple = ()  # ((r...), (h...)) or () to skip
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise UsageError(f"a Monte Carlo run needs a size n >= 1, got {self.n}")
+        if self.samples < 1:
+            raise UsageError("samples must be >= 1")
+        if any(d < 1 for d in self.degrees):
+            raise UsageError(f"degrees must be >= 1, got {self.degrees}")
+        if not all(math.isfinite(k) and k >= 0 for k in self.kappas):
+            raise UsageError(f"kappas must be finite and >= 0, got {self.kappas}")
+        if not all(math.isfinite(t) for t in self.t_values):
+            raise UsageError(f"t values must be finite, got {self.t_values}")
+        # a repeated value would share its sums with its twin and count every tree twice
+        for name, values in (("degrees", self.degrees), ("kappas", self.kappas),
+                             ("t values", self.t_values)):
+            if len(set(values)) < len(values):
+                raise UsageError(f"{name} must be distinct, got {values}")
+        for kap in self.kappas:  # a level past the float range stops here
+            level_of(kap, self.n)
 
 
 class _Accumulator:
@@ -460,8 +463,7 @@ def _run_chunk(sampler, spec, chunk_index, chunk_size):
     acc = _Accumulator(spec)
     d_max = max(spec.degrees, default=1)
     for _ in range(chunk_size):
-        count, level = sampler._walk(spec.n, rng)
-        acc.add_tree(_profile(level, count, d_max))
+        acc.add_tree(extract_profile(sampler.sample_tree(spec.n, rng), d_max))
     return acc
 
 
@@ -473,30 +475,15 @@ def _forked_chunk(args):
     return _run_chunk(_FORK_STATE["sampler"], _FORK_STATE["spec"], chunk_index, chunk_size)
 
 
-def monte_carlo(spec, table=None, threads=1, cache_dir=None):
-    """Run the experiment; deterministic for a fixed seed and any thread count.
+def monte_carlo(spec, table, threads=1):
+    """Run the experiment on trees drawn from ``table``; deterministic for a
+    fixed seed and any thread count.
 
     Work is split into ``_CHUNKS`` independent streams derived from
     (seed, chunk index); results are merged in chunk order, so the estimates
     do not depend on how chunks are scheduled.
     """
-    if spec.samples < 1:
-        raise UsageError("samples must be >= 1")
-    if any(d < 1 for d in spec.degrees):
-        raise UsageError(f"degrees must be >= 1, got {spec.degrees}")
-    if not all(math.isfinite(k) and k >= 0 for k in spec.kappas):
-        raise UsageError(f"kappas must be finite and >= 0, got {spec.kappas}")
-    if not all(math.isfinite(t) for t in spec.t_values):
-        raise UsageError(f"t values must be finite, got {spec.t_values}")
-    # a repeated value would share its sums with its twin and count every tree twice
-    for name, values in (("degrees", spec.degrees), ("kappas", spec.kappas),
-                         ("t values", spec.t_values)):
-        if len(set(values)) < len(values):
-            raise UsageError(f"{name} must be distinct, got {values}")
-    if table is None:
-        table = count_trees(spec.n, cache_dir=cache_dir)
     sampler = _sampler_for(table)
-    total = _Accumulator(spec)  # reads each level: a kappa past the float range stops here
     chunks = list(enumerate(_chunk_sizes(spec.samples, _CHUNKS)))
     parts = None
     if threads > 1:
@@ -516,6 +503,7 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
                 _FORK_STATE.clear()
     if parts is None:
         parts = [_run_chunk(sampler, spec, idx, size) for idx, size in chunks]
+    total = _Accumulator(spec)
     for part in parts:
         total.merge(part)
     return MonteCarloResult(spec, total.count, dict(total.g))
@@ -525,10 +513,8 @@ def monte_carlo(spec, table=None, threads=1, cache_dir=None):
 # uniformity diagnostics
 # ---------------------------------------------------------------------------
 
-def sample_class_counts(n, samples, rng, table=None):
+def sample_class_counts(n, samples, rng, table):
     """Histogram of canonical isomorphism classes over many samples."""
-    if table is None:
-        table = count_trees(n)
     sampler = _sampler_for(table)
     counts = {}
     for _ in range(samples):

@@ -313,6 +313,17 @@ def test_unwritable_cache_warns_once_and_keeps_stdout(tmp_path):
     assert good.stderr == ""
 
 
+def test_bad_montecarlo_spec_exits_2_before_any_count_table(tmp_path):
+    # n = 4000 is past every table the tests build, so a count table built
+    # before the spec check would take seconds and land in the cache
+    proc = cli_process("montecarlo", "--n", "4000", "--samples", "10", "--kappas", "1e308",
+                       "--threads", "1", POLYAPROFILE_CACHE=str(tmp_path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == ("usage error: the level kappa*sqrt(n) passes the float range "
+                           "at kappa=1e+308, n=4000\n")
+    assert os.listdir(tmp_path) == []
+
+
 @pytest.mark.parametrize("args", [("count", "--n-max", "1500"), ("constants", "--order", "1600")],
                          ids=["count", "constants"])
 def test_counts_past_the_int_digit_limit_exit_0_and_leave_no_temporary_file(tmp_path, args):

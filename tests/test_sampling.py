@@ -36,10 +36,10 @@ def test_size_one_and_two_deterministic():
     s = TreeSampler(TABLE_64)
     rng = derive_rng(0, 0)
     t1 = s.sample_tree(1, rng)
-    assert t1.parent == (-1,) and t1.child_count == (0,)
+    assert t1.parent == [-1] and t1.child_count == [0]
     for _ in range(5):
         t2 = s.sample_tree(2, rng)
-        assert t2.parent == (-1, 0)
+        assert t2.parent == [-1, 0]
 
 
 def test_size_outside_table_rejected():
@@ -61,7 +61,7 @@ def test_exact_size_and_wellformed(n, seed):
     counts = [0] * n
     for i in range(1, n):
         counts[tree.parent[i]] += 1
-    assert counts == list(tree.child_count)
+    assert counts == tree.child_count
 
 
 def test_same_seed_same_stream():
@@ -253,8 +253,7 @@ def test_flat_walk_matches_nested_oracle(n, seeds, band, monkeypatch, cache_dir)
         expected = PolyaTree.from_shape(oracle.sample_shape(n, b))
         assert tree.parent == expected.parent
         assert tree.child_count == expected.child_count
-        assert (tree.levels() == expected.levels()).all()
-        assert s.sample_flat(n, derive_rng(seed, n))[2] == expected.levels().tolist()
+        assert tree.level == expected.level
         assert a.getstate() == b.getstate()
         a, b = derive_rng(seed, n), derive_rng(seed, n)
         assert s.sample_shape(n, a) == oracle.sample_shape(n, b)
@@ -262,18 +261,24 @@ def test_flat_walk_matches_nested_oracle(n, seeds, band, monkeypatch, cache_dir)
     assert (len(fallbacks) > 0) == (band is not None)
 
 
-def _preorder_levels(shape, level=0):
-    yield level
+def _preorder(shape, level=0, parent=-1, nodes=None):
+    """(child count, level, parent) of each node of a nested shape, in preorder."""
+    nodes = [] if nodes is None else nodes
+    index = len(nodes)
+    nodes.append((len(shape), level, parent))
     for child in shape:
-        yield from _preorder_levels(child, level + 1)
+        _preorder(child, level + 1, index, nodes)
+    return nodes
 
 
 def test_parents_rebuilt_from_levels_are_the_preorder_parents():
     trees = 0
     for n in range(1, 11):
         for shape in enumerate_trees_exhaustive(n):
-            assert sampling._parents(list(_preorder_levels(shape))) == list(
-                PolyaTree.from_shape(shape).parent)
+            tree = PolyaTree.from_shape(shape)
+            count, level, parent = map(list, zip(*_preorder(shape)))
+            assert (tree.child_count, tree.level) == (count, level)
+            assert tree.parent == parent
             trees += 1
     assert trees == 1205
 
@@ -316,8 +321,8 @@ def test_size_two_draws_match_the_oracle_under_rejections(n, table_400):
         a, b = _StickyBits(seed), _StickyBits(seed)
         count, level = s._walk(n, a)
         expected = PolyaTree.from_shape(oracle.sample_shape(n, b))
-        assert count == list(expected.child_count)
-        assert level == expected.levels().tolist()
+        assert count == expected.child_count
+        assert level == expected.level
         assert a.calls == b.calls and a.getstate() == b.getstate()
         # only a size-2 draw asks for one bit, and each asks at least four times
         assert a.calls.count(1) >= 4 * sum(m == 2 for m, _, _ in oracle.picks) > 0
@@ -386,9 +391,35 @@ def test_monte_carlo_refuses_a_level_past_the_float_range_before_sampling(monkey
         raise AssertionError("sampled a spec it should refuse")
 
     monkeypatch.setattr(sampling, "_run_chunk", no_sampling)
-    spec = MonteCarloSpec(n=5, degrees=(1,), kappas=(1.0, 1e308), samples=2)
     with pytest.raises(UsageError, match="passes the float range at kappa=1e\\+308, n=5"):
-        monte_carlo(spec, table=TABLE_64)
+        monte_carlo(MonteCarloSpec(n=5, degrees=(1,), kappas=(1.0, 1e308), samples=2), TABLE_64)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n": 0}, "needs a size n >= 1, got 0"),
+    # the size is checked before any level: sqrt(-1) would raise a bare ValueError
+    ({"n": -1, "kappas": (1.0,)}, "needs a size n >= 1, got -1"),
+    ({"samples": 0}, "samples must be >= 1"),
+    ({"degrees": (0, 1)}, "degrees must be >= 1"),
+    ({"kappas": (-1.0,)}, "kappas must be finite and >= 0"),
+    ({"kappas": (math.nan,)}, "kappas must be finite and >= 0"),
+    ({"t_values": (math.inf,)}, "t values must be finite"),
+    ({"degrees": (1, 1)}, "degrees must be distinct"),
+    ({"kappas": (0.5, 0.5)}, "kappas must be distinct"),
+    ({"t_values": (0.0, 0.0)}, "t values must be distinct"),
+    ({"kappas": (1e308,)}, "passes the float range"),
+], ids=["n0", "n-neg", "samples", "degrees", "kappas-neg", "kappas-nan", "t-inf",
+        "degrees-repeated", "kappas-repeated", "t-repeated", "level-overflow"])
+def test_spec_is_refused_on_construction(fields, message):
+    with pytest.raises(UsageError, match=message):
+        MonteCarloSpec(**{"n": 5, **fields})
+
+
+def test_equal_specs_are_one_key():
+    # the acceptance run caches its Monte Carlo results by spec
+    a = MonteCarloSpec(n=100, kappas=(1.0,), tightness_grid=level_grid_for(100))
+    b = MonteCarloSpec(n=100, kappas=(1.0,), tightness_grid=level_grid_for(100))
+    assert {a: 1}[b] == 1
 
 
 def test_one_sampler_per_count_table(monkeypatch):

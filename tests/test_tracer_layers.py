@@ -9,7 +9,8 @@ import importlib.util
 import os
 
 import polyaprofile.limits  # noqa: F401  (the tracer wraps names in every module)
-from polyaprofile import profile
+from polyaprofile import profile, sampling
+from polyaprofile.enumeration import count_trees
 
 TRACER = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
 
@@ -35,3 +36,16 @@ def test_tracer_installs_every_layer_and_uninstalls():
         "series.marked_exp",
         "series.marked_polya_exponent",
     } <= names
+
+
+def test_monte_carlo_profiles_each_tree_through_extract_profile():
+    spec = sampling.MonteCarloSpec(n=30, degrees=(1,), kappas=(1.0,), samples=7, seed=2)
+    tracer = _load_tracer().Tracer("t")
+    try:
+        tracer.install()
+        sampling.monte_carlo(spec, count_trees(30), threads=1)
+    finally:
+        assert tracer.uninstall()
+    (run,) = [span[0] for span in tracer.spans if span[1] == "sampling.monte_carlo"]
+    profiles = [span for span in tracer.spans if span[1] == "sampling.extract_profile"]
+    assert len(profiles) == 7 and all(span[4] == run for span in profiles)
