@@ -17,7 +17,9 @@ the test suite holds them to exact rational equality:
    The two-level series marks levels k and k+h with separate variables.
    Every mode is one ``MarkedSeries`` (a series in x per mark exponent)
    whose caps and basis come from one helper; its exp steps in the mark
-   direction, so the level series keep integer coefficients.
+   direction, so the level series keep integer coefficients.  In the eps
+   basis the unmarked term of every level is y, so the level step reads the
+   exp of its unmarked exponent, y / x, off the count table.
 
    The marked series run modulo word-size primes at every order (a
    ``ResidueRing`` per order, caps and basis, ``_marked_ring``).  Every
@@ -29,9 +31,10 @@ the test suite holds them to exact rational equality:
    the order N: in the u basis [x^n u^l] <= y_n; in the eps basis
    [x^n eps^a] = sum over the trees of C(L, a) <= C(n, a) y_n, per mark; in
    the tightness mode, signed, with |[x^n eps^j]| <= C(n + 4, 4) y_n.
-   E(L(20) - L(40))^4 at n = 400 takes 1.0–1.2 s (7.8–9.1 s in big
-   integers) and the joint law of L(3) and L(5) at n = 30 0.6–1.0 s
-   (2.2–2.3 s), timed alternately on a 2-CPU host.
+   E(L(20) - L(40))^4 at n = 400 takes 0.73–1.15 s (57–64 s in big
+   integers) and the joint law of L(3) and L(5) at n = 30 0.21–0.40 s
+   (2.6–3.6 s), the first call in a process with the count table built,
+   timed alternately on a 2-CPU host.
    The same code over the exact ring, the big-integer route, is the test
    oracle at every order: the tests reach it by replacing ``_marked_ring``.
 
@@ -147,11 +150,25 @@ def _marked_ring(N, caps, basis, signed=False):
 
 def _marked_levels(base, k_max):
     """Yield (k, y_k) for k = 0..k_max, where y_0 = base and each level is
-    x exp(sum_i y_k(x^i, u^i)/i)."""
+    x exp(sum_i y_k(x^i, u^i)/i).
+
+    In the eps basis the unmarked term of every level is y (eps = 0 is
+    u = 1), so by Polya's equation y = x exp(sum_i y(x^i)/i) the exp of the
+    unmarked exponent is y / x, read from the count table of order N: no
+    scalar exp runs, and the unmarked term is left out of the exponent (no
+    marked term has an unmarked image).  Coefficient N of y / x would be
+    y_{N+1}, which is left 0: it reaches only coefficient N of the exp,
+    which the shift drops.
+    """
     cur = base
     yield 0, cur
+    y_over_x = None
+    if base.basis == "eps":
+        y_over_x = TruncatedSeries(tree_series(base.order).coeffs[1:], base.order, base.ring)
     for k in range(1, k_max + 1):
-        cur = cur.polya_exponent().exp().shift(1)
+        if y_over_x is not None:
+            cur = cur.copy_with({e: s for e, s in cur.terms.items() if any(e)})
+        cur = cur.polya_exponent().exp(y_over_x).shift(1)
         yield k, cur
 
 

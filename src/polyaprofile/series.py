@@ -26,9 +26,10 @@ the classes here:
     (``scalar_div``, through a table of inverses built once per ring),
     shifts, substitutes x -> x**i (a strided copy), takes ``exp`` by
     n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, adds
-    sums of products (``mul_sum``) and lifts one coefficient of many
-    series in one call (``read_many``) for the marked series.  Only the
-    double ring refuses those.
+    sums of products (``mul_sum``: short windows packed into one
+    ``np.correlate`` per prime) and lifts one coefficient of many series in
+    one call (``read_many``) for the marked series.  Only the double ring
+    refuses those.
     An exact series evaluates at a point through its table of (log|a_n|,
     sign of a_n), built at its first evaluation and never passed on to a
     series made from it: each term is then one multiply-add and one
@@ -53,8 +54,9 @@ Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
 it is a Python loop over big integers, so the exact derivative pass and the
 marked series run in a residue ring, where a product is one ``np.convolve``
 per prime (the multi-modular method: von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 5).  Values are immutable and operations pure, so
-instances are safe to share across workers.
+Computer Algebra, ch. 5), and a sum of short products one ``np.correlate``
+per prime over the pairs laid side by side.  Values are immutable and
+operations pure, so instances are safe to share across workers.
 """
 
 from __future__ import annotations
@@ -130,6 +132,9 @@ def _scale_powers(scale, N):
 
 
 _SIEVE_WINDOW = 4096
+
+# the largest window order at which ``ResidueRing.mul_sum`` packs its pairs
+_PACKED_MAX_ORDER = 160
 
 
 def build_primes(n, bound):
@@ -220,10 +225,13 @@ class ExactRing:
     def mul_sum(self, pairs, N):
         """sum a b over the pairs (a, val(a), b, val(b)), to order N.
 
-        Each product walks b's nonzero terms only: y * 1 is O(N).
+        A pair whose valuations add up past N is skipped, and each product
+        walks b's nonzero terms only: y * 1 is O(N).
         """
         out = [0] * (N + 1)
-        for a, _, b, _ in pairs:
+        for a, va, b, vb in pairs:
+            if va + vb > N:
+                continue
             terms = [(j, bj) for j, bj in enumerate(b) if bj]
             for i, ai in enumerate(a):
                 if ai:
@@ -471,29 +479,88 @@ class ResidueRing:
     def mul(self, a, b, N):
         return self.mul_sum([(a, 0, b, 0)], N)
 
+    def _room(self):
+        """How many products of two residues a float64 sum holds exactly:
+        2^53 / (p - 1)^2, which ``coefficients`` keeps at the order + 1 or more."""
+        return (1 << 53) // (max(self.primes) - 1) ** 2
+
     def mul_sum(self, pairs, N):
         """sum a b over the pairs (a, val(a), b, val(b)), to order N.
 
-        Only the terms from the valuations on are multiplied, so a pair's
-        product fills the window x^(val(a)+val(b))..x^N, one convolution per
-        prime.  Products are added unreduced into one buffer, each entry
-        gaining at most one product of two residues per term of a window, and
-        the buffer is reduced and folded in only when its entries could pass
-        2^53: ``room`` = 2^53 / (p - 1)^2 products, which ``coefficients``
-        keeps at N + 1 or more.
+        A pair whose valuations add up past N is skipped, and only the terms
+        from the valuations on are multiplied: every product has valuation
+        at least ``low``, the least val(a) + val(b), so the sum is x^low
+        times a sum of products of windows of order N - low.  Two or more
+        pairs whose window order is at most ``_PACKED_MAX_ORDER`` are packed
+        into one ``np.correlate`` per prime (``_mul_sum_packed``); otherwise
+        each pair is one ``np.convolve`` per prime (``_mul_sum_pairs``).
+        Both sum the same products of integers exactly, so they give the
+        same residues.  The crossover was measured on
+        random residues with valuation 0 (2-CPU host, numpy 2.4), packed
+        against per pair for 2, 4 and 8 pairs: 33-78 against 60-215 us at
+        N = 60 over 6 primes, 163-662 against 225-857 us at N = 160 over 12
+        primes, 0.9-1.15 times the per-pair time at N = 200 over 14 primes,
+        and 1.06-2.7 times at N = 400 over 24 primes, where the zeros between
+        the blocks, which packing multiplies too, dominate.
+        """
+        pairs = [pair for pair in pairs if pair[1] + pair[3] <= N]
+        if len(pairs) > 1:
+            low = min(va + vb for _, va, _, vb in pairs)
+            if N - low <= _PACKED_MAX_ORDER:
+                return self._mul_sum_packed(pairs, N, low)
+        return self._mul_sum_pairs(pairs, N)
+
+    def _mul_sum_pairs(self, pairs, N):
+        """``mul_sum`` by one convolution per pair and prime.
+
+        A pair's product fills the window x^(val(a)+val(b))..x^N, which
+        ``mul_sum`` keeps non-empty.  Products are added unreduced into one
+        buffer, each entry gaining at most one product of two residues per
+        term of a window, and the buffer is reduced and folded in only when
+        its entries could pass 2^53 (``_room``).
         """
         acc, raw, load = None, np.zeros((len(self.primes), N + 1)), 0
-        room = (1 << 53) // (max(self.primes) - 1) ** 2
+        room = self._room()
         for a, va, b, vb in pairs:
             size = N + 1 - va - vb
-            if size <= 0:
-                continue
             if load + size > room:
                 acc, raw, load = self._fold(acc, raw), np.zeros_like(raw), 0
             for out, x, y in zip(raw[:, va + vb:], a[:, va:va + size], b[:, vb:vb + size]):
                 out += np.convolve(x, y)[:size]
             load += size
         return self._fold(acc, raw)
+
+    def _mul_sum_packed(self, pairs, N, low):
+        """``mul_sum`` by one ``np.correlate`` per prime for a group of pairs
+        (Kronecker substitution, von zur Gathen & Gerhard), low being the
+        least val(a) + val(b).
+
+        Each pair splits as a = x^i a', b = x^(low - i) b' (i = min(val(a),
+        low) drops only zero terms), and the sum is x^low sum a' b' to the
+        window order n = N - low.  In blocks of stride L = 2n + 1,
+        X = [0^n | b'_1 | 0^n | b'_2 | ...] and
+        K = [rev a'_1 | 0^n | rev a'_2 | ... | rev a'_m], so output k of the
+        "valid" correlation, sum_t X[t + k] K[t], is sum_r [x^k] a'_r b'_r:
+        the term a'_r[j] meets block r of X at offset n + k - j, which is
+        b'_r[k - j] from k >= j on and zero below, and never leaves block r.
+        Output k sums at most m (n + 1) products of two residues, so groups
+        of at most ``_room`` / (n + 1) pairs keep every sum exact below 2^53.
+        """
+        n, P = N - low, len(self.primes)
+        L = 2 * n + 1
+        group = self._room() // (n + 1)
+        acc = None
+        for start in range(0, len(pairs), group):
+            chunk = pairs[start:start + group]
+            X, K = np.zeros((2, P, len(chunk), L))
+            split = [(a, b, min(va, low)) for a, va, b, _ in chunk]
+            X.transpose(1, 0, 2)[:, :, n:] = [b[:, low - i:low - i + n + 1] for _, b, i in split]
+            K.transpose(1, 0, 2)[:, :, :n + 1] = [a[:, i:i + n + 1][:, ::-1] for a, _, i in split]
+            X, K = X.reshape(P, -1), K.reshape(P, -1)[:, :len(chunk) * L - n]
+            acc = self._fold(acc, np.array([np.correlate(x, k, "valid") for x, k in zip(X, K)]))
+        out = np.zeros((P, N + 1))
+        out[:, low:] = acc
+        return out
 
     def _fold(self, acc, raw):
         """acc + raw reduced (acc None counts as zero)."""
@@ -931,12 +998,10 @@ class MarkedSeries:
     __rmul__ = __mul__
 
     def _sum_of_products(self, pairs):
-        """sum s t over a non-empty list of pairs of terms; a pair whose
-        valuations add up past the order is skipped."""
-        N = self.order
+        """sum s t over a non-empty list of pairs of terms; the ring skips a
+        pair whose valuations add up past the order."""
         terms = [(s.coeffs, s.valuation(), t.coeffs, t.valuation()) for s, t in pairs]
-        return pairs[0][0].copy_with(
-            self.ring.mul_sum([p for p in terms if p[1] + p[3] <= N], N))
+        return pairs[0][0].copy_with(self.ring.mul_sum(terms, self.order))
 
     def scalar_div(self, q):
         return self.copy_with({e: s.scalar_div(q) for e, s in self.terms.items()})
@@ -948,20 +1013,25 @@ class MarkedSeries:
         if any(s.valuation() == 0 for s in self.terms.values()):
             raise DomainError(f"{what} requires zero constant term")
 
-    def exp(self):
+    def exp(self, unmarked=None):
         """exp(p) through the Euler operator theta = sum_m m d/dm over the marks.
 
         theta E = (theta p) E gives, with |alpha| = a + b,
 
             |alpha| E_alpha = sum_{0 < beta <= alpha} |beta| p_beta E_{alpha-beta},
 
-        from E_0 = exp(p_0) in x.  It is the same in both bases, and whole
-        coefficients stay ints in the exact ring.  A product of two terms
-        whose valuations add up past the order is zero and is skipped.
+        from E_0 = exp(p_0) in x, or from ``unmarked`` when the caller already
+        knows exp(p_0) (a scalar series of this ring and order); p's own
+        unmarked term is then not read, and may be absent.  It is the
+        same in both bases, and whole coefficients stay ints in the exact
+        ring.  A product of two terms whose valuations add up past the order
+        is zero and is skipped.
         """
         self._check_constant_term("exp")
         N = self.order
-        E = {_UNMARKED: self.terms.get(_UNMARKED, TruncatedSeries.zero(N, self.ring)).exp()}
+        if unmarked is None:
+            unmarked = self.terms.get(_UNMARKED, TruncatedSeries.zero(N, self.ring)).exp()
+        E = {_UNMARKED: unmarked}
         dp = {}  # |beta| -> [(beta, |beta| p_beta)], by ascending valuation
         for beta, s in sorted(self.terms.items(), key=lambda item: item[1].valuation()):
             if beta != _UNMARKED:

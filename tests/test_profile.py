@@ -436,6 +436,49 @@ def test_residue_marked_route_is_the_big_integer_route(n, extra, d, d2, k, h, or
         assert law() == _over_exact(law)
 
 
+def _generic_levels(base, k_max):
+    """Every level by the generic MarkedSeries.exp, which takes the scalar
+    exp of the unmarked exponent (a test oracle)."""
+    cur = base
+    yield 0, cur
+    for k in range(1, k_max + 1):
+        cur = cur.polya_exponent().exp().shift(1)
+        yield k, cur
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["one", "two", "tightness", "mixed"]), d=_DEGREES,
+       N=st.integers(1, 24), k=st.integers(0, 6), h=st.integers(0, 4), order=st.integers(1, 3),
+       exact=st.booleans())
+def test_eps_levels_read_y_over_x_and_equal_the_generic_exp(kind, d, N, k, h, order, exact):
+    # in the eps basis the level step takes exp of the unmarked exponent as
+    # y / x from the count table: every level equals the one the generic
+    # exp builds, over a residue ring and over EXACT, and no scalar exp runs
+    progression = {
+        "one": lambda: profile.level_series_progression(d, k, N, "moments", order),
+        "two": lambda: profile.two_level_series_progression(d, k, h, N, "moments", order),
+        "tightness": lambda: profile.two_level_series_progression(d, k, h, N, "tightness"),
+        "mixed": lambda: [(k, mixed_degree_series(1, 2, k, N, "moments", order))],
+    }[kind]
+    steps = {"one": k, "two": k + h, "tightness": k + h, "mixed": min(k, N)}[kind]
+    calls = []
+    with pytest.MonkeyPatch.context() as m:
+        if exact:
+            m.setattr(profile, "_marked_ring", lambda *args: EXACT)
+        for ring in (ResidueRing, type(EXACT)):
+            def counted(self, a, original=ring.exp):
+                calls.append(self)
+                return original(self, a)
+            m.setattr(ring, "exp", counted)
+        got = [(j, s.ring, _coefficients(s)) for j, s in progression()]
+        assert calls == []
+        m.setattr(profile, "_marked_levels", _generic_levels)
+        want = [(j, s.ring, _coefficients(s)) for j, s in progression()]
+        assert len(calls) == steps
+    assert got == want
+    assert all((ring is EXACT) == exact for _, ring, _ in got)
+
+
 def test_marked_series_coefficients_are_ints():
     # the level step keeps whole coefficients as ints, never as Fractions
     for s in (

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyaprofile import series
 from polyaprofile.enumeration import tree_series
 from polyaprofile.errors import AccuracyError, DomainError, UsageError
 from polyaprofile.series import (
@@ -643,6 +644,87 @@ def test_residue_ring_arithmetic_matches_the_exact_ring():
         assert _canonical(got)
         assert got.lift() == want
     assert [rb[n] for n in (0, 7, N)] == [b[0], b[7], b[N]]
+
+
+def _residue_pairs(ring, N, valuations, rng, top):
+    """(a, val(a), b, val(b)) of residue arrays starting at the given
+    valuations; with ``top`` every nonzero residue is p - 1 or p - 2."""
+    shape = (len(ring.primes), N + 1)
+
+    def residues(v):
+        if top:
+            c = ring.p - 1 - rng.integers(0, 2, shape)
+        else:
+            c = np.floor(rng.random(shape) * ring.p)
+        c[:, :v] = 0
+        if v <= N:
+            c[:, v] = np.maximum(c[:, v], 1)
+        return c
+
+    return [(residues(va), va, residues(vb), vb) for va, vb in valuations]
+
+
+@settings(max_examples=50, deadline=None)
+@given(N=st.integers(1, 2 * series._PACKED_MAX_ORDER + 80), bits=st.integers(1, 60),
+       top=st.booleans(), seed=st.integers(0, 2**32), data=st.data())
+def test_packed_and_per_pair_sums_of_products_agree_bit_for_bit(N, bits, top, seed, data):
+    # one np.correlate per prime over packed pairs, against one np.convolve
+    # per pair and prime: the residues start at drawn valuations (so the
+    # packed windows are cut at the least sum of them), m runs from 2 to past
+    # one fold group (room / (n + 1) pairs at the window order n) and N lies
+    # on both sides of the crossover; with ``top`` the sums reach the bound
+    ring = ResidueRing(N, 1 << bits)
+    group = ring._room() // (N + 1)
+    m = data.draw(st.integers(2, min(group + 2, 48)), label="m")
+    valuations = []
+    for _ in range(m):
+        va = data.draw(st.integers(0, N), label="val(a)")
+        valuations.append((va, data.draw(st.integers(0, N - va), label="val(b)")))
+    pairs = _residue_pairs(ring, N, valuations, np.random.default_rng(seed), top)
+    low = min(va + vb for va, vb in valuations)
+    want = ring._mul_sum_pairs(pairs, N)
+    assert ring._mul_sum_packed(pairs, N, low).tobytes() == want.tobytes()
+    assert ring.mul_sum(pairs, N).tobytes() == want.tobytes()
+
+
+def test_packed_sum_past_one_fold_group_is_the_exact_sum():
+    # more pairs than one group holds, every residue p - 1 or p - 2: the
+    # packed sum is the exact sum of products modulo each prime
+    N = 2 * series._PACKED_MAX_ORDER
+    ring = ResidueRing(N, 1 << 30)
+    m = ring._room() // (N + 1) + 3
+    pairs = _residue_pairs(ring, N, [(0, 0)] * m, np.random.default_rng(3), top=True)
+    got = ring._mul_sum_packed(pairs, N, 0)
+    for j, p in enumerate(ring.primes):
+        rows = [(a[j].astype(int).tolist(), b[j].astype(int).tolist()) for a, _, b, _ in pairs]
+        want = [sum(a[i] * b[t - i] for a, b in rows for i in range(t + 1)) % p
+                for t in (0, N // 2, N)]
+        assert got[j, [0, N // 2, N]].tolist() == want
+
+
+def test_mul_sum_packs_two_or_more_pairs_up_to_the_crossover(monkeypatch):
+    # the path follows the number of pairs within the order and the window
+    # order N - low, low the least sum of valuations
+    calls = []
+    for name in ("_mul_sum_pairs", "_mul_sum_packed"):
+        def counted(self, *args, name=name, original=getattr(ResidueRing, name)):
+            calls.append(name)
+            return original(self, *args)
+        monkeypatch.setattr(ResidueRing, name, counted)
+    edge = series._PACKED_MAX_ORDER
+    ring = ResidueRing(edge + 1, 1 << 20)
+    rng = np.random.default_rng(1)
+    cases = [
+        (edge, [(0, 0)], "_mul_sum_pairs"),
+        (edge, [(0, 0), (3, 1)], "_mul_sum_packed"),
+        (edge + 1, [(0, 0), (3, 1)], "_mul_sum_pairs"),
+        (edge + 1, [(1, 0), (0, 2)], "_mul_sum_packed"),
+        (edge, [(0, 0), (edge, 1)], "_mul_sum_pairs"),  # the second lies past the order
+    ]
+    for N, valuations, path in cases:
+        calls.clear()
+        ring.mul_sum(_residue_pairs(ring, N, valuations, rng, top=False), N)
+        assert calls == [path]
 
 
 def test_residue_add_and_sub_equal_the_float_remainder():
