@@ -67,6 +67,8 @@ APPROX_RADIUS = 0.3383218568992077
 _SQRT2 = math.sqrt(2.0)
 # the powers rho^2..rho^_POWERS carry every sum here; rho^200 < 1e-94.
 _POWERS = 200
+# compute_rho's fixed-point iteration stops once a step moves rho by less than this
+_RHO_STEP_TOL = 1e-14
 
 
 @dataclass
@@ -125,7 +127,7 @@ def _power_sum(series, x, term):
 # rho
 # ---------------------------------------------------------------------------
 
-def compute_rho(N, tol=1e-14):
+def compute_rho(N):
     """Radius of convergence via the singular system, with error estimate.
 
     Returns (rho, err).  Validates the bracket g(0.2) < 0 < g(0.45) for
@@ -148,7 +150,7 @@ def compute_rho(N, tol=1e-14):
         new = math.exp(-1.0 - e_val)
         delta = abs(new - rho)
         rho = new
-        if delta < tol:
+        if delta < _RHO_STEP_TOL:
             break
     else:
         raise AccuracyError("rho fixed point did not converge")

@@ -98,16 +98,21 @@ def _load(m, path):
     """Rows 0..m of a cache file, or None after removing a file that fails the check.
 
     A file of decimal rows, the format before hexadecimal, reads as wrong
-    numbers (y_6 = 20 as 0x20), fails the check and is rebuilt once.
+    numbers (y_6 = 20 as 0x20), fails the check and is rebuilt once.  An
+    entry that cannot be read as a file (a directory, a symlink loop) is a
+    miss and stays where it is.
     """
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             rows = [int(line, 16) for line in fh]
-        except ValueError:  # a line that is not a hexadecimal number
-            rows = []
+    except ValueError:  # a line that is not a hexadecimal number
+        rows = []
+    except OSError:
+        return None
     if len(rows) == m + 1 and _recurrence_holds(rows):
         return rows
-    os.remove(path)
+    with suppress(OSError):
+        os.remove(path)
     return None
 
 

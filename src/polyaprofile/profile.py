@@ -66,8 +66,8 @@ the test suite holds them to exact rational equality:
    residues once the primes' product exceeds that bound.  Only what is
    read is lifted: [x^n] of five series for a covariance table, one for a
    mean, whole series for the gamma-series readers.  The covariance table
-   at (1, 2, 400, 20) takes 33 primes and 0.3–0.4 s (2-CPU host,
-   numpy 2.4).  The pass also
+   at (1, 2, 400, 20) takes 33 primes and 0.22–0.32 s (first call with
+   the count table built, 2-CPU host, numpy 2.4).  The pass also
    runs in the rescaled double ring, for large n where exact answers are
    not needed.
 

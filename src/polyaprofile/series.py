@@ -26,10 +26,10 @@ the classes here:
     (``scalar_div``, through a table of inverses built once per ring),
     shifts, substitutes x -> x**i (a strided copy), takes ``exp`` by
     n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, adds
-    sums of products (``mul_sum``: short windows packed into one
-    ``np.correlate`` per prime) and lifts one coefficient of many series in
-    one call (``read_many``) for the marked series.  Only the double ring
-    refuses those.
+    sums of products (``mul_sum``: one ``np.correlate`` per prime and group
+    of pairs) and lifts one coefficient of many series in one call
+    (``read_many``) for the marked series.  Only the double ring refuses
+    those.
     An exact series evaluates at a point through its table of (log|a_n|,
     sign of a_n), built at its first evaluation and never passed on to a
     series made from it: each term is then one multiply-add and one
@@ -52,10 +52,10 @@ the classes here:
 
 Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
 it is a Python loop over big integers, so the exact derivative pass and the
-marked series run in a residue ring, where a product is one ``np.convolve``
-per prime (the multi-modular method: von zur Gathen & Gerhard, Modern
-Computer Algebra, ch. 5), and a sum of short products one ``np.correlate``
-per prime over the pairs laid side by side.  Values are immutable and
+marked series run in a residue ring (the multi-modular method: von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5), where every sum of
+products is one ``np.correlate`` per prime for each group of pairs laid side
+by side, a single product being a group of one.  Values are immutable and
 operations pure, so instances are safe to share across workers.
 """
 
@@ -133,7 +133,7 @@ def _scale_powers(scale, N):
 
 _SIEVE_WINDOW = 4096
 
-# the largest window order at which ``ResidueRing.mul_sum`` packs its pairs
+# the largest window order at which ``ResidueRing.mul_sum`` groups its pairs
 _PACKED_MAX_ORDER = 160
 
 
@@ -487,53 +487,36 @@ class ResidueRing:
     def mul_sum(self, pairs, N):
         """sum a b over the pairs (a, val(a), b, val(b)), to order N.
 
-        A pair whose valuations add up past N is skipped, and only the terms
-        from the valuations on are multiplied: every product has valuation
-        at least ``low``, the least val(a) + val(b), so the sum is x^low
-        times a sum of products of windows of order N - low.  Two or more
-        pairs whose window order is at most ``_PACKED_MAX_ORDER`` are packed
-        into one ``np.correlate`` per prime (``_mul_sum_packed``); otherwise
-        each pair is one ``np.convolve`` per prime (``_mul_sum_pairs``).
-        Both sum the same products of integers exactly, so they give the
-        same residues.  The crossover was measured on
-        random residues with valuation 0 (2-CPU host, numpy 2.4), packed
-        against per pair for 2, 4 and 8 pairs: 33-78 against 60-215 us at
-        N = 60 over 6 primes, 163-662 against 225-857 us at N = 160 over 12
-        primes, 0.9-1.15 times the per-pair time at N = 200 over 14 primes,
-        and 1.06-2.7 times at N = 400 over 24 primes, where the zeros between
-        the blocks, which packing multiplies too, dominate.
+        A pair whose valuations add up past N is skipped.  Two or more of the
+        rest whose window order n = N - low is at most ``_PACKED_MAX_ORDER``,
+        low the least val(a) + val(b), share groups of at most ``_room`` /
+        (n + 1) pairs; every other pair is a group of its own at its own low.
+        Each group is one ``np.correlate`` per prime (``_group_product``),
+        reduced and added.  Grouping beats a group per pair up to about that
+        order: on random residues with valuation 0 (2-CPU host, numpy 2.4),
+        2, 4 and 8 pairs in two runs took 0.26-0.50 times the time of a group
+        per pair at N = 60 over 6 primes, 0.73-0.83 at N = 160 over 12 primes,
+        0.85-1.26 at N = 200 over 14 primes and 1.08-2.58 at N = 400 over 24
+        primes, where the zeros between the blocks, which a group multiplies
+        too, dominate.
         """
         pairs = [pair for pair in pairs if pair[1] + pair[3] <= N]
-        if len(pairs) > 1:
-            low = min(va + vb for _, va, _, vb in pairs)
-            if N - low <= _PACKED_MAX_ORDER:
-                return self._mul_sum_packed(pairs, N, low)
-        return self._mul_sum_pairs(pairs, N)
+        low = min((va + vb for _, va, _, vb in pairs), default=N)
+        if len(pairs) > 1 and N - low <= _PACKED_MAX_ORDER:
+            size = self._room() // (N - low + 1)
+            groups = [(pairs[start:start + size], low) for start in range(0, len(pairs), size)]
+        else:
+            groups = [([pair], pair[1] + pair[3]) for pair in pairs]
+        out = np.zeros((len(self.primes), N + 1))
+        for k, (group, low) in enumerate(groups):
+            part = self._group_product(group, N, low)
+            out[:, low:] = self.add(out[:, low:], part) if k else part
+        return out
 
-    def _mul_sum_pairs(self, pairs, N):
-        """``mul_sum`` by one convolution per pair and prime.
-
-        A pair's product fills the window x^(val(a)+val(b))..x^N, which
-        ``mul_sum`` keeps non-empty.  Products are added unreduced into one
-        buffer, each entry gaining at most one product of two residues per
-        term of a window, and the buffer is reduced and folded in only when
-        its entries could pass 2^53 (``_room``).
-        """
-        acc, raw, load = None, np.zeros((len(self.primes), N + 1)), 0
-        room = self._room()
-        for a, va, b, vb in pairs:
-            size = N + 1 - va - vb
-            if load + size > room:
-                acc, raw, load = self._fold(acc, raw), np.zeros_like(raw), 0
-            for out, x, y in zip(raw[:, va + vb:], a[:, va:va + size], b[:, vb:vb + size]):
-                out += np.convolve(x, y)[:size]
-            load += size
-        return self._fold(acc, raw)
-
-    def _mul_sum_packed(self, pairs, N, low):
-        """``mul_sum`` by one ``np.correlate`` per prime for a group of pairs
-        (Kronecker substitution, von zur Gathen & Gerhard), low being the
-        least val(a) + val(b).
+    def _group_product(self, group, N, low):
+        """x^-low sum a b over a group of pairs, reduced: one ``np.correlate``
+        per prime (Kronecker substitution, von zur Gathen & Gerhard), low
+        being at most every val(a) + val(b).
 
         Each pair splits as a = x^i a', b = x^(low - i) b' (i = min(val(a),
         low) drops only zero terms), and the sum is x^low sum a' b' to the
@@ -543,29 +526,17 @@ class ResidueRing:
         "valid" correlation, sum_t X[t + k] K[t], is sum_r [x^k] a'_r b'_r:
         the term a'_r[j] meets block r of X at offset n + k - j, which is
         b'_r[k - j] from k >= j on and zero below, and never leaves block r.
-        Output k sums at most m (n + 1) products of two residues, so groups
-        of at most ``_room`` / (n + 1) pairs keep every sum exact below 2^53.
+        Output k sums at most m (n + 1) products of two residues, exact below
+        2^53 for groups of at most ``_room`` / (n + 1) pairs.
         """
-        n, P = N - low, len(self.primes)
+        n, P, m = N - low, len(self.primes), len(group)
         L = 2 * n + 1
-        group = self._room() // (n + 1)
-        acc = None
-        for start in range(0, len(pairs), group):
-            chunk = pairs[start:start + group]
-            X, K = np.zeros((2, P, len(chunk), L))
-            split = [(a, b, min(va, low)) for a, va, b, _ in chunk]
-            X.transpose(1, 0, 2)[:, :, n:] = [b[:, low - i:low - i + n + 1] for _, b, i in split]
-            K.transpose(1, 0, 2)[:, :, :n + 1] = [a[:, i:i + n + 1][:, ::-1] for a, _, i in split]
-            X, K = X.reshape(P, -1), K.reshape(P, -1)[:, :len(chunk) * L - n]
-            acc = self._fold(acc, np.array([np.correlate(x, k, "valid") for x, k in zip(X, K)]))
-        out = np.zeros((P, N + 1))
-        out[:, low:] = acc
-        return out
-
-    def _fold(self, acc, raw):
-        """acc + raw reduced (acc None counts as zero)."""
-        raw = self._reduce(raw)
-        return raw if acc is None else self.add(acc, raw)
+        X, K = np.zeros((2, P, m, L))
+        split = [(a, b, min(va, low)) for a, va, b, _ in group]
+        X.transpose(1, 0, 2)[:, :, n:] = [b[:, low - i:low - i + n + 1] for _, b, i in split]
+        K.transpose(1, 0, 2)[:, :, :n + 1] = [a[:, i:i + n + 1][:, ::-1] for a, _, i in split]
+        X, K = X.reshape(P, -1), K.reshape(P, -1)[:, :m * L - n]
+        return self._reduce(np.array([np.correlate(x, k, "valid") for x, k in zip(X, K)]))
 
     def scalar_mul(self, a, c):
         return self._reduce(a * self.residues([c]))

@@ -299,6 +299,26 @@ def test_sample_with_corrupt_cache_file(tmp_path):
     assert (bad / "counts_4.txt").read_text() == (clean / "counts_4.txt").read_text()
 
 
+@pytest.mark.parametrize("kind", ["directory", "symlink-loop"])
+def test_count_cache_entry_that_is_no_readable_file_is_a_miss(tmp_path, kind):
+    # counts_100.txt would be read for n = 50, but opening it fails: the
+    # table is built, the entry left alone and the CSV is the clean one
+    clean, bad = tmp_path / "clean", tmp_path / "bad"
+    bad.mkdir()
+    entry = bad / "counts_100.txt"
+    if kind == "directory":
+        entry.mkdir()
+    else:
+        entry.symlink_to(entry)
+    args = ("count", "--n-max", "50")
+    code, out = run_process(*args, POLYAPROFILE_CACHE=str(bad))
+    assert code == 0
+    assert "Traceback" not in out
+    assert run_process(*args, POLYAPROFILE_CACHE=str(clean)) == (0, out)
+    assert (bad / "counts_50.txt").read_text() == (clean / "counts_50.txt").read_text()
+    assert entry.is_dir() if kind == "directory" else entry.is_symlink()
+
+
 def test_unwritable_cache_warns_once_and_keeps_stdout(tmp_path):
     # the cache directory sits under a regular file, so it cannot be created
     blocker = tmp_path / "file"

@@ -267,6 +267,27 @@ def test_corrupt_cache_file_is_rebuilt(tmp_path, empty_table, kind, n):
     assert rows == [format(v, "x") for v in A000081[: n + 1]]
 
 
+@pytest.mark.parametrize("kind", ["directory", "symlink-loop", "unremovable"])
+def test_unreadable_or_unremovable_cache_entry_is_a_miss(tmp_path, empty_table, monkeypatch, kind):
+    # a directory and a symlink loop cannot be opened, and a corrupt file
+    # whose removal fails stays: each is a miss, and the table is built
+    entry = tmp_path / "counts_20.txt"
+    if kind == "directory":
+        entry.mkdir()
+    elif kind == "symlink-loop":
+        entry.symlink_to(entry)
+    else:
+        entry.write_text(_corrupt(A000081, "wrong-digit"))
+
+        def refuse(path):
+            raise PermissionError(path)
+
+        monkeypatch.setattr(enumeration.os, "remove", refuse)
+    assert list(count_trees(13, cache_dir=str(tmp_path)).y) == A000081
+    assert (tmp_path / "counts_13.txt").read_text() == _hex_rows(A000081)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts_13.txt", "counts_20.txt"]
+
+
 # ---------------------------------------------------------------------------
 # cycle index
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -664,67 +665,76 @@ def _residue_pairs(ring, N, valuations, rng, top):
     return [(residues(va), va, residues(vb), vb) for va, vb in valuations]
 
 
+def _exact_sum(ring, pairs, N):
+    """sum a b over residue pairs by ``ExactRing.mul_sum``, reduced modulo each
+    prime: each column of residues is lifted to the int in [0, M) that it is
+    modulo every prime, M their product (a test oracle)."""
+    def ints(c):
+        return [sum(map(operator.mul, col, ring.basis)) % ring.modulus
+                for col in c.astype(np.int64).T.tolist()]
+
+    total = EXACT.mul_sum([(ints(a), va, ints(b), vb) for a, va, b, vb in pairs], N)
+    return np.array([[c % p for c in total] for p in ring.primes], dtype=float)
+
+
 @settings(max_examples=50, deadline=None)
 @given(N=st.integers(1, 2 * series._PACKED_MAX_ORDER + 80), bits=st.integers(1, 60),
        top=st.booleans(), seed=st.integers(0, 2**32), data=st.data())
-def test_packed_and_per_pair_sums_of_products_agree_bit_for_bit(N, bits, top, seed, data):
-    # one np.correlate per prime over packed pairs, against one np.convolve
-    # per pair and prime: the residues start at drawn valuations (so the
-    # packed windows are cut at the least sum of them), m runs from 2 to past
-    # one fold group (room / (n + 1) pairs at the window order n) and N lies
-    # on both sides of the crossover; with ``top`` the sums reach the bound
+def test_sums_of_products_are_the_exact_sum_modulo_each_prime(N, bits, top, seed, data):
+    # the residues start at drawn valuations (so a group's windows are cut at
+    # the least sum of them, and a pair may lie past the order), m runs from
+    # the empty list to past one group (room / (n + 1) pairs at the window
+    # order n <= 160) and N lies on both sides of the crossover; with ``top``
+    # the sums reach the bound
     ring = ResidueRing(N, 1 << bits)
-    group = ring._room() // (N + 1)
-    m = data.draw(st.integers(2, min(group + 2, 48)), label="m")
+    group = ring._room() // (min(N, series._PACKED_MAX_ORDER) + 1)
+    m = data.draw(st.integers(0, min(group + 2, 56)), label="m")
     valuations = []
     for _ in range(m):
         va = data.draw(st.integers(0, N), label="val(a)")
-        valuations.append((va, data.draw(st.integers(0, N - va), label="val(b)")))
+        valuations.append((va, data.draw(st.integers(0, N + 1 - va), label="val(b)")))
     pairs = _residue_pairs(ring, N, valuations, np.random.default_rng(seed), top)
-    low = min(va + vb for va, vb in valuations)
-    want = ring._mul_sum_pairs(pairs, N)
-    assert ring._mul_sum_packed(pairs, N, low).tobytes() == want.tobytes()
-    assert ring.mul_sum(pairs, N).tobytes() == want.tobytes()
+    assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
 
 
-def test_packed_sum_past_one_fold_group_is_the_exact_sum():
-    # more pairs than one group holds, every residue p - 1 or p - 2: the
-    # packed sum is the exact sum of products modulo each prime
-    N = 2 * series._PACKED_MAX_ORDER
+def test_sum_past_one_group_is_the_exact_sum():
+    # more pairs than one group holds at the largest grouped window order,
+    # every residue p - 1 or p - 2: the sum of the groups is the exact sum of
+    # products modulo each prime
+    N = series._PACKED_MAX_ORDER
     ring = ResidueRing(N, 1 << 30)
     m = ring._room() // (N + 1) + 3
     pairs = _residue_pairs(ring, N, [(0, 0)] * m, np.random.default_rng(3), top=True)
-    got = ring._mul_sum_packed(pairs, N, 0)
-    for j, p in enumerate(ring.primes):
-        rows = [(a[j].astype(int).tolist(), b[j].astype(int).tolist()) for a, _, b, _ in pairs]
-        want = [sum(a[i] * b[t - i] for a, b in rows for i in range(t + 1)) % p
-                for t in (0, N // 2, N)]
-        assert got[j, [0, N // 2, N]].tolist() == want
+    assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
 
 
 def test_mul_sum_packs_two_or_more_pairs_up_to_the_crossover(monkeypatch):
-    # the path follows the number of pairs within the order and the window
-    # order N - low, low the least sum of valuations
-    calls = []
-    for name in ("_mul_sum_pairs", "_mul_sum_packed"):
-        def counted(self, *args, name=name, original=getattr(ResidueRing, name)):
-            calls.append(name)
-            return original(self, *args)
-        monkeypatch.setattr(ResidueRing, name, counted)
+    # the groups follow the number of pairs within the order and the window
+    # order N - low, low the least sum of valuations: (size, low) per group
+    groups = []
+
+    def counted(self, group, N, low, original=ResidueRing._group_product):
+        groups.append((len(group), low))
+        return original(self, group, N, low)
+
+    monkeypatch.setattr(ResidueRing, "_group_product", counted)
     edge = series._PACKED_MAX_ORDER
     ring = ResidueRing(edge + 1, 1 << 20)
+    full = ring._room() // (edge + 1)
     rng = np.random.default_rng(1)
     cases = [
-        (edge, [(0, 0)], "_mul_sum_pairs"),
-        (edge, [(0, 0), (3, 1)], "_mul_sum_packed"),
-        (edge + 1, [(0, 0), (3, 1)], "_mul_sum_pairs"),
-        (edge + 1, [(1, 0), (0, 2)], "_mul_sum_packed"),
-        (edge, [(0, 0), (edge, 1)], "_mul_sum_pairs"),  # the second lies past the order
+        (edge, [], []),
+        (edge, [(0, 0)], [(1, 0)]),
+        (edge, [(0, 0), (3, 1)], [(2, 0)]),
+        (edge + 1, [(0, 0), (3, 1)], [(1, 0), (1, 4)]),
+        (edge + 1, [(1, 0), (0, 2)], [(2, 1)]),
+        (edge, [(0, 0), (edge, 1)], [(1, 0)]),  # the second lies past the order
+        (edge, [(0, 0)] * (full + 1), [(full, 0), (1, 0)]),
     ]
-    for N, valuations, path in cases:
-        calls.clear()
+    for N, valuations, want in cases:
+        groups.clear()
         ring.mul_sum(_residue_pairs(ring, N, valuations, rng, top=False), N)
-        assert calls == [path]
+        assert groups == want
 
 
 def test_residue_add_and_sub_equal_the_float_remainder():
