@@ -31,7 +31,7 @@ the test suite holds them to exact rational equality:
    the order N: in the u basis [x^n u^l] <= y_n; in the eps basis
    [x^n eps^a] = sum over the trees of C(L, a) <= C(n, a) y_n, per mark; in
    the tightness mode, signed, with |[x^n eps^j]| <= C(n + 4, 4) y_n.
-   E(L(20) - L(40))^4 at n = 400 takes 0.73–1.15 s (57–64 s in big
+   E(L(20) - L(40))^4 at n = 400 takes 0.55–0.61 s (57–64 s in big
    integers) and the joint law of L(3) and L(5) at n = 30 0.21–0.40 s
    (2.6–3.6 s), the first call in a process with the count table built,
    timed alternately on a 2-CPU host.
@@ -66,7 +66,7 @@ the test suite holds them to exact rational equality:
    residues once the primes' product exceeds that bound.  Only what is
    read is lifted: [x^n] of five series for a covariance table, one for a
    mean, whole series for the gamma-series readers.  The covariance table
-   at (1, 2, 400, 20) takes 33 primes and 0.22–0.32 s (first call with
+   at (1, 2, 400, 20) takes 33 primes and 0.19–0.30 s (first call with
    the count table built, 2-CPU host, numpy 2.4).  The pass also
    runs in the rescaled double ring, for large n where exact answers are
    not needed.

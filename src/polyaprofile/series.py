@@ -27,7 +27,8 @@ the classes here:
     shifts, substitutes x -> x**i (a strided copy), takes ``exp`` by
     n e_n = sum_m m a_m e_{n-m} with one dot per prime for each n, adds
     sums of products (``mul_sum``: one ``np.correlate`` per prime and group
-    of pairs) and lifts one coefficient of many series in one call
+    of pairs, or a blocked short product for a lone product past order 160)
+    and lifts one coefficient of many series in one call
     (``read_many``) for the marked series.  Only the double ring refuses
     those.
     An exact series evaluates at a point through its table of (log|a_n|,
@@ -50,13 +51,16 @@ the classes here:
     the exact ring.  Each term's x-valuation is found once, and a product
     whose valuations add up past the order is skipped, not formed.
 
-Multiplication is plain O(N^2) convolution (N <= ~1600).  In the exact ring
-it is a Python loop over big integers, so the exact derivative pass and the
-marked series run in a residue ring (the multi-modular method: von zur
-Gathen & Gerhard, Modern Computer Algebra, ch. 5), where every sum of
-products is one ``np.correlate`` per prime for each group of pairs laid side
-by side, a single product being a group of one.  Values are immutable and
-operations pure, so instances are safe to share across workers.
+Multiplication is O(N^2) schoolbook convolution (N <= ~1600).  In the exact
+ring it is a Python loop over big integers, so the exact derivative pass and
+the marked series run in a residue ring (the multi-modular method: von zur
+Gathen & Gerhard, Modern Computer Algebra, ch. 5).  There a sum of products
+is one ``np.correlate`` per prime for each group of pairs laid side by side,
+and a lone product of window order past 160 is a short product that skips
+the triangle of zero terms: blocks of ``np.vecdot`` over all primes at once.
+Every sum stays below 2^53, so float64 gets it exactly in any order.  Values
+are immutable and operations pure, so instances are safe to share across
+workers.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AccuracyError, DomainError, UsageError
 
@@ -133,8 +138,12 @@ def _scale_powers(scale, N):
 
 _SIEVE_WINDOW = 4096
 
-# the largest window order at which ``ResidueRing.mul_sum`` groups its pairs
+# the largest window order at which ``ResidueRing.mul_sum`` groups its pairs;
+# past it a lone product is a short product
 _PACKED_MAX_ORDER = 160
+# the outputs of one ``np.vecdot`` in ``_short_product``: blocks of 32 to 96
+# took the same time within 10 % at window orders 160 to 1600 (2-CPU host)
+_SHORT_BLOCK = 48
 
 
 def build_primes(n, bound):
@@ -491,14 +500,17 @@ class ResidueRing:
         rest whose window order n = N - low is at most ``_PACKED_MAX_ORDER``,
         low the least val(a) + val(b), share groups of at most ``_room`` /
         (n + 1) pairs; every other pair is a group of its own at its own low.
-        Each group is one ``np.correlate`` per prime (``_group_product``),
-        reduced and added.  Grouping beats a group per pair up to about that
+        Each group (``_group_product``) is one ``np.correlate`` per prime, or
+        a blocked short product when it is one pair past that order, reduced
+        and added.  Grouping beats a group per pair up to about that
         order: on random residues with valuation 0 (2-CPU host, numpy 2.4),
         2, 4 and 8 pairs in two runs took 0.26-0.50 times the time of a group
         per pair at N = 60 over 6 primes, 0.73-0.83 at N = 160 over 12 primes,
         0.85-1.26 at N = 200 over 14 primes and 1.08-2.58 at N = 400 over 24
         primes, where the zeros between the blocks, which a group multiplies
-        too, dominate.
+        too, dominate.  Past that order the short product of one pair took
+        0.61-0.91 times the time of its ``np.correlate`` (best of 5, N = 161
+        to 1600 over 15 to 132 primes, same host).
         """
         pairs = [pair for pair in pairs if pair[1] + pair[3] <= N]
         low = min((va + vb for _, va, _, vb in pairs), default=N)
@@ -514,29 +526,24 @@ class ResidueRing:
         return out
 
     def _group_product(self, group, N, low):
-        """x^-low sum a b over a group of pairs, reduced: one ``np.correlate``
-        per prime (Kronecker substitution, von zur Gathen & Gerhard), low
-        being at most every val(a) + val(b).
+        """x^-low sum a b over a group of pairs, reduced, low being at most
+        every val(a) + val(b).
 
         Each pair splits as a = x^i a', b = x^(low - i) b' (i = min(val(a),
         low) drops only zero terms), and the sum is x^low sum a' b' to the
-        window order n = N - low.  In blocks of stride L = 2n + 1,
-        X = [0^n | b'_1 | 0^n | b'_2 | ...] and
-        K = [rev a'_1 | 0^n | rev a'_2 | ... | rev a'_m], so output k of the
-        "valid" correlation, sum_t X[t + k] K[t], is sum_r [x^k] a'_r b'_r:
-        the term a'_r[j] meets block r of X at offset n + k - j, which is
-        b'_r[k - j] from k >= j on and zero below, and never leaves block r.
-        Output k sums at most m (n + 1) products of two residues, exact below
-        2^53 for groups of at most ``_room`` / (n + 1) pairs.
+        window order n = N - low, over windows a', b' of n + 1 terms.  A lone
+        pair past ``_PACKED_MAX_ORDER`` is a short product
+        (``_short_product``), any other group a Kronecker sum
+        (``_kronecker_sum``).  Output k sums at most m (n + 1) products of two
+        residues: below 2^53, and so exact in float64 in any order, for
+        groups of at most ``_room`` / (n + 1) pairs.
         """
-        n, P, m = N - low, len(self.primes), len(group)
-        L = 2 * n + 1
-        X, K = np.zeros((2, P, m, L))
-        split = [(a, b, min(va, low)) for a, va, b, _ in group]
-        X.transpose(1, 0, 2)[:, :, n:] = [b[:, low - i:low - i + n + 1] for _, b, i in split]
-        K.transpose(1, 0, 2)[:, :, :n + 1] = [a[:, i:i + n + 1][:, ::-1] for a, _, i in split]
-        X, K = X.reshape(P, -1), K.reshape(P, -1)[:, :m * L - n]
-        return self._reduce(np.array([np.correlate(x, k, "valid") for x, k in zip(X, K)]))
+        n = N - low
+        windows = [(a[:, i:i + n + 1], b[:, low - i:low - i + n + 1])
+                   for a, va, b, _ in group for i in (min(va, low),)]
+        if len(windows) == 1 and n > _PACKED_MAX_ORDER:
+            return self._reduce(_short_product(*windows[0], n))
+        return self._reduce(_kronecker_sum(windows, n))
 
     def scalar_mul(self, a, c):
         return self._reduce(a * self.residues([c]))
@@ -599,6 +606,50 @@ class ResidueRing:
     def lift_series(self, series):
         """The exact-ring series, each coefficient lifted by the CRT."""
         return TruncatedSeries(self.lift(series.coeffs), series.order)
+
+
+def _kronecker_sum(windows, n):
+    """sum a' b' to order n over pairs of windows [prime, n + 1]: one
+    ``np.correlate`` per prime (Kronecker substitution, von zur Gathen &
+    Gerhard).
+
+    In blocks of stride L = 2n + 1, X = [0^n | b'_1 | 0^n | b'_2 | ...] and
+    K = [rev a'_1 | 0^n | rev a'_2 | ... | rev a'_m], so output k of the
+    "valid" correlation, sum_t X[t + k] K[t], is sum_r [x^k] a'_r b'_r: the
+    term a'_r[j] meets block r of X at offset n + k - j, which is b'_r[k - j]
+    from k >= j on and zero below, and never leaves block r.
+    """
+    P, m, L = windows[0][0].shape[0], len(windows), 2 * n + 1
+    X, K = np.zeros((2, P, m, L))
+    X.transpose(1, 0, 2)[:, :, n:] = [b for _, b in windows]
+    K.transpose(1, 0, 2)[:, :, :n + 1] = [a[:, ::-1] for a, _ in windows]
+    X, K = X.reshape(P, -1), K.reshape(P, -1)[:, :m * L - n]
+    return np.array([np.correlate(x, k, "valid") for x, k in zip(X, K)])
+
+
+def _short_product(a, b, n):
+    """a b to order n for windows [prime, n + 1], skipping the triangle of
+    zeros (Mulders' short product: T. Mulders, AAECC 11, 2000; Hanrot &
+    Zimmermann, JSC 37, 2004).
+
+    With X = [0^n | b] and K = rev a, output k is sum_t X[k + t] K[t], as in
+    ``_kronecker_sum`` with one pair, and X[k + t] is zero for t < n - k.  The
+    outputs go in blocks [k0, k1) of ``_SHORT_BLOCK``.  Each block drops the
+    leading t < n + 1 - k1, which are zero for every k of the block, and is
+    one ``np.vecdot`` over the sliding windows of X, for all primes at once:
+    about (n + 1)(n + 1 + _SHORT_BLOCK) / 2 multiplies where the correlation
+    does (n + 1)^2.  K is contiguous, so that each dot is a BLAS call.
+    """
+    X = np.zeros((a.shape[0], 2 * n + 1))
+    X[:, n:] = b
+    K = np.ascontiguousarray(a[:, ::-1])
+    W = sliding_window_view(X, n + 1, axis=1)
+    blocks = []
+    for k0 in range(0, n + 1, _SHORT_BLOCK):
+        k1 = min(k0 + _SHORT_BLOCK, n + 1)
+        t0 = n + 1 - k1
+        blocks.append(np.vecdot(W[:, k0:k1, t0:], K[:, None, t0:]))
+    return np.concatenate(blocks, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -1003,24 +1054,27 @@ class MarkedSeries:
         if unmarked is None:
             unmarked = self.terms.get(_UNMARKED, TruncatedSeries.zero(N, self.ring)).exp()
         E = {_UNMARKED: unmarked}
-        dp = {}  # |beta| -> [(beta, |beta| p_beta)], by ascending valuation
+        val = {_UNMARKED: unmarked.valuation()}  # each E_alpha's valuation, read once
+        dp = {}  # |beta| -> [(beta, |beta| p_beta, its valuation)], by ascending valuation
         for beta, s in sorted(self.terms.items(), key=lambda item: item[1].valuation()):
             if beta != _UNMARKED:
-                dp.setdefault(sum(beta), []).append((beta, s * sum(beta)))
+                t = s * sum(beta)
+                dp.setdefault(sum(beta), []).append((beta, t.coeffs, t.valuation()))
+        cap_a, cap_b = self.caps
         # E_alpha of |alpha| = size needs only the E of smaller size, all known
-        for size in range(1, sum(self.caps) + 1):
+        for size in range(1, cap_a + cap_b + 1):
             pairs = {}
             for (a, b), rest in E.items():
-                for (c, d), s in dp.get(size - a - b, ()):
-                    if s.valuation() + rest.valuation() > N:
+                v_rest = val[a, b]
+                for (c, d), s, v in dp.get(size - a - b, ()):
+                    if v + v_rest > N:
                         break
-                    alpha = (a + c, b + d)
-                    if self._fits(alpha):
-                        pairs.setdefault(alpha, []).append((s, rest))
-            for alpha, ps in pairs.items():
-                tot = self._sum_of_products(ps)
+                    if a + c <= cap_a and b + d <= cap_b:
+                        pairs.setdefault((a + c, b + d), []).append((s, v, rest.coeffs, v_rest))
+            for alpha, terms in pairs.items():
+                tot = unmarked.copy_with(self.ring.mul_sum(terms, N))
                 if tot.valuation() <= N:
-                    E[alpha] = tot.scalar_div(size)
+                    E[alpha], val[alpha] = tot.scalar_div(size), tot.valuation()
         return self.copy_with(E)
 
     def substitute_power(self, i):

@@ -766,6 +766,22 @@ def test_double_ring_bits_are_unchanged():
     assert digest == "1002ed335087515fcbc16eb7547bc2e725cbb56c6b727bc467c73c4573cae550"
 
 
+def test_double_ring_pass_series_are_unchanged():
+    # sha256 of g and f (degrees 1 and 2) and mixed at levels 1, 20 and 40 of
+    # the (1, 2, 1600, 40) double-ring pass: a rewrite can move the series
+    # while the table digest above, read at level 40 only, stays put
+    reads = [(1600, k) for k in (1, 20, 40)]
+    levels = profile._levels_at((1, 2), reads, "double", RHO, second=True, mixed=True)[2]
+    digests = {level.k: hashlib.sha256(b"".join(
+        s.coeffs.tobytes() for s in (*level.g, *level.f, level.mixed))).hexdigest()
+        for level in levels}
+    assert digests == {
+        1: "8037f18aba6d34da1f316cbfcb44aa8ccf16a5da2ee2801bb456eb6f3953a669",
+        20: "057eed0b8b9ea185743eea9f343fd4bd5d8956e22a656265eb052e83ecd399d4",
+        40: "f50c6001f118ffc5a29a086566d5d4a14dcf7c3833996ef87d551ec22b264300",
+    }
+
+
 @pytest.mark.parametrize("N", [1, 2, 400, 1600])
 def test_residue_primes_lift_every_pass_coefficient(N):
     ring = profile._residue_ring(N)

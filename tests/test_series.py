@@ -710,31 +710,72 @@ def test_sum_past_one_group_is_the_exact_sum():
 
 def test_mul_sum_packs_two_or_more_pairs_up_to_the_crossover(monkeypatch):
     # the groups follow the number of pairs within the order and the window
-    # order N - low, low the least sum of valuations: (size, low) per group
-    groups = []
+    # order N - low, low the least sum of valuations, and so does the kernel:
+    # (size, low, kernel) per group, a lone pair past the crossover being a
+    # short product and every other group one np.correlate per prime
+    groups, kernels = [], []
 
     def counted(self, group, N, low, original=ResidueRing._group_product):
-        groups.append((len(group), low))
-        return original(self, group, N, low)
+        out = original(self, group, N, low)
+        groups.append((len(group), low, kernels.pop()))
+        return out
+
+    def kernel(name):
+        original = getattr(series, name)
+        return lambda *args: kernels.append(name) or original(*args)
 
     monkeypatch.setattr(ResidueRing, "_group_product", counted)
+    for name in ("_short_product", "_kronecker_sum"):
+        monkeypatch.setattr(series, name, kernel(name))
     edge = series._PACKED_MAX_ORDER
     ring = ResidueRing(edge + 1, 1 << 20)
     full = ring._room() // (edge + 1)
     rng = np.random.default_rng(1)
+    short, grouped = "_short_product", "_kronecker_sum"
     cases = [
         (edge, [], []),
-        (edge, [(0, 0)], [(1, 0)]),
-        (edge, [(0, 0), (3, 1)], [(2, 0)]),
-        (edge + 1, [(0, 0), (3, 1)], [(1, 0), (1, 4)]),
-        (edge + 1, [(1, 0), (0, 2)], [(2, 1)]),
-        (edge, [(0, 0), (edge, 1)], [(1, 0)]),  # the second lies past the order
-        (edge, [(0, 0)] * (full + 1), [(full, 0), (1, 0)]),
+        (edge, [(0, 0)], [(1, 0, grouped)]),
+        (edge + 1, [(0, 0)], [(1, 0, short)]),
+        (edge + 1, [(0, 1)], [(1, 1, grouped)]),
+        (edge, [(0, 0), (3, 1)], [(2, 0, grouped)]),
+        (edge + 1, [(0, 0), (3, 1)], [(1, 0, short), (1, 4, grouped)]),
+        (edge + 1, [(1, 0), (0, 2)], [(2, 1, grouped)]),
+        (edge, [(0, 0), (edge, 1)], [(1, 0, grouped)]),  # the second lies past the order
+        (edge, [(0, 0)] * (full + 1), [(full, 0, grouped), (1, 0, grouped)]),
     ]
     for N, valuations, want in cases:
         groups.clear()
         ring.mul_sum(_residue_pairs(ring, N, valuations, rng, top=False), N)
-        assert groups == want
+        assert groups == want and not kernels
+
+
+def _short_product_orders(top=420):
+    """Window orders at the crossover and at the edges of the short product's
+    output blocks, up to ``top``: n + 1 a multiple of the block, one more or
+    one less, and 161 + 48j, one more or one less."""
+    block, edge = series._SHORT_BLOCK, series._PACKED_MAX_ORDER
+    orders = {edge, edge + 1}
+    for j in range(top // block + 1):
+        for n in (block * j - 1, edge + 1 + block * j):
+            orders.update((n - 1, n, n + 1))
+    return sorted(n for n in orders if 1 <= n <= top)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.one_of(st.sampled_from(_short_product_orders()), st.integers(1, 420)),
+       va=st.integers(0, 30), vb=st.integers(0, 30), declared=st.booleans(),
+       bits=st.integers(1, 200), top=st.booleans(), seed=st.integers(0, 2**32))
+def test_single_products_are_the_exact_product_modulo_each_prime(n, va, vb, declared, bits, top,
+                                                                 seed):
+    # one pair on both sides of the crossover and at the block edges: at
+    # window order n when its valuations are passed (``declared``), at N when
+    # they are passed as 0, as ``mul`` passes them; with ``top`` every residue
+    # is p - 1 or p - 2, so the sums reach their bound
+    N = n + va + vb
+    ring = ResidueRing(N, 1 << bits)
+    ((a, _, b, _),) = _residue_pairs(ring, N, [(va, vb)], np.random.default_rng(seed), top)
+    pairs = [(a, va, b, vb) if declared else (a, 0, b, 0)]
+    assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
 
 
 def test_residue_add_and_sub_equal_the_float_remainder():
