@@ -346,6 +346,19 @@ def test_total_joint_law_at_30_is_pinned():
         "48ef870df771f58ea476111477a399d26ea931b1c5e674f4a4116bde429614af")
 
 
+def test_distribution_at_200_is_pinned():
+    # P(L^{(1)}(14) = l) at n = 200, by the sha256 of its repr
+    got = exact_distribution(200, 1, 14)
+    assert _repr_sha256(got) == "56f38fa16b3851d1d486dc1a8ea5ea9eb74b3e0dc8a3c3c2a1c3c09a99a076f8"
+
+
+def test_total_joint_law_at_60_is_pinned():
+    # P(L(3) = l1, L(5) = l2) at n = 60, by the sha256 of its sorted items
+    probs = joint_distribution(60, None, 3, 2)
+    assert _repr_sha256(sorted(probs.items())) == (
+        "6ceed5c15143bffd4b952f8cd221955ba560d49a9a79d0c71db83dc8bb21499c")
+
+
 def test_mixed_degree_eps_route_matches_gamma_route():
     # two fully independent routes to E[X^{(d1)}(k) X^{(d2)}(k)]
     from polyaprofile.profile import mixed_degree_moment_from_marked
