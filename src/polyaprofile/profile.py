@@ -10,33 +10,44 @@ the test suite holds them to exact rational equality:
        y_0(x,u)     = y(x) + (u-1) x Z_{d-1}(y(x), ..., y(x^{d-1}))
        y_{k+1}(x,u) = x exp( sum_{i>=1} y_k(x^i, u^i) / i )
 
-   with the total-profile variant y_0 = u y(x).  In full-u mode the x^n
+   with the total-profile variant y_0 = u y(x).  In full mode the x^n
    coefficient is the whole distribution: P(L = l) = [x^n u^l] / y_n.  In
    moments mode u = 1 + eps with eps nilpotent, which carries all
    u-derivatives at u = 1 up to a fixed order through the same recurrence.
    The two-level series marks levels k and k+h with separate variables.
-   Every mode is one ``MarkedSeries`` (a series in x per mark exponent)
-   whose caps and basis come from one helper; its exp steps in the mark
-   direction, so the level series keep integer coefficients.  In the eps
-   basis the unmarked term of every level is y, so the level step reads the
-   exp of its unmarked exponent, y / x, off the count table.
+   One helper lifts y for each mode, and one loop steps the levels, in one
+   of two representations:
 
-   The marked series run modulo word-size primes at every order (a
-   ``ResidueRing`` per order, caps and basis, ``_marked_ring``).  Every
-   division on the way is by a small int (1/i in the Polya exponent,
-   1/|alpha| in the exp, 1/m in the cycle index), invertible modulo primes
-   near 2^20, so the rational intermediates have residues too; only the
-   [x^n] coefficients read are lifted by the CRT.  They are integers with
-   known bounds, and the primes' product exceeds 2^20 times the bound at
-   the order N: in the u basis [x^n u^l] <= y_n; in the eps basis
+   - Laws (full mode) are a ``PointSeries``: the series at u = omega^m,
+     m = 0..M-1, with omega of order M modulo primes p = 1 (mod M) and
+     M > N (a ``PointRing`` per order, ``_law_ring``).  A count at x^n is
+     at most n < M, so the values at the M points fix the law, and reading
+     [x^n] is one inverse DFT of length M per prime and mark (Pollard,
+     Math. Comp. 25, 1971).  The substitution u -> u^i sends point m to
+     m i mod M, so the level step gathers points and takes one scalar exp
+     per point.  A series carries M points per mark it holds: the first h
+     levels of a two-level law, which hold the second mark only, step M
+     points until the first mark enters.
+   - Moments are a ``MarkedSeries`` in the eps basis (a series in x per
+     power of eps), in the residue ring ``_marked_ring`` picks per order
+     and caps.  Its exp steps in the mark direction, and the unmarked term
+     of every level is y, so the level step reads the exp of its unmarked
+     exponent, y / x, off the count table.
+
+   Both run modulo word-size primes at every order.  Every division on the
+   way is by a small int (1/i in the Polya exponent, 1/n or 1/|alpha| in
+   the exp, 1/m in the cycle index, 1/M in the DFT), invertible modulo
+   primes near 2^20, so the rational intermediates have residues too; only
+   the [x^n] coefficients read are lifted by the CRT.  They are integers
+   with known bounds, and the primes' product exceeds 2^20 times the bound
+   at the order N: a law's count [x^n u^a v^b] <= y_n; in the eps basis
    [x^n eps^a] = sum over the trees of C(L, a) <= C(n, a) y_n, per mark; in
    the tightness mode, signed, with |[x^n eps^j]| <= C(n + 4, 4) y_n.
-   E(L(20) - L(40))^4 at n = 400 takes 0.55–0.61 s (57–64 s in big
-   integers) and the joint law of L(3) and L(5) at n = 30 0.21–0.40 s
-   (2.6–3.6 s), the first call in a process with the count table built,
-   timed alternately on a 2-CPU host.
-   The same code over the exact ring, the big-integer route, is the test
-   oracle at every order: the tests reach it by replacing ``_marked_ring``.
+   TIMINGS
+   The eps basis over the exact ring, the big-integer route, is the test
+   oracle of the moments at every order (the tests replace
+   ``_marked_ring``), and the u basis (one x-series per power of u, in
+   the tests) is the oracle of the laws.
 
 2. Derivative recurrences.  Differentiating the exp recurrence once, twice,
    and in two variables and setting the marks to 1 gives univariate
@@ -91,7 +102,7 @@ from math import comb, factorial, isfinite, isqrt, prod, sqrt
 
 from .enumeration import multiset_cap_series, root_degree_counts, tree_series
 from .errors import UsageError
-from .series import DoubleRing, MarkedSeries, ResidueRing, TruncatedSeries
+from .series import DoubleRing, MarkedSeries, PointRing, PointSeries, ResidueRing, TruncatedSeries
 
 TOTAL = None  # degree argument meaning "count every node on the level"
 
@@ -110,38 +121,50 @@ def _last(progression):
 def _marked_tree_series(N, mode, order, marks, degrees, *levels, signed=False):
     """y(x) lifted to a marked series with ``marks`` marks, arguments checked.
 
-    mode 'full' caps each mark at N in the u basis, for whole laws; mode
-    'moments' caps it at ``order`` in the eps basis, for factorial moments
+    mode 'full' lifts it to a ``PointSeries``, for whole laws; mode 'moments'
+    to a ``MarkedSeries`` capped at ``order`` per mark, for factorial moments
     (``signed`` for the tightness marking, whose coefficients may be
-    negative).  The series lives in the ring ``_marked_ring`` picks.
+    negative), in the ring ``_marked_ring`` picks.
     """
     if min(levels) < 0 or any(d is not TOTAL and d < 1 for d in degrees):
         raise UsageError("marked series need levels k, h >= 0 and degrees d >= 1")
-    if mode == "full":
-        cap, basis = N, "u"
-    elif mode == "moments":
-        cap, basis = order, "eps"
-    else:
+    if mode not in ("full", "moments"):
         raise UsageError(f"unknown mode {mode!r}")
     y = tree_series(N)
-    caps = (cap, cap if marks == 2 else 0)
-    ring = _marked_ring(N, caps, basis, signed)
-    return MarkedSeries.lift(TruncatedSeries(y.coeffs, N, ring), caps, basis)
+    if mode == "full":
+        ring = _law_ring(N)
+        size = len(ring.residue.primes) * ring.M**marks * (N + 1)
+        if size > _MAX_LAW_RESIDUES:
+            raise UsageError(f"a law of {marks} mark{'s' * (marks > 1)} at order {N} holds "
+                             f"{size} residues, past the {_MAX_LAW_RESIDUES} allowed")
+        return PointSeries.lift(y, ring)
+    caps = (order, order if marks == 2 else 0)
+    ring = _marked_ring(N, caps, signed)
+    return MarkedSeries.lift(TruncatedSeries(y.coeffs, N, ring), caps)
+
+
+# the most residues (float64) a law's series may hold, 128 MiB: one mark
+# reaches N = 590, two marks N = 115
+_MAX_LAW_RESIDUES = 1 << 24
+
+
+@lru_cache(maxsize=16)
+def _law_ring(N):
+    """The ring of the whole laws of order N, kept for later calls: every
+    [x^n u^a v^b] of a law counts trees of size n, at most y_n <= y_N."""
+    return PointRing(N, tree_series(N)[N])
 
 
 @lru_cache(maxsize=64)
-def _marked_ring(N, caps, basis, signed=False):
-    """The residue ring of the marked series of order N, kept for later calls.
+def _marked_ring(N, caps, signed=False):
+    """The residue ring of the eps-basis series of order N, kept for later calls.
 
     Its bound holds every [x^n] coefficient, n <= N, of the series built
-    in it (see the module docstring): y_N in the u basis; y_N times
-    max_{a <= cap} C(N, a) per mark in the eps basis; C(N + cap, cap) y_N in
-    magnitude when ``signed``.
+    in it (see the module docstring): y_N times max_{a <= cap} C(N, a) per
+    mark; C(N + cap, cap) y_N in magnitude when ``signed``.
     """
     y_N = tree_series(N)[N]
-    if basis == "u":
-        bound = y_N
-    elif signed:
+    if signed:
         bound = comb(N + caps[0], caps[0]) * y_N
     else:
         bound = y_N * prod(comb(N, min(cap, N // 2)) for cap in caps)
@@ -152,23 +175,26 @@ def _marked_levels(base, k_max):
     """Yield (k, y_k) for k = 0..k_max, where y_0 = base and each level is
     x exp(sum_i y_k(x^i, u^i)/i).
 
-    In the eps basis the unmarked term of every level is y (eps = 0 is
-    u = 1), so by Polya's equation y = x exp(sum_i y(x^i)/i) the exp of the
-    unmarked exponent is y / x, read from the count table of order N: no
-    scalar exp runs, and the unmarked term is left out of the exponent (no
-    marked term has an unmarked image).  Coefficient N of y / x would be
-    y_{N+1}, which is left 0: it reaches only coefficient N of the exp,
-    which the shift drops.
+    In the eps basis (a ``MarkedSeries``) the unmarked term of every level
+    is y (eps = 0 is u = 1), so by Polya's equation y = x exp(sum_i y(x^i)/i)
+    the exp of the unmarked exponent is y / x, read from the count table of
+    order N: no scalar exp runs, and the unmarked term is left out of the
+    exponent (no marked term has an unmarked image).  Coefficient N of y / x
+    would be y_{N+1}, which is left 0: it reaches only coefficient N of the
+    exp, which the shift drops.  A ``PointSeries`` takes its exp at every
+    point.
     """
     cur = base
     yield 0, cur
     y_over_x = None
-    if base.basis == "eps":
+    if isinstance(base, MarkedSeries):
         y_over_x = TruncatedSeries(tree_series(base.order).coeffs[1:], base.order, base.ring)
     for k in range(1, k_max + 1):
-        if y_over_x is not None:
+        if y_over_x is None:
+            cur = cur.polya_exponent().exp().shift(1)
+        else:
             cur = cur.copy_with({e: s for e, s in cur.terms.items() if any(e)})
-        cur = cur.polya_exponent().exp(y_over_x).shift(1)
+            cur = cur.polya_exponent().exp(y_over_x).shift(1)
         yield k, cur
 
 
@@ -205,8 +231,8 @@ def level_series_progression(d, k_max, N, mode="full", order=2):
 def level_degree_series(d, k, N, mode="full", order=2):
     """The one-level marked series y_k^{(d)}(x, u) truncated at x-order N.
 
-    mode 'full': coefficients are polynomials in u of degree at most N, the
-    complete distribution.  mode 'moments': u = 1+eps nilpotent of the given
+    mode 'full': a ``PointSeries``, whose [n] is the complete distribution,
+    {(l, 0): count}.  mode 'moments': u = 1+eps nilpotent of the given
     order, carrying factorial moments E[X (X-1) ... (X-j+1)] for j <= order.
     A level k past N is built at N (``_capped``).
     """
@@ -216,7 +242,7 @@ def level_degree_series(d, k, N, mode="full", order=2):
 def two_level_series(d, k, h, N, mode="full", order=2):
     """Joint marked series for levels k and k+h.
 
-    mode 'full': two u-variables, exact joint distributions (small n only).
+    mode 'full': two marks, exact joint distributions (N up to 115).
     mode 'moments': two nilpotent marks of the given per-variable order
     (order 1 suffices for E[L(k) L(k+h)]).
     mode 'tightness': one nilpotent mark of order 4 with level k weighted by

@@ -37,19 +37,27 @@ the classes here:
     ``math.exp``, the float operations of forming it from a_n afresh.
 
 ``MarkedSeries``
-    a series in x and one or two marking variables, stored as a map
-    from the mark exponent (a, b) to the TruncatedSeries in x that multiplies
-    it (b = 0 with one mark), so sums, products and shifts are scalar-series
-    arithmetic.  Its terms are of one ring and one order, exact or residue,
-    and the one body of every method serves both: the residue ring carries
-    the profile's marked route, and the exact ring is its test oracle.  The
-    marks live in the monomial basis ('u': an exponent counts marked nodes)
-    or in the nilpotent basis ('eps': the series is f(1+eps) truncated at a
-    fixed eps-degree, which carries all u-derivatives at u = 1 up to that
-    order in one pass).  ``exp`` steps in the mark direction with the Euler
-    operator, the same in both bases, and keeps whole coefficients as ints in
-    the exact ring.  Each term's x-valuation is found once, and a product
-    whose valuations add up past the order is skipped, not formed.
+    a series in x and one or two marking variables in the nilpotent basis
+    (the series is f(1+eps) truncated at a fixed eps-degree, which carries
+    all u-derivatives at u = 1 up to that order in one pass), stored as a
+    map from the eps exponent (a, b) to the TruncatedSeries in x that
+    multiplies it (b = 0 with one mark), so sums, products and shifts are
+    scalar-series arithmetic.  Its terms are of one ring and one order,
+    exact or residue, and the one body of every method serves both: the
+    residue ring carries the profile's moments, and the exact ring is their
+    test oracle.  ``exp`` steps in the mark direction with the Euler
+    operator and keeps whole coefficients as ints in the exact ring.  Each
+    term's x-valuation is found once, and a product whose valuations add up
+    past the order is skipped, not formed.
+
+``PointSeries``
+    a series in x and one or two marks held by its values at the M-th roots
+    of unity modulo primes p = 1 (mod M) (a ``PointRing``), as a float64
+    array [prime, u-point, v-point, n]: the representation of whole laws.
+    The substitution u -> u^i permutes the points, so the Polya exponent is
+    a gather and the exp one scalar recurrence per point, and the law of
+    [x^n] is one inverse DFT of length M per prime and mark, lifted by the
+    CRT.  A mark the series does not carry is an axis of length 1.
 
 Multiplication is O(N^2) schoolbook convolution (N <= ~1600).  In the exact
 ring it is a Python loop over big integers, so the exact derivative pass and
@@ -389,12 +397,15 @@ class ResidueRing:
     A rational whose denominator is prime to every p has residues too, so
     the ring divides by any int from 1 up to its smallest prime
     (``scalar_div``), through a table of inverses it builds once.
+
+    ``primes``, when given, replaces ``build_primes``' choice; they must meet
+    the same three conditions (``PointRing`` passes its ``root_primes``).
     """
 
     __slots__ = ("primes", "p", "p64", "modulus", "basis", "bound", "signed", "_inv")
 
-    def __init__(self, order, bound, signed=False):
-        self.primes = tuple(build_primes(order, bound << 20))
+    def __init__(self, order, bound, signed=False, primes=None):
+        self.primes = tuple(primes or build_primes(order, bound << 20))
         self.modulus, self.basis = crt_basis(self.primes)
         self.bound, self.signed = bound, signed
         self.p = np.array(self.primes, dtype=float)[:, None]
@@ -496,54 +507,65 @@ class ResidueRing:
     def mul_sum(self, pairs, N):
         """sum a b over the pairs (a, val(a), b, val(b)), to order N.
 
-        A pair whose valuations add up past N is skipped.  Two or more of the
-        rest whose window order n = N - low is at most ``_PACKED_MAX_ORDER``,
-        low the least val(a) + val(b), share groups of at most ``_room`` /
-        (n + 1) pairs; every other pair is a group of its own at its own low.
-        Each group (``_group_product``) is one ``np.correlate`` per prime, or
-        a blocked short product when it is one pair past that order, reduced
-        and added.  Grouping beats a group per pair up to about that
+        A pair whose valuations add up past N is skipped.  The rest share
+        groups of at most ``_room`` / (n + 1) pairs, n = N - low the window
+        order, low the least val(a) + val(b); each group (``_group_product``)
+        is reduced once and added.  Two or more pairs of a group whose window
+        order is at most ``_PACKED_MAX_ORDER`` are one ``np.correlate`` per
+        prime; grouping them beats a product per pair up to about that
         order: on random residues with valuation 0 (2-CPU host, numpy 2.4),
-        2, 4 and 8 pairs in two runs took 0.26-0.50 times the time of a group
-        per pair at N = 60 over 6 primes, 0.73-0.83 at N = 160 over 12 primes,
-        0.85-1.26 at N = 200 over 14 primes and 1.08-2.58 at N = 400 over 24
-        primes, where the zeros between the blocks, which a group multiplies
-        too, dominate.  Past that order the short product of one pair took
-        0.61-0.91 times the time of its ``np.correlate`` (best of 5, N = 161
-        to 1600 over 15 to 132 primes, same host).
+        2, 4 and 8 pairs in two runs took 0.26-0.50 times the time of a
+        product per pair at N = 60 over 6 primes, 0.73-0.83 at N = 160 over
+        12 primes, 0.85-1.26 at N = 200 over 14 primes and 1.08-2.58 at
+        N = 400 over 24 primes, where the zeros between the blocks, which a
+        group multiplies too, dominate.  Past that order each pair is a
+        blocked short product, which took 0.61-0.91 times the time of its
+        ``np.correlate`` (best of 5, N = 161 to 1600 over 15 to 132 primes,
+        same host), and the group's products add up unreduced.
         """
         pairs = [pair for pair in pairs if pair[1] + pair[3] <= N]
         low = min((va + vb for _, va, _, vb in pairs), default=N)
-        if len(pairs) > 1 and N - low <= _PACKED_MAX_ORDER:
-            size = self._room() // (N - low + 1)
-            groups = [(pairs[start:start + size], low) for start in range(0, len(pairs), size)]
-        else:
-            groups = [([pair], pair[1] + pair[3]) for pair in pairs]
+        size = self._room() // (N - low + 1)
         out = np.zeros((len(self.primes), N + 1))
-        for k, (group, low) in enumerate(groups):
-            part = self._group_product(group, N, low)
-            out[:, low:] = self.add(out[:, low:], part) if k else part
+        for start in range(0, len(pairs), size):
+            group = pairs[start:start + size]
+            lo = min(va + vb for _, va, _, vb in group)
+            part = self._group_product(group, N, lo)
+            out[:, lo:] = self.add(out[:, lo:], part) if start else part
         return out
 
     def _group_product(self, group, N, low):
-        """x^-low sum a b over a group of pairs, reduced, low being at most
-        every val(a) + val(b).
+        """x^-low sum a b over a group of pairs, reduced, low being the least
+        val(a) + val(b).
 
-        Each pair splits as a = x^i a', b = x^(low - i) b' (i = min(val(a),
-        low) drops only zero terms), and the sum is x^low sum a' b' to the
-        window order n = N - low, over windows a', b' of n + 1 terms.  A lone
-        pair past ``_PACKED_MAX_ORDER`` is a short product
-        (``_short_product``), any other group a Kronecker sum
-        (``_kronecker_sum``).  Output k sums at most m (n + 1) products of two
+        Each pair splits as a = x^i a', b = x^(lo - i) b' over windows a', b'
+        of n + 1 terms, n = N - lo (i = min(val(a), lo) drops only zero
+        terms).  Two or more pairs of window order at most
+        ``_PACKED_MAX_ORDER`` at lo = low are one Kronecker sum
+        (``_kronecker_sum``).  Otherwise each pair is a product at its own lo
+        = val(a) + val(b): a short product (``_short_product``) past that
+        order, else a Kronecker sum of one pair, and the products add up
+        unreduced.  Output k sums at most m (N - low + 1) products of two
         residues: below 2^53, and so exact in float64 in any order, for
-        groups of at most ``_room`` / (n + 1) pairs.
+        groups of at most ``_room`` / (N - low + 1) pairs.
         """
-        n = N - low
-        windows = [(a[:, i:i + n + 1], b[:, low - i:low - i + n + 1])
-                   for a, va, b, _ in group for i in (min(va, low),)]
-        if len(windows) == 1 and n > _PACKED_MAX_ORDER:
-            return self._reduce(_short_product(*windows[0], n))
-        return self._reduce(_kronecker_sum(windows, n))
+        def windows(pairs, lo):
+            n = N - lo
+            return [(a[:, i:i + n + 1], b[:, lo - i:lo - i + n + 1])
+                    for a, va, b, _ in pairs for i in (min(va, lo),)]
+
+        if len(group) > 1 and N - low <= _PACKED_MAX_ORDER:
+            return self._reduce(_kronecker_sum(windows(group, low), N - low))
+        total = np.zeros((len(self.primes), N - low + 1)) if len(group) > 1 else None
+        for pair in group:
+            lo = pair[1] + pair[3]
+            (window,) = windows([pair], lo)
+            part = (_short_product(*window, N - lo) if N - lo > _PACKED_MAX_ORDER
+                    else _kronecker_sum([window], N - lo))
+            if total is None:
+                return self._reduce(part)
+            total[:, lo - low:] += part
+        return self._reduce(total)
 
     def scalar_mul(self, a, c):
         return self._reduce(a * self.residues([c]))
@@ -929,38 +951,37 @@ class MarkedSeries:
     ``terms`` maps a mark exponent (a, b) to the TruncatedSeries in x that
     multiplies it; b stays 0 with one mark, and zero terms are dropped.
     Every term is of one ring and one order, and the series takes its ring
-    from them (the exact ring when it has none).  ``caps`` bounds a and b.
-    In the 'u' basis an exponent counts marked nodes; in the 'eps' basis it
-    is a power of eps = u - 1.
+    from them (the exact ring when it has none).  An exponent is a power of
+    eps = u - 1 (the nilpotent basis), and ``caps`` bounds a and b.
 
     Each term keeps its x-valuation (``TruncatedSeries.valuation``), so
     products whose valuations add up past the order are skipped, not formed.
     """
 
-    __slots__ = ("terms", "order", "caps", "basis", "ring")
+    __slots__ = ("terms", "order", "caps", "ring")
 
-    def __init__(self, terms, order, caps, basis):
-        if basis not in ("u", "eps") or len(caps) != 2 or min(caps) < 0:
-            raise UsageError(f"bad mark shape: caps {caps!r}, basis {basis!r}")
+    def __init__(self, terms, order, caps):
+        if len(caps) != 2 or min(caps) < 0:
+            raise UsageError(f"bad mark shape: caps {caps!r}")
         self.ring = next(iter(terms.values())).ring if terms else EXACT
         if self.ring is not EXACT and not isinstance(self.ring, ResidueRing):
             raise UsageError(f"marked series are exact or modulo primes, not in {self.ring!r}")
         if any(s.ring != self.ring or s.order != order for s in terms.values()):
             raise UsageError("the terms of a marked series are of one ring and one order")
-        self.order, self.caps, self.basis = order, tuple(caps), basis
+        self.order, self.caps = order, tuple(caps)
         self.terms = self._nonzero(terms)
 
     def _nonzero(self, terms):
         return {e: s for e, s in terms.items() if s.valuation() <= self.order}
 
     @classmethod
-    def lift(cls, s, caps, basis):
+    def lift(cls, s, caps):
         """The scalar series s with every mark absent."""
-        return cls({_UNMARKED: s}, s.order, caps, basis)
+        return cls({_UNMARKED: s}, s.order, caps)
 
     def copy_with(self, terms):
-        out = object.__new__(MarkedSeries)
-        out.order, out.caps, out.basis, out.ring = self.order, self.caps, self.basis, self.ring
+        out = object.__new__(type(self))
+        out.order, out.caps, out.ring = self.order, self.caps, self.ring
         out.terms = out._nonzero(terms)
         return out
 
@@ -968,30 +989,20 @@ class MarkedSeries:
         return self.copy_with({_UNMARKED: TruncatedSeries.one(self.order, self.ring)})
 
     def mark(self, power=1, v=0):
-        """The monomial u_v**power (v = 0 or 1) in this basis, constant in x."""
-        if self.basis == "u":
-            if power < 0:
-                raise UsageError("the u basis holds no negative powers")
-            weights = {power: 1}
-        else:  # u**p = (1+eps)**p
-            weights = {r: _comb_signed(power, r) for r in range(self.caps[v] + 1)}
+        """The monomial u_v**power = (1+eps_v)**power (v = 0 or 1), constant in x."""
         one = TruncatedSeries.one(self.order, self.ring)
-        return self.copy_with({(r, 0) if v == 0 else (0, r): one * w
-                               for r, w in weights.items() if r <= self.caps[v]})
+        return self.copy_with({(r, 0) if v == 0 else (0, r): one * _comb_signed(power, r)
+                               for r in range(self.caps[v] + 1)})
 
     def _check(self, other):
-        if (self.order, self.caps, self.basis, self.ring) != (
-                other.order, other.caps, other.basis, other.ring):
-            raise UsageError("marked series order/caps/basis/ring mismatch")
+        if (self.order, self.caps, self.ring) != (other.order, other.caps, other.ring):
+            raise UsageError("marked series order/caps/ring mismatch")
 
     def _fits(self, e):
         return e[0] <= self.caps[0] and e[1] <= self.caps[1]
 
     def _image(self, e, i):
         """(exponent, weight) pairs of the mark monomial e under every u -> u**i."""
-        if self.basis == "u":
-            e2 = (e[0] * i, e[1] * i)
-            return [(e2, 1)] if self._fits(e2) else []
         wa, wb = (_eps_power_image(i, a, cap) for a, cap in zip(e, self.caps))
         return [((p, q), x * y) for p, x in enumerate(wa) if x for q, y in enumerate(wb) if y]
 
@@ -1044,9 +1055,8 @@ class MarkedSeries:
 
         from E_0 = exp(p_0) in x, or from ``unmarked`` when the caller already
         knows exp(p_0) (a scalar series of this ring and order); p's own
-        unmarked term is then not read, and may be absent.  It is the
-        same in both bases, and whole coefficients stay ints in the exact
-        ring.  A product of two terms whose valuations add up past the order
+        unmarked term is then not read, and may be absent.  Whole
+        coefficients stay ints in the exact ring.  A product of two terms whose valuations add up past the order
         is zero and is skipped.
         """
         self._check_constant_term("exp")
@@ -1094,27 +1104,18 @@ class MarkedSeries:
     def polya_exponent(self):
         """sum_{i>=1} a(x**i, u**i) / i, as the ring's substitution sums.
 
-        Only i <= N / val(a_e) reach the order.  In the u basis u**e has one
-        image per i, so each i is a sum of its own, but u**0 is its own image
-        under every i; in the eps basis every i adds to each image exponent,
-        weighted by the image coefficient over i, in one sum over all i.
+        Only i <= N / val(a_e) reach the order.  Every i adds to each image
+        exponent of eps**e, weighted by the image coefficient over i, in one
+        sum over all i.
         """
         self._check_constant_term("polya_exponent")
         N, ring = self.order, self.ring
         acc = {}
         for e, s in self.terms.items():
             top = N // s.valuation()
-            if self.basis == "u":
-                spans = [(1, top)] if e == _UNMARKED else [(i, i) for i in range(1, top + 1)]
-                sums = [((e[0] * lo, e[1] * lo), _polya_weights(ring, N, None), lo, hi)
-                        for lo, hi in spans]
-            else:
-                images = _polya_weights(ring, N, (e, self.caps))
-                sums = [(e2, weights, 1, top) for e2, weights in images]
-            for e2, weights, lo, hi in sums:
-                if self._fits(e2):
-                    part = ring.power_sum(s.coeffs, weights, lo, hi)
-                    acc[e2] = ring.add(acc[e2], part) if e2 in acc else part
+            for e2, weights in _polya_weights(ring, N, e, self.caps):
+                part = ring.power_sum(s.coeffs, weights, 1, top)
+                acc[e2] = ring.add(acc[e2], part) if e2 in acc else part
         like = next(iter(self.terms.values()), None)  # acc is empty when there are no terms
         return self.copy_with({e: like.copy_with(out) for e, out in acc.items()})
 
@@ -1125,16 +1126,11 @@ class MarkedSeries:
 
 
 @lru_cache(maxsize=256)
-def _polya_weights(ring, N, source):
-    """The weights of ``MarkedSeries.polya_exponent`` in the ring's format, over i = 0..N.
-
-    source None: [0, 1, 1/2, ..., 1/N].  source (e, caps), eps basis: the
-    pairs (image exponent e2, [0, c_1 / 1, ..., c_N / N]) with c_i the
-    coefficient of eps**e2 in the image of eps**e under u -> u**i.
+def _polya_weights(ring, N, e, caps):
+    """The weights of ``MarkedSeries.polya_exponent`` in the ring's format, over
+    i = 0..N: the pairs (image exponent e2, [0, c_1 / 1, ..., c_N / N]) with c_i
+    the coefficient of eps**e2 in the image of eps**e under u -> u**i.
     """
-    if source is None:
-        return ring.weights([0] + [Fraction(1, i) for i in range(1, N + 1)])
-    e, caps = source
     images = [[0] * (N + 1) for _ in range((caps[0] + 1) * (caps[1] + 1))]
     for i in range(1, N + 1):
         wa, wb = (_eps_power_image(i, a, cap) for a, cap in zip(e, caps))
@@ -1143,3 +1139,301 @@ def _polya_weights(ring, N, source):
                 images[p * (caps[1] + 1) + q][i] = Fraction(x * y, i)
     return tuple(((j // (caps[1] + 1), j % (caps[1] + 1)), ring.weights(w))
                  for j, w in enumerate(images) if any(w))
+
+
+# ---------------------------------------------------------------------------
+# laws by their values at roots of unity
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=1)
+def _primes_below_2_20():
+    """Every prime below 2^20, ascending, as an int64 array."""
+    is_prime = np.ones(1 << 20, dtype=bool)
+    is_prime[:2] = False
+    for q in range(2, 1 << 10):
+        if is_prime[q]:
+            is_prime[q * q::q] = False
+    return np.flatnonzero(is_prime)
+
+
+def root_primes(M, bound):
+    """The fewest primes p = 1 (mod M) below 2^20 with M (p - 1)^2 < 2^53,
+    largest first, whose product exceeds ``bound``.
+
+    Each holds the M-th roots of unity, and exceeds M, so every int up to M
+    is invertible modulo it.  UsageError when all of them fall short.
+    """
+    top = math.isqrt(((1 << 53) - 1) // M) + 1  # M (top - 1)^2 < 2^53
+    primes = _primes_below_2_20()
+    fit = primes[((primes - 1) % M == 0) & (primes <= top)][::-1]
+    # the product of the first ``start`` stays below 2^(bits - 2) <= bound
+    start = int(np.searchsorted(np.cumsum(np.log2(fit)), bound.bit_length() - 2))
+    chosen = fit[:start].tolist()
+    product = math.prod(chosen) if start < len(fit) else 0
+    for p in fit[start:].tolist():
+        chosen.append(p)
+        product *= p
+        if product > bound:
+            return chosen
+    raise UsageError(f"the primes p = 1 (mod {M}) below 2^20 do not pass a bound of "
+                     f"{bound.bit_length()} bits")
+
+
+def _root_of_unity(p, M):
+    """An element of order exactly M modulo a prime p = 1 (mod M)."""
+    factors, rest, q = [], M, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    factors += [rest] if rest > 1 else []
+    for g in range(2, p):
+        w = pow(g, (p - 1) // M, p)
+        if all(pow(w, M // q, p) != 1 for q in factors):
+            return w
+    return 1  # p = 2, M = 1
+
+
+class PointRing:
+    """Residues at the M-th roots of unity modulo primes p = 1 (mod M), for
+    the laws of series of order N whose [x^n] counts lie in [0, bound].
+
+    A law of values below M is fixed by its generating polynomial at the M
+    points omega^m, omega of order M modulo p (J. M. Pollard, "The fast
+    Fourier transform in a finite field", Math. Comp. 25, 1971), and read
+    back by one inverse DFT of length M per prime and mark, a float64 matrix
+    product (``law``).  Its sums hold M products of two residues, exact while
+    M (p - 1)^2 < 2^53 (``root_primes``).  The counts of a series of order N
+    take values up to N, so M is the least of N + 1..2N + 1 whose primes'
+    product passes 2^20 times the bound, and past that range the ring raises
+    UsageError.  The DFT's output is lifted by the CRT of ``residue``, a
+    ``ResidueRing`` over the same primes, which raises AccuracyError for a
+    count above the bound.  Every int up to M divides, as M < p.
+    """
+
+    __slots__ = ("M", "residue", "p", "p64", "powers", "_dft")
+
+    def __init__(self, order, bound):
+        for M in range(order + 1, 2 * order + 2):
+            try:
+                primes = root_primes(M, bound << 20)
+            except UsageError:
+                continue
+            break
+        else:
+            raise UsageError(f"no M in {order + 1}..{2 * order + 1} has enough primes "
+                             f"p = 1 (mod M) below 2^20 for laws at order {order}")
+        self.M = M
+        self.residue = ResidueRing(order, bound, primes=primes)
+        self.p64 = self.residue.p64[:, 0]
+        self.p = self.residue.p.reshape(-1, 1, 1, 1)
+        self.powers = _frozen([[pow(w, t, p) for t in range(M)]
+                               for p in primes for w in (_root_of_unity(p, M),)])
+        self._dft = None
+
+    def __repr__(self):
+        return f"PointRing({self.M} points, {self.residue!r})"
+
+    def _reduce(self, a):
+        """a float64 array [prime, ...] of integers below 2^53, modulo each prime."""
+        return (a.astype(np.int64) % self.p64.reshape((-1,) + (1,) * (a.ndim - 1))).astype(float)
+
+    def law(self, values):
+        """{(a, b): [u^a v^b]} over the nonzero coefficients of the polynomial
+        whose values at the points are ``values`` [prime, A, B]; an axis of
+        length 1 is a mark the polynomial does not hold (b = 0 with one mark).
+
+        Each axis of length M is one product by the inverse DFT matrix
+        M^-1 omega^(-a m), built at the first read.
+        """
+        if self._dft is None:
+            idx = -np.outer(np.arange(self.M), np.arange(self.M)) % self.M
+            m_inv = [pow(self.M, -1, p) for p in self.residue.primes]
+            self._dft = self._reduce(self.powers[:, idx] * np.array(m_inv)[:, None, None])
+        c = values
+        if c.shape[1] > 1:
+            c = self._reduce(np.matmul(self._dft, c))
+        if c.shape[2] > 1:
+            c = self._reduce(np.matmul(c, self._dft))
+        flat = c.reshape(c.shape[0], -1)
+        cols = np.flatnonzero(flat.any(axis=0)).tolist()
+        counts = self.residue.lift(flat[:, cols])
+        return {divmod(j, c.shape[2]): v for j, v in zip(cols, counts)}
+
+
+@lru_cache(maxsize=4096)
+def _point_image(A, B, M, i):
+    """Row (a, b) -> row (a i mod M, b i mod M) of A x B points, flattened."""
+    a, b = (np.arange(size) * i % M for size in (A, B))
+    return (a[:, None] * B + b).ravel()
+
+
+@lru_cache(maxsize=8)
+def _polya_plan(A, B, M, N):
+    """(gather, i, target), read-only: entry r of the substitution plan of
+    order N (``_substitution_plan``) at point row q reads a flattened
+    [A B, N + 1] array at gather[q, r], the row of the image point of q
+    under u -> u**i[r] and the term src[r], and adds to target[q, r], row q
+    and term tgt[r]."""
+    src, tgt, i, _ = _substitution_plan(N)
+    rows = np.array([_point_image(A, B, M, j) for j in range(N + 1)])[i].T
+    gather = rows * (N + 1) + src
+    target = (np.arange(A * B)[:, None] * (N + 1) + tgt).ravel()
+    for arr in (gather, target):
+        arr.setflags(write=False)
+    return gather, i, target
+
+
+class PointSeries:
+    """A series in x and one or two marks u, v, held by its values at
+    u = omega^a and v = omega^b (a, b = 0..M-1) modulo the primes of a
+    ``PointRing``: the representation of whole laws.
+
+    ``values`` is a read-only float64 array [prime, a, b, n] of residues.  An
+    axis a or b of length 1 stands for a mark the series does not carry:
+    every point holds the same series, and numpy's broadcasting spreads it
+    over M points when the mark enters.  ``mark`` is constant in x, and a
+    product by a series constant in x is one multiply per point.
+
+    The Polya substitution u -> u^i sends point a to a i mod M, so
+    ``substitute_power`` and ``polya_exponent`` gather points, and ``exp``
+    is the scalar recurrence n e_n = sum_m m a_m e_{n-m} on every point at
+    once: no step pairs mark exponents.  ``[n]`` reads the law of the
+    coefficient of x^n (``PointRing.law``) as {(a, b): count}, b = 0 with
+    one mark, the nonzero counts only.
+    """
+
+    __slots__ = ("values", "order", "ring")
+
+    def __init__(self, values, order, ring):
+        self.values, self.order, self.ring = _frozen(values), order, ring
+
+    @classmethod
+    def lift(cls, s, ring):
+        """The exact integer series s, at every point: it carries no mark."""
+        return cls(ring.residue.coefficients(s.coeffs, s.order)[:, None, None], s.order, ring)
+
+    def copy_with(self, values):
+        return PointSeries(values, self.order, self.ring)
+
+    def _constant(self, c):
+        """The series c [prime, A, B], constant in x."""
+        out = np.zeros(c.shape + (self.order + 1,))
+        out[..., 0] = c
+        return self.copy_with(out)
+
+    def one_like(self):
+        return self._constant(np.ones((len(self.ring.residue.primes), 1, 1)))
+
+    def mark(self, power=1, v=0):
+        """u**power (v = 0) or v**power (v = 1): omega^(power a) at point a."""
+        M = self.ring.M
+        at = self.ring.powers[:, np.arange(M) * power % M]
+        return self._constant(at[:, :, None] if v == 0 else at[:, None, :])
+
+    def _check(self, other):
+        if not isinstance(other, PointSeries) or (self.ring, self.order) != (
+                other.ring, other.order):
+            raise UsageError("point series ring/order mismatch")
+
+    # a sum or difference of two residues is off by at most one p
+    def __add__(self, other):
+        self._check(other)
+        s = self.values + other.values
+        s -= self.ring.p * (s >= self.ring.p)
+        return self.copy_with(s)
+
+    def __sub__(self, other):
+        self._check(other)
+        s = self.values - other.values
+        s += self.ring.p * (s < 0)
+        return self.copy_with(s)
+
+    def __mul__(self, other):
+        """The product by an int or, point by point, by a series: one
+        multiply per point when a factor is constant in x, else a short
+        product (``_short_product``) of each point's series."""
+        reduce = self.ring._reduce
+        if not isinstance(other, PointSeries):
+            return self.copy_with(reduce(self.values * self.ring.residue.residues([other])[
+                :, :, None, None]))
+        self._check(other)
+        for a, b in ((self.values, other.values), (other.values, self.values)):
+            if not b[..., 1:].any():
+                return self.copy_with(reduce(a * b[..., :1]))
+        a, b = np.broadcast_arrays(self.values, other.values)
+        n = self.order
+        return self.copy_with(reduce(
+            _short_product(a.reshape(-1, n + 1), b.reshape(-1, n + 1), n).reshape(a.shape)))
+
+    __rmul__ = __mul__
+
+    def scalar_div(self, q):
+        inv = self.ring.residue.inverses(q)[:, q, None, None, None]
+        return self.copy_with(self.ring._reduce(self.values * inv))
+
+    def shift(self, k=1):
+        out = np.zeros_like(self.values)
+        out[..., k:] = self.values[..., : max(self.order + 1 - k, 0)]
+        return self.copy_with(out)
+
+    def _gathered(self, i, width):
+        """The first ``width`` coefficients under u -> u**i and v -> v**i: point
+        a takes the series at a i mod M (an axis of length 1 stays)."""
+        P, A, B, n = self.values.shape
+        rows = self.values.reshape(P, A * B, n)
+        return rows[:, _point_image(A, B, self.ring.M, i), :width].reshape(P, A, B, -1)
+
+    def substitute_power(self, i):
+        """x -> x**i together with every mark u -> u**i."""
+        if i < 1:
+            raise UsageError("substitute_power requires i >= 1")
+        if i == 1:
+            return self
+        out = np.zeros_like(self.values)
+        out[..., ::i] = self._gathered(i, self.order // i + 1)
+        return self.copy_with(out)
+
+    def _check_constant_term(self, what):
+        if self.values[..., 0].any():
+            raise DomainError(f"{what} requires zero constant term")
+
+    def polya_exponent(self):
+        """sum_{i>=1} a(x**i, u**i) / i along the substitution plan of the
+        order (``_substitution_plan``): per prime, one gather of every point's
+        terms (``_polya_plan``) weighted by 1/i and one ``np.bincount``.
+
+        x^t gains a product of two residues per i dividing t: at most N + 1
+        terms below p^2, exact in any order, reduced once.
+        """
+        self._check_constant_term("polya_exponent")
+        P, A, B, n = self.values.shape
+        gather, i, target = _polya_plan(A, B, self.ring.M, n - 1)
+        weights = self.ring.residue.inverses(max(n - 1, 1))[:, i]
+        rows = self.values.reshape(P, -1)
+        out = [np.bincount(target, (row[gather] * w).ravel(), A * B * n)
+               for row, w in zip(rows, weights)]
+        return self.copy_with(self.ring._reduce(np.array(out)).reshape(P, A, B, n))
+
+    def exp(self):
+        """exp(a) at every point: n e_n = sum_m (m a_m) e_{n-m}, one dot per
+        point and prime for each n, then times n^-1; e is kept reversed, so
+        e_{n-1}, ..., e_0 is one slice.  A dot sums at most N < M products of
+        two residues, exact in float64."""
+        self._check_constant_term("exp")
+        N, shape = self.order, self.values.shape
+        rows = self.values.reshape(shape[0], -1, N + 1)
+        na = self.ring._reduce(rows * np.arange(N + 1))
+        inv, p = self.ring.residue.inverses(max(N, 1)), self.ring.residue.p
+        rev = np.zeros_like(rows)
+        rev[..., N] = 1
+        for n in range(1, N + 1):
+            dot = np.vecdot(na[..., 1:n + 1], rev[..., N - n + 1:])
+            rev[..., N - n] = dot % p * inv[:, n:n + 1] % p
+        return self.copy_with(rev[..., ::-1].reshape(shape))
+
+    def __getitem__(self, n):
+        """The x**n coefficient as {mark exponent: nonzero count}."""
+        return self.ring.law(self.values[..., n])

@@ -40,7 +40,9 @@ from polyaprofile.profile import (
     second_factorial_series,
     two_level_series,
 )
-from polyaprofile.series import EXACT, DoubleRing, ResidueRing, TruncatedSeries
+from polyaprofile.series import (
+    EXACT, DoubleRing, PointRing, PointSeries, ResidueRing, TruncatedSeries, root_primes)
+from u_basis import generic_levels, u_basis_route
 
 RHO = 0.3383218568992077
 
@@ -418,45 +420,98 @@ _DEGREES = st.sampled_from([1, 2, 3, 4, TOTAL])
 @given(n=st.integers(1, 12), extra=st.integers(0, 3), d=_DEGREES, d2=_DEGREES,
        k=st.integers(0, 5), h=st.integers(0, 3), order=st.integers(1, 3))
 def test_residue_marked_route_is_the_big_integer_route(n, extra, d, d2, k, h, order):
-    # the marked series over a residue ring, lifted at every x**m, and the
-    # laws and moments read from them equal the same code over EXACT; the
-    # series are of order N >= n and the laws are read at n
+    # the eps-basis series over a residue ring, lifted at every x**m, and the
+    # moments read from them equal the same code over EXACT; the full-mode
+    # series, read at roots of unity, give at every x**m the law that the
+    # u basis gives over EXACT (``u_basis``), and so do the laws read from
+    # them; the series are of order N >= n and the laws are read at n
     N = n + extra
-    series = [
-        lambda: level_degree_series(d, k, N, "full"),
+    moments = [
         lambda: level_degree_series(d, k, N, "moments", order),
-        lambda: two_level_series(d, k, h, N, "full"),
         lambda: two_level_series(d, k, h, N, "moments", order),
         lambda: two_level_series(d, k, h, N, "tightness"),
     ]
+    laws = [
+        lambda: level_degree_series(d, k, N, "full"),
+        lambda: two_level_series(d, k, h, N, "full"),
+    ]
     if TOTAL not in (d, d2) and d != d2:
-        series += [lambda: mixed_degree_series(d, d2, k, N, "full"),
-                   lambda: mixed_degree_series(d, d2, k, N, "moments", order)]
-    for build in series:
+        moments.append(lambda: mixed_degree_series(d, d2, k, N, "moments", order))
+        laws.append(lambda: mixed_degree_series(d, d2, k, N, "full"))
+    for build in moments:
         got = build()
         assert isinstance(got.ring, ResidueRing)
         assert _coefficients(got) == _over_exact(lambda: _coefficients(build()))
-    laws = [
-        lambda: exact_distribution(n, d, k, series=level_degree_series(d, k, N)),
-        lambda: joint_distribution(n, d, k, h, series=two_level_series(d, k, h, N)),
+    for build in laws:
+        got = build()
+        assert isinstance(got, PointSeries)
+        assert _coefficients(got) == _over_u_basis(lambda: _coefficients(build()), exact=True)
+    for read in (lambda: exact_distribution(n, d, k, series=level_degree_series(d, k, N)),
+                 lambda: joint_distribution(n, d, k, h, series=two_level_series(d, k, h, N))):
+        assert read() == _over_u_basis(read, exact=True)
+    reads = [
         lambda: factorial_moments_from_marked(n, d, k, order),
         lambda: mixed_moment_from_marked(n, d, k, h),
         lambda: [level_difference_moment(n, k, h, power) for power in (1, 2, 3, 4)],
     ]
     if TOTAL not in (d, d2) and d != d2:
-        laws.append(lambda: mixed_degree_moment_from_marked(n, d, d2, k))
-    for law in laws:
-        assert law() == _over_exact(law)
+        reads.append(lambda: mixed_degree_moment_from_marked(n, d, d2, k))
+    for read in reads:
+        assert read() == _over_exact(read)
 
 
-def _generic_levels(base, k_max):
-    """Every level by the generic MarkedSeries.exp, which takes the scalar
-    exp of the unmarked exponent (a test oracle)."""
-    cur = base
-    yield 0, cur
-    for k in range(1, k_max + 1):
-        cur = cur.polya_exponent().exp().shift(1)
-        yield k, cur
+def _over_u_basis(fn, exact=False):
+    """fn() with every full-mode series built in the u basis (``u_basis``)."""
+    with u_basis_route(exact):
+        return fn()
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["one", "two", "mixed"]), d=_DEGREES, d2=st.integers(1, 4),
+       N=st.integers(1, 30), k=st.integers(0, 5), h=st.integers(0, 3))
+def test_laws_at_roots_of_unity_are_the_u_basis_laws(kind, d, d2, N, k, h):
+    # every [x^m] of the one-level, two-level and mixed-degree series of the
+    # full mode, m <= N, read by the inverse DFT, is the law the u basis steps
+    # to (over a residue ring, the former route): one mark and two, degrees
+    # 1 to 4 and the total profile, h = 0 (both marks on one level) and h > 0
+    if kind == "mixed" and d in (TOTAL, d2):
+        d = d2 % 4 + 1
+    build = {
+        "one": lambda: level_degree_series(d, k, N),
+        "two": lambda: two_level_series(d, k, h, N),
+        "mixed": lambda: mixed_degree_series(d, d2, k, N),
+    }[kind]
+    got = build()
+    assert isinstance(got, PointSeries) and got.ring.M > N
+    assert _coefficients(got) == _over_u_basis(lambda: _coefficients(build()))
+
+
+def test_a_corrupted_residue_lifts_out_of_range():
+    # one residue of one point off by one moves every count of that prime
+    # (the inverse DFT mixes the points), and the CRT lifts the counts past
+    # the bound y_N: AccuracyError, not a wrong law
+    s = level_degree_series(1, 3, 14)
+    law = s[14]
+    values = s.values.copy()
+    values[0, 5, 0, 14] = (values[0, 5, 0, 14] + 1) % s.ring.residue.primes[0]
+    with pytest.raises(AccuracyError, match="above the bound"):
+        s.copy_with(values)[14]
+    assert s[14] == law
+
+
+def test_laws_past_the_prime_range_or_the_size_limit_are_refused():
+    # the primes p = 1 (mod M) below 2^20 thin out as M grows: a large M
+    # runs out of them, and a ring whose every M in N + 1..2N + 1 does is a
+    # UsageError (exit 2); so is a law whose residues pass the size limit
+    with pytest.raises(UsageError, match="do not pass a bound"):
+        root_primes(6000, 1 << 9000)
+    assert len(root_primes(6000, 1 << 200)) == 11
+    with pytest.raises(UsageError, match="no M in 5..9"):
+        PointRing(4, 1 << 2_000_000)
+    with pytest.raises(UsageError, match="residues, past"):
+        joint_distribution(200, 1, 1, 1)
+    with pytest.raises(UsageError, match="residues, past"):
+        exact_distribution(800, 1, 10)
 
 
 @settings(max_examples=40, deadline=None)
@@ -485,7 +540,7 @@ def test_eps_levels_read_y_over_x_and_equal_the_generic_exp(kind, d, N, k, h, or
             m.setattr(ring, "exp", counted)
         got = [(j, s.ring, _coefficients(s)) for j, s in progression()]
         assert calls == []
-        m.setattr(profile, "_marked_levels", _generic_levels)
+        m.setattr(profile, "_marked_levels", generic_levels)
         want = [(j, s.ring, _coefficients(s)) for j, s in progression()]
         assert len(calls) == steps
     assert got == want

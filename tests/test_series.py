@@ -17,11 +17,15 @@ from polyaprofile.series import (
     EXACT,
     DoubleRing,
     MarkedSeries,
+    PointRing,
+    PointSeries,
     ResidueRing,
     TruncatedSeries,
     _log_abs,
     _signed_exp,
+    root_primes,
 )
+from u_basis import UBasisSeries
 
 
 def S(coeffs, order=None, **kw):
@@ -33,15 +37,6 @@ def power_sum(a, w):
     one by one (a test oracle)."""
     terms = (a.substitute_power(i) * w[i] for i in range(2, a.order + 1))
     return sum(terms, TruncatedSeries.zero(a.order))
-
-
-def at_one(s):
-    """Collapse every mark of a marked series to 1 (eps = 0), giving a scalar
-    exact-ring series (a test oracle)."""
-    zero = TruncatedSeries.zero(s.order, s.ring)
-    if s.basis == "u":
-        return sum(s.terms.values(), zero).lift()
-    return s.terms.get((0, 0), zero).lift()
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +539,7 @@ def test_rings_refuse_what_they_do_not_define(op, ring):
             _EXACT_ONLY[op](s)
     elif op == "marked":
         with pytest.raises(UsageError, match="exact or modulo primes"):
-            MarkedSeries.lift(s, (1, 0), "u")
+            MarkedSeries.lift(s, (1, 0))
     else:
         # one scale is one ring, whichever object holds it; two scales are two
         assert (s + S([0, 1, 2], 10, ring=DoubleRing(0.5)))[2] == 2 * s[2]
@@ -557,19 +552,21 @@ def test_rings_refuse_what_they_do_not_define(op, ring):
 # ---------------------------------------------------------------------------
 
 def test_marked_polya_exponent_example():
-    # a = u x at order 2: polya gives u x + u^2 x^2 / 2
-    a = MarkedSeries({(1, 0): S([0, 1], 2)}, 2, (2, 0), "u")
+    # a = eps x at order 2: polya gives eps x + ((1+eps)^2 - 1) x^2 / 2
+    a = MarkedSeries({(1, 0): S([0, 1], 2)}, 2, (2, 0))
     p = a.polya_exponent()
     assert p[1] == {(1, 0): 1}
-    assert p[2] == {(2, 0): Fraction(1, 2)}
+    assert p[2] == {(1, 0): 1, (2, 0): Fraction(1, 2)}
 
 
 def test_marked_collapse_at_one_matches_tree_series():
-    from polyaprofile.profile import level_degree_series
+    # every law of the full mode counts each tree of size n once
+    from polyaprofile.profile import level_degree_series, two_level_series
 
-    for d, k in ((1, 0), (2, 1), (3, 2)):
-        s = level_degree_series(d, k, 12, mode="full")
-        assert at_one(s) == tree_series(12)
+    y = tree_series(12)
+    for s in (*(level_degree_series(d, k, 12, mode="full") for d, k in ((1, 0), (2, 1), (3, 2))),
+              two_level_series(2, 1, 2, 12, mode="full")):
+        assert [sum(s[n].values()) for n in range(13)] == y.coeffs
 
 
 def test_marked_u_degree_bounded_by_n():
@@ -582,7 +579,7 @@ def test_marked_u_degree_bounded_by_n():
 
 
 def test_eps_mode_tracks_negative_powers():
-    one = MarkedSeries.lift(TruncatedSeries.one(0), (3, 0), "eps")
+    one = MarkedSeries.lift(TruncatedSeries.one(0), (3, 0))
     inv = one.mark(-1)
     # (1+eps)^{-1} = 1 - eps + eps^2 - eps^3
     assert inv[0] == {(0, 0): 1, (1, 0): -1, (2, 0): 1, (3, 0): -1}
@@ -591,14 +588,16 @@ def test_eps_mode_tracks_negative_powers():
 
 
 @settings(max_examples=60, deadline=None)
-@given(N=st.integers(1, 8), basis=st.sampled_from(["u", "eps"]), caps=st.sampled_from(
-    [(1, 0), (3, 0), (1, 1), (2, 1)]), residue=st.booleans(), data=st.data())
-def test_marked_exp_and_polya_exponent_are_their_definitions(N, basis, caps, residue, data):
+@given(N=st.integers(1, 8), cls=st.sampled_from([MarkedSeries, UBasisSeries]),
+       caps=st.sampled_from([(1, 0), (3, 0), (1, 1), (2, 1)]), residue=st.booleans(),
+       data=st.data())
+def test_marked_exp_and_polya_exponent_are_their_definitions(N, cls, caps, residue, data):
     # exp(p) = sum_j p^j / j! and polya(p) = sum_i p(x^i, u^i) / i, formed by
     # products, substitutions and divisions, equal the Euler-operator and
-    # plan-wide passes at every x**n up to the order, in either ring; the
-    # terms of p start at drawn valuations, so products of valuations adding
-    # up to exactly N occur
+    # plan-wide passes at every x**n up to the order, in either ring, in the
+    # eps basis and in the u basis of the test oracle; the terms of p start
+    # at drawn valuations, so products of valuations adding up to exactly N
+    # occur
     ring = ResidueRing(N, 1 << 80, signed=True) if residue else EXACT
     terms = {}
     for a in range(caps[0] + 1):
@@ -606,7 +605,7 @@ def test_marked_exp_and_polya_exponent_are_their_definitions(N, basis, caps, res
             val = data.draw(st.integers(1, N + 1))
             cs = data.draw(st.lists(st.integers(-9, 9), min_size=N + 1 - val, max_size=N + 1 - val))
             terms[(a, b)] = S([0] * val + cs, N, ring=ring)
-    p = MarkedSeries(terms, N, caps, basis)
+    p = cls(terms, N, caps)
     assert p.ring is ring
     term = total = p.one_like()
     for j in range(1, N + 1):
@@ -698,55 +697,72 @@ def test_sums_of_products_are_the_exact_sum_modulo_each_prime(N, bits, top, seed
 
 
 def test_sum_past_one_group_is_the_exact_sum():
-    # more pairs than one group holds at the largest grouped window order,
-    # every residue p - 1 or p - 2: the sum of the groups is the exact sum of
+    # more pairs than one group holds, at the largest grouped window order
+    # and past it, where a group's short products add up unreduced; every
+    # residue p - 1 or p - 2: the sum of the groups is the exact sum of
     # products modulo each prime
-    N = series._PACKED_MAX_ORDER
-    ring = ResidueRing(N, 1 << 30)
-    m = ring._room() // (N + 1) + 3
-    pairs = _residue_pairs(ring, N, [(0, 0)] * m, np.random.default_rng(3), top=True)
-    assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
+    for N in (series._PACKED_MAX_ORDER, series._PACKED_MAX_ORDER + 1, 400):
+        ring = ResidueRing(N, 1 << 30)
+        m = ring._room() // (N + 1) + 3
+        pairs = _residue_pairs(ring, N, [(0, 0)] * m, np.random.default_rng(3), top=True)
+        assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
 
 
 def test_mul_sum_packs_two_or_more_pairs_up_to_the_crossover(monkeypatch):
     # the groups follow the number of pairs within the order and the window
-    # order N - low, low the least sum of valuations, and so does the kernel:
-    # (size, low, kernel) per group, a lone pair past the crossover being a
-    # short product and every other group one np.correlate per prime
-    groups, kernels = [], []
+    # order N - low, low the least sum of valuations, and so do the kernels:
+    # (size, low, kernels) per group, two or more pairs within the crossover
+    # being one np.correlate per prime and every other pair a product of its
+    # own, a short product past the crossover; a group of long products adds
+    # them up unreduced, and every group is reduced once
+    groups, kernels, reduces = [], [], []
 
     def counted(self, group, N, low, original=ResidueRing._group_product):
         out = original(self, group, N, low)
-        groups.append((len(group), low, kernels.pop()))
+        groups.append((len(group), low, tuple(kernels)))
+        kernels.clear()
         return out
 
     def kernel(name):
         original = getattr(series, name)
         return lambda *args: kernels.append(name) or original(*args)
 
+    def reduce(self, a, original=ResidueRing._reduce):
+        reduces.append(a.shape)
+        return original(self, a)
+
     monkeypatch.setattr(ResidueRing, "_group_product", counted)
+    monkeypatch.setattr(ResidueRing, "_reduce", reduce)
     for name in ("_short_product", "_kronecker_sum"):
         monkeypatch.setattr(series, name, kernel(name))
     edge = series._PACKED_MAX_ORDER
     ring = ResidueRing(edge + 1, 1 << 20)
     full = ring._room() // (edge + 1)
+    full_long = ring._room() // (edge + 2)
     rng = np.random.default_rng(1)
     short, grouped = "_short_product", "_kronecker_sum"
     cases = [
         (edge, [], []),
-        (edge, [(0, 0)], [(1, 0, grouped)]),
-        (edge + 1, [(0, 0)], [(1, 0, short)]),
-        (edge + 1, [(0, 1)], [(1, 1, grouped)]),
-        (edge, [(0, 0), (3, 1)], [(2, 0, grouped)]),
-        (edge + 1, [(0, 0), (3, 1)], [(1, 0, short), (1, 4, grouped)]),
-        (edge + 1, [(1, 0), (0, 2)], [(2, 1, grouped)]),
-        (edge, [(0, 0), (edge, 1)], [(1, 0, grouped)]),  # the second lies past the order
-        (edge, [(0, 0)] * (full + 1), [(full, 0, grouped), (1, 0, grouped)]),
+        (edge, [(0, 0)], [(1, 0, (grouped,))]),
+        (edge + 1, [(0, 0)], [(1, 0, (short,))]),
+        (edge + 1, [(0, 1)], [(1, 1, (grouped,))]),
+        (edge, [(0, 0), (3, 1)], [(2, 0, (grouped,))]),
+        (edge + 1, [(0, 0), (3, 1)], [(2, 0, (short, grouped))]),
+        (edge + 1, [(3, 1), (0, 0)], [(2, 0, (grouped, short))]),
+        (edge + 1, [(0, 0)] * 3, [(3, 0, (short,) * 3)]),
+        (edge + 1, [(1, 0), (0, 2)], [(2, 1, (grouped,))]),
+        (edge, [(0, 0), (edge, 1)], [(1, 0, (grouped,))]),  # the second lies past the order
+        (edge, [(0, 0)] * (full + 1), [(full, 0, (grouped,)), (1, 0, (grouped,))]),
+        (edge + 1, [(0, 0)] * (full_long + 1),
+         [(full_long, 0, (short,) * full_long), (1, 0, (short,))]),
     ]
     for N, valuations, want in cases:
         groups.clear()
-        ring.mul_sum(_residue_pairs(ring, N, valuations, rng, top=False), N)
+        pairs = _residue_pairs(ring, N, valuations, rng, top=False)
+        reduces.clear()
+        ring.mul_sum(pairs, N)
         assert groups == want and not kernels
+        assert len(reduces) == len(want)
 
 
 def _short_product_orders(top=420):
@@ -885,6 +901,20 @@ def _primes_by_trial_division(n, bound):
     raise AssertionError("no primes left")
 
 
+def _root_primes_by_trial_division(M, bound):
+    """The primes p = 1 (mod M) below 2^20 with M (p - 1)^2 < 2^53, largest
+    first, down to the first whose running product exceeds bound; None when
+    all of them fall short."""
+    out, product = [], 1
+    for p in range(1 + ((1 << 20) - 2) // M * M, 1, -M):
+        if M * (p - 1) ** 2 < 2**53 and all(p % q for q in range(2, math.isqrt(p) + 1)):
+            out.append(p)
+            product *= p
+            if product > bound:
+                return out
+    return None
+
+
 @pytest.mark.parametrize("N, bound, signed", [
     (0, 1, False), (1, 0, True), (12, 1 << 80, False), (30, 10**40, True),
     (400, 1 << 1500, False), (400, 3 << 700, True), (9000, 1 << 200, False),
@@ -902,15 +932,22 @@ def test_residue_ring_takes_its_primes_from_its_order_and_bound(N, bound, signed
 def test_profile_rings_keep_their_bounds_and_primes(N):
     # the derivative pass's ring and the ring of each marked builder: each
     # bound as the profile module documents it, its primes those of the
-    # smallest product past 2^20 times it
+    # smallest product past 2^20 times it; the whole laws take the primes
+    # p = 1 (mod M) of the least M from N + 1 on that has enough of them
     from polyaprofile import profile
     from polyaprofile.profile import (
         TOTAL, level_degree_series, mixed_degree_series, two_level_series)
     y_N = tree_series(N)[N]
+    law = profile._law_ring(N)
+    assert level_degree_series(1, 0, N).ring is law
+    if N <= 30:  # two marks hold M^2 (N + 1) residues per prime
+        assert two_level_series(1, 0, 0, N).ring is mixed_degree_series(1, 2, 0, N).ring is law
+    assert (law.residue.bound, law.residue.signed) == (y_N, False)
+    assert all(_root_primes_by_trial_division(M, y_N << 20) is None for M in range(N + 1, law.M))
+    assert law.residue.primes == tuple(_root_primes_by_trial_division(law.M, y_N << 20))
+    assert law.M * (max(law.residue.primes) - 1) ** 2 < 2**53  # the DFT's sums are exact
     eps = [y_N * math.comb(N, j) for j in (1, 2, 3)]
     rings = [(profile._residue_ring(N), N * N * y_N, False),
-             (level_degree_series(1, 0, N).ring, y_N, False),
-             (two_level_series(1, 0, 0, N).ring, y_N, False),
              (two_level_series(TOTAL, 0, 0, N, "tightness").ring, math.comb(N + 4, 4) * y_N, True)]
     for j in (1, 2, 3):
         rings += [(level_degree_series(1, 0, N, "moments", j).ring, eps[j - 1], False),
