@@ -27,7 +27,9 @@ the test suite holds them to exact rational equality:
      m i mod M, so the level step gathers points and takes one scalar exp
      per point.  A series carries M points per mark it holds: the first h
      levels of a two-level law, which hold the second mark only, step M
-     points until the first mark enters.
+     points until the first mark enters.  A law's series may hold up to
+     2^24 residues (one mark to N = 590, two marks to N = 115); past that,
+     or past the primes below 2^20, it is a UsageError.
    - Moments are a ``MarkedSeries`` in the eps basis (a series in x per
      power of eps), in the residue ring ``_marked_ring`` picks per order
      and caps.  Its exp steps in the mark direction, and the unmarked term
@@ -43,11 +45,15 @@ the test suite holds them to exact rational equality:
    at the order N: a law's count [x^n u^a v^b] <= y_n; in the eps basis
    [x^n eps^a] = sum over the trees of C(L, a) <= C(n, a) y_n, per mark; in
    the tightness mode, signed, with |[x^n eps^j]| <= C(n + 4, 4) y_n.
-   TIMINGS
+   The law of L^{(1)}(14) at n = 200 takes 1.96–2.23 s (14.0–21.0 s in
+   the u basis, one x-series per power of u) and the joint law of L(3) and
+   L(5) at n = 60 0.82–1.06 s (3.70–4.48 s); E(L(20) - L(40))^4 at n = 400
+   takes 0.58–0.80 s (57–64 s in big integers); each the first call in a
+   process with the count table built, timed alternately on a 2-CPU host.
    The eps basis over the exact ring, the big-integer route, is the test
    oracle of the moments at every order (the tests replace
-   ``_marked_ring``), and the u basis (one x-series per power of u, in
-   the tests) is the oracle of the laws.
+   ``_marked_ring``), and the u basis, kept in the tests, is the oracle of
+   the laws.
 
 2. Derivative recurrences.  Differentiating the exp recurrence once, twice,
    and in two variables and setting the marks to 1 gives univariate

@@ -489,12 +489,14 @@ class ResidueRing:
         return s
 
     def _reduce(self, a):
-        """a float64 array [prime, n] of integers below 2^53, modulo each prime.
+        """a float64 array [prime, n] (or [prime, ..., n]) of integers below
+        2^53, modulo each prime.
 
         The int64 % of the same integers gives the same residues as a float64
         % in about a third of its time.
         """
-        return (a.astype(np.int64) % self.p64).astype(float)
+        p64 = self.p64 if a.ndim == 2 else self.p64.reshape((-1,) + (1,) * (a.ndim - 1))
+        return (a.astype(np.int64) % p64).astype(float)
 
     def mul(self, a, b, N):
         return self.mul_sum([(a, 0, b, 0)], N)
@@ -586,17 +588,19 @@ class ResidueRing:
         return out
 
     def exp(self, a):
-        # n e_n = sum_m (m a_m) e_{n-m}, one dot per prime for each n, then
-        # times n^-1; e is kept reversed, so e_{n-1}, ..., e_0 is one slice
-        N = a.shape[1] - 1
+        # n e_n = sum_m (m a_m) e_{n-m}, one dot per prime (and per row of an
+        # array [prime, row, n]) for each n, then times n^-1; e is kept
+        # reversed, so e_{n-1}, ..., e_0 is one slice
+        N = a.shape[-1] - 1
         na = self._reduce(a * np.arange(N + 1))
-        inv, p = self.inverses(max(N, 1)), self.p[:, 0]
+        column = (-1,) + (1,) * (a.ndim - 2)
+        inv, p = self.inverses(max(N, 1)), self.p.reshape(column)
         rev = np.zeros_like(a)
-        rev[:, N] = 1
+        rev[..., N] = 1
         for n in range(1, N + 1):
-            dot = np.einsum("ij,ij->i", na[:, 1:n + 1], rev[:, N - n + 1:])
-            rev[:, N - n] = dot % p * inv[:, n] % p
-        return rev[:, ::-1]
+            dot = np.vecdot(na[..., 1:n + 1], rev[..., N - n + 1:])
+            rev[..., N - n] = dot % p * inv[:, n].reshape(column) % p
+        return rev[..., ::-1]
 
     def valuation(self, a):
         return _first(a.any(axis=0))
@@ -1179,21 +1183,14 @@ def root_primes(M, bound):
                      f"{bound.bit_length()} bits")
 
 
-def _root_of_unity(p, M):
-    """An element of order exactly M modulo a prime p = 1 (mod M)."""
-    factors, rest, q = [], M, 2
-    while q * q <= rest:
-        if rest % q == 0:
-            factors.append(q)
-            while rest % q == 0:
-                rest //= q
-        q += 1
-    factors += [rest] if rest > 1 else []
-    for g in range(2, p):
-        w = pow(g, (p - 1) // M, p)
-        if all(pow(w, M // q, p) != 1 for q in factors):
-            return w
-    return 1  # p = 2, M = 1
+def _unit_roots(p, M):
+    """[omega^t mod p for t = 0..M-1], omega of order exactly M modulo a
+    prime p = 1 (mod M): the first g^((p - 1) / M), g = 2, 3, ..., whose
+    powers omega^1..omega^(M-1) all differ from 1."""
+    for g in range(2, max(p, 3)):
+        powers = [pow(g, (p - 1) // M * t, p) for t in range(M)]
+        if 1 not in powers[1:]:
+            return powers
 
 
 class PointRing:
@@ -1213,7 +1210,7 @@ class PointRing:
     count above the bound.  Every int up to M divides, as M < p.
     """
 
-    __slots__ = ("M", "residue", "p", "p64", "powers", "_dft")
+    __slots__ = ("M", "residue", "p", "powers", "_dft")
 
     def __init__(self, order, bound):
         for M in range(order + 1, 2 * order + 2):
@@ -1227,18 +1224,12 @@ class PointRing:
                              f"p = 1 (mod M) below 2^20 for laws at order {order}")
         self.M = M
         self.residue = ResidueRing(order, bound, primes=primes)
-        self.p64 = self.residue.p64[:, 0]
         self.p = self.residue.p.reshape(-1, 1, 1, 1)
-        self.powers = _frozen([[pow(w, t, p) for t in range(M)]
-                               for p in primes for w in (_root_of_unity(p, M),)])
+        self.powers = _frozen([_unit_roots(p, M) for p in primes])
         self._dft = None
 
     def __repr__(self):
         return f"PointRing({self.M} points, {self.residue!r})"
-
-    def _reduce(self, a):
-        """a float64 array [prime, ...] of integers below 2^53, modulo each prime."""
-        return (a.astype(np.int64) % self.p64.reshape((-1,) + (1,) * (a.ndim - 1))).astype(float)
 
     def law(self, values):
         """{(a, b): [u^a v^b]} over the nonzero coefficients of the polynomial
@@ -1251,12 +1242,12 @@ class PointRing:
         if self._dft is None:
             idx = -np.outer(np.arange(self.M), np.arange(self.M)) % self.M
             m_inv = [pow(self.M, -1, p) for p in self.residue.primes]
-            self._dft = self._reduce(self.powers[:, idx] * np.array(m_inv)[:, None, None])
+            self._dft = self.residue._reduce(self.powers[:, idx] * np.array(m_inv)[:, None, None])
         c = values
         if c.shape[1] > 1:
-            c = self._reduce(np.matmul(self._dft, c))
+            c = self.residue._reduce(np.matmul(self._dft, c))
         if c.shape[2] > 1:
-            c = self._reduce(np.matmul(c, self._dft))
+            c = self.residue._reduce(np.matmul(c, self._dft))
         flat = c.reshape(c.shape[0], -1)
         cols = np.flatnonzero(flat.any(axis=0)).tolist()
         counts = self.residue.lift(flat[:, cols])
@@ -1355,7 +1346,7 @@ class PointSeries:
         """The product by an int or, point by point, by a series: one
         multiply per point when a factor is constant in x, else a short
         product (``_short_product``) of each point's series."""
-        reduce = self.ring._reduce
+        reduce = self.ring.residue._reduce
         if not isinstance(other, PointSeries):
             return self.copy_with(reduce(self.values * self.ring.residue.residues([other])[
                 :, :, None, None]))
@@ -1372,28 +1363,24 @@ class PointSeries:
 
     def scalar_div(self, q):
         inv = self.ring.residue.inverses(q)[:, q, None, None, None]
-        return self.copy_with(self.ring._reduce(self.values * inv))
+        return self.copy_with(self.ring.residue._reduce(self.values * inv))
 
     def shift(self, k=1):
         out = np.zeros_like(self.values)
         out[..., k:] = self.values[..., : max(self.order + 1 - k, 0)]
         return self.copy_with(out)
 
-    def _gathered(self, i, width):
-        """The first ``width`` coefficients under u -> u**i and v -> v**i: point
-        a takes the series at a i mod M (an axis of length 1 stays)."""
-        P, A, B, n = self.values.shape
-        rows = self.values.reshape(P, A * B, n)
-        return rows[:, _point_image(A, B, self.ring.M, i), :width].reshape(P, A, B, -1)
-
     def substitute_power(self, i):
-        """x -> x**i together with every mark u -> u**i."""
+        """x -> x**i together with every mark u -> u**i: point a takes the
+        series at a i mod M (an axis of length 1 stays)."""
         if i < 1:
             raise UsageError("substitute_power requires i >= 1")
         if i == 1:
             return self
+        P, A, B, n = self.values.shape
+        rows = self.values.reshape(P, A * B, n)[:, _point_image(A, B, self.ring.M, i)]
         out = np.zeros_like(self.values)
-        out[..., ::i] = self._gathered(i, self.order // i + 1)
+        out[..., ::i] = rows[..., : (n - 1) // i + 1].reshape(P, A, B, -1)
         return self.copy_with(out)
 
     def _check_constant_term(self, what):
@@ -1415,24 +1402,15 @@ class PointSeries:
         rows = self.values.reshape(P, -1)
         out = [np.bincount(target, (row[gather] * w).ravel(), A * B * n)
                for row, w in zip(rows, weights)]
-        return self.copy_with(self.ring._reduce(np.array(out)).reshape(P, A, B, n))
+        return self.copy_with(self.ring.residue._reduce(np.array(out)).reshape(P, A, B, n))
 
     def exp(self):
-        """exp(a) at every point: n e_n = sum_m (m a_m) e_{n-m}, one dot per
-        point and prime for each n, then times n^-1; e is kept reversed, so
-        e_{n-1}, ..., e_0 is one slice.  A dot sums at most N < M products of
-        two residues, exact in float64."""
+        """exp(a) at every point, by the residue ring's recurrence on every
+        point's row at once."""
         self._check_constant_term("exp")
-        N, shape = self.order, self.values.shape
-        rows = self.values.reshape(shape[0], -1, N + 1)
-        na = self.ring._reduce(rows * np.arange(N + 1))
-        inv, p = self.ring.residue.inverses(max(N, 1)), self.ring.residue.p
-        rev = np.zeros_like(rows)
-        rev[..., N] = 1
-        for n in range(1, N + 1):
-            dot = np.vecdot(na[..., 1:n + 1], rev[..., N - n + 1:])
-            rev[..., N - n] = dot % p * inv[:, n:n + 1] % p
-        return self.copy_with(rev[..., ::-1].reshape(shape))
+        shape = self.values.shape
+        rows = self.values.reshape(shape[0], -1, shape[-1])
+        return self.copy_with(self.ring.residue.exp(rows).reshape(shape))
 
     def __getitem__(self, n):
         """The x**n coefficient as {mark exponent: nonzero count}."""
