@@ -1228,9 +1228,6 @@ class PointRing:
         self.powers = _frozen([_unit_roots(p, M) for p in primes])
         self._dft = None
 
-    def __repr__(self):
-        return f"PointRing({self.M} points, {self.residue!r})"
-
     def law(self, values):
         """{(a, b): [u^a v^b]} over the nonzero coefficients of the polynomial
         whose values at the points are ``values`` [prime, A, B]; an axis of
@@ -1343,13 +1340,10 @@ class PointSeries:
         return self.copy_with(s)
 
     def __mul__(self, other):
-        """The product by an int or, point by point, by a series: one
-        multiply per point when a factor is constant in x, else a short
-        product (``_short_product``) of each point's series."""
+        """The product point by point: one multiply per point when a factor
+        is constant in x, else a short product (``_short_product``) of each
+        point's series."""
         reduce = self.ring.residue._reduce
-        if not isinstance(other, PointSeries):
-            return self.copy_with(reduce(self.values * self.ring.residue.residues([other])[
-                :, :, None, None]))
         self._check(other)
         for a, b in ((self.values, other.values), (other.values, self.values)):
             if not b[..., 1:].any():
@@ -1358,8 +1352,6 @@ class PointSeries:
         n = self.order
         return self.copy_with(reduce(
             _short_product(a.reshape(-1, n + 1), b.reshape(-1, n + 1), n).reshape(a.shape)))
-
-    __rmul__ = __mul__
 
     def scalar_div(self, q):
         inv = self.ring.residue.inverses(q)[:, q, None, None, None]
