@@ -7,7 +7,7 @@ from math import inf, nan, prod, sqrt
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyaprofile.enumeration import (
@@ -466,9 +466,13 @@ def _over_u_basis(fn, exact=False):
         return fn()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["one", "two", "mixed"]), d=_DEGREES, d2=st.integers(1, 4),
        N=st.integers(1, 30), k=st.integers(0, 5), h=st.integers(0, 3))
+@example(kind="one", d=TOTAL, d2=1, N=30, k=5, h=0)
+@example(kind="two", d=3, d2=1, N=30, k=3, h=2)
+@example(kind="two", d=4, d2=1, N=30, k=2, h=0)
+@example(kind="mixed", d=2, d2=4, N=30, k=4, h=0)
 def test_laws_at_roots_of_unity_are_the_u_basis_laws(kind, d, d2, N, k, h):
     # every [x^m] of the one-level, two-level and mixed-degree series of the
     # full mode, m <= N, read by the inverse DFT, is the law the u basis steps

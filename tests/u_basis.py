@@ -7,8 +7,8 @@ roots of unity (``PointSeries``); ``u_basis_route`` runs the same builders
 of ``polyaprofile.profile`` in the u basis instead, over the exact ring (the
 big-integer route) or a residue ring, so the two compute each law by
 different algorithms.  Its own products, exp and Polya exponent are held to
-their definitions in ``test_series.py``, and its laws to the exhaustive
-enumeration through the criteria that read them.
+their definitions in ``test_series.py``; criterion 3 holds the laws of
+``polyaprofile`` to the exhaustive enumeration.
 """
 
 from __future__ import annotations
