@@ -13,20 +13,15 @@ per side; pair i uses seed ``--first-seed`` + i, and the parent runs first in
 even pairs, the new side in odd ones.  The output keeps each run's
 environment line and last JSON line, and per workload and end-to-end metric
 (from BENCHMARK.json) the median and quartiles of each side and the number of
-pairs the new side won.  After the runs, ``benchmarks/outputs.py`` runs once
-in each checkout, with the count cache its benchmark runs filled, and the
-record's ``outputs`` table gives per named output the parent's hash, the new
-side's and whether they are equal; an unequal one is also printed to stderr.
-The record is written to ``--out``, by default the first free BENCH_<k>.json
-in the repository root.  Each run's end-to-end metrics go to stderr as soon
-as it ends, so an outlying run shows while the record runs.
+pairs the new side won.  It is written to ``--out``, by default the first
+free BENCH_<k>.json in the repository root.  Each run's end-to-end metrics go
+to stderr as soon as it ends, so an outlying run shows while the record runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import statistics
 import subprocess
@@ -36,7 +31,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 1800  # a first run also fills its checkout's count cache
-OUTPUTS_TIMEOUT_S = 600
 
 
 def _git(*args, cwd=ROOT):
@@ -81,28 +75,6 @@ def _run(checkout, workload, seed, seconds):
     lines = [json.loads(line) for line in proc.stdout.splitlines() if line.startswith("{")]
     head = next(line for line in lines if "environment" in line)
     return {"environment": head["environment"], "result": lines[-1]}
-
-
-def _output_hashes(checkout):
-    """{output name: sha256} of ``benchmarks/outputs.py`` in ``checkout``."""
-    env = dict(os.environ, POLYAPROFILE_CACHE=str(checkout / ".bench_build" / "counts"),
-               PYTHONPATH=str(checkout / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "benchmarks" / "outputs.py")], cwd=checkout,
-                          env=env, capture_output=True, text=True, timeout=OUTPUTS_TIMEOUT_S,
-                          check=True)
-    return json.loads(proc.stdout.splitlines()[-1])
-
-
-def _outputs_table(checkouts):
-    """Per named output of either side: the parent's hash, the new side's and equal."""
-    hashes = {side: _output_hashes(path) for side, path in checkouts.items()}
-    table = []
-    for name in sorted(hashes["parent"].keys() | hashes["new"].keys()):
-        old, new = hashes["parent"].get(name), hashes["new"].get(name)
-        table.append({"name": name, "parent": old, "new": new, "equal": old == new})
-        if old != new:
-            print(f"output {name} differs: parent {old} new {new}", file=sys.stderr, flush=True)
-    return table
 
 
 def _quartiles(values):
@@ -169,7 +141,6 @@ def main(argv=None):
                           file=sys.stderr, flush=True)
                 pairs.append(pair)
             record["workloads"][name] = {"pairs": pairs, "summary": _summary(pairs, metrics)}
-        record["outputs"] = _outputs_table(checkouts)
     out = args.out or _default_out()
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(out)

@@ -20,16 +20,20 @@ the test suite holds them to exact rational equality:
 
    - Laws (full mode) are a ``PointSeries``: the series at u = omega^m,
      m = 0..M-1, with omega of order M modulo primes p = 1 (mod M) and
-     M > N (a ``PointRing`` per order, ``_law_ring``).  A count at x^n is
-     at most n < M, so the values at the M points fix the law, and reading
-     [x^n] is one inverse DFT of length M per prime and mark (Pollard,
-     Math. Comp. 25, 1971).  The substitution u -> u^i sends point m to
-     m i mod M, so the level step gathers points and takes one scalar exp
-     per point.  A series carries M points per mark it holds: the first h
-     levels of a two-level law, which hold the second mark only, step M
-     points until the first mark enters.  A law's series may hold up to
-     2^24 residues (one mark to N = 590, two marks to N = 115); past that,
-     or past the primes below 2^20, it is a UsageError.
+     M = N + 1 (a ``PointRing`` per order, ``_law_ring``).  A count at x^n
+     is at most n < M, so the values at the M points fix the law, and
+     reading [x^n] is one inverse DFT of length M per prime and mark
+     (Pollard, Math. Comp. 25, 1971).  The substitution u -> u^i sends
+     point m to m i mod M, so the level step gathers points and takes one
+     scalar exp per point.  A series carries M points per mark it holds:
+     the first h levels of a two-level law, which hold the second mark
+     only, step M points until the first mark enters, and two marks on one
+     level (h = 0) are one mark u v.  A series holds P M^marks (N + 1)
+     float64 residues over P primes, and a level step about five times
+     that: one mark at N = 590 (47 primes) peaks at 0.72 GB of RSS and two
+     marks at N = 115 (10 primes) at 0.68 GB.  Past the primes below 2^20
+     (N = 990 is the first order without enough of them) a law is a
+     UsageError.
    - Moments are a ``MarkedSeries`` in the eps basis (a series in x per
      power of eps), in the residue ring ``_marked_ring`` picks per order
      and caps.  Its exp steps in the mark direction, and the unmarked term
@@ -45,9 +49,9 @@ the test suite holds them to exact rational equality:
    at the order N: a law's count [x^n u^a v^b] <= y_n; in the eps basis
    [x^n eps^a] = sum over the trees of C(L, a) <= C(n, a) y_n, per mark; in
    the tightness mode, signed, with |[x^n eps^j]| <= C(n + 4, 4) y_n.
-   The law of L^{(1)}(14) at n = 200 takes 1.96–2.23 s (14.0–21.0 s in
+   The law of L^{(1)}(14) at n = 200 takes 2.20–3.07 s (15.2–17.4 s in
    the u basis, one x-series per power of u) and the joint law of L(3) and
-   L(5) at n = 60 0.82–1.06 s (3.70–4.48 s); E(L(20) - L(40))^4 at n = 400
+   L(5) at n = 60 0.73–0.87 s (3.62–4.12 s); E(L(20) - L(40))^4 at n = 400
    takes 0.58–0.80 s (57–64 s in big integers); each the first call in a
    process with the count table built, timed alternately on a 2-CPU host.
    The eps basis over the exact ring, the big-integer route, is the test
@@ -138,20 +142,10 @@ def _marked_tree_series(N, mode, order, marks, degrees, *levels, signed=False):
         raise UsageError(f"unknown mode {mode!r}")
     y = tree_series(N)
     if mode == "full":
-        ring = _law_ring(N)
-        size = len(ring.residue.primes) * ring.M**marks * (N + 1)
-        if size > _MAX_LAW_RESIDUES:
-            raise UsageError(f"a law of {marks} mark{'s' * (marks > 1)} at order {N} holds "
-                             f"{size} residues, past the {_MAX_LAW_RESIDUES} allowed")
-        return PointSeries.lift(y, ring)
+        return PointSeries.lift(y, _law_ring(N))
     caps = (order, order if marks == 2 else 0)
     ring = _marked_ring(N, caps, signed)
     return MarkedSeries.lift(TruncatedSeries(y.coeffs, N, ring), caps)
-
-
-# the most residues (float64) a law's series may hold, 128 MiB: one mark
-# reaches N = 590, two marks N = 115
-_MAX_LAW_RESIDUES = 1 << 24
 
 
 @lru_cache(maxsize=16)
@@ -248,7 +242,8 @@ def level_degree_series(d, k, N, mode="full", order=2):
 def two_level_series(d, k, h, N, mode="full", order=2):
     """Joint marked series for levels k and k+h.
 
-    mode 'full': two marks, exact joint distributions (N up to 115).
+    mode 'full': two marks, exact joint distributions (one mark u v when
+    h = 0).
     mode 'moments': two nilpotent marks of the given per-variable order
     (order 1 suffices for E[L(k) L(k+h)]).
     mode 'tightness': one nilpotent mark of order 4 with level k weighted by
@@ -265,6 +260,10 @@ def two_level_series_progression(d, k_max, h, N, mode="full", order=2):
     tight = mode == "tightness"
     y = _marked_tree_series(N, "moments" if tight else mode, 4 if tight else order,
                             1 if tight else 2, (d,), k_max, h, signed=tight)
+    if h == 0 and isinstance(y, PointSeries):
+        # both marks sit on the same level: a law holds u1 u2 as one mark
+        y = y.on_one_level()
+        return _marked_levels(_base_level(d, y, y.mark()), k_max)
     mark1, mark2 = y.mark(), (y.mark(-1) if tight else y.mark(v=1))
     if h == 0:
         # both marks sit on the same level: one marking variable u1 u2

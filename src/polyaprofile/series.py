@@ -509,65 +509,54 @@ class ResidueRing:
     def mul_sum(self, pairs, N):
         """sum a b over the pairs (a, val(a), b, val(b)), to order N.
 
-        A pair whose valuations add up past N is skipped.  The rest share
-        groups of at most ``_room`` / (n + 1) pairs, n = N - low the window
-        order, low the least val(a) + val(b); each group (``_group_product``)
-        is reduced once and added.  Two or more pairs of a group whose window
-        order is at most ``_PACKED_MAX_ORDER`` are one ``np.correlate`` per
-        prime; grouping them beats a product per pair up to about that
+        A pair whose valuations add up past N is skipped.  Two or more of the
+        rest whose window order n = N - low is at most ``_PACKED_MAX_ORDER``,
+        low the least val(a) + val(b), share groups of at most ``_room`` /
+        (n + 1) pairs; every other pair is a group of its own at its own low.
+        Each group (``_group_product``) is one ``np.correlate`` per prime, or
+        a blocked short product when it is one pair past that order, reduced
+        and added.  Grouping beats a group per pair up to about that
         order: on random residues with valuation 0 (2-CPU host, numpy 2.4),
-        2, 4 and 8 pairs in two runs took 0.26-0.50 times the time of a
-        product per pair at N = 60 over 6 primes, 0.73-0.83 at N = 160 over
-        12 primes, 0.85-1.26 at N = 200 over 14 primes and 1.08-2.58 at
-        N = 400 over 24 primes, where the zeros between the blocks, which a
-        group multiplies too, dominate.  Past that order each pair is a
-        blocked short product, which took 0.61-0.91 times the time of its
-        ``np.correlate`` (best of 5, N = 161 to 1600 over 15 to 132 primes,
-        same host), and the group's products add up unreduced.
+        2, 4 and 8 pairs in two runs took 0.26-0.50 times the time of a group
+        per pair at N = 60 over 6 primes, 0.73-0.83 at N = 160 over 12 primes,
+        0.85-1.26 at N = 200 over 14 primes and 1.08-2.58 at N = 400 over 24
+        primes, where the zeros between the blocks, which a group multiplies
+        too, dominate.  Past that order the short product of one pair took
+        0.61-0.91 times the time of its ``np.correlate`` (best of 5, N = 161
+        to 1600 over 15 to 132 primes, same host).
         """
         pairs = [pair for pair in pairs if pair[1] + pair[3] <= N]
         low = min((va + vb for _, va, _, vb in pairs), default=N)
-        size = self._room() // (N - low + 1)
+        if len(pairs) > 1 and N - low <= _PACKED_MAX_ORDER:
+            size = self._room() // (N - low + 1)
+            groups = [(pairs[start:start + size], low) for start in range(0, len(pairs), size)]
+        else:
+            groups = [([pair], pair[1] + pair[3]) for pair in pairs]
         out = np.zeros((len(self.primes), N + 1))
-        for start in range(0, len(pairs), size):
-            group = pairs[start:start + size]
-            lo = min(va + vb for _, va, _, vb in group)
-            part = self._group_product(group, N, lo)
-            out[:, lo:] = self.add(out[:, lo:], part) if start else part
+        for k, (group, low) in enumerate(groups):
+            part = self._group_product(group, N, low)
+            out[:, low:] = self.add(out[:, low:], part) if k else part
         return out
 
     def _group_product(self, group, N, low):
-        """x^-low sum a b over a group of pairs, reduced, low being the least
-        val(a) + val(b).
+        """x^-low sum a b over a group of pairs, reduced, low being at most
+        every val(a) + val(b).
 
-        Each pair splits as a = x^i a', b = x^(lo - i) b' over windows a', b'
-        of n + 1 terms, n = N - lo (i = min(val(a), lo) drops only zero
-        terms).  Two or more pairs of window order at most
-        ``_PACKED_MAX_ORDER`` at lo = low are one Kronecker sum
-        (``_kronecker_sum``).  Otherwise each pair is a product at its own lo
-        = val(a) + val(b): a short product (``_short_product``) past that
-        order, else a Kronecker sum of one pair, and the products add up
-        unreduced.  Output k sums at most m (N - low + 1) products of two
+        Each pair splits as a = x^i a', b = x^(low - i) b' (i = min(val(a),
+        low) drops only zero terms), and the sum is x^low sum a' b' to the
+        window order n = N - low, over windows a', b' of n + 1 terms.  A lone
+        pair past ``_PACKED_MAX_ORDER`` is a short product
+        (``_short_product``), any other group a Kronecker sum
+        (``_kronecker_sum``).  Output k sums at most m (n + 1) products of two
         residues: below 2^53, and so exact in float64 in any order, for
-        groups of at most ``_room`` / (N - low + 1) pairs.
+        groups of at most ``_room`` / (n + 1) pairs.
         """
-        def windows(pairs, lo):
-            n = N - lo
-            return [(a[:, i:i + n + 1], b[:, lo - i:lo - i + n + 1])
-                    for a, va, b, _ in pairs for i in (min(va, lo),)]
-
-        if len(group) > 1 and N - low <= _PACKED_MAX_ORDER:
-            return self._reduce(_kronecker_sum(windows(group, low), N - low))
-        total = np.zeros((len(self.primes), N - low + 1)) if len(group) > 1 else None
-        for pair in group:
-            lo = pair[1] + pair[3]
-            (window,) = windows([pair], lo)
-            part = (_short_product(*window, N - lo) if N - lo > _PACKED_MAX_ORDER
-                    else _kronecker_sum([window], N - lo))
-            if total is None:
-                return self._reduce(part)
-            total[:, lo - low:] += part
-        return self._reduce(total)
+        n = N - low
+        windows = [(a[:, i:i + n + 1], b[:, low - i:low - i + n + 1])
+                   for a, va, b, _ in group for i in (min(va, low),)]
+        if len(windows) == 1 and n > _PACKED_MAX_ORDER:
+            return self._reduce(_short_product(*windows[0], n))
+        return self._reduce(_kronecker_sum(windows, n))
 
     def scalar_mul(self, a, c):
         return self._reduce(a * self.residues([c]))
@@ -590,11 +579,13 @@ class ResidueRing:
     def exp(self, a):
         # n e_n = sum_m (m a_m) e_{n-m}, one dot per prime (and per row of an
         # array [prime, row, n]) for each n, then times n^-1; e is kept
-        # reversed, so e_{n-1}, ..., e_0 is one slice
+        # reversed, so e_{n-1}, ..., e_0 is one slice; m a_m is reduced in
+        # place, as a law's array is large
         N = a.shape[-1] - 1
-        na = self._reduce(a * np.arange(N + 1))
         column = (-1,) + (1,) * (a.ndim - 2)
         inv, p = self.inverses(max(N, 1)), self.p.reshape(column)
+        na = a * np.arange(N + 1)
+        np.remainder(na, p[..., None], out=na)
         rev = np.zeros_like(a)
         rev[..., N] = 1
         for n in range(1, N + 1):
@@ -1169,12 +1160,8 @@ def root_primes(M, bound):
     """
     top = math.isqrt(((1 << 53) - 1) // M) + 1  # M (top - 1)^2 < 2^53
     primes = _primes_below_2_20()
-    fit = primes[((primes - 1) % M == 0) & (primes <= top)][::-1]
-    # the product of the first ``start`` stays below 2^(bits - 2) <= bound
-    start = int(np.searchsorted(np.cumsum(np.log2(fit)), bound.bit_length() - 2))
-    chosen = fit[:start].tolist()
-    product = math.prod(chosen) if start < len(fit) else 0
-    for p in fit[start:].tolist():
+    chosen, product = [], 1
+    for p in primes[((primes - 1) % M == 0) & (primes <= top)][::-1].tolist():
         chosen.append(p)
         product *= p
         if product > bound:
@@ -1203,75 +1190,53 @@ class PointRing:
     back by one inverse DFT of length M per prime and mark, a float64 matrix
     product (``law``).  Its sums hold M products of two residues, exact while
     M (p - 1)^2 < 2^53 (``root_primes``).  The counts of a series of order N
-    take values up to N, so M is the least of N + 1..2N + 1 whose primes'
-    product passes 2^20 times the bound, and past that range the ring raises
-    UsageError.  The DFT's output is lifted by the CRT of ``residue``, a
-    ``ResidueRing`` over the same primes, which raises AccuracyError for a
-    count above the bound.  Every int up to M divides, as M < p.
+    take values up to N, so M = N + 1, and the primes' product passes 2^20
+    times the bound; when the primes below 2^20 fall short (N = 990 is the
+    first such order) the ring raises UsageError.  The DFT's output is
+    lifted by the CRT of ``residue``, a ``ResidueRing`` over the same primes,
+    which raises AccuracyError for a count above the bound.  Every int up to
+    M divides, as M < p.
     """
 
-    __slots__ = ("M", "residue", "p", "powers", "_dft")
+    __slots__ = ("M", "residue", "p", "powers")
 
     def __init__(self, order, bound):
-        for M in range(order + 1, 2 * order + 2):
-            try:
-                primes = root_primes(M, bound << 20)
-            except UsageError:
-                continue
-            break
-        else:
-            raise UsageError(f"no M in {order + 1}..{2 * order + 1} has enough primes "
-                             f"p = 1 (mod M) below 2^20 for laws at order {order}")
-        self.M = M
+        self.M = order + 1
+        primes = root_primes(self.M, bound << 20)
         self.residue = ResidueRing(order, bound, primes=primes)
         self.p = self.residue.p.reshape(-1, 1, 1, 1)
-        self.powers = _frozen([_unit_roots(p, M) for p in primes])
-        self._dft = None
+        self.powers = _frozen([_unit_roots(p, self.M) for p in primes])
 
     def law(self, values):
         """{(a, b): [u^a v^b]} over the nonzero coefficients of the polynomial
         whose values at the points are ``values`` [prime, A, B]; an axis of
         length 1 is a mark the polynomial does not hold (b = 0 with one mark).
 
-        Each axis of length M is one product by the inverse DFT matrix
-        M^-1 omega^(-a m), built at the first read.
+        Each axis of length M is one product per prime by the inverse DFT
+        matrix M^-1 omega^(-a m), built for the read and dropped after it.
         """
-        if self._dft is None:
-            idx = -np.outer(np.arange(self.M), np.arange(self.M)) % self.M
-            m_inv = [pow(self.M, -1, p) for p in self.residue.primes]
-            self._dft = self.residue._reduce(self.powers[:, idx] * np.array(m_inv)[:, None, None])
-        c = values
-        if c.shape[1] > 1:
-            c = self.residue._reduce(np.matmul(self._dft, c))
-        if c.shape[2] > 1:
-            c = self.residue._reduce(np.matmul(c, self._dft))
-        flat = c.reshape(c.shape[0], -1)
+        M = self.M
+        idx = -np.outer(np.arange(M), np.arange(M)) % M
+        counts = []
+        for roots, c, p in zip(self.powers, values, self.residue.primes):
+            dft = roots[idx] * pow(M, -1, p) % p
+            if c.shape[0] > 1:
+                c = dft @ c % p
+            if c.shape[1] > 1:
+                c = c @ dft % p
+            counts.append(c)
+        flat = np.array(counts).reshape(len(counts), -1)
         cols = np.flatnonzero(flat.any(axis=0)).tolist()
-        counts = self.residue.lift(flat[:, cols])
-        return {divmod(j, c.shape[2]): v for j, v in zip(cols, counts)}
+        width = values.shape[2]
+        return {divmod(j, width): v for j, v in zip(cols, self.residue.lift(flat[:, cols]))}
 
 
-@lru_cache(maxsize=4096)
-def _point_image(A, B, M, i):
-    """Row (a, b) -> row (a i mod M, b i mod M) of A x B points, flattened."""
+def _point_images(A, B, M, i):
+    """[len(i), A B]: row (a, b) -> row (a i mod M, b i mod M) of A x B
+    points, flattened, for each int of the array i."""
+    i = np.asarray(i)[:, None]
     a, b = (np.arange(size) * i % M for size in (A, B))
-    return (a[:, None] * B + b).ravel()
-
-
-@lru_cache(maxsize=8)
-def _polya_plan(A, B, M, N):
-    """(gather, i, target), read-only: entry r of the substitution plan of
-    order N (``_substitution_plan``) at point row q reads a flattened
-    [A B, N + 1] array at gather[q, r], the row of the image point of q
-    under u -> u**i[r] and the term src[r], and adds to target[q, r], row q
-    and term tgt[r]."""
-    src, tgt, i, _ = _substitution_plan(N)
-    rows = np.array([_point_image(A, B, M, j) for j in range(N + 1)])[i].T
-    gather = rows * (N + 1) + src
-    target = (np.arange(A * B)[:, None] * (N + 1) + tgt).ravel()
-    for arr in (gather, target):
-        arr.setflags(write=False)
-    return gather, i, target
+    return (a[:, :, None] * B + b[:, None, :]).reshape(len(i), A * B)
 
 
 class PointSeries:
@@ -1291,12 +1256,17 @@ class PointSeries:
     once: no step pairs mark exponents.  ``[n]`` reads the law of the
     coefficient of x^n (``PointRing.law``) as {(a, b): count}, b = 0 with
     one mark, the nonzero counts only.
+
+    Two marks on one level count the same nodes, so u and v only enter as
+    u v: a series ``on_one_level`` holds that one mark on axis a, at M
+    points rather than M^2, and its [n] reads each count l as (l, l).
     """
 
-    __slots__ = ("values", "order", "ring")
+    __slots__ = ("values", "order", "ring", "one_level")
 
-    def __init__(self, values, order, ring):
+    def __init__(self, values, order, ring, one_level=False):
         self.values, self.order, self.ring = _frozen(values), order, ring
+        self.one_level = one_level
 
     @classmethod
     def lift(cls, s, ring):
@@ -1304,7 +1274,14 @@ class PointSeries:
         return cls(ring.residue.coefficients(s.coeffs, s.order)[:, None, None], s.order, ring)
 
     def copy_with(self, values):
-        return PointSeries(values, self.order, self.ring)
+        return PointSeries(values, self.order, self.ring, self.one_level)
+
+    def on_one_level(self):
+        """This series for two marks on one level: ``mark()`` is u v from
+        then on, and [n] reads (l, l)."""
+        if self.values.shape[1:3] != (1, 1):
+            raise UsageError("only a series that carries no mark yet can take both on one level")
+        return PointSeries(self.values, self.order, self.ring, True)
 
     def _constant(self, c):
         """The series c [prime, A, B], constant in x."""
@@ -1322,8 +1299,8 @@ class PointSeries:
         return self._constant(at[:, :, None] if v == 0 else at[:, None, :])
 
     def _check(self, other):
-        if not isinstance(other, PointSeries) or (self.ring, self.order) != (
-                other.ring, other.order):
+        if not isinstance(other, PointSeries) or (self.ring, self.order, self.one_level) != (
+                other.ring, other.order, other.one_level):
             raise UsageError("point series ring/order mismatch")
 
     # a sum or difference of two residues is off by at most one p
@@ -1370,7 +1347,7 @@ class PointSeries:
         if i == 1:
             return self
         P, A, B, n = self.values.shape
-        rows = self.values.reshape(P, A * B, n)[:, _point_image(A, B, self.ring.M, i)]
+        rows = self.values.reshape(P, A * B, n)[:, _point_images(A, B, self.ring.M, [i])[0]]
         out = np.zeros_like(self.values)
         out[..., ::i] = rows[..., : (n - 1) // i + 1].reshape(P, A, B, -1)
         return self.copy_with(out)
@@ -1380,21 +1357,32 @@ class PointSeries:
             raise DomainError(f"{what} requires zero constant term")
 
     def polya_exponent(self):
-        """sum_{i>=1} a(x**i, u**i) / i along the substitution plan of the
-        order (``_substitution_plan``): per prime, one gather of every point's
-        terms (``_polya_plan``) weighted by 1/i and one ``np.bincount``.
+        """sum_{i>=1} a(x**i, u**i) / i: term j of a(x^i) goes to x^(i j) at
+        the image points (``_point_images``), times i^-1.
 
-        x^t gains a product of two residues per i dividing t: at most N + 1
-        terms below p^2, exact in any order, reduced once.
+        The pairs i j <= N take about 2 sqrt(N) numpy steps (Dirichlet's
+        hyperbola): one per i <= s = isqrt(N), for every term j of a(x^i),
+        and one per j <= N / (s + 1), for term j of every a(x^i), i > s.
+        They add up unreduced, reduced once and in place: x^t gains a product
+        of two residues per i dividing t, at most N + 1 terms below p^2, exact
+        as M = N + 1 and M (p - 1)^2 < 2^53.
         """
         self._check_constant_term("polya_exponent")
         P, A, B, n = self.values.shape
-        gather, i, target = _polya_plan(A, B, self.ring.M, n - 1)
-        weights = self.ring.residue.inverses(max(n - 1, 1))[:, i]
-        rows = self.values.reshape(P, -1)
-        out = [np.bincount(target, (row[gather] * w).ravel(), A * B * n)
-               for row, w in zip(rows, weights)]
-        return self.copy_with(self.ring.residue._reduce(np.array(out)).reshape(P, A, B, n))
+        N = n - 1
+        rows = self.values.reshape(P, A * B, n)
+        inv = self.ring.residue.inverses(max(N, 1))
+        images = _point_images(A, B, self.ring.M, np.arange(n))
+        s = math.isqrt(N)
+        out = rows.copy()  # i = 1
+        for i in range(2, s + 1):
+            out[..., i::i] += rows[:, images[i], 1:N // i + 1] * inv[:, i, None, None]
+        for j in range(1, N // (s + 1) + 1):
+            top = N // j  # i = s + 1..top, to x^(i j)
+            out[..., (s + 1) * j:top * j + 1:j] += (
+                rows[:, images[s + 1:top + 1].T, j] * inv[:, None, s + 1:top + 1])
+        np.remainder(out, self.ring.p[..., 0], out=out)
+        return self.copy_with(out.reshape(P, A, B, n))
 
     def exp(self):
         """exp(a) at every point, by the residue ring's recurrence on every
@@ -1406,4 +1394,5 @@ class PointSeries:
 
     def __getitem__(self, n):
         """The x**n coefficient as {mark exponent: nonzero count}."""
-        return self.ring.law(self.values[..., n])
+        law = self.ring.law(self.values[..., n])
+        return {(a, a): v for (a, _), v in law.items()} if self.one_level else law

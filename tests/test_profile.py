@@ -41,7 +41,7 @@ from polyaprofile.profile import (
     two_level_series,
 )
 from polyaprofile.series import (
-    EXACT, DoubleRing, PointRing, PointSeries, ResidueRing, TruncatedSeries, root_primes)
+    EXACT, DoubleRing, PointSeries, ResidueRing, TruncatedSeries, root_primes)
 from u_basis import generic_levels, u_basis_route
 
 RHO = 0.3383218568992077
@@ -503,19 +503,15 @@ def test_a_corrupted_residue_lifts_out_of_range():
     assert s[14] == law
 
 
-def test_laws_past_the_prime_range_or_the_size_limit_are_refused():
+def test_laws_past_the_prime_range_are_refused():
     # the primes p = 1 (mod M) below 2^20 thin out as M grows: a large M
-    # runs out of them, and a ring whose every M in N + 1..2N + 1 does is a
-    # UsageError (exit 2); so is a law whose residues pass the size limit
+    # runs out of them, and a law whose M = N + 1 does is a UsageError
+    # (exit 2) before anything is built; N = 990 is the first such order
     with pytest.raises(UsageError, match="do not pass a bound"):
         root_primes(6000, 1 << 9000)
     assert len(root_primes(6000, 1 << 200)) == 11
-    with pytest.raises(UsageError, match="no M in 5..9"):
-        PointRing(4, 1 << 2_000_000)
-    with pytest.raises(UsageError, match="residues, past"):
-        joint_distribution(200, 1, 1, 1)
-    with pytest.raises(UsageError, match="residues, past"):
-        exact_distribution(800, 1, 10)
+    with pytest.raises(UsageError, match=r"p = 1 \(mod 991\)"):
+        exact_distribution(990, 1, 10)
 
 
 @settings(max_examples=40, deadline=None)

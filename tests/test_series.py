@@ -17,13 +17,10 @@ from polyaprofile.series import (
     EXACT,
     DoubleRing,
     MarkedSeries,
-    PointRing,
-    PointSeries,
     ResidueRing,
     TruncatedSeries,
     _log_abs,
     _signed_exp,
-    root_primes,
 )
 from u_basis import UBasisSeries
 
@@ -697,72 +694,55 @@ def test_sums_of_products_are_the_exact_sum_modulo_each_prime(N, bits, top, seed
 
 
 def test_sum_past_one_group_is_the_exact_sum():
-    # more pairs than one group holds, at the largest grouped window order
-    # and past it, where a group's short products add up unreduced; every
-    # residue p - 1 or p - 2: the sum of the groups is the exact sum of
+    # more pairs than one group holds at the largest grouped window order,
+    # every residue p - 1 or p - 2: the sum of the groups is the exact sum of
     # products modulo each prime
-    for N in (series._PACKED_MAX_ORDER, series._PACKED_MAX_ORDER + 1, 400):
-        ring = ResidueRing(N, 1 << 30)
-        m = ring._room() // (N + 1) + 3
-        pairs = _residue_pairs(ring, N, [(0, 0)] * m, np.random.default_rng(3), top=True)
-        assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
+    N = series._PACKED_MAX_ORDER
+    ring = ResidueRing(N, 1 << 30)
+    m = ring._room() // (N + 1) + 3
+    pairs = _residue_pairs(ring, N, [(0, 0)] * m, np.random.default_rng(3), top=True)
+    assert ring.mul_sum(pairs, N).tobytes() == _exact_sum(ring, pairs, N).tobytes()
 
 
 def test_mul_sum_packs_two_or_more_pairs_up_to_the_crossover(monkeypatch):
     # the groups follow the number of pairs within the order and the window
-    # order N - low, low the least sum of valuations, and so do the kernels:
-    # (size, low, kernels) per group, two or more pairs within the crossover
-    # being one np.correlate per prime and every other pair a product of its
-    # own, a short product past the crossover; a group of long products adds
-    # them up unreduced, and every group is reduced once
-    groups, kernels, reduces = [], [], []
+    # order N - low, low the least sum of valuations, and so does the kernel:
+    # (size, low, kernel) per group, a lone pair past the crossover being a
+    # short product and every other group one np.correlate per prime
+    groups, kernels = [], []
 
     def counted(self, group, N, low, original=ResidueRing._group_product):
         out = original(self, group, N, low)
-        groups.append((len(group), low, tuple(kernels)))
-        kernels.clear()
+        groups.append((len(group), low, kernels.pop()))
         return out
 
     def kernel(name):
         original = getattr(series, name)
         return lambda *args: kernels.append(name) or original(*args)
 
-    def reduce(self, a, original=ResidueRing._reduce):
-        reduces.append(a.shape)
-        return original(self, a)
-
     monkeypatch.setattr(ResidueRing, "_group_product", counted)
-    monkeypatch.setattr(ResidueRing, "_reduce", reduce)
     for name in ("_short_product", "_kronecker_sum"):
         monkeypatch.setattr(series, name, kernel(name))
     edge = series._PACKED_MAX_ORDER
     ring = ResidueRing(edge + 1, 1 << 20)
     full = ring._room() // (edge + 1)
-    full_long = ring._room() // (edge + 2)
     rng = np.random.default_rng(1)
     short, grouped = "_short_product", "_kronecker_sum"
     cases = [
         (edge, [], []),
-        (edge, [(0, 0)], [(1, 0, (grouped,))]),
-        (edge + 1, [(0, 0)], [(1, 0, (short,))]),
-        (edge + 1, [(0, 1)], [(1, 1, (grouped,))]),
-        (edge, [(0, 0), (3, 1)], [(2, 0, (grouped,))]),
-        (edge + 1, [(0, 0), (3, 1)], [(2, 0, (short, grouped))]),
-        (edge + 1, [(3, 1), (0, 0)], [(2, 0, (grouped, short))]),
-        (edge + 1, [(0, 0)] * 3, [(3, 0, (short,) * 3)]),
-        (edge + 1, [(1, 0), (0, 2)], [(2, 1, (grouped,))]),
-        (edge, [(0, 0), (edge, 1)], [(1, 0, (grouped,))]),  # the second lies past the order
-        (edge, [(0, 0)] * (full + 1), [(full, 0, (grouped,)), (1, 0, (grouped,))]),
-        (edge + 1, [(0, 0)] * (full_long + 1),
-         [(full_long, 0, (short,) * full_long), (1, 0, (short,))]),
+        (edge, [(0, 0)], [(1, 0, grouped)]),
+        (edge + 1, [(0, 0)], [(1, 0, short)]),
+        (edge + 1, [(0, 1)], [(1, 1, grouped)]),
+        (edge, [(0, 0), (3, 1)], [(2, 0, grouped)]),
+        (edge + 1, [(0, 0), (3, 1)], [(1, 0, short), (1, 4, grouped)]),
+        (edge + 1, [(1, 0), (0, 2)], [(2, 1, grouped)]),
+        (edge, [(0, 0), (edge, 1)], [(1, 0, grouped)]),  # the second lies past the order
+        (edge, [(0, 0)] * (full + 1), [(full, 0, grouped), (1, 0, grouped)]),
     ]
     for N, valuations, want in cases:
         groups.clear()
-        pairs = _residue_pairs(ring, N, valuations, rng, top=False)
-        reduces.clear()
-        ring.mul_sum(pairs, N)
+        ring.mul_sum(_residue_pairs(ring, N, valuations, rng, top=False), N)
         assert groups == want and not kernels
-        assert len(reduces) == len(want)
 
 
 def _short_product_orders(top=420):
@@ -903,8 +883,7 @@ def _primes_by_trial_division(n, bound):
 
 def _root_primes_by_trial_division(M, bound):
     """The primes p = 1 (mod M) below 2^20 with M (p - 1)^2 < 2^53, largest
-    first, down to the first whose running product exceeds bound; None when
-    all of them fall short."""
+    first, down to the first whose running product exceeds bound."""
     out, product = [], 1
     for p in range(1 + ((1 << 20) - 2) // M * M, 1, -M):
         if M * (p - 1) ** 2 < 2**53 and all(p % q for q in range(2, math.isqrt(p) + 1)):
@@ -912,7 +891,7 @@ def _root_primes_by_trial_division(M, bound):
             product *= p
             if product > bound:
                 return out
-    return None
+    raise AssertionError("no primes left")
 
 
 @pytest.mark.parametrize("N, bound, signed", [
@@ -932,19 +911,17 @@ def test_residue_ring_takes_its_primes_from_its_order_and_bound(N, bound, signed
 def test_profile_rings_keep_their_bounds_and_primes(N):
     # the derivative pass's ring and the ring of each marked builder: each
     # bound as the profile module documents it, its primes those of the
-    # smallest product past 2^20 times it; the whole laws take the primes
-    # p = 1 (mod M) of the least M from N + 1 on that has enough of them
+    # smallest product past 2^20 times it; the whole laws, both marks on
+    # level 0 included, take the primes p = 1 (mod N + 1) of the smallest
+    # product past 2^20 y_N
     from polyaprofile import profile
     from polyaprofile.profile import (
         TOTAL, level_degree_series, mixed_degree_series, two_level_series)
     y_N = tree_series(N)[N]
     law = profile._law_ring(N)
-    assert level_degree_series(1, 0, N).ring is law
-    if N <= 30:  # two marks hold M^2 (N + 1) residues per prime
-        assert two_level_series(1, 0, 0, N).ring is mixed_degree_series(1, 2, 0, N).ring is law
-    assert (law.residue.bound, law.residue.signed) == (y_N, False)
-    assert all(_root_primes_by_trial_division(M, y_N << 20) is None for M in range(N + 1, law.M))
-    assert law.residue.primes == tuple(_root_primes_by_trial_division(law.M, y_N << 20))
+    assert level_degree_series(1, 0, N).ring is two_level_series(1, 0, 0, N).ring is law
+    assert (law.M, law.residue.bound, law.residue.signed) == (N + 1, y_N, False)
+    assert law.residue.primes == tuple(_root_primes_by_trial_division(N + 1, y_N << 20))
     assert law.M * (max(law.residue.primes) - 1) ** 2 < 2**53  # the DFT's sums are exact
     eps = [y_N * math.comb(N, j) for j in (1, 2, 3)]
     rings = [(profile._residue_ring(N), N * N * y_N, False),
