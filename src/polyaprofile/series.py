@@ -1277,10 +1277,8 @@ class PointSeries:
         return PointSeries(values, self.order, self.ring, self.one_level)
 
     def on_one_level(self):
-        """This series for two marks on one level: ``mark()`` is u v from
-        then on, and [n] reads (l, l)."""
-        if self.values.shape[1:3] != (1, 1):
-            raise UsageError("only a series that carries no mark yet can take both on one level")
+        """This series, which carries no mark yet, for two marks on one
+        level: ``mark()`` is u v from then on, and [n] reads (l, l)."""
         return PointSeries(self.values, self.order, self.ring, True)
 
     def _constant(self, c):
