@@ -18,7 +18,11 @@ agrees with empirical characteristic functions from the sampler.  Only
 structural properties (psi(0)=1, conjugate symmetry, |psi|<=1) are asserted
 in acceptance runs.  Each of the three contour pieces is integrated with a
 Gauss-Legendre rule of ``nodes`` points and again with 2 ``nodes``; a rule is
-built once per node count and then shared by every call.
+built once per node count and then shared by every call.  Only the term
+i t A/(b sqrt(rho)) sinh q(s) of the integrand depends on t or d: the rest
+(the rule's weights and, per piece, sqrt(-s) e^q, sinh q, sqrt(-s) e^{-q-s}
+and ds) is a read-only contour table, built once per (kappa b sqrt(rho)/2,
+arc radius, nodes) and shared by every t and d at that kappa.
 
 ``eval_cov_limit`` / ``eval_var_limit`` evaluate the n-normalised covariance
 and variance limits
@@ -84,25 +88,42 @@ def _unit_rule(nodes):
     return x, w
 
 
-def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, arc_radius):
-    c = 0.5 * kappa * b * math.sqrt(rho)
-    lam = amplitude / (b * math.sqrt(rho))
+@lru_cache(maxsize=8)
+def _psi_contour(c, arc_radius, nodes):
+    """The t-independent part of psi's integrand on the contour of arc radius
+    ``arc_radius``, with q(s) = c sqrt(-s): the rule's weights and, for each
+    piece in contour order, (r e^q, sinh q, r e^{-q-s}, ds/dx) with r =
+    sqrt(-s).  Read-only, and built once per key: every t and every degree d
+    at one kappa share it, since t, lambda and the prefactor enter per call.
+    """
     S, w = _RAY_LENGTH, arc_radius
     x, wt = _unit_rule(nodes)
     # the arc: s = w e^{i theta} clockwise through -w, theta: -pi/2 -> -3pi/2
     s_arc = w * np.exp(1j * (-0.5 * np.pi - np.pi * x))
-    pieces = (  # (s, ds/dx) of each piece, in contour order
+    pieces = []
+    for s, ds in (  # (s, ds/dx) of each piece, in contour order
         ((S - S * x) - 1j * w, -S),  # incoming ray below the axis
         (s_arc, 1j * s_arc * (-np.pi)),
         (S * x + 1j * w, S),  # outgoing ray above the axis
-    )
-    min_den = math.inf
-    total = 0.0 + 0.0j
-    for s, ds in pieces:
+    ):
         r = np.sqrt(-s)
         q = c * r
-        den = r * np.exp(q) - 1j * t * lam * np.sinh(q)
-        total += np.sum(wt * (r * np.exp(-q - s) / den) * ds)
+        arrays = (r * np.exp(q), np.sinh(q), r * np.exp(-q - s), ds)
+        for arr in arrays:
+            if isinstance(arr, np.ndarray):
+                arr.setflags(write=False)
+        pieces.append(arrays)
+    return wt, tuple(pieces)
+
+
+def _psi_quadrature(t, amplitude, kappa, b, rho, nodes, arc_radius):
+    lam = amplitude / (b * math.sqrt(rho))
+    wt, pieces = _psi_contour(0.5 * kappa * b * math.sqrt(rho), arc_radius, nodes)
+    min_den = math.inf
+    total = 0.0 + 0.0j
+    for r_exp_q, sinh_q, num, ds in pieces:
+        den = r_exp_q - 1j * t * lam * sinh_q
+        total += np.sum(wt * (num / den) * ds)
         min_den = min(min_den, np.abs(den).min())
     prefactor = amplitude * t / (b * math.sqrt(rho * math.pi))
     return 1.0 + prefactor * total, min_den
@@ -114,8 +135,10 @@ def eval_psi(t, d, kappa, constants, nodes=200):
     The reported quadrature error is the node-doubling difference plus the
     e^{-S} ray-truncation bound.  If the integrand's denominator comes close
     to zero on the contour the arc is shrunk and the quadrature retried.  The
-    Gauss-Legendre rules of ``nodes`` and 2 ``nodes`` points are built on the
-    first call that asks for them and reused after.
+    Gauss-Legendre rules of ``nodes`` and 2 ``nodes`` points, and the contour
+    tables of the t-independent terms, keyed by (kappa b sqrt(rho)/2, arc
+    radius, nodes), are built on the first call that asks for them and
+    reused after: a grid of t, at any degree d, sums over the same tables.
     """
     _check_kappa(kappa)
     if kappa == 0:

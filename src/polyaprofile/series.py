@@ -1247,8 +1247,11 @@ class PointSeries:
     ``values`` is a read-only float64 array [prime, a, b, n] of residues.  An
     axis a or b of length 1 stands for a mark the series does not carry:
     every point holds the same series, and numpy's broadcasting spreads it
-    over M points when the mark enters.  ``mark`` is constant in x, and a
-    product by a series constant in x is one multiply per point.
+    over M points when the mark enters.  A series constant in x (``mark``,
+    ``one_like``) holds one x column, [prime, a, b, 1]: a product by it is
+    one multiply per point, a sum or difference with a series that is not
+    constant widens it to N + 1 terms, and so do ``shift`` and ``[n]``; the
+    other operations take a constant to a constant.
 
     The Polya substitution u -> u^i sends point a to a i mod M, so
     ``substitute_power`` and ``polya_exponent`` gather points, and ``exp``
@@ -1282,10 +1285,17 @@ class PointSeries:
         return PointSeries(self.values, self.order, self.ring, True)
 
     def _constant(self, c):
-        """The series c [prime, A, B], constant in x."""
-        out = np.zeros(c.shape + (self.order + 1,))
-        out[..., 0] = c
-        return self.copy_with(out)
+        """The series c [prime, A, B], constant in x: one x column."""
+        return self.copy_with(c[..., None])
+
+    def _wide(self):
+        """``values`` with all N + 1 x terms: a constant's column padded."""
+        v = self.values
+        if v.shape[-1] == self.order + 1:
+            return v
+        out = np.zeros(v.shape[:-1] + (self.order + 1,))
+        out[..., :1] = v
+        return out
 
     def one_like(self):
         return self._constant(np.ones((len(self.ring.residue.primes), 1, 1)))
@@ -1301,16 +1311,24 @@ class PointSeries:
                 other.ring, other.order, other.one_level):
             raise UsageError("point series ring/order mismatch")
 
+    def _operands(self, other):
+        """The values of self and other, a constant widened when the other
+        is not constant, so that a sum adds it to x^0 alone."""
+        self._check(other)
+        if self.values.shape[-1] == other.values.shape[-1]:
+            return self.values, other.values
+        return self._wide(), other._wide()
+
     # a sum or difference of two residues is off by at most one p
     def __add__(self, other):
-        self._check(other)
-        s = self.values + other.values
+        a, b = self._operands(other)
+        s = a + b
         s -= self.ring.p * (s >= self.ring.p)
         return self.copy_with(s)
 
     def __sub__(self, other):
-        self._check(other)
-        s = self.values - other.values
+        a, b = self._operands(other)
+        s = a - b
         s += self.ring.p * (s < 0)
         return self.copy_with(s)
 
@@ -1333,8 +1351,9 @@ class PointSeries:
         return self.copy_with(self.ring.residue._reduce(self.values * inv))
 
     def shift(self, k=1):
-        out = np.zeros_like(self.values)
-        out[..., k:] = self.values[..., : max(self.order + 1 - k, 0)]
+        values = self._wide()
+        out = np.zeros_like(values)
+        out[..., k:] = values[..., : max(self.order + 1 - k, 0)]
         return self.copy_with(out)
 
     def substitute_power(self, i):
@@ -1392,5 +1411,5 @@ class PointSeries:
 
     def __getitem__(self, n):
         """The x**n coefficient as {mark exponent: nonzero count}."""
-        law = self.ring.law(self.values[..., n])
+        law = self.ring.law(self._wide()[..., n])
         return {(a, a): v for (a, _), v in law.items()} if self.one_level else law

@@ -3,8 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from psi_oracle import psi_quadrature
 
 from polyaprofile import limits
+from polyaprofile.constants import compute_constants
 from polyaprofile.errors import AccuracyError, UsageError
 from polyaprofile.limits import (
     correlation_convergence_report,
@@ -93,6 +97,63 @@ def test_psi_rule_is_built_once_per_node_count(constants_400, monkeypatch):
         for arr in limits._unit_rule(nodes):
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0.5
+
+
+_TINY = 5e-324  # the least positive float
+_T = st.one_of(st.sampled_from([0.0, -0.0, _TINY, -_TINY, 1e300, -1e300]),
+               st.floats(-1e300, 1e300))
+
+
+@pytest.fixture(scope="module")
+def constants_10():
+    return compute_constants(400, degrees=range(1, 11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(t=_T, d=st.integers(1, 10), kappa=st.floats(1e-3, 50.0),
+       radius=st.sampled_from([1.0, 0.5, 0.25, 0.125]), nodes=st.sampled_from([3, 37, 200]))
+@example(t=3.5, d=2, kappa=0.5, radius=1.0, nodes=200)
+@example(t=-1e300, d=10, kappa=50.0, radius=0.125, nodes=200)
+def test_psi_contour_table_gives_the_oracle_bits(constants_10, t, d, kappa, radius, nodes):
+    # the quadrature computed whole on every call (``psi_oracle``) against
+    # the per-t sum over the cached contour table; the retry radii included
+    cs = constants_10
+    args = (t, cs.c_d_rho_d(d), kappa, cs.b, cs.rho, nodes, radius)
+    with np.errstate(all="ignore"):  # a large kappa or t overflows, as in eval_psi
+        got = limits._psi_quadrature(*args)
+        want = psi_quadrature(*args)
+    assert [got[0].real.hex(), got[0].imag.hex(), float(got[1]).hex()] == [
+        want[0].real.hex(), want[0].imag.hex(), float(want[1]).hex()]
+
+
+def test_psi_contour_is_built_once_per_kappa_and_radius(constants_400):
+    # every t and every d at one kappa share the table of each node count;
+    # the cache is emptied first, so a repeated run counts the same builds
+    limits._psi_contour.cache_clear()
+    cs = constants_400
+
+    def misses():
+        return limits._psi_contour.cache_info().misses
+
+    eval_psi(0.5, 1, 1.0, cs)
+    assert misses() == 2  # nodes and 2 nodes
+    hits = limits._psi_contour.cache_info().hits
+    eval_psi(-2.0, 1, 1.0, cs)  # a second t
+    eval_psi(0.5, 2, 1.0, cs)  # a second d at the same kappa
+    assert misses() == 2
+    assert limits._psi_contour.cache_info().hits == hits + 4
+    eval_psi(0.5, 1, 0.5, cs)  # a new kappa
+    assert misses() == 4
+    args = (0.5, cs.c_d_rho_d(1), 1.0, cs.b, cs.rho, 200)
+    limits._psi_quadrature(*args, limits._ARC_RADIUS)
+    assert misses() == 4
+    limits._psi_quadrature(*args, 0.5 * limits._ARC_RADIUS)  # a shrunk arc
+    assert misses() == 5
+    c = 0.5 * 1.0 * cs.b * math.sqrt(cs.rho)
+    wt, pieces = limits._psi_contour(c, limits._ARC_RADIUS, 200)
+    arrays = [wt] + [a for piece in pieces for a in piece if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 + 3 * 3 + 1  # the arc's ds is an array, the rays' a number
+    assert not any(a.flags.writeable for a in arrays)
 
 
 def test_psi_requires_positive_kappa(constants_400):

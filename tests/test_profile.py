@@ -490,6 +490,31 @@ def test_laws_at_roots_of_unity_are_the_u_basis_laws(kind, d, d2, N, k, h):
     assert _coefficients(got) == _over_u_basis(lambda: _coefficients(build()))
 
 
+def test_point_constants_hold_one_x_column():
+    # mark() and one_like() are constant in x and hold one x column, not
+    # N + 1 (a whole x axis per point cost 233 MB at joint_distribution(400,
+    # 1, 0, 0)); shift widens it, so the degree-1 cap series x Z_0 = x is x
+    # at every point, and sums add a constant to x^0 alone
+    N = 12
+    ring = profile._law_ring(N)
+    y = PointSeries.lift(tree_series(N), ring)
+    P, M = len(ring.residue.primes), ring.M
+    assert y.one_like().values.shape == (P, 1, 1, 1)
+    assert y.mark().values.shape == (P, M, 1, 1)
+    assert y.mark(v=1).values.shape == (P, 1, M, 1)
+    x = PointSeries.lift(TruncatedSeries([0, 1] + [0] * (N - 1), N, EXACT), ring)
+    cap = multiset_cap_series(1, N, base=y)
+    assert cap.values.shape == x.values.shape
+    assert np.array_equal(cap.values, x.values)
+    one = PointSeries.lift(TruncatedSeries.one(N, EXACT), ring)
+    assert np.array_equal((y + y.one_like()).values, (y + one).values)
+    assert np.array_equal((y.one_like() - y).values, (one - y).values)
+    # exp and the Polya exponent take a constant to a constant
+    zero = y.mark() - y.mark()
+    assert zero.polya_exponent().values.shape == (P, M, 1, 1)
+    assert np.array_equal(zero.exp().values, np.ones((P, M, 1, 1)))
+
+
 def test_a_corrupted_residue_lifts_out_of_range():
     # one residue of one point off by one moves every count of that prime
     # (the inverse DFT mixes the points), and the CRT lifts the counts past
